@@ -158,7 +158,6 @@ def _cmd_classify(args, out, err):
     out.write(f"kmax={report.kmax}\n")
     out.write(f"precision_bits={prec_txt}\n")
     out.write(f"points_scanned={report.points_scanned}\n")
-    out.write(f"lane={report.lane}\n")
     if report.diophantine_s is not None:
         out.write(f"diophantine_s={_fmt(report.diophantine_s)}\n")
         out.write(f"diophantine_c={_fmt(report.diophantine_c)}\n")

@@ -7,10 +7,10 @@ evidence C |k|^-s <= divisor (Diophantine), or witnesses of abnormally close
 approach (Liouville).  Verdicts other than Rational are evidence from a
 finite scan, never proof.
 
-Scans run in exact fixed-point integer arithmetic (see ``_scan``); every
-decision is taken on exact integers or on deterministic high-precision
-evaluations of them, so reports are reproducible bit for bit across the
-compiled and pure kernels.
+Scans run in exact fixed-point integer arithmetic (rank 1 by the
+three-distance theorem, see ``_scan``); every decision is taken on exact
+integers or on deterministic high-precision evaluations of them, so reports
+are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -158,7 +158,6 @@ class ClassificationReport:
     rational_k: tuple | None
     diophantine_s: float | None
     diophantine_c: float | None
-    lane: str
 
     @property
     def min_divisor(self):
@@ -207,7 +206,6 @@ class ClassificationReport:
                 {"k": list(r.k), "divisor": r.divisor, "normk": r.normk}
                 for r in self.records
             ],
-            "lane": self.lane,
         }
 
 
@@ -218,6 +216,7 @@ class _RangeData:
     kept: list      # [(rp, kvec)] ascending by (rp, kvec)
     witnesses: list  # [(kvec, rp, normk)]
     n_scanned: int
+    frontier: list | None = None  # rank 1: [(rp, k)], see _scan.collect_below
 
 
 # ---------------------------------------------------------------------------
@@ -278,22 +277,25 @@ def _shell_vectors(n, m):
             yield v
 
 
-def _scan_unit_lattice(t_scaled, kmax, keep, wbound, stride, impl):
+def _scan_unit_lattice(t_scaled, bits, kmax, keep, wbound, stride, s_grid):
     ranges = []
-    zeros = []
-    for rs in _scan.scan_unit(t_scaled, kmax, keep, wbound, stride, impl):
+    for rs in _scan.scan_unit(t_scaled, bits, kmax, keep, wbound, stride):
         kept = [(rp, (k,)) for rp, k in rs.kept]
         wits = [((k,), rp, k) for k, rp in rs.witnesses]
         n_pts = rs.hi - rs.lo
         if stride:
             n_pts -= (rs.hi - 1) // stride - (rs.lo - 1) // stride
-        ranges.append(_RangeData(rs.lo, rs.hi, kept, wits, n_pts))
-        zeros.extend((k,) for k in rs.zeros)
-    return ranges, zeros
+        rd = _RangeData(rs.lo, rs.hi, kept, wits, n_pts)
+        if kept:
+            rd.frontier = _scan.collect_below(
+                t_scaled, bits, rs.lo, rs.hi, stride, s_grid[0], s_grid[-1]
+            )
+        ranges.append(rd)
+    return ranges
 
 
 def _scan_general(t_scaled_vec, bits, kmax, keep, wbound, zero_test):
-    """Exact Python scan over max-norm shells for any rank / scan width.
+    """Exact Python scan over max-norm shells, for rank >= 2.
 
     Returns (ranges, certified_zeros, unresolved): certified zeros come from
     the exact `zero_test`; `unresolved` collects k whose fixed-point residue
@@ -333,34 +335,54 @@ def _scan_general(t_scaled_vec, bits, kmax, keep, wbound, zero_test):
     return ranges, zeros, unresolved
 
 
-def _refine_range_minimum(rng, s, modulus, keep, t_scaled, stride, unit_lattice):
+def _weighted(rp, normk, s, modulus):
+    """|k|^s * divisor at 100 bits, for the folded distance rp / modulus."""
+    with mp_prec(100):
+        d = mpmath.mpf(rp) / modulus
+        return mpmath.power(normk, s) * 2 * mpmath.sin(mpmath.pi * d)
+
+
+def _refine_range_minimum(rng, s, modulus):
     """Exact per-range minimum of |k|^s * divisor over scanned k.
 
-    Rank-1 ranges rescan exhaustively when the kept list may clip the true
-    argmin; higher-rank ranges rely on the kept list alone (keep smallest
-    distances), which covers the argmin unless a range holds more than `keep`
-    near-ties within a 2^ceil(s)+1 distance factor.
+    Rank 1 searches the range's frontier (``_scan.collect_below``), which
+    holds the argmin.  Frontier points come in ascending distance and
+    descending k, so a point p beats the best b so far whenever
+    k_p^floor(s) r_p < k_b^floor(s) r_b (sin(pi x) / x falls as x grows);
+    mpmath decides only the pairs this leaves open.  Higher-rank ranges rely
+    on the kept list alone (keep smallest distances), which covers the argmin
+    unless a range holds more than `keep` near-ties within a 2^ceil(s)+1
+    distance factor.
     """
-    candidates = rng.kept
-    if len(candidates) == keep:
-        # the kept list holds the `keep` smallest distances; the true argmin
-        # of |k|^s * divisor must have dist <= (pi/2) 2^s * min dist, so if
-        # the cut sits below that bound the range needs an exhaustive rescan
-        rescue_bound = candidates[0][0] << (math.ceil(s) + 1)
-        if candidates[-1][0] <= rescue_bound and unit_lattice:
-            extra = _scan.collect_below(t_scaled, rng.lo, rng.hi, rescue_bound, stride)
-            candidates = sorted({(rp, (k,)) for k, rp in extra} | set(candidates))
-    best = None
-    best_k = None
-    with mp_prec(100):
-        for rp, kvec in sorted(candidates, key=lambda c: c[1]):
-            normk = max(abs(c) for c in kvec)
-            d = mpmath.mpf(rp) / modulus
-            u = mpmath.power(normk, s) * 2 * mpmath.sin(mpmath.pi * d)
+    if rng.frontier is None:
+        best = None
+        best_k = None
+        for rp, kvec in sorted(rng.kept, key=lambda c: c[1]):
+            u = _weighted(rp, max(abs(c) for c in kvec), s, modulus)
             if best is None or u < best:
                 best = u
                 best_k = kvec
-    return best, best_k
+        return best, best_k
+    c_lo, c_hi = math.floor(s), math.ceil(s)
+    lo_c = rng.lo**c_hi
+    best_rp, best_k = rng.frontier[0]
+    best = None  # _weighted of the best point, once computed
+    for rp, k in rng.frontier[1:]:
+        if 2 * lo_c * rp * _scan.PI_DEN > _scan.PI_NUM * best_k**c_hi * best_rp:
+            break  # see _scan.collect_below: no later point can win
+        if k**c_lo * rp >= best_k**c_lo * best_rp:
+            if best is None:
+                best = _weighted(best_rp, best_k, s, modulus)
+            u = _weighted(rp, k, s, modulus)
+            if u > best:
+                continue
+            best = u  # ties go to the smaller k, as in ascending-k order
+        else:
+            best = None
+        best_rp, best_k = rp, k
+    if best is None:
+        best = _weighted(best_rp, best_k, s, modulus)
+    return best, (best_k,)
 
 
 def classify(
@@ -371,7 +393,6 @@ def classify(
     keep=64,
     dio_ratio=0.01,
     n_records=10,
-    use_compiled=None,
 ) -> ClassificationReport:
     """Scan 0 < |k| <= kmax and classify the translation vector t.
 
@@ -419,31 +440,25 @@ def classify(
     t_scaled = [c.scaled_int(bits) % modulus for c in tvec]
     wbound = _witness_bound_fn(modulus, s_grid[0])
 
-    unit_lattice = n == 1 and bits == _scan.SCAN_BITS
     stride = 0
     rational_k = None
     unresolved = []
-    if unit_lattice:
+    if n == 1:
         if exact:
             d = tvec[0].fraction.denominator
-            stride = d if d <= kmax else 0
             if d <= kmax:
+                stride = d
                 rational_k = (d,)
-        if use_compiled and not _scan.compiled_available():
-            raise RuntimeError("compiled scan kernel requested but not built")
-        impl = _scan.kernel(use_compiled)
-        lane = "compiled" if getattr(impl, "COMPILED", False) else "pure-python"
-        ranges, kernel_zeros = _scan_unit_lattice(
-            t_scaled[0], kmax, keep, wbound, stride, impl
-        )
-        unresolved = [] if exact else kernel_zeros
-    else:
-        if use_compiled:
-            raise RuntimeError(
-                "compiled kernel covers rank-1 scans at 192 bits; this scan "
-                f"needs rank {n} at {bits} bits"
+        else:
+            # k t = 0 mod 2**bits exactly on the multiples of the period
+            p = _scan.period(t_scaled[0], bits)
+            if p <= kmax:
+                unresolved = [(p,)]
+        if not unresolved:
+            ranges = _scan_unit_lattice(
+                t_scaled[0], bits, kmax, keep, wbound, stride, s_grid
             )
-        lane = "pure-python"
+    else:
         zero_test = None
         if exact_idx:
             # an exact zero is certifiable whenever the frequencies on all
@@ -489,10 +504,7 @@ def classify(
         for rng in ranges:
             if not rng.kept:
                 continue
-            u, kv = _refine_range_minimum(
-                rng, s, modulus, keep, t_scaled[0] if unit_lattice else None,
-                stride, unit_lattice,
-            )
+            u, kv = _refine_range_minimum(rng, s, modulus)
             shell.append((u, kv))
         if not shell:
             s_table.append(SLevelRow(s, math.inf, (), math.inf, math.inf, False))
@@ -587,7 +599,6 @@ def classify(
         rational_k=rational_k,
         diophantine_s=dio_s,
         diophantine_c=dio_c,
-        lane=lane,
     )
 
 

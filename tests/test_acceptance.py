@@ -204,7 +204,7 @@ def test_c07_diophantine_scans():
     assert any(w.exponent >= 3.0 for w in top), [w.exponent for w in top]
     print(
         f"\n  golden: C(1) = {row1.c:.6f}; liouville witness k = {top[0].k[0]} "
-        f"exponent {top[0].exponent:.2f} (lane: {liou.lane})"
+        f"exponent {top[0].exponent:.2f}"
     )
     _report(7, "golden C(1) > 1 at Kmax 1e5; liouville witness at Kmax 1e7", t0, budget=60.0)
 
@@ -327,3 +327,24 @@ def test_c12_cli_determinism(tmp_path):
         assert runs[0].stdout == runs[1].stdout, f"stdout differs for {args}"
         assert runs[0].stderr == runs[1].stderr, f"stderr differs for {args}"
     _report(12, "CLI byte-for-byte determinism across the corpus", t0)
+
+
+def test_c13_rank1_scan_at_kmax_1e12():
+    # the three-distance scan visits O(log M + kept + witnesses) points per
+    # range, so Kmax 1e12 fits the budget of the Kmax 1e7 criterion 7
+    t0 = time.perf_counter()
+    rep = classify(GOLDEN, 10**12)
+    assert rep.verdict == "DiophantineEvidence"
+    assert rep.points_scanned == 10**12
+    assert rep.argmin_k == (956722026041,)  # the largest Fibonacci number <= 1e12
+    _report(13, "golden at Kmax 1e12", t0, budget=60.0)
+
+
+def test_c14_rank1_scan_above_192_bits():
+    # 256 input bits scan at 320 bits; the result matches the 128-bit input
+    t0 = time.perf_counter()
+    wide = classify(PrecisionReal.parse("golden", 256), 20000)
+    narrow = classify(GOLDEN, 20000)
+    assert [(r.c, r.argmin_k) for r in wide.s_table] == [(r.c, r.argmin_k) for r in narrow.s_table]
+    assert [r.k for r in wide.records] == [r.k for r in narrow.records]
+    _report(14, "golden at 256 bits, Kmax 20000", t0, budget=5.0)

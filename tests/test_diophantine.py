@@ -3,9 +3,13 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from heisencoh.diophantine import (
+    _refine_range_minimum,
+    _scan_unit_lattice,
+    _witness_bound_fn,
     classify,
     complex_divisor,
     fan_member,
@@ -137,17 +141,84 @@ def test_classify_deep_near_rational_is_liouville_evidence_in_range():
     assert rep_deep.verdict == "Rational"  # denominator now inside the scan
 
 
-def test_classify_lane_equivalence():
-    golden = PrecisionReal.parse("golden", 128)
-    a = classify(golden, 3000, use_compiled=False).to_dict()
-    b = classify(golden, 3000)
-    lane = b.lane
-    b = b.to_dict()
-    a.pop("lane")
-    b.pop("lane")
-    assert a == b, f"pure and {lane} lanes disagree"
+def _u(rp, k, s, modulus):
+    with mpmath.workprec(100):
+        return mpmath.power(k, s) * 2 * mpmath.sin(mpmath.pi * (mpmath.mpf(rp) / modulus))
 
 
+def _brute_minimum(points, s, modulus):
+    """min (k^s divisor, k) over every (r', k); floats pick the candidates."""
+    approx = {k: k**s * 2 * math.sin(math.pi * (rp / modulus)) for rp, k in points}
+    top = min(approx.values())
+    return min(
+        (_u(rp, k, s, modulus), k) for rp, k in points if approx[k] <= top * (1 + 1e-9)
+    )
+
+
+def _check_against_every_k(t, kmax, s_grid):
+    """The report's range minima and records, recomputed from every k."""
+    rep = classify(t, kmax, s_grid=s_grid)
+    modulus = 1 << 192
+    T = t.scaled_int(192) % modulus
+    pts = [(min(k * T % modulus, modulus - k * T % modulus), k) for k in range(1, kmax + 1)]
+    for row in rep.s_table:
+        shell = [
+            _brute_minimum([p for p in pts if lo <= p[1] < 2 * lo], row.s, modulus)
+            for lo in (2**j for j in range(kmax.bit_length()))
+        ]
+        assert (row.c, row.argmin_k) == (float(min(shell)[0]), (min(shell)[1],))
+        assert row.shell_min == min(float(u) for u, _ in shell)
+        assert row.shell_max == max(float(u) for u, _ in shell)
+    assert [r.k for r in rep.records] == [(k,) for _, k in sorted(pts)[:10]]
+    return rep
+
+
+def test_classify_matches_every_k_oracle():
+    _check_against_every_k(PrecisionReal.parse("golden", 128), 3000, [1, 2, 3])
+    _check_against_every_k(liouville_constant(128), 3000, [1, 2.5, 3])
+
+
+@pytest.mark.parametrize("s_grid", [[1.5, 2.5, 3.0], [1.0, 2.5]])
+def test_refine_matches_brute_force_on_random_ranges(s_grid):
+    # fractional levels and near-rationals give frontiers where the integer
+    # test at floor(s) and the stop at ceil(s) both matter
+    r = random.Random(21)
+    modulus = 1 << 192
+    ts = [r.getrandbits(192) for _ in range(12)]
+    ts += [(modulus * p // q + r.getrandbits(150)) % modulus for p, q in ((1, 3), (2, 7), (355, 113))]
+    for T in ts:
+        ranges = _scan_unit_lattice(
+            T, 192, 4095, 64, _witness_bound_fn(modulus, s_grid[0]), 0, s_grid
+        )
+        for rd in ranges[5:]:
+            pts = [
+                (min(k * T % modulus, modulus - k * T % modulus), k)
+                for k in range(rd.lo, rd.hi)
+            ]
+            for s in s_grid:
+                b = _brute_minimum(pts, s, modulus)
+                assert _refine_range_minimum(rd, s, modulus) == (b[0], (b[1],))
+
+
+def test_rescue_finds_brute_force_minimum_355_113():
+    # [2^16, 2^17) is a range where a rescan capped at 10,000 points cut
+    # the candidates short
+    t = PrecisionReal.coerce(Fraction(355, 113))
+    modulus = 1 << 192
+    T = t.scaled_int(192) % modulus
+    lo, hi = 2**16, 2**17
+    pts = [
+        (min(k * T % modulus, modulus - k * T % modulus), k)
+        for k in range(lo, hi)
+        if k % 113
+    ]
+    ranges = _scan_unit_lattice(
+        T, 192, hi - 1, 64, _witness_bound_fn(modulus, 1.0), 113, [1.5, 3.0]
+    )
+    (rng,) = [r for r in ranges if r.lo == lo]
+    for s in (3.0, 1.5):
+        u, k = _refine_range_minimum(rng, s, modulus)
+        assert (u, k) == ((b := _brute_minimum(pts, s, modulus))[0], (b[1],))
 def test_classify_sqrt2_diophantine():
     rep = classify(PrecisionReal.parse("sqrt2", 128), 20000)
     assert rep.verdict == "DiophantineEvidence"
@@ -201,12 +272,8 @@ def test_classify_fractional_s_grid():
     assert rep.verdict != "LiouvilleEvidence"
     assert any(1.5 in w.levels for w in rep.witnesses)
     assert all(1.5 not in w.significant for w in rep.witnesses)
-    # deterministic across the two kernels on the float branch as well
-    a = rep.to_dict()
-    b = classify(golden, 4000, s_grid=[1.5], use_compiled=False).to_dict()
-    a.pop("lane")
-    b.pop("lane")
-    assert a == b
+    # the level-1.5 range minima agree with a walk over every k
+    assert _check_against_every_k(golden, 4000, [1.5]).to_dict() == rep.to_dict()
 
 
 def test_classify_validation():
