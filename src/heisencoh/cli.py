@@ -201,9 +201,7 @@ def _cmd_solve(args, out, err):
     )
     sol = coboundary_mod.solve(problem)
     if args.grid_size:
-        sol.residual_sup = coboundary_mod.residual(
-            sol.f, g, problem.u, args.grid_size
-        )
+        sol.residual_sup = sol.residual(sol.f, g, args.grid_size)
     alphas = (
         [float(a) for a in args.alpha_list.split(",") if a.strip()]
         if args.alpha_list
@@ -222,7 +220,7 @@ def _cmd_solve(args, out, err):
         buf.seek(0)
         f_back = read_coefficients(buf)
         grid = max(2 * max(f_back.support_radius(), g.support_radius()) + 1, 3)
-        verify_residual = coboundary_mod.residual(f_back, g, problem.u, grid)
+        verify_residual = sol.residual(f_back, g, grid)
 
     diag_lines = []
     d = sol.diagnostics_dict()

@@ -15,9 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import CoefficientField
-from .diophantine import complex_divisor, phase_distance
+# phase_distance and complex_divisor are looked up on this module by
+# perfbench/trace_child.py; solve itself goes through divisor_table
+from .diophantine import complex_divisor, divisor_table, phase_distance  # noqa: F401
 from .errors import DomainError, NonzeroMeanError, PrecisionError, ResonanceError
-from .fourier import sobolev_norm
+from .fourier import sobolev_norms
 from .precision import PrecisionReal
 
 
@@ -53,6 +55,19 @@ class CoboundarySolution:
     formal: bool = False
     formal_note: str = ""
     truncation_norms: list = field(default_factory=list)  # (radius, l2 of f)
+    # k -> divisor of the solved u and sign, for every nonzero k of the solved g
+    divisors: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def residual(self, f: CoefficientField, g: CoefficientField,
+                 grid_size: int) -> float:
+        """``residual(f, g, u, grid_size, sign)`` at the solved u and sign,
+        with the divisors ``solve`` already computed.  f must be supported
+        on the modes of the solved g, as the solution f and its re-read
+        copy are."""
+        missing = [k for k in f.keys() if any(k) and k not in self.divisors]
+        if missing:
+            raise DomainError(f"f has modes the solved g does not: {missing[:3]}")
+        return _residual(f, g, self.divisors, grid_size)
 
     def diagnostics_dict(self):
         return {
@@ -72,23 +87,25 @@ def obstruction(g: CoefficientField) -> complex:
     return g.get((0,) * g.dim)
 
 
-def _divisor_for(u, k, sign):
-    d = complex_divisor([c for c in u], k)
-    return d if sign == 1 else d.conjugate()
+def _coerce_u(u, dim):
+    u = [PrecisionReal.coerce(c) for c in (u if isinstance(u, (list, tuple)) else [u])]
+    if len(u) != dim:
+        raise DomainError("dimension mismatch between the field and u")
+    return u
+
+
+def _divisors(u, keys, sign):
+    """{k: 1 - exp(2 pi i sign <k, u>)} for the nonzero k in keys, and the
+    exact (r, L) table behind them (see ``divisor_table``)."""
+    modulus, table = divisor_table(u, [k for k in keys if any(k)])
+    divs = {k: d if sign == 1 else d.conjugate() for k, (_, d) in table.items()}
+    return divs, modulus, table
 
 
 def coboundary_from(f: CoefficientField, u, sign=1) -> CoefficientField:
     """Forward map g_k = (1 - exp(2 pi i <k, u>)) f_k; g_0 = 0 always."""
-    u = [PrecisionReal.coerce(c) for c in (u if isinstance(u, (list, tuple)) else [u])]
-    if len(u) != f.dim:
-        raise DomainError("dimension mismatch between f and u")
-    zero = (0,) * f.dim
-    out = {}
-    for k, v in f.items():
-        if k == zero:
-            continue
-        out[k] = v * _divisor_for(u, k, sign)
-    return CoefficientField(f.dim, out)
+    divs, _, _ = _divisors(_coerce_u(u, f.dim), f.keys(), sign)
+    return CoefficientField(f.dim, {k: v * divs[k] for k, v in f.items() if any(k)})
 
 
 def solve(problem: CoboundaryProblem, classification=None) -> CoboundarySolution:
@@ -109,7 +126,8 @@ def solve(problem: CoboundaryProblem, classification=None) -> CoboundarySolution
     if abs(mean) > tol:
         raise NonzeroMeanError(mean)
 
-    exact_u = all(c.exact_value for c in u)
+    divs, modulus, table = _divisors(u, g.keys(), problem.sign)
+    inexact = [c.prec for c in u if not c.exact_value]
     resonant = []
     coeffs = {}
     min_div = None
@@ -117,19 +135,15 @@ def solve(problem: CoboundaryProblem, classification=None) -> CoboundarySolution
     for k, gk in g.items():
         if k == zero:
             continue
-        dist, _ = phase_distance(u, k)
-        if dist == 0:
-            div_abs = 0.0
-        else:
-            if not exact_u:
-                prec = min(c.prec for c in u if not c.exact_value)
-                res = sum(abs(ki) for ki in k) * 2.0 ** (2 - prec)
-                if float(dist) <= res:
-                    raise PrecisionError(
-                        f"divisor at k={k} is not resolved at {prec} input bits"
-                    )
-            denom = _divisor_for(u, k, problem.sign)
-            div_abs = abs(denom)
+        r, _ = table[k]
+        denom = divs[k]
+        # dist = r / L must exceed |k|_1 2^(2 - prec) to be resolved by the
+        # least precise inexact component; compared on integers
+        if r and inexact and r << (min(inexact) - 2) <= sum(map(abs, k)) * modulus:
+            raise PrecisionError(
+                f"divisor at k={k} is not resolved at {min(inexact)} input bits"
+            )
+        div_abs = abs(denom)
         if div_abs <= tol:
             if abs(gk) > tol:
                 resonant.append((k, div_abs, abs(gk)))
@@ -152,7 +166,8 @@ def solve(problem: CoboundaryProblem, classification=None) -> CoboundarySolution
     trunc.append((radius, f.norm_l2()))
 
     sol = CoboundarySolution(
-        f=f, min_divisor=min_div, argmin_k=argmin, truncation_norms=trunc
+        f=f, min_divisor=min_div, argmin_k=argmin, truncation_norms=trunc,
+        divisors=divs,
     )
     if classification is not None and classification.verdict == "LiouvilleEvidence":
         sol.formal = True
@@ -161,7 +176,7 @@ def solve(problem: CoboundaryProblem, classification=None) -> CoboundarySolution
             "as the truncation radius grows (see truncation_norms)"
         )
     grid = max(2 * max(radius, g.support_radius()) + 1, 3)
-    sol.residual_sup = residual(f, g, u, grid, sign=problem.sign)
+    sol.residual_sup = sol.residual(f, g, grid)
     return sol
 
 
@@ -169,14 +184,21 @@ def residual(f: CoefficientField, g: CoefficientField, u, grid_size: int,
              sign=1) -> float:
     """sup over the uniform grid of |f(x) - f(x + u) - g(x)|.
 
-    The difference f - f o gamma is summed mode by mode (coefficient
-    f_k (1 - e^{2 pi i <k, u>}) on the exact root-of-unity grid), which is
-    the direct trigonometric summation without catastrophic cancellation.
-    grid_size must be at least 2 * support_radius + 1 per dimension.
+    f - f o gamma has the coefficients f_k (1 - e^{2 pi i sign <k, u>}).
+    The coefficients of the difference minus g are placed at index k mod n
+    of an n^dim array and summed at every grid point x = j / n by one
+    inverse FFT, in O(G log G) for G = n^dim points.  grid_size n must be at
+    least 2 * support_radius + 1: then distinct k in the support are
+    distinct mod n, so no two modes alias onto one index and the FFT sums
+    exactly the trigonometric polynomial.
     """
+    divs, _, _ = _divisors(_coerce_u(u, f.dim), f.keys(), sign)
+    return _residual(f, g, divs, grid_size)
+
+
+def _residual(f, g, divisors, grid_size):
     if f.dim != g.dim:
         raise DomainError("dimension mismatch between f and g")
-    u = [PrecisionReal.coerce(c) for c in (u if isinstance(u, (list, tuple)) else [u])]
     radius = max(f.support_radius(), g.support_radius())
     n = int(grid_size)
     if n < 2 * radius + 1:
@@ -184,29 +206,15 @@ def residual(f: CoefficientField, g: CoefficientField, u, grid_size: int,
             f"grid_size {n} undersamples support radius {radius} "
             f"(need at least {2 * radius + 1})"
         )
-    zero = (0,) * f.dim
-    modes = {}
-    for k, v in f.items():
-        if k == zero:
-            continue
-        modes[k] = v * _divisor_for(u, k, sign)
+    modes = {k: v * divisors[k] for k, v in f.items() if any(k)}
     for k, v in g.items():
         modes[k] = modes.get(k, 0j) - v
     if not modes:
         return 0.0
-
-    # evaluate sum_k c_k exp(2 pi i <k, x>) on the n^dim grid via exact
-    # root-of-unity phases
-    table = np.exp(2j * np.pi * np.arange(n) / n)
-    dim = f.dim
-    vals = np.zeros((n,) * dim, dtype=complex)
-    idx = np.indices((n,) * dim)
-    for k, c in sorted(modes.items()):
-        ph = np.ones((n,) * dim, dtype=complex)
-        for axis, ki in enumerate(k):
-            ph = ph * table[(idx[axis] * ki) % n]
-        vals += c * ph
-    return float(np.max(np.abs(vals)))
+    vals = np.zeros((n,) * f.dim, dtype=complex)
+    idx = np.array(list(modes), dtype=np.int64) % n
+    vals[tuple(idx.T)] = list(modes.values())
+    return float(np.max(np.abs(np.fft.ifftn(vals, norm="forward"))))
 
 
 def sobolev_loss(sol: CoboundarySolution, g: CoefficientField, alphas,
@@ -220,14 +228,15 @@ def sobolev_loss(sol: CoboundarySolution, g: CoefficientField, alphas,
     inside the scanned range; without evidence the table is emitted alone.
     """
     f = sol.f
+    shift = evidence[1] if evidence else 0.0
+    if f.dim == 1:
+        nfs = sobolev_norms(f, alphas)
+        ngs = sobolev_norms(g, [alpha + shift for alpha in alphas])
+    else:
+        nfs = [_weighted_l2(f, alpha) for alpha in alphas]
+        ngs = [_weighted_l2(g, alpha + shift) for alpha in alphas]
     rows = []
-    for alpha in alphas:
-        if f.dim == 1:
-            nf = sobolev_norm(f, alpha)
-            ng = sobolev_norm(g, alpha + (evidence[1] if evidence else 0.0))
-        else:
-            nf = _weighted_l2(f, alpha)
-            ng = _weighted_l2(g, alpha + (evidence[1] if evidence else 0.0))
+    for alpha, nf, ng in zip(alphas, nfs, ngs):
         rows.append(
             {
                 "alpha": float(alpha),

@@ -21,10 +21,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import (
+    from_rational, mpf_cos_sin, mpf_mul, mpf_pi, mpf_shift, round_nearest, to_float,
+)
 
 from . import _scan
 from .errors import DomainError, PrecisionError
 from .precision import PrecisionReal, mp_prec
+
+# working bits of every divisor 1 - exp(2 pi i <k, t>)
+_DIVISOR_PREC = 80
 
 # relative tolerance 2**-20 on witness inequalities: wide enough to absorb
 # fixed-point rounding, far too narrow to admit spurious witnesses
@@ -38,40 +44,89 @@ def _coerce_vector(t):
     return [PrecisionReal.coerce(c) for c in comps]
 
 
-def _coerce_index(k, n):
-    if isinstance(k, int):
-        k = (k,)
-    k = tuple(int(v) for v in k)
-    if len(k) != n:
-        raise DomainError(f"frequency {k} has length {len(k)}, expected {n}")
-    return k
+def _phase_grid(tvec):
+    """(U, L): integers with t_i = U_i / L exactly, for every component.
+
+    An inexact component is read as it is stored, man * 2^exp; an exact one
+    is p/q.  L = lcm(q_i) * 2^B, with B the largest -exp (at least 0).
+    """
+    den, shift = 1, 0
+    for c in tvec:
+        if c.exact_value:
+            den = math.lcm(den, c.fraction.denominator)
+        else:
+            shift = max(shift, -c.approx.man_exp[1])
+    modulus = den << shift
+    scaled = []
+    for c in tvec:
+        if c.exact_value:
+            scaled.append(c.fraction.numerator * (modulus // c.fraction.denominator))
+        else:
+            man, exp = c.approx.man_exp
+            scaled.append((man * den) << (exp + shift))
+    return scaled, modulus
+
+
+def divisor_table(t, keys):
+    """The divisors 1 - exp(2 pi i <k, t>) of every k in keys, in one pass.
+
+    Returns (L, table) with table[k] = (r, divisor).  The phase <k, t> is
+    taken exactly on the integer grid of ``_phase_grid``, so r / L is the
+    exact distance of <k, t> to the nearest integer.  The divisor is 0j when
+    r is 0; otherwise d = r / L is rounded once to 80 bits and the divisor is
+    2 sin^2(pi d) - i sign 2 sin(pi d) cos(pi d), with pi d, sin and cos
+    rounded to 80 bits and sign +1 when frac(<k, t>) <= 1/2, -1 otherwise.
+    The arithmetic is mpmath's, called at fixed precision without touching
+    its global context.  Keys must be integer tuples of the length of t.
+    """
+    scaled, modulus = _phase_grid(_coerce_vector(t))
+    prec, rnd = _DIVISOR_PREC, round_nearest
+    pi = mpf_pi(prec, rnd)
+    table = {}
+    for k in keys:
+        phase = sum(ki * ui for ki, ui in zip(k, scaled)) % modulus
+        r = min(phase, modulus - phase)
+        if r == 0:
+            table[k] = (0, 0j)
+            continue
+        x = mpf_mul(pi, from_rational(r, modulus, prec, rnd), prec, rnd)
+        c, s = mpf_cos_sin(x, prec, rnd)
+        s2 = mpf_shift(s, 1)  # 2 sin, exact
+        re = to_float(mpf_mul(s2, s, prec, rnd), rnd=rnd)
+        im = to_float(mpf_mul(s2, c, prec, rnd), rnd=rnd)
+        table[k] = (r, complex(re, -im if 2 * phase <= modulus else im))
+    return modulus, table
+
+
+def _nonzero_index(t, k):
+    """(t as a vector, k as a tuple of its length); k must be nonzero."""
+    tvec = _coerce_vector(t)
+    k = tuple(int(v) for v in ((k,) if isinstance(k, int) else k))
+    if len(k) != len(tvec):
+        raise DomainError(f"frequency {k} has length {len(k)}, expected {len(tvec)}")
+    if all(v == 0 for v in k):
+        raise DomainError("frequency k must be nonzero")
+    return tvec, k
 
 
 def phase_distance(t, k):
     """(dist, sign): distance of <k, t> to the nearest integer and the side.
 
-    sign is +1 when frac(<k, t>) <= 1/2 and -1 otherwise; dist is exact 0
-    only when <k, t> is an integer under exact input.
+    sign is +1 when frac(<k, t>) <= 1/2 and -1 otherwise.  dist is an exact
+    Fraction when every component of t is exact, and otherwise an mpf
+    rounded to max(prec) + bit_length(max |k|) + 16 bits from the exact
+    integer phase; it is 0 only when <k, t> is an integer.
     """
-    tvec = _coerce_vector(t)
-    k = _coerce_index(k, len(tvec))
-    if all(v == 0 for v in k):
-        raise DomainError("frequency k must be nonzero")
+    tvec, k = _nonzero_index(t, k)
+    scaled, modulus = _phase_grid(tvec)
+    phase = sum(ki * ui for ki, ui in zip(k, scaled)) % modulus
+    sign = 1 if 2 * phase <= modulus else -1
+    r = min(phase, modulus - phase)
     if all(c.exact_value for c in tvec):
-        theta = sum((ki * c.fraction for ki, c in zip(k, tvec)), Fraction(0))
-        theta -= theta.numerator // theta.denominator
-        if theta == 0:
-            return Fraction(0), 1
-        return (theta, 1) if theta <= Fraction(1, 2) else (1 - theta, -1)
+        return Fraction(r, modulus), sign
     prec = max((c.prec or 64) for c in tvec) + max(abs(v) for v in k).bit_length() + 16
     with mp_prec(prec):
-        s = mpmath.mpf(0)
-        for ki, c in zip(k, tvec):
-            s += ki * c.mpf(prec)
-        theta = s - mpmath.floor(s)
-        if theta <= mpmath.mpf(1) / 2:
-            return theta, 1
-        return 1 - theta, -1
+        return mpmath.mpf(from_rational(r, modulus, prec, round_nearest)), sign
 
 
 def _sin_pi(dist, prec=80):
@@ -81,28 +136,17 @@ def _sin_pi(dist, prec=80):
         return mpmath.sin(mpmath.pi * dist)
 
 
+def complex_divisor(t, k) -> complex:
+    """1 - exp(2 pi i <k, t>), stable for tiny divisors: one mode of
+    ``divisor_table``."""
+    tvec, k = _nonzero_index(t, k)
+    return divisor_table(tvec, [k])[1][k][1]
+
+
 def small_divisor(t, k) -> float:
     """|1 - exp(2 pi i <k, t>)| = 2 sin(pi dist(<k, t>, Z)); exact 0 iff the
-    phase is an integer under exact input."""
-    dist, _ = phase_distance(t, k)
-    if dist == 0:
-        return 0.0
-    return float(2 * _sin_pi(dist))
-
-
-def complex_divisor(t, k) -> complex:
-    """1 - exp(2 pi i <k, t>), stable for tiny divisors."""
-    dist, sign = phase_distance(t, k)
-    if dist == 0:
-        return 0j
-    with mp_prec(80):
-        if isinstance(dist, Fraction):
-            d = mpmath.mpf(dist.numerator) / dist.denominator
-        else:
-            d = mpmath.mpf(dist)
-        s = mpmath.sin(mpmath.pi * d)
-        c = mpmath.cos(mpmath.pi * d)
-        return complex(float(2 * s * s), float(-sign * 2 * s * c))
+    phase is an integer."""
+    return abs(complex_divisor(t, k))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+from heisencoh import cli, coboundary
 from heisencoh.coboundary import (
     CoboundaryProblem,
     coboundary_from,
@@ -12,11 +16,11 @@ from heisencoh.coboundary import (
     sobolev_loss,
     solve,
 )
-from heisencoh.coefficients import CoefficientField
-from heisencoh.diophantine import classify
-from heisencoh.errors import DomainError, NonzeroMeanError, ResonanceError
+from heisencoh.coefficients import CoefficientField, write_coefficients
+from heisencoh.diophantine import classify, complex_divisor, divisor_table, phase_distance
+from heisencoh.errors import DomainError, NonzeroMeanError, PrecisionError, ResonanceError
 from heisencoh.fourier import sobolev_norm
-from heisencoh.precision import PrecisionReal
+from heisencoh.precision import PrecisionReal, mp_prec
 
 rng = np.random.default_rng(2024)
 GOLDEN = PrecisionReal.parse("golden", 128)
@@ -240,3 +244,203 @@ def test_sobolev_loss_uses_multiplier_norm_dim1():
     sol = solve(CoboundaryProblem(g, [GOLDEN]))
     rows, _ = sobolev_loss(sol, g, [1.5])
     assert rows[0]["f_norm"] == pytest.approx(sobolev_norm(sol.f, 1.5), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the per-mode mpmath divisor and the direct
+# mode-by-mode residual summation that the divisor table and the FFT replace
+
+
+def reference_phase_distance(tvec, k):
+    """dist(<k, t>, Z) and its side, summed in mpmath for each mode."""
+    if all(c.exact_value for c in tvec):
+        theta = sum((ki * c.fraction for ki, c in zip(k, tvec)), Fraction(0))
+        theta -= theta.numerator // theta.denominator
+        if theta == 0:
+            return Fraction(0), 1
+        return (theta, 1) if theta <= Fraction(1, 2) else (1 - theta, -1)
+    prec = max((c.prec or 64) for c in tvec) + max(abs(v) for v in k).bit_length() + 16
+    with mp_prec(prec):
+        s = mpmath.mpf(0)
+        for ki, c in zip(k, tvec):
+            s += ki * c.mpf(prec)
+        theta = s - mpmath.floor(s)
+        if theta <= mpmath.mpf(1) / 2:
+            return theta, 1
+        return 1 - theta, -1
+
+
+def reference_complex_divisor(tvec, k):
+    dist, sign = reference_phase_distance(tvec, k)
+    if dist == 0:
+        return 0j
+    with mp_prec(80):
+        if isinstance(dist, Fraction):
+            d = mpmath.mpf(dist.numerator) / dist.denominator
+        else:
+            d = mpmath.mpf(dist)
+        s = mpmath.sin(mpmath.pi * d)
+        c = mpmath.cos(mpmath.pi * d)
+        return complex(float(2 * s * s), float(-sign * 2 * s * c))
+
+
+def reference_residual(f, g, u, n, sign=1):
+    """Sum every mode of f - f o gamma - g over the whole n^dim grid."""
+    u = [PrecisionReal.coerce(c) for c in u]
+    modes = {}
+    for k, v in f.items():
+        if any(k):
+            d = reference_complex_divisor(u, k)
+            modes[k] = v * (d if sign == 1 else d.conjugate())
+    for k, v in g.items():
+        modes[k] = modes.get(k, 0j) - v
+    table = np.exp(2j * np.pi * np.arange(n) / n)
+    vals = np.zeros((n,) * f.dim, dtype=complex)
+    idx = np.indices((n,) * f.dim)
+    for k, c in sorted(modes.items()):
+        ph = np.ones((n,) * f.dim, dtype=complex)
+        for axis, ki in enumerate(k):
+            ph = ph * table[(idx[axis] * ki) % n]
+        vals += c * ph
+    return float(np.max(np.abs(vals))) if modes else 0.0
+
+
+def parse_u(spec, prec):
+    return [PrecisionReal.parse(c, prec) for c in spec.split(",")]
+
+
+def random_keys(dim, bound, count, seed):
+    r = random.Random(seed)
+    keys = {tuple(r.randint(-bound, bound) for _ in range(dim)) for _ in range(count)}
+    keys |= {k for k in itertools.product(range(-3, 4), repeat=dim)}
+    return sorted(k for k in keys if any(k))
+
+
+@pytest.mark.parametrize(
+    "spec,prec",
+    [
+        ("golden", 64), ("golden", 128), ("golden", 320),
+        ("golden,sqrt2", 64), ("golden,sqrt2", 128), ("pi,e,sqrt3", 320),
+        ("1/4,1/3", 128), ("355/113", 128), ("7/1000003,-2/9", 128),
+        ("golden,1/3", 128), ("1/3,sqrt2,5/7", 64),
+    ],
+)
+def test_divisor_table_matches_reference_bit_for_bit(spec, prec):
+    u = parse_u(spec, prec)
+    keys = random_keys(len(u), 10**6, 150, spec + str(prec))
+    _, table = divisor_table(u, keys)
+    for k in keys:
+        want = reference_complex_divisor(u, k)
+        got = table[k][1]
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), k
+        assert complex_divisor(u, k) == got
+        dist, side = phase_distance(u, k)
+        ref_dist, ref_side = reference_phase_distance(u, k)
+        if all(c.exact_value for c in u) or not any(c.exact_value for c in u):
+            # exact input, or an inexact sum that mpmath carried exactly
+            assert (dist, side) == (ref_dist, ref_side), k
+        assert (table[k][0] == 0) == (dist == 0)
+
+
+def test_divisors_match_reference_for_both_signs():
+    u = parse_u("golden,1/3", 128)
+    # k_1 != 0 keeps every phase irrational, so no mode is dropped as resonant
+    far = [k for k in random_keys(2, 10**6, 60, "far") if k[0]]
+    near = [k for k in random_keys(2, 20, 60, "near") if k[0]]
+    for sign in (1, -1):
+        g = coboundary_from(CoefficientField(2, {k: 1.0 for k in far}), u, sign=sign)
+        sol = solve(CoboundaryProblem(CoefficientField(2, {k: 1.0 for k in near}), u, sign=sign))
+        for k in far:
+            want = reference_complex_divisor(u, k)
+            assert g.get(k) == (want if sign == 1 else want.conjugate()), k
+        assert sol.divisors == {
+            k: reference_complex_divisor(u, k) if sign == 1
+            else reference_complex_divisor(u, k).conjugate()
+            for k in near
+        }
+
+
+def test_each_divisor_is_evaluated_once_per_solve_command(tmp_path, monkeypatch, capsys):
+    g = random_field(6, dim=2)
+    g_path = tmp_path / "g.txt"
+    with open(g_path, "w", encoding="utf-8") as fh:
+        write_coefficients(g, fh)
+    seen = []
+
+    def counting(t, keys):
+        keys = list(keys)
+        seen.extend(keys)
+        return divisor_table(t, keys)
+
+    monkeypatch.setattr(coboundary, "divisor_table", counting)
+    rc = cli.main(["solve", "--g", str(g_path), "--u", "golden,sqrt2", "--verify",
+                   "--grid-size", "31", "--out", str(tmp_path / "f.txt")])
+    assert rc == 0, capsys.readouterr().err
+    assert sorted(seen) == [k for k in g.keys() if any(k)]
+
+
+@pytest.mark.parametrize("dim,radius,extra", [(1, 12, 0), (1, 7, 9), (2, 5, 0), (2, 4, 6), (3, 2, 3)])
+def test_fft_residual_matches_direct_summation(dim, radius, extra):
+    u = [GOLDEN, Fraction(1, 7), PrecisionReal.parse("sqrt2", 128)][:dim]
+    f = random_field(radius, dim=dim)
+    g = random_field(radius, dim=dim)
+    assert any(c < 0 for k in f.keys() for c in k)
+    n = 2 * max(f.support_radius(), g.support_radius()) + 1 + extra
+    tol = 1e-14 * (f.norm_l1() + g.norm_l1())
+    for sign in (1, -1):
+        want = reference_residual(f, g, u, n, sign)
+        assert abs(residual(f, g, u, n, sign=sign) - want) <= tol
+
+
+def test_fft_residual_matches_direct_summation_on_a_perturbed_solution():
+    g = coboundary_from(random_field(10), [GOLDEN])
+    sol = solve(CoboundaryProblem(g, [GOLDEN]))
+    bumped = dict(sol.f.items())
+    bumped[(1,)] = bumped.get((1,), 0j) + 1e-3
+    fb = CoefficientField(1, bumped)
+    tol = 1e-14 * (fb.norm_l1() + g.norm_l1())
+    for f in (sol.f, fb):
+        assert abs(residual(f, g, [GOLDEN], 64) - reference_residual(f, g, [GOLDEN], 64)) <= tol
+        assert abs(sol.residual(f, g, 64) - residual(f, g, [GOLDEN], 64)) == 0
+
+
+def inexact(man, exp, prec=64):
+    """man * 2^exp as an inexact prec-bit input (man must fit in prec bits)."""
+    with mpmath.workprec(prec):
+        return PrecisionReal.from_mpf(mpmath.mpf((man, exp)), prec)
+
+
+@pytest.mark.parametrize(
+    "u,k,raises",
+    [
+        # dist(k u) = 2^-62 = |k|_1 2^(2 - 64): unresolved, on the bound
+        ([inexact(1, -62)], (1,), True),
+        # dist = 2^-61 = 2 * 2^-62 at k = 2: on the bound again
+        ([inexact(1, -62)], (2,), True),
+        # one 64-bit ulp past the bound (the float of dist is the bound itself)
+        ([inexact((1 << 63) + 1, -125)], (1,), False),
+        # mixed: dist(<(1, 3), u>) = 2^-60 = |k|_1 2^(2 - 64), and just past it
+        ([inexact(1, -60), Fraction(1, 3)], (1, 3), True),
+        ([inexact((1 << 63) + 1, -123), Fraction(1, 3)], (1, 3), False),
+    ],
+)
+def test_precision_error_exactly_at_the_resolution_bound(u, k, raises):
+    g = CoefficientField(len(k), {k: 1.0})
+    problem = CoboundaryProblem(g, u, resonance_tol=1e-30)
+    if raises:
+        with pytest.raises(PrecisionError):
+            solve(problem)
+    else:
+        sol = solve(problem)
+        assert sol.argmin_k == k
+
+
+def test_mixed_vector_with_a_rational_resonance():
+    # u = (golden, 1/3): k = (0, 3) has <k, u> = 1 exactly
+    u = [GOLDEN, Fraction(1, 3)]
+    with pytest.raises(ResonanceError) as ei:
+        solve(CoboundaryProblem(CoefficientField(2, {(0, 3): 1.0, (1, 0): 1.0}), u))
+    assert ei.value.modes[0][0] == (0, 3)
+    g = CoefficientField(2, {(0, 3): 1e-15, (1, 0): 1.0}, drop_zeros=False)
+    sol = solve(CoboundaryProblem(g, u))
+    assert sol.f.get((0, 3)) == 0 and (0, 3) not in sol.f.keys()

@@ -1,10 +1,22 @@
-"""Byte-exact `classify` output against the files in tests/golden/.
+"""Byte-exact `classify` and `solve` output against the files in tests/golden/.
 
-The expected files are the stdout of each command.  Every one of them is a
-rank-1 scan: irrationals, named constants, exact rationals (with and without
-a denominator inside the scan), a 320-bit scan and a fractional level.
+The expected files are the stdout of each command.  Every `classify` case is
+a rank-1 scan: irrationals, named constants, exact rationals (with and
+without a denominator inside the scan), a 320-bit scan and a fractional
+level.
+
+The `solve` cases read the seeded coefficient files `solve_g_*.txt` (c_k =
+(x + iy) / (1 + |k|) with x, y standard normal from Python's `random`; the
+exact-u file leaves out the modes resonant for (1/4, 1/3)); a `*.f.txt` file
+is the `--out` file of the command whose stdout has the same stem.  Every
+byte is compared except the values of `residual_sup` and `verify_residual`.
+Those are sups over the grid of a residual at roundoff level (about 1e-15),
+whose last digits move with the order of the floating-point summation (a
+direct mode-by-mode sum or an inverse FFT); they are checked to be at most
+1e-12.
 """
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,8 +40,34 @@ CORPUS = {
 }
 
 
+# stdout file -> (arguments after `solve`, --out file or None)
+SOLVE = {
+    "solve_dim2_r8_golden_sqrt2.txt": (
+        "--g solve_g_dim2_r8.txt --u golden,sqrt2 --verify",
+        "solve_dim2_r8_golden_sqrt2.f.txt",
+    ),
+    "solve_dim1_r32_golden_alpha.txt": (
+        "--g solve_g_dim1_r32.txt --u golden --alpha-list 0,1,1.5 --verify",
+        "solve_dim1_r32_golden_alpha.f.txt",
+    ),
+    "solve_dim2_r4_quarter_third.txt": (
+        "--g solve_g_dim2_r4_exact.txt --u 1/4,1/3 --verify",
+        "solve_dim2_r4_quarter_third.f.txt",
+    ),
+    "solve_dim1_r32_sqrt2.json": (
+        "--g solve_g_dim1_r32.txt --u sqrt2 --alpha-list 0,2 --verify --format json",
+        None,
+    ),
+}
+SOLVE_INPUTS = ["solve_g_dim1_r32.txt", "solve_g_dim2_r4_exact.txt", "solve_g_dim2_r8.txt"]
+
+ROUNDOFF = re.compile(r'^(\s*"?(?:residual_sup|verify_residual)"?[=:] ?)(\S+?)(,?)$', re.M)
+
+
 def test_corpus_lists_every_file():
-    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(CORPUS)
+    expected = set(CORPUS) | set(SOLVE) | set(SOLVE_INPUTS)
+    expected |= {out for _, out in SOLVE.values() if out}
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(expected)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -40,3 +78,27 @@ def test_golden_output(name):
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def split_roundoff(text):
+    """(text with the roundoff-level values blanked, those values)."""
+    values = [float(m.group(2)) for m in ROUNDOFF.finditer(text)]
+    return ROUNDOFF.sub(r"\1*\3", text), values
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE))
+def test_golden_solve(name, tmp_path):
+    args, out_name = SOLVE[name]
+    argv = [sys.executable, "-m", "heisencoh", "solve"]
+    argv += [str(GOLDEN / a) if a in SOLVE_INPUTS else a for a in args.split()]
+    if out_name:
+        argv += ["--out", str(tmp_path / out_name)]
+    r = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    got, got_values = split_roundoff(r.stdout)
+    want, want_values = split_roundoff((GOLDEN / name).read_text(encoding="utf-8"))
+    assert got == want
+    assert len(got_values) == len(want_values) == 2
+    assert all(0 <= v <= 1e-12 for v in got_values)
+    if out_name:
+        assert (tmp_path / out_name).read_bytes() == (GOLDEN / out_name).read_bytes()
