@@ -1,24 +1,34 @@
-"""Exact rank-1 divisor scan by the three-distance theorem.
+"""Exact divisor scan by the three-distance theorem, for every rank.
 
-For a frequency range [lo, hi) the residues x_k = k T mod M, M = 2**bits, are
-enumerated in ascending (r', k) order, r' = min(x_k, M - x_k), without
-visiting every k.  The points {x_k : 0 <= k < N} split the circle into gaps
-of at most three lengths (Sos 1958; Swierczkowski 1959): with a and b the
-indices in [1, N) of the smallest and of the largest residue, the next point
-above x_k is x_{k+a} if k + a < N, else x_{k-b} if k >= b, else x_{k+a-b}.
-Walking up and down from x_0 = 0 and merging the two sides gives the points
-nearest 0 first, so a scan stops as soon as it has what it needs.  Finding a
-and b costs O(log M); each point after that costs O(1).
+A line is the progression x_k = k T + C mod M, M = 2**bits, over lo <= k <
+hi; ``points`` enumerates it in ascending (r', k) order, r' = min(x_k, M -
+x_k), without visiting every k.  The points {x_j : 0 <= j < N}, j = k - lo,
+split the circle into gaps of at most three lengths (Sos 1958; Swierczkowski
+1959): with a and b the indices in [1, N) of the smallest and of the largest
+residue of j T, the next point above x_j is x_{j+a} if j + a < N, else
+x_{j-b} if j >= b, else x_{j+a-b}.  The walk starts at the line's point
+nearest 0 from above and at the one nearest from below, found by a Euclid
+descent, and merges the two sides, so it gives the points nearest 0 first and
+a scan stops as soon as it has what it needs.  Each line costs O(log M) to
+start; each point after that costs O(1).
+
+A dyadic range lo <= |k| < hi (max-norm) of the canonical k in Z^n (first
+nonzero component > 0) is a set of lines along k_1, one per tail (k_2 ...
+k_n) with the offset <tail, T_tail>; ``range_points`` merges them into one
+ascending (r', k) stream.  Rank 1 is the one line with the empty tail.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
 from dataclasses import dataclass
 
-# lowest-k witnesses retained per range; guards against degenerate
+from .errors import PrecisionError
+
+# lowest-|k| witnesses retained per range; guards against degenerate
 # near-resonant inputs flooding memory
 WITNESS_CAP = 10000
 
@@ -30,8 +40,11 @@ PI_NUM, PI_DEN = 314159265358979323847, 10**20
 class RangeScan:
     lo: int
     hi: int            # exclusive
+    n_scanned: int     # points of the range that are not exact zeros
     kept: list         # [(r', k)] ascending by (r', k)
-    witnesses: list    # [(k, r')] ascending k
+    witnesses: list    # [(k, r', |k|)] ascending by (|k|, k)
+    frontier: list     # [(r', k, |k|)], see collect_below
+    zero: tuple | None  # the least exact zero, by (|k|, k)
 
 
 def dyadic_ranges(kmax):
@@ -50,6 +63,7 @@ def period(t, bits):
     return (1 << bits) // (t & -t)
 
 
+@functools.lru_cache(maxsize=64)
 def _neighbours(t, m, n):
     """(a, x_a, b, M - x_b): indices in [1, n) of the smallest and the largest
     residue k t mod m, for n >= 2 distinct residues.
@@ -74,138 +88,215 @@ def _neighbours(t, m, n):
             xa -= j * yb
 
 
-def _up(n, a, xa, b, yb, half):
-    """(x_k, k) for 0 <= k < n in ascending x_k, while x_k <= half."""
-    k = x = 0
+def _rise_min(s, c, m, n):
+    """(j, x): the j in [0, n) with the least x = (c + s j) mod m, for
+    0 <= s, c < m and 1 <= n <= m / gcd(s, m) (distinct residues).
+
+    Climbing by s, the least point is j = 0 or one just past a wrap of m: the
+    w-th wrap leaves (c - w m) mod s, which falls by m mod s modulo s.
+    Falling by s, it is the last point or one below s, just before a wrap:
+    j = (c + i m) // s, leaving (c + i m) mod s, which climbs by m mod s.
+    The moduli follow Euclid's algorithm on (m, s): O(log m) steps down, then
+    each step's candidate is compared with its endpoint on the way back.
+    """
+    steps = []
+    rising = True
     while True:
-        if k + a < n:
-            k += a
-            x += xa
-        elif k >= b:
-            k -= b
-            x += yb
+        if rising:
+            wraps = (c + s * (n - 1)) // m
+            if wraps == 0:
+                j, x = 0, c
+                break
+            steps.append((True, s, c, m, 0))
+            s, c, m, n = m % s, (c - m) % s, s, wraps
         else:
-            k += a - b
-            x += xa + yb
-        if x > half:
-            return
-        yield x, k
+            last = (c - s * (n - 1)) % m
+            if s * n <= c:  # no wrap: the last point is the least
+                j, x = n - 1, last
+                break
+            steps.append((False, s, c, m, n))
+            s, c, m, n = m % s, c % s, s, (s * n - c - 1) // m + 1
+        rising = not rising
+    for rose, s, c, m, n in reversed(steps):
+        if rose:  # j counts wraps from the first
+            j, x = (0, c) if x >= c else (((j + 1) * m - c + x) // s, x)
+        else:
+            last = (c - s * (n - 1)) % m
+            j, x = (n - 1, last) if last < x else ((c + j * m) // s, x)
+    return j, x
 
 
-def _down(n, a, xa, b, yb, half):
-    """(M - x_k, k) for 0 <= k < n in ascending M - x_k, while it is < half."""
-    k = y = 0
+def _line(t, c, m, lo, n):
+    """(r', k) for lo <= k < lo + n in ascending (r', k), x_k = (k - lo) t + c
+    mod m, for n distinct residues: one walk up from the point nearest 0
+    from above, one down from the point nearest from below, merged."""
+    if n == 1:
+        yield min(c, m - c), lo
+        return
+    a, xa, b, yb = _neighbours(t, m, n)
+    j, x = _rise_min(t, c, m, n)  # nearest 0 from above
+    # its predecessor on the circle is the largest point, nearest 0 from below
+    if j >= a:
+        i, y = j - a, xa - x
+    elif j + b < n:
+        i, y = j + b, yb - x
+    else:
+        i, y = j + b - a, xa + yb - x
+    half, top = m >> 1, lo + n
+    up, down = (x, lo + j), (y, lo + i)
     while True:
-        if k >= a:
-            k -= a
-            y += xa
-        elif k + b < n:
-            k += b
-            y += yb
+        if up[0] <= half and (up < down or down[0] >= half):
+            yield up
+            x, k = up
+            if k + a < top:
+                up = x + xa, k + a
+            elif k - b >= lo:
+                up = x + yb, k - b
+            else:
+                up = x + xa + yb, k + a - b
+        elif down[0] < half:
+            yield down
+            y, k = down
+            if k - a >= lo:
+                down = y + xa, k - a
+            elif k + b < top:
+                down = y + yb, k + b
+            else:
+                down = y + xa + yb, k + b - a
         else:
-            k += b - a
-            y += xa + yb
-        if y >= half:
             return
-        yield y, k
 
 
-def _merge(up, down):
-    """Merge two ascending streams of (r', k); per point this costs less
-    than heapq.merge, which exact rationals call O(Kmax/q) times."""
-    end = (math.inf, 0)
-    u, d = next(up, end), next(down, end)
-    while u is not end or d is not end:
-        if u < d:
-            yield u
-            u = next(up, end)
-        else:
-            yield d
-            d = next(down, end)
+def _expand(base, p, hi):
+    """Each point k0 of a walk on [lo, lo + p) as every k0 + j p < hi; the
+    points sharing one r' come from at most two residues k0."""
+    for rp, group in itertools.groupby(base, key=lambda pt: pt[0]):
+        for k in heapq.merge(*(range(k0, hi, p) for _, k0 in group)):
+            yield rp, k
 
 
-def points(t, bits, lo, hi, stride=0):
-    """Yield (r', k) for lo <= k < hi in ascending (r', k), where
-    r' = min(x, 2**bits - x) and x = k t mod 2**bits.
+def points(t, bits, lo, hi, offset=0):
+    """An iterator of (r', k) for lo <= k < hi in ascending (r', k), where
+    r' = min(x, 2**bits - x) and x = k t + offset mod 2**bits.
 
-    Multiples of `stride` (if nonzero) are skipped.  When t has an exact
-    period p < hi the walk runs on [0, p) and each point k0 stands for every
-    k0 + j p in the range.
+    When t has an exact period p < hi - lo the walk runs on [lo, lo + p) and
+    each point k0 stands for every k0 + j p in the range.
     """
     m = 1 << bits
     t %= m
     p = period(t, bits)
-    n = min(p, hi)
-    base = iter([(0, 0)])  # k = 0 has r' = 0; it matters once k0 + j p is in range
-    if n > 1:
-        a, xa, b, yb = _neighbours(t, m, n)
-        half = m >> 1
-        base = itertools.chain(
-            base, _merge(_up(n, a, xa, b, yb, half), _down(n, a, xa, b, yb, half))
-        )
-    if n == hi:  # every point is distinct
-        for rp, k in base:
-            if k >= lo and not (stride and k % stride == 0):
-                yield rp, k
-        return
-    # the points sharing one r' come from at most two residues k0
-    for rp, group in itertools.groupby(base, key=lambda pt: pt[0]):
-        first = [k0 + max(0, -((k0 - lo) // p)) * p for _, k0 in group]
-        for k in heapq.merge(*(range(f, hi, p) for f in first)):
-            if not (stride and k % stride == 0):
-                yield rp, k
+    base = _line(t, (lo * t + offset) % m, m, lo, min(p, hi - lo))
+    return base if p >= hi - lo else _expand(base, p, hi)
 
 
-def scan_unit(t, bits, kmax, keep, witness_bound_fn, stride) -> list[RangeScan]:
-    """Scan k = 1..kmax in dyadic ranges; folded distances are r'/2**bits.
+def range_points(tvec, bits, lo, hi):
+    """Yield (r', k) for the canonical k in Z^n with lo <= |k| < hi, in
+    ascending (r', k): r' = min(x, 2**bits - x), x = <k, tvec> mod 2**bits.
 
-    Per range: the `keep` smallest (r', k), and the first WITNESS_CAP k (in
-    ascending k) with r' <= witness_bound_fn(lo).  Every zero residue must
-    lie on a multiple of `stride`.
+    One line along k_1 per tail (k_2 ... k_n) with |tail| < hi.  k_1 runs
+    over [lo, hi) when |tail| < lo, else over [1, hi), or over [0, hi) when
+    the tail's first nonzero component is positive.
     """
+    m = 1 << bits
+    t1, rest = tvec[0], tvec[1:]
+    zero = (0,) * len(rest)
+    lines = []
+    for tail in itertools.product(range(1 - hi, hi), repeat=len(rest)):
+        if max(map(abs, tail), default=0) < lo:
+            start = lo
+        else:
+            start = 0 if tail > zero else 1
+        offset = sum(ki * ti for ki, ti in zip(tail, rest)) % m
+        lines.append(zip(points(t1, bits, start, hi, offset), itertools.repeat(tail)))
+    for (rp, k), tail in heapq.merge(*lines):
+        yield rp, (k, *tail)
+
+
+def scan_unit(tvec, bits, kmax, keep, witness_bound_fn, s_min, s_max, is_zero=None):
+    """Scan 0 < |k| <= kmax in dyadic ranges; folded distances are r'/2**bits.
+
+    Per range: the `keep` smallest (r', k), the first WITNESS_CAP k in
+    ascending (|k|, k) with r' <= witness_bound_fn(lo), the frontier
+    (``collect_below``) and the least exact zero, all from one walk of the
+    range's stream (``_walk``).
+    """
+    n = len(tvec)
     out = []
     for lo, hi in dyadic_ranges(kmax):
-        bound = witness_bound_fn(lo)
-        kept, wit = [], []
-        for rp, k in points(t, bits, lo, hi, stride):
-            if rp > bound:
-                if len(kept) == keep:
-                    break
-            else:
-                wit.append((k, rp))
-            if len(kept) < keep:
-                kept.append((rp, k))
-        wit.sort()
-        out.append(RangeScan(lo, hi, kept, wit[:WITNESS_CAP]))
+        rs = RangeScan(lo, hi, ((2 * hi - 1) ** n - (2 * lo - 1) ** n) // 2, [], [], [], None)
+        walk = _walk(rs, tvec, bits, keep, witness_bound_fn(lo), s_max, is_zero)
+        rs.frontier = collect_below(walk, s_min)
+        rs.witnesses = sorted(rs.witnesses, key=lambda w: (w[2], w[0]))[:WITNESS_CAP]
+        out.append(rs)
     return out
 
 
-def collect_below(t, bits, lo, hi, stride, s_min, s_max):
-    """The Pareto frontier of [lo, hi): each (r', k), in ascending r', whose k
-    is below every earlier k.  Every other point has a frontier point with
-    r' and k no larger, so it never holds a range minimum of k**s sin(pi r'/M).
+def _walk(rs, tvec, bits, keep, bound, s_max, is_zero):
+    """Yield (r', k, |k|) for the points of the range rs in ascending (r', k),
+    filling rs.kept, rs.witnesses and rs.zero on the way.
 
-    A point g that follows f has r'_g >= r'_f and k_g < k_f, and then
-    k_g**c r'_g < k_f**c r'_f with c = floor(s_min) means g beats f at every
-    level s >= s_min (sin(pi x) / x falls as x grows), so f is dropped.
-    The walk stops at the first r' that cannot beat a point f seen at any
-    level s <= s_max: k**s sin(pi r'/M) >= 4 lo**s r'/M, and f has at most
-    2 pi k_f**s r'_f/M, so 2 lo**c r' > pi k_f**c r'_f with c = ceil(s_max)
-    rules r' and all later points out.
+    A point with is_zero(k) true is an exact zero: it is counted off
+    rs.n_scanned and skipped.  is_zero is asked only when r' < n hi: with
+    each component of tvec rounded to the nearest integer, an exact zero is
+    off by at most |k_1| + ... + |k_n| <= n |k| halves.  Any other point
+    with r' = 0 is below the scan resolution and raises PrecisionError.
+
+    The walk stops at the first r' past the witness bound, once `keep`
+    points are held, that also cannot beat a point f already seen at any
+    level s <= s_max: |k|**s sin(pi r'/M) >= 4 lo**s r'/M, and f has at most
+    2 pi |k_f|**s r'_f/M, so 2 lo**c r' > pi |k_f|**c r'_f with
+    c = ceil(s_max) rules r' and all later points out.
     """
-    c_lo, c_hi = math.floor(s_min), math.ceil(s_max)
-    lo_c = lo**c_hi
-    front = []
-    stop = None  # PI_NUM * min k_f**c_hi r'_f over the points seen
-    for rp, k in points(t, bits, lo, hi, stride):
-        if stop is not None and 2 * lo_c * rp * PI_DEN > stop:
-            break
-        if front and k >= front[-1][1]:
+    c_hi = math.ceil(s_max)
+    stop_den = 2 * rs.lo**c_hi * PI_DEN
+    stop = math.inf  # no later point can beat a point seen once r' > stop
+    least = math.inf  # least |k| seen
+    zero = (math.inf, None)  # the least exact zero as (|k|, k)
+    zero_cut = len(tvec) * rs.hi if is_zero is not None else -1
+    kept, wit = rs.kept, rs.witnesses
+    for rp, k in range_points(tvec, bits, rs.lo, rs.hi):
+        if rp > stop and rp > bound and len(kept) >= keep:
+            return
+        if rp < zero_cut and is_zero(k):
+            rs.n_scanned -= 1
+            z = (max(map(abs, k)), k)
+            if z < zero:
+                zero = z
+                rs.zero = k
             continue
-        while front and k**c_lo * rp < front[-1][1] ** c_lo * front[-1][0]:
+        if rp == 0:
+            raise PrecisionError(
+                f"divisor at k={k} is below the scan resolution; "
+                "increase the working precision"
+            )
+        norm = max(map(abs, k))
+        if len(kept) < keep:
+            kept.append((rp, k))
+        if rp <= bound:
+            wit.append((k, rp, norm))
+        if norm < least:
+            least = norm
+            stop = min(stop, PI_NUM * norm**c_hi * rp // stop_den)
+        yield rp, k, norm
+
+
+def collect_below(pts, s_min):
+    """The Pareto frontier of a range's points (r', k, |k|), given in
+    ascending (r', k): each point whose |k| is below every earlier |k|.
+    Every other point has a frontier point with r' and |k| no larger, so it
+    never holds a range minimum of |k|**s sin(pi r'/M); of equal (r', |k|)
+    the least k is kept.
+
+    A point g that follows f has r'_g >= r'_f and |k_g| < |k_f|, and then
+    |k_g|**c r'_g < |k_f|**c r'_f with c = floor(s_min) means g beats f at
+    every level s >= s_min (sin(pi x) / x falls as x grows), so f is dropped.
+    """
+    c_lo = math.floor(s_min)
+    front = []
+    for rp, k, norm in pts:
+        if front and norm >= front[-1][2]:
+            continue
+        while front and norm**c_lo * rp < front[-1][2] ** c_lo * front[-1][0]:
             front.pop()
-        front.append((rp, k))
-        v = PI_NUM * k**c_hi * rp
-        if stop is None or v < stop:
-            stop = v
+        front.append((rp, k, norm))
     return front

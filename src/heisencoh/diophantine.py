@@ -7,16 +7,16 @@ evidence C |k|^-s <= divisor (Diophantine), or witnesses of abnormally close
 approach (Liouville).  Verdicts other than Rational are evidence from a
 finite scan, never proof.
 
-Scans run in exact fixed-point integer arithmetic (rank 1 by the
-three-distance theorem, see ``_scan``); every decision is taken on exact
-integers or on deterministic high-precision evaluations of them, so reports
-are reproducible bit for bit.
+Scans run in exact fixed-point integer arithmetic, in every rank by rank-1
+lines along k_1 and the three-distance theorem (see ``_scan``); every
+decision is taken on exact integers or on deterministic high-precision
+evaluations of them, so reports are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -253,34 +253,28 @@ class ClassificationReport:
         }
 
 
-@dataclass
-class _RangeData:
-    lo: int
-    hi: int
-    kept: list      # [(rp, kvec)] ascending by (rp, kvec)
-    witnesses: list  # [(kvec, rp, normk)]
-    n_scanned: int
-    frontier: list | None = None  # rank 1: [(rp, k)], see _scan.collect_below
-
-
 # ---------------------------------------------------------------------------
 # scan orchestration
 
 
-def _significance_floor(s, budget=0.02):
-    """Smallest scale at which a power-law witness is informative.
+def _significance_floor(s, n, budget=0.02):
+    """Smallest scale at which a level-s witness is informative in rank n.
 
-    For uniformly distributed phases the expected number of k >= K with
-    dist(<k,t>, Z) <= k^-s is about 2 sum_{k >= K} k^-s; the floor is the
-    smallest K bringing that count under `budget`.  For s <= 1 the sum
-    diverges (every vector has infinitely many level-1 witnesses), so no
-    scale is significant.
+    Shell |k| = m holds c_n(m) = ((2m+1)^n - (2m-1)^n)/2 = sum over j = n-1,
+    n-3, ... >= 0 of C(n, j) 2^j m^j canonical vectors.  For uniformly
+    distributed phases about 2 sum_{m >= K} c_n(m) m^-s of them have
+    dist(<k,t>, Z) <= |k|^-s (each term summed as its first term plus an
+    integral); the floor is the smallest K bringing that under `budget`.
+    For s <= n the sum diverges (Dirichlet), so no scale is significant.
     """
-    if s <= 1.0:
+    if s <= n:
         return math.inf
+    terms = [(j, math.comb(n, j) * 2**j) for j in range(n - 1, -1, -2)]
 
     def tail(k):
-        return 2.0 * (k**-s + k ** (1.0 - s) / (s - 1.0))
+        return 2.0 * sum(
+            a * (k ** (j - s) + k ** (j + 1 - s) / (s - j - 1)) for j, a in terms
+        )
 
     lo, hi = 2, 2
     while tail(hi) > budget:
@@ -311,72 +305,58 @@ def _witness_bound_fn(modulus, s_min):
     return bound
 
 
-def _shell_vectors(n, m):
-    """Canonical representatives of max-norm-m vectors: first nonzero > 0."""
-    for v in itertools.product(range(-m, m + 1), repeat=n):
-        if max(abs(c) for c in v) != m:
-            continue
-        lead = next(c for c in v if c != 0)
-        if lead > 0:
-            yield v
+def _scan_general(tvec, kmax, keep, s_grid, prec_bits):
+    """Scan 0 < |k| <= kmax for the fractional parts tvec, in every rank.
 
-
-def _scan_unit_lattice(t_scaled, bits, kmax, keep, wbound, stride, s_grid):
-    ranges = []
-    for rs in _scan.scan_unit(t_scaled, bits, kmax, keep, wbound, stride):
-        kept = [(rp, (k,)) for rp, k in rs.kept]
-        wits = [((k,), rp, k) for k, rp in rs.witnesses]
-        n_pts = rs.hi - rs.lo
-        if stride:
-            n_pts -= (rs.hi - 1) // stride - (rs.lo - 1) // stride
-        rd = _RangeData(rs.lo, rs.hi, kept, wits, n_pts)
-        if kept:
-            rd.frontier = _scan.collect_below(
-                t_scaled, bits, rs.lo, rs.hi, stride, s_grid[0], s_grid[-1]
-            )
-        ranges.append(rd)
-    return ranges
-
-
-def _scan_general(t_scaled_vec, bits, kmax, keep, wbound, zero_test):
-    """Exact Python scan over max-norm shells, for rank >= 2.
-
-    Returns (ranges, certified_zeros, unresolved): certified zeros come from
-    the exact `zero_test`; `unresolved` collects k whose fixed-point residue
-    vanished without certification (below scan resolution).
+    Returns (ranges, rational_k, modulus): the ``_scan.RangeScan`` of each
+    dyadic range, the least exact zero (by |k|, then k) or None, and the
+    scan modulus 2**bits.  A zero is certified on exact integers: k vanishes
+    on every inexact component and <k, t> is an integer.  Raises
+    PrecisionError when a divisor is below the scan resolution, or when the
+    smallest one is not resolved at the declared `prec_bits`.
     """
-    from bisect import insort
-
+    n = len(tvec)
+    exact_idx = [i for i, c in enumerate(tvec) if c.exact_value]
+    inexact_idx = [i for i, c in enumerate(tvec) if not c.exact_value]
+    bits = 192
+    if exact_idx:
+        denom_lcm = math.lcm(*(tvec[i].fraction.denominator for i in exact_idx))
+        bits = max(bits, denom_lcm.bit_length() + kmax.bit_length() + 32)
+    if inexact_idx:
+        bits = max(bits, max(tvec[i].prec for i in inexact_idx) + 64)
+    bits = max(bits, math.ceil(s_grid[-1] * math.log2(max(kmax, 2))) + WITNESS_TOL_BITS + 40)
     modulus = 1 << bits
-    top = modulus >> 1
-    ranges = []
-    zeros = []
-    unresolved = []
-    for lo, hi in _scan.dyadic_ranges(kmax):
-        bound = wbound(lo)
-        kept = []
-        wits = []
-        n_pts = 0
-        for m in range(lo, hi):
-            for kvec in _shell_vectors(len(t_scaled_vec), m):
-                if zero_test is not None and zero_test(kvec):
-                    zeros.append(kvec)
-                    continue
-                r = sum(ki * ti for ki, ti in zip(kvec, t_scaled_vec)) % modulus
-                rp = modulus - r if r >= top else r
-                n_pts += 1
-                if rp == 0:
-                    unresolved.append(kvec)
-                    continue
-                if rp <= bound:
-                    wits.append((kvec, rp, m))
-                if len(kept) < keep:
-                    insort(kept, (rp, kvec))
-                elif rp < kept[-1][0]:
-                    kept.pop()
-                    insort(kept, (rp, kvec))
-        ranges.append(_RangeData(lo, hi, kept, wits, n_pts))
-    return ranges, zeros, unresolved
+    t_scaled = [c.scaled_int(bits) % modulus for c in tvec]
+
+    is_zero = None
+    if exact_idx:
+        # <k, t> over the exact components is sum(k_i w_i) / denom_lcm
+        weights = [
+            c.fraction.numerator * (denom_lcm // c.fraction.denominator) if c.exact_value else 0
+            for c in tvec
+        ]
+
+        def is_zero(kvec, _inexact=tuple(inexact_idx)):
+            return (
+                not any(map(kvec.__getitem__, _inexact))
+                and sum(map(operator.mul, kvec, weights)) % denom_lcm == 0
+            )
+
+    ranges = _scan.scan_unit(
+        t_scaled, bits, kmax, keep, _witness_bound_fn(modulus, s_grid[0]),
+        s_grid[0], s_grid[-1], is_zero,
+    )
+    # ranges ascend in |k|, so the first zero found is the least
+    rational_k = next((rng.zero for rng in ranges if rng.zero), None)
+    if prec_bits is not None:
+        resolution = 4 * n * kmax * (1 << (bits - prec_bits))
+        global_min = min((rng.kept[0][0] for rng in ranges if rng.kept), default=None)
+        if global_min is not None and global_min <= resolution:
+            raise PrecisionError(
+                "smallest scanned divisor is not resolved at "
+                f"{prec_bits} input bits; increase the working precision"
+            )
+    return ranges, rational_k, modulus
 
 
 def _weighted(rp, normk, s, modulus):
@@ -387,46 +367,36 @@ def _weighted(rp, normk, s, modulus):
 
 
 def _refine_range_minimum(rng, s, modulus):
-    """Exact per-range minimum of |k|^s * divisor over scanned k.
+    """Exact per-range minimum of |k|^s * divisor over every scanned k, with
+    its k.
 
-    Rank 1 searches the range's frontier (``_scan.collect_below``), which
-    holds the argmin.  Frontier points come in ascending distance and
-    descending k, so a point p beats the best b so far whenever
-    k_p^floor(s) r_p < k_b^floor(s) r_b (sin(pi x) / x falls as x grows);
-    mpmath decides only the pairs this leaves open.  Higher-rank ranges rely
-    on the kept list alone (keep smallest distances), which covers the argmin
-    unless a range holds more than `keep` near-ties within a 2^ceil(s)+1
-    distance factor.
+    The range's frontier (``_scan.collect_below``) holds the argmin.
+    Frontier points come in ascending distance and descending |k|, so a
+    point p beats the best b so far whenever |k_p|^floor(s) r_p <
+    |k_b|^floor(s) r_b (sin(pi x) / x falls as x grows); mpmath decides only
+    the pairs this leaves open.  The search stops where the scan's walk may
+    stop (``_scan._walk``): no later point can win.
     """
-    if rng.frontier is None:
-        best = None
-        best_k = None
-        for rp, kvec in sorted(rng.kept, key=lambda c: c[1]):
-            u = _weighted(rp, max(abs(c) for c in kvec), s, modulus)
-            if best is None or u < best:
-                best = u
-                best_k = kvec
-        return best, best_k
     c_lo, c_hi = math.floor(s), math.ceil(s)
     lo_c = rng.lo**c_hi
-    best_rp, best_k = rng.frontier[0]
+    best_rp, best_k, best_norm = rng.frontier[0]
     best = None  # _weighted of the best point, once computed
-    for rp, k in rng.frontier[1:]:
-        if 2 * lo_c * rp * _scan.PI_DEN > _scan.PI_NUM * best_k**c_hi * best_rp:
-            break  # see _scan.collect_below: no later point can win
-        if k**c_lo * rp >= best_k**c_lo * best_rp:
+    for rp, k, norm in rng.frontier[1:]:
+        if 2 * lo_c * rp * _scan.PI_DEN > _scan.PI_NUM * best_norm**c_hi * best_rp:
+            break
+        if norm**c_lo * rp >= best_norm**c_lo * best_rp:
             if best is None:
-                best = _weighted(best_rp, best_k, s, modulus)
-            u = _weighted(rp, k, s, modulus)
+                best = _weighted(best_rp, best_norm, s, modulus)
+            u = _weighted(rp, norm, s, modulus)
             if u > best:
                 continue
-            best = u  # ties go to the smaller k, as in ascending-k order
+            best = u  # ties go to the smaller |k|
         else:
             best = None
-        best_rp, best_k = rp, k
+        best_rp, best_k, best_norm = rp, k, norm
     if best is None:
-        best = _weighted(best_rp, best_k, s, modulus)
-    return best, (best_k,)
+        best = _weighted(best_rp, best_norm, s, modulus)
+    return best, best_k
 
 
 def classify(
@@ -465,80 +435,11 @@ def classify(
         raise DomainError("s values below 1/2 carry no approximation content")
     s_max = s_grid[-1]
 
-    exact_idx = [i for i, c in enumerate(tvec) if c.exact_value]
-    inexact_idx = [i for i, c in enumerate(tvec) if not c.exact_value]
-    exact = not inexact_idx
-    bits = 192
-    if exact_idx:
-        denom_lcm = math.lcm(*(tvec[i].fraction.denominator for i in exact_idx))
-        bits = max(bits, denom_lcm.bit_length() + kmax.bit_length() + 32)
-    if inexact_idx:
-        bits = max(bits, max(tvec[i].prec for i in inexact_idx) + 64)
     # declared resolution: exact values may still carry one (truncations of a
     # named constant); None means the vector is exact as given
     declared = [c.prec for c in tvec if c.prec is not None]
     prec_bits = min(declared) if declared else None
-    bits = max(bits, math.ceil(s_max * math.log2(max(kmax, 2))) + WITNESS_TOL_BITS + 40)
-
-    modulus = 1 << bits
-    t_scaled = [c.scaled_int(bits) % modulus for c in tvec]
-    wbound = _witness_bound_fn(modulus, s_grid[0])
-
-    stride = 0
-    rational_k = None
-    unresolved = []
-    if n == 1:
-        if exact:
-            d = tvec[0].fraction.denominator
-            if d <= kmax:
-                stride = d
-                rational_k = (d,)
-        else:
-            # k t = 0 mod 2**bits exactly on the multiples of the period
-            p = _scan.period(t_scaled[0], bits)
-            if p <= kmax:
-                unresolved = [(p,)]
-        if not unresolved:
-            ranges = _scan_unit_lattice(
-                t_scaled[0], bits, kmax, keep, wbound, stride, s_grid
-            )
-    else:
-        zero_test = None
-        if exact_idx:
-            # an exact zero is certifiable whenever the frequencies on all
-            # inexact components vanish
-            mults = {
-                i: tvec[i].fraction.numerator
-                * (denom_lcm // tvec[i].fraction.denominator)
-                for i in exact_idx
-            }
-
-            def zero_test(kvec, _m=mults, _d=denom_lcm, _inexact=tuple(inexact_idx)):
-                if any(kvec[i] for i in _inexact):
-                    return False
-                return sum(kvec[i] * mi for i, mi in _m.items()) % _d == 0
-
-        ranges, zeros, unresolved = _scan_general(
-            t_scaled, bits, kmax, keep, wbound, zero_test
-        )
-        if zeros:
-            rational_k = min(zeros, key=lambda v: (max(abs(c) for c in v), v))
-
-    if unresolved:
-        raise PrecisionError(
-            f"divisor at k={unresolved[0]} is below the scan resolution; "
-            "increase the working precision"
-        )
-    if prec_bits is not None:
-        resolution = 4 * n * kmax * (1 << (bits - prec_bits))
-        global_min = min(
-            (rd.kept[0][0] for rd in ranges if rd.kept), default=None
-        )
-        if global_min is not None and global_min <= resolution:
-            raise PrecisionError(
-                "smallest scanned divisor is not resolved at "
-                f"{prec_bits} input bits; increase the working precision"
-            )
+    ranges, rational_k, modulus = _scan_general(tvec, kmax, keep, s_grid, prec_bits)
 
     # per-s table with exact minima
     s_table = []
@@ -569,7 +470,7 @@ def classify(
     # witness refinement on exact integers
     wit_records = []
     tol_num = modulus + (modulus >> WITNESS_TOL_BITS)
-    floors = {s: _significance_floor(s) for s in s_grid}
+    floors = {s: _significance_floor(s, n) for s in s_grid}
     with mp_prec(100):
         for rng in ranges:
             for kvec, rp, normk in rng.witnesses:

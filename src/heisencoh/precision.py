@@ -48,9 +48,11 @@ class PrecisionReal:
 
     @classmethod
     def from_mpf(cls, value, prec) -> "PrecisionReal":
+        """value rounded to `prec` bits, whatever mpmath's working precision."""
         if prec < 64:
             raise DomainError("precision must be at least 64 bits")
-        return cls(None, mpmath.mpf(value), int(prec))
+        with mp_prec(prec):
+            return cls(None, mpmath.mpf(value), int(prec))
 
     @classmethod
     def coerce(cls, value, prec=DEFAULT_PREC) -> "PrecisionReal":

@@ -348,3 +348,14 @@ def test_c14_rank1_scan_above_192_bits():
     assert [(r.c, r.argmin_k) for r in wide.s_table] == [(r.c, r.argmin_k) for r in narrow.s_table]
     assert [r.k for r in wide.records] == [r.k for r in narrow.records]
     _report(14, "golden at 256 bits, Kmax 20000", t0, budget=5.0)
+
+
+def test_c15_rank2_scan_at_kmax_1000():
+    # rank 2 walks one line along k_1 per tail: O(K log M) to start the lines
+    # of a range, O(1) per point kept, where a scan of every k is O(K^2)
+    t0 = time.perf_counter()
+    rep = classify([GOLDEN, PrecisionReal.parse("sqrt2", 128)], 1000)
+    assert rep.verdict == "DiophantineEvidence"
+    assert rep.points_scanned == (2001**2 - 1) // 2
+    assert rep.argmin_k == (368, 110)
+    _report(15, "golden,sqrt2 at Kmax 1000", t0, budget=5.0)

@@ -1,14 +1,18 @@
 import cmath
+import itertools
 import math
 import random
+from bisect import insort
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from heisencoh import _scan
 from heisencoh.diophantine import (
     _refine_range_minimum,
-    _scan_unit_lattice,
+    _scan_general,
+    _significance_floor,
     _witness_bound_fn,
     classify,
     complex_divisor,
@@ -187,8 +191,8 @@ def test_refine_matches_brute_force_on_random_ranges(s_grid):
     ts = [r.getrandbits(192) for _ in range(12)]
     ts += [(modulus * p // q + r.getrandbits(150)) % modulus for p, q in ((1, 3), (2, 7), (355, 113))]
     for T in ts:
-        ranges = _scan_unit_lattice(
-            T, 192, 4095, 64, _witness_bound_fn(modulus, s_grid[0]), 0, s_grid
+        ranges = _scan.scan_unit(
+            [T], 192, 4095, 64, _witness_bound_fn(modulus, s_grid[0]), s_grid[0], s_grid[-1]
         )
         for rd in ranges[5:]:
             pts = [
@@ -212,8 +216,8 @@ def test_rescue_finds_brute_force_minimum_355_113():
         for k in range(lo, hi)
         if k % 113
     ]
-    ranges = _scan_unit_lattice(
-        T, 192, hi - 1, 64, _witness_bound_fn(modulus, 1.0), 113, [1.5, 3.0]
+    ranges = _scan.scan_unit(
+        [T], 192, hi - 1, 64, _witness_bound_fn(modulus, 1.5), 1.5, 3.0, lambda k: k[0] % 113 == 0
     )
     (rng,) = [r for r in ranges if r.lo == lo]
     for s in (3.0, 1.5):
@@ -308,3 +312,167 @@ def test_fan_member_brute_force():
 def test_fan_member_validation():
     with pytest.raises(DomainError):
         fan_member(1, 1, 0)
+
+
+def _old_significance_floor(s, budget=0.02):
+    """The rank-1 floor as it stood before the rank-n shell counts."""
+    if s <= 1.0:
+        return math.inf
+
+    def tail(k):
+        return 2.0 * (k**-s + k ** (1.0 - s) / (s - 1.0))
+
+    lo, hi = 2, 2
+    while tail(hi) > budget:
+        hi *= 2
+        if hi > 10**15:
+            return math.inf
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if tail(mid) <= budget:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def test_significance_floor_rank1_is_unchanged():
+    grid = [0.5, 1.0, 1.0000001, 1.01, 1.1, 1.25, 4 / 3, 1.5, 2.0, 2.5, 3.0, 3.7, 5.0, 10.0]
+    grid += [1 + j / 64 for j in range(1, 200)]
+    for s in grid:
+        assert _significance_floor(s, 1) == _old_significance_floor(s)
+
+
+def test_significance_floor_counts_rank_n_shells():
+    # shell m holds 4m canonical vectors in rank 2: about 8/K accidents at s = 3
+    assert _significance_floor(3.0, 2) == pytest.approx(400, rel=0.02)
+    for n in (2, 3, 4):
+        assert _significance_floor(float(n), n) == math.inf  # Dirichlet
+        assert _significance_floor(n - 0.5, n) == math.inf
+        floors = [_significance_floor(n + d, n) for d in (1.0, 1.5, 2.0, 3.0)]
+        assert all(math.isfinite(f) for f in floors)
+        assert floors == sorted(floors, reverse=True)
+    assert _significance_floor(3.0, 3) == math.inf
+
+
+@pytest.mark.parametrize("n, s", [(2, 2.5), (2, 3.0), (2, 4.0), (2, 7.0), (3, 4.0), (3, 5.0), (3, 8.0)])
+def test_significance_floor_against_the_shell_counts(n, s):
+    # first term plus integral of 2 c_n(m) m^-s, from the shell counts
+    # themselves and numerical quadrature
+    def tail(k):
+        def c(m):
+            return ((2 * m + 1) ** n - (2 * m - 1) ** n) / 2
+
+        return 2 * (c(k) * k**-s + mpmath.quad(lambda m: c(m) * m**-s, [k, mpmath.inf]))
+
+    floor = _significance_floor(s, n)
+    assert tail(floor) <= 0.02 < tail(floor - 1)
+
+
+@pytest.mark.parametrize("names, kmax", [("golden,sqrt2", 100), ("golden,sqrt2,sqrt3", 20)])
+def test_rank_n_algebraic_is_not_liouville(names, kmax):
+    # Schmidt's subspace theorem: Diophantine for every s > n; level-s
+    # witnesses with s <= n are what Dirichlet's theorem promises
+    rep = classify([PrecisionReal.parse(v, 128) for v in names.split(",")], kmax)
+    assert rep.verdict != "LiouvilleEvidence"
+    assert any(3.0 in w.levels for w in rep.witnesses)
+    assert all(3.0 not in w.significant for w in rep.witnesses)
+
+
+# ---------------------------------------------------------------------------
+# rank n against the shell loop over every k
+
+
+def _shell_vectors(n, m):
+    """Canonical representatives of max-norm-m vectors: first nonzero > 0."""
+    for v in itertools.product(range(-m, m + 1), repeat=n):
+        if max(abs(c) for c in v) != m:
+            continue
+        lead = next(c for c in v if c != 0)
+        if lead > 0:
+            yield v
+
+
+def _shell_scan(tvec, bits, kmax, keep, wbound):
+    """Per dyadic range, every k shell by shell: (lo, hi, kept, witnesses,
+    zeros, points).  kept holds the `keep` smallest (r', k); witnesses
+    (k, r', |k|) with 0 < r' <= wbound(lo); zeros the k with <k, t> in Z
+    exactly; points every (r', k) that is not a zero."""
+    modulus = 1 << bits
+    t_scaled = [c.scaled_int(bits) % modulus for c in tvec]
+    out = []
+    for lo, hi in _scan.dyadic_ranges(kmax):
+        bound = wbound(lo)
+        kept, wits, zeros, pts = [], [], [], []
+        for m in range(lo, hi):
+            for kvec in _shell_vectors(len(tvec), m):
+                if all(c.exact_value or not ki for c, ki in zip(tvec, kvec)):
+                    if sum(ki * c.fraction for c, ki in zip(tvec, kvec) if ki).denominator == 1:
+                        zeros.append(kvec)
+                        continue
+                r = sum(ki * ti for ki, ti in zip(kvec, t_scaled)) % modulus
+                rp = min(r, modulus - r)
+                assert rp > 0
+                pts.append((rp, kvec))
+                if rp <= bound:
+                    wits.append((kvec, rp, m))
+                if len(kept) < keep:
+                    insort(kept, (rp, kvec))
+                elif (rp, kvec) < kept[-1]:
+                    kept.pop()
+                    insort(kept, (rp, kvec))
+        out.append((lo, hi, kept, wits, zeros, pts))
+    return out
+
+
+def _brute_vector_minimum(points, s, modulus):
+    """(|k|^s divisor, k) of the least (|k|^s divisor, |k|, r', k) over every
+    (r', k): of values equal at 100 bits, which exact components make common,
+    the smaller |k| wins, then the smaller r'.  Floats pick the candidates."""
+    approx = [
+        (max(map(abs, k)) ** s * 2 * math.sin(math.pi * (rp / modulus)), rp, k) for rp, k in points
+    ]
+    top = min(a for a, _, _ in approx)
+    best = min(
+        (_u(rp, max(map(abs, k)), s, modulus), max(map(abs, k)), rp, k)
+        for a, rp, k in approx
+        if a <= top * (1 + 1e-9)
+    )
+    return best[0], best[3]
+
+
+@pytest.mark.parametrize(
+    "names, kmax",
+    [
+        ("golden,sqrt2", 100),
+        ("golden,sqrt2,sqrt3", 12),
+        ("1/3,2/7", 100),
+        ("golden,1/3", 100),
+        ("1/2,golden", 100),
+        ("sqrt2,1/3", 100),
+    ],
+)
+def test_rank_n_scan_matches_every_k(names, kmax):
+    tvec = [PrecisionReal.parse(v, 128).fractional_part() for v in names.split(",")]
+    s_grid = [1.0, 1.5, 2.0, 3.0]
+    keep = 64
+    ranges, rational_k, modulus = _scan_general(tvec, kmax, keep, s_grid, None)
+    oracle = _shell_scan(tvec, modulus.bit_length() - 1, kmax, keep, _witness_bound_fn(modulus, 1.0))
+    assert [(r.lo, r.hi) for r in ranges] == [o[:2] for o in oracle]
+    zeros = [k for o in oracle for k in o[4]]
+    assert rational_k == min(zeros, key=lambda v: (max(map(abs, v)), v), default=None)
+    for rng, (lo, hi, kept, wits, zs, pts) in zip(ranges, oracle):
+        assert rng.kept == kept
+        assert rng.witnesses == sorted(wits, key=lambda w: (w[2], w[0]))
+        assert rng.n_scanned == len(pts)
+        for s in s_grid:
+            assert _refine_range_minimum(rng, s, modulus) == _brute_vector_minimum(pts, s, modulus)
+
+
+def test_rank_n_range_minimum_beyond_the_kept_list():
+    # in [64, 101) the s = 1 minimiser (1, -64) sits at distance 1/21 with 20
+    # others of that distance and smaller rounding, which fill a kept list of 64
+    rep = classify([Fraction(1, 3), Fraction(2, 7)], 100)
+    div = 2 * math.sin(math.pi / 21)
+    assert rep.s_table[0].shell_max == pytest.approx(64 * div, rel=1e-15)
+    assert rep.s_table[2].shell_max == pytest.approx(64**3 * div, rel=1e-15)

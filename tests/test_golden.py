@@ -1,9 +1,11 @@
 """Byte-exact `classify` and `solve` output against the files in tests/golden/.
 
-The expected files are the stdout of each command.  Every `classify` case is
-a rank-1 scan: irrationals, named constants, exact rationals (with and
-without a denominator inside the scan), a 320-bit scan and a fractional
-level.
+The expected files are the stdout of each command.  The rank-1 `classify`
+cases cover irrationals, named constants, exact rationals (with and without a
+denominator inside the scan), a 320-bit scan and a fractional level.  The
+rank-2 cases are exact (`1/3,2/7`), mixed (`golden,1/3`) and algebraic
+(`golden,sqrt2`); their minima, argmins, zeros and point counts were checked
+against a brute-force scan of every k when they were generated.
 
 The `solve` cases read the seeded coefficient files `solve_g_*.txt` (c_k =
 (x + iy) / (1 + |k|) with x, y standard normal from Python's `random`; the
@@ -37,6 +39,9 @@ CORPUS = {
     "classify_golden_prec256_k2000.txt": "--vector golden --prec 256 --kmax 2000",
     "classify_golden_s1.5_k4000.txt": "--vector golden --s-grid 1.5 --kmax 4000 --prec 128",
     "classify_liouville_k1100000.json": "--vector liouville --kmax 1100000 --format json",
+    "classify_1_3_2_7_k100.txt": "--vector 1/3,2/7 --kmax 100",
+    "classify_golden_1_3_k100.txt": "--vector golden,1/3 --kmax 100",
+    "classify_golden_sqrt2_k100.txt": "--vector golden,sqrt2 --kmax 100",
 }
 
 

@@ -84,6 +84,20 @@ def test_continued_fraction_sqrt2():
             assert abs(root2 - mpmath.mpf(p) / den) < mpmath.mpf(1) / (den * den)
 
 
+def test_from_mpf_rounds_to_its_precision():
+    # called outside any workprec block, the stored value has the declared bits
+    with mpmath.workprec(128):
+        root2_128 = mpmath.sqrt(2)
+    with mpmath.workprec(300):
+        root2_300 = mpmath.sqrt(2)
+    for value in (root2_128, root2_300):
+        x = PrecisionReal.from_mpf(value, 128)
+        assert x.prec == 128
+        assert x.approx.man.bit_length() == 128
+        assert x.approx == root2_128
+    assert PrecisionReal.from_mpf(mpmath.mpf(0.75), 128).approx == mpmath.mpf(0.75)
+
+
 def test_continued_fraction_precision_exhaustion():
     x = PrecisionReal.from_mpf(mpmath.mpf(2) ** 0.5, 64)
     with pytest.raises(PrecisionError):
