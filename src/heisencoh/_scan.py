@@ -1,16 +1,16 @@
 """Exact divisor scan by the three-distance theorem, for every rank.
 
-A line is the progression x_k = k T + C mod M, M = 2**bits, over lo <= k <
-hi; ``points`` enumerates it in ascending (r', k) order, r' = min(x_k, M -
-x_k), without visiting every k.  The points {x_j : 0 <= j < N}, j = k - lo,
-split the circle into gaps of at most three lengths (Sos 1958; Swierczkowski
-1959): with a and b the indices in [1, N) of the smallest and of the largest
-residue of j T, the next point above x_j is x_{j+a} if j + a < N, else
-x_{j-b} if j >= b, else x_{j+a-b}.  The walk starts at the line's point
-nearest 0 from above and at the one nearest from below, found by a Euclid
-descent, and merges the two sides, so it gives the points nearest 0 first and
-a scan stops as soon as it has what it needs.  Each line costs O(log M) to
-start; each point after that costs O(1).
+A line is the progression x_k = k T + C mod m over lo <= k < hi, for any
+modulus m; ``points`` enumerates it in ascending (r', k) order, r' =
+min(x_k, m - x_k), without visiting every k.  Its points x_j, j = k - lo in
+[0, N), split the circle into gaps of at most three lengths (Sos 1958;
+Swierczkowski 1959): with a and b the indices in [1, N) of the smallest and
+of the largest residue of j T, the next point above x_j is x_{j+a} if j + a
+< N, else x_{j-b} if j >= b, else x_{j+a-b}.  The walk starts at the line's
+point nearest 0 from above and at the one nearest from below, found by a
+Euclid descent, and merges the two sides, so it gives the points nearest 0
+first and a scan stops as soon as it has what it needs.  Each line costs
+O(log m) to start; each point after that costs O(1).
 
 A dyadic range lo <= |k| < hi (max-norm) of the canonical k in Z^n (first
 nonzero component > 0) is a set of lines along k_1, one per tail (k_2 ...
@@ -55,17 +55,14 @@ def dyadic_ranges(kmax):
         lo = 2 * lo
 
 
-def period(t, bits):
-    """The least p >= 1 with p t = 0 mod 2**bits."""
-    t %= 1 << bits
-    if t == 0:
-        return 1
-    return (1 << bits) // (t & -t)
+def period(t, m):
+    """The least p >= 1 with p t = 0 mod m."""
+    return m // math.gcd(t, m)
 
 
 @functools.lru_cache(maxsize=64)
 def _neighbours(t, m, n):
-    """(a, x_a, b, M - x_b): indices in [1, n) of the smallest and the largest
+    """(a, x_a, b, m - x_b): indices in [1, n) of the smallest and the largest
     residue k t mod m, for n >= 2 distinct residues.
 
     Stern-Brocot descent with one division per step: (a, b) only ever moves to
@@ -142,10 +139,11 @@ def _line(t, c, m, lo, n):
         i, y = j + b, yb - x
     else:
         i, y = j + b - a, xa + yb - x
-    half, top = m >> 1, lo + n
+    # up takes the x with 2 x <= m, down the y with 2 y < m: each point once
+    half, below, top = m >> 1, (m + 1) >> 1, lo + n
     up, down = (x, lo + j), (y, lo + i)
     while True:
-        if up[0] <= half and (up < down or down[0] >= half):
+        if up[0] <= half and (up < down or down[0] >= below):
             yield up
             x, k = up
             if k + a < top:
@@ -154,7 +152,7 @@ def _line(t, c, m, lo, n):
                 up = x + yb, k - b
             else:
                 up = x + xa + yb, k + a - b
-        elif down[0] < half:
+        elif down[0] < below:
             yield down
             y, k = down
             if k - a >= lo:
@@ -175,29 +173,28 @@ def _expand(base, p, hi):
             yield rp, k
 
 
-def points(t, bits, lo, hi, offset=0):
+def points(t, m, lo, hi, offset=0):
     """An iterator of (r', k) for lo <= k < hi in ascending (r', k), where
-    r' = min(x, 2**bits - x) and x = k t + offset mod 2**bits.
+    r' = min(x, m - x) and x = k t + offset mod m.
 
-    When t has an exact period p < hi - lo the walk runs on [lo, lo + p) and
-    each point k0 stands for every k0 + j p in the range.
+    When t has a period p = m / gcd(t, m) < hi - lo (q for t = p/q on an
+    exact grid) the walk runs on [lo, lo + p) and each point k0 stands for
+    the whole residue class k0 + j p in the range.
     """
-    m = 1 << bits
     t %= m
-    p = period(t, bits)
+    p = period(t, m)
     base = _line(t, (lo * t + offset) % m, m, lo, min(p, hi - lo))
     return base if p >= hi - lo else _expand(base, p, hi)
 
 
-def range_points(tvec, bits, lo, hi):
+def range_points(tvec, m, lo, hi):
     """Yield (r', k) for the canonical k in Z^n with lo <= |k| < hi, in
-    ascending (r', k): r' = min(x, 2**bits - x), x = <k, tvec> mod 2**bits.
+    ascending (r', k): r' = min(x, m - x), x = <k, tvec> mod m.
 
     One line along k_1 per tail (k_2 ... k_n) with |tail| < hi.  k_1 runs
     over [lo, hi) when |tail| < lo, else over [1, hi), or over [0, hi) when
     the tail's first nonzero component is positive.
     """
-    m = 1 << bits
     t1, rest = tvec[0], tvec[1:]
     zero = (0,) * len(rest)
     lines = []
@@ -207,13 +204,17 @@ def range_points(tvec, bits, lo, hi):
         else:
             start = 0 if tail > zero else 1
         offset = sum(ki * ti for ki, ti in zip(tail, rest)) % m
-        lines.append(zip(points(t1, bits, start, hi, offset), itertools.repeat(tail)))
+        lines.append(zip(points(t1, m, start, hi, offset), itertools.repeat(tail)))
     for (rp, k), tail in heapq.merge(*lines):
         yield rp, (k, *tail)
 
 
-def scan_unit(tvec, bits, kmax, keep, witness_bound_fn, s_min, s_max, is_zero=None):
-    """Scan 0 < |k| <= kmax in dyadic ranges; folded distances are r'/2**bits.
+def scan_unit(tvec, m, kmax, keep, witness_bound_fn, s_min, s_max, inexact):
+    """Scan 0 < |k| <= kmax in dyadic ranges; folded distances are r'/m.
+
+    tvec holds the components as exact integers U_i with t_i = U_i / m;
+    `inexact` indexes those that stand for a real known only to some
+    precision.
 
     Per range: the `keep` smallest (r', k), the first WITNESS_CAP k in
     ascending (|k|, k) with r' <= witness_bound_fn(lo), the frontier
@@ -224,27 +225,25 @@ def scan_unit(tvec, bits, kmax, keep, witness_bound_fn, s_min, s_max, is_zero=No
     out = []
     for lo, hi in dyadic_ranges(kmax):
         rs = RangeScan(lo, hi, ((2 * hi - 1) ** n - (2 * lo - 1) ** n) // 2, [], [], [], None)
-        walk = _walk(rs, tvec, bits, keep, witness_bound_fn(lo), s_max, is_zero)
+        walk = _walk(rs, tvec, m, keep, witness_bound_fn(lo), s_max, inexact)
         rs.frontier = collect_below(walk, s_min)
         rs.witnesses = sorted(rs.witnesses, key=lambda w: (w[2], w[0]))[:WITNESS_CAP]
         out.append(rs)
     return out
 
 
-def _walk(rs, tvec, bits, keep, bound, s_max, is_zero):
+def _walk(rs, tvec, m, keep, bound, s_max, inexact):
     """Yield (r', k, |k|) for the points of the range rs in ascending (r', k),
     filling rs.kept, rs.witnesses and rs.zero on the way.
 
-    A point with is_zero(k) true is an exact zero: it is counted off
-    rs.n_scanned and skipped.  is_zero is asked only when r' < n hi: with
-    each component of tvec rounded to the nearest integer, an exact zero is
-    off by at most |k_1| + ... + |k_n| <= n |k| halves.  Any other point
+    A point with r' = 0 whose k vanishes on every inexact component is an
+    exact zero: it is counted off rs.n_scanned and skipped.  Any other point
     with r' = 0 is below the scan resolution and raises PrecisionError.
 
     The walk stops at the first r' past the witness bound, once `keep`
     points are held, that also cannot beat a point f already seen at any
-    level s <= s_max: |k|**s sin(pi r'/M) >= 4 lo**s r'/M, and f has at most
-    2 pi |k_f|**s r'_f/M, so 2 lo**c r' > pi |k_f|**c r'_f with
+    level s <= s_max: |k|**s sin(pi r'/m) >= 4 lo**s r'/m, and f has at most
+    2 pi |k_f|**s r'_f/m, so 2 lo**c r' > pi |k_f|**c r'_f with
     c = ceil(s_max) rules r' and all later points out.
     """
     c_hi = math.ceil(s_max)
@@ -252,23 +251,22 @@ def _walk(rs, tvec, bits, keep, bound, s_max, is_zero):
     stop = math.inf  # no later point can beat a point seen once r' > stop
     least = math.inf  # least |k| seen
     zero = (math.inf, None)  # the least exact zero as (|k|, k)
-    zero_cut = len(tvec) * rs.hi if is_zero is not None else -1
     kept, wit = rs.kept, rs.witnesses
-    for rp, k in range_points(tvec, bits, rs.lo, rs.hi):
+    for rp, k in range_points(tvec, m, rs.lo, rs.hi):
         if rp > stop and rp > bound and len(kept) >= keep:
             return
-        if rp < zero_cut and is_zero(k):
+        if rp == 0:
+            if any(map(k.__getitem__, inexact)):
+                raise PrecisionError(
+                    f"divisor at k={k} is below the scan resolution; "
+                    "increase the working precision"
+                )
             rs.n_scanned -= 1
             z = (max(map(abs, k)), k)
             if z < zero:
                 zero = z
                 rs.zero = k
             continue
-        if rp == 0:
-            raise PrecisionError(
-                f"divisor at k={k} is below the scan resolution; "
-                "increase the working precision"
-            )
         norm = max(map(abs, k))
         if len(kept) < keep:
             kept.append((rp, k))
@@ -284,7 +282,7 @@ def collect_below(pts, s_min):
     """The Pareto frontier of a range's points (r', k, |k|), given in
     ascending (r', k): each point whose |k| is below every earlier |k|.
     Every other point has a frontier point with r' and |k| no larger, so it
-    never holds a range minimum of |k|**s sin(pi r'/M); of equal (r', |k|)
+    never holds a range minimum of |k|**s sin(pi r'/m); of equal (r', |k|)
     the least k is kept.
 
     A point g that follows f has r'_g >= r'_f and |k_g| < |k_f|, and then

@@ -17,7 +17,7 @@ import numpy as np
 from .coefficients import CoefficientField
 # phase_distance and complex_divisor are looked up on this module by
 # perfbench/trace_child.py; solve itself goes through divisor_table
-from .diophantine import complex_divisor, divisor_table, phase_distance  # noqa: F401
+from .diophantine import _resolved, complex_divisor, divisor_table, phase_distance  # noqa: F401
 from .errors import DomainError, NonzeroMeanError, PrecisionError, ResonanceError
 from .fourier import sobolev_norms
 from .precision import PrecisionReal
@@ -137,9 +137,8 @@ def solve(problem: CoboundaryProblem, classification=None) -> CoboundarySolution
             continue
         r, _ = table[k]
         denom = divs[k]
-        # dist = r / L must exceed |k|_1 2^(2 - prec) to be resolved by the
-        # least precise inexact component; compared on integers
-        if r and inexact and r << (min(inexact) - 2) <= sum(map(abs, k)) * modulus:
+        # resolved by the least precise inexact component
+        if r and inexact and not _resolved(r, sum(map(abs, k)), modulus, min(inexact)):
             raise PrecisionError(
                 f"divisor at k={k} is not resolved at {min(inexact)} input bits"
             )

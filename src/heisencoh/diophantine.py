@@ -7,16 +7,17 @@ evidence C |k|^-s <= divisor (Diophantine), or witnesses of abnormally close
 approach (Liouville).  Verdicts other than Rational are evidence from a
 finite scan, never proof.
 
-Scans run in exact fixed-point integer arithmetic, in every rank by rank-1
-lines along k_1 and the three-distance theorem (see ``_scan``); every
-decision is taken on exact integers or on deterministic high-precision
-evaluations of them, so reports are reproducible bit for bit.
+``classify`` and ``divisor_table`` (behind ``solve``) take the phase <k, t>
+on one exact integer grid, ``_phase_grid``: <k, U> mod L, t_i = U_i / L for
+the stored values.  Scans walk it in every rank by rank-1 lines along k_1 and
+the three-distance theorem (see ``_scan``); every decision is taken on exact
+integers or on deterministic high-precision evaluations of them, so reports
+are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,8 +34,18 @@ from .precision import PrecisionReal, mp_prec
 _DIVISOR_PREC = 80
 
 # relative tolerance 2**-20 on witness inequalities: wide enough to absorb
-# fixed-point rounding, far too narrow to admit spurious witnesses
+# the inputs' own rounding, far too narrow to admit spurious witnesses
 WITNESS_TOL_BITS = 20
+
+# the scan grid is widened until L has at least this many bits, so the +1
+# slack of _witness_bound_fn stays below one unit in 2**191 of distance
+SCAN_BITS = 192
+
+# records printed, which is also the size of each range's kept list
+N_RECORDS = 10
+
+# DiophantineEvidence needs min >= DIO_RATIO * max over the range minima
+DIO_RATIO = 0.01
 
 
 def _coerce_vector(t):
@@ -98,6 +109,13 @@ def divisor_table(t, keys):
     return modulus, table
 
 
+def _resolved(r, weight, modulus, prec):
+    """Whether the distance r / modulus exceeds weight * 2**(2 - prec), the
+    most that components resolved to `prec` bits can move a phase <k, t>
+    with |k|_1 <= weight; decided on integers."""
+    return r << prec > 4 * weight * modulus
+
+
 def _nonzero_index(t, k):
     """(t as a vector, k as a tuple of its length); k must be nonzero."""
     tvec = _coerce_vector(t)
@@ -127,13 +145,6 @@ def phase_distance(t, k):
     prec = max((c.prec or 64) for c in tvec) + max(abs(v) for v in k).bit_length() + 16
     with mp_prec(prec):
         return mpmath.mpf(from_rational(r, modulus, prec, round_nearest)), sign
-
-
-def _sin_pi(dist, prec=80):
-    with mp_prec(prec):
-        if isinstance(dist, Fraction):
-            dist = mpmath.mpf(dist.numerator) / dist.denominator
-        return mpmath.sin(mpmath.pi * dist)
 
 
 def complex_divisor(t, k) -> complex:
@@ -310,60 +321,43 @@ def _scan_general(tvec, kmax, keep, s_grid, prec_bits):
 
     Returns (ranges, rational_k, modulus): the ``_scan.RangeScan`` of each
     dyadic range, the least exact zero (by |k|, then k) or None, and the
-    scan modulus 2**bits.  A zero is certified on exact integers: k vanishes
-    on every inexact component and <k, t> is an integer.  Raises
+    scan modulus L: that of ``_phase_grid``, widened to SCAN_BITS bits or more,
+    so an exact p/q has period q and an exact zero has r' = 0.  Raises
     PrecisionError when a divisor is below the scan resolution, or when the
     smallest one is not resolved at the declared `prec_bits`.
     """
-    n = len(tvec)
-    exact_idx = [i for i, c in enumerate(tvec) if c.exact_value]
-    inexact_idx = [i for i, c in enumerate(tvec) if not c.exact_value]
-    bits = 192
-    if exact_idx:
-        denom_lcm = math.lcm(*(tvec[i].fraction.denominator for i in exact_idx))
-        bits = max(bits, denom_lcm.bit_length() + kmax.bit_length() + 32)
-    if inexact_idx:
-        bits = max(bits, max(tvec[i].prec for i in inexact_idx) + 64)
-    bits = max(bits, math.ceil(s_grid[-1] * math.log2(max(kmax, 2))) + WITNESS_TOL_BITS + 40)
-    modulus = 1 << bits
-    t_scaled = [c.scaled_int(bits) % modulus for c in tvec]
-
-    is_zero = None
-    if exact_idx:
-        # <k, t> over the exact components is sum(k_i w_i) / denom_lcm
-        weights = [
-            c.fraction.numerator * (denom_lcm // c.fraction.denominator) if c.exact_value else 0
-            for c in tvec
-        ]
-
-        def is_zero(kvec, _inexact=tuple(inexact_idx)):
-            return (
-                not any(map(kvec.__getitem__, _inexact))
-                and sum(map(operator.mul, kvec, weights)) % denom_lcm == 0
-            )
-
+    scaled, modulus = _phase_grid(tvec)
+    shift = max(0, SCAN_BITS - modulus.bit_length())
+    modulus <<= shift
+    inexact = tuple(i for i, c in enumerate(tvec) if not c.exact_value)
     ranges = _scan.scan_unit(
-        t_scaled, bits, kmax, keep, _witness_bound_fn(modulus, s_grid[0]),
-        s_grid[0], s_grid[-1], is_zero,
+        [u << shift for u in scaled], modulus, kmax, keep,
+        _witness_bound_fn(modulus, s_grid[0]), s_grid[0], s_grid[-1], inexact,
     )
     # ranges ascend in |k|, so the first zero found is the least
     rational_k = next((rng.zero for rng in ranges if rng.zero), None)
-    if prec_bits is not None:
-        resolution = 4 * n * kmax * (1 << (bits - prec_bits))
-        global_min = min((rng.kept[0][0] for rng in ranges if rng.kept), default=None)
-        if global_min is not None and global_min <= resolution:
-            raise PrecisionError(
-                "smallest scanned divisor is not resolved at "
-                f"{prec_bits} input bits; increase the working precision"
-            )
+    global_min = min((rng.kept[0][0] for rng in ranges if rng.kept), default=None)
+    if prec_bits is not None and global_min is not None and not _resolved(
+        global_min, len(tvec) * kmax, modulus, prec_bits
+    ):
+        raise PrecisionError(
+            "smallest scanned divisor is not resolved at "
+            f"{prec_bits} input bits; increase the working precision"
+        )
     return ranges, rational_k, modulus
+
+
+def _divisor(rp, modulus):
+    """(d, 2 sin(pi d)) for the folded distance d = rp / modulus, at the
+    working precision: every caller holds mp_prec(100)."""
+    d = mpmath.mpf(rp) / modulus
+    return d, 2 * mpmath.sin(mpmath.pi * d)
 
 
 def _weighted(rp, normk, s, modulus):
     """|k|^s * divisor at 100 bits, for the folded distance rp / modulus."""
     with mp_prec(100):
-        d = mpmath.mpf(rp) / modulus
-        return mpmath.power(normk, s) * 2 * mpmath.sin(mpmath.pi * d)
+        return mpmath.power(normk, s) * _divisor(rp, modulus)[1]
 
 
 def _refine_range_minimum(rng, s, modulus):
@@ -403,10 +397,6 @@ def classify(
     t,
     kmax,
     s_grid=(1.0, 2.0, 3.0),
-    *,
-    keep=64,
-    dio_ratio=0.01,
-    n_records=10,
 ) -> ClassificationReport:
     """Scan 0 < |k| <= kmax and classify the translation vector t.
 
@@ -417,7 +407,7 @@ def classify(
     produce small-k coincidences, so a witness only counts once fewer than
     ~0.02 such accidents would be expected at or beyond its scale.
     DiophantineEvidence(C, s): the per-dyadic-shell minima of |k|^s * divisor
-    stay within `dio_ratio` of each other, giving the empirical constant
+    stay within DIO_RATIO of each other, giving the empirical constant
     C(s) = min |k|^s * divisor.
     Inconclusive otherwise.
     """
@@ -426,8 +416,6 @@ def classify(
     kmax = int(kmax)
     if kmax < 1:
         raise DomainError("kmax must be at least 1")
-    if not 1 <= keep <= 128:
-        raise DomainError("keep must be between 1 and 128")
     s_grid = sorted({float(s) for s in s_grid})
     if not s_grid:
         raise DomainError("s_grid must be nonempty")
@@ -439,7 +427,7 @@ def classify(
     # named constant); None means the vector is exact as given
     declared = [c.prec for c in tvec if c.prec is not None]
     prec_bits = min(declared) if declared else None
-    ranges, rational_k, modulus = _scan_general(tvec, kmax, keep, s_grid, prec_bits)
+    ranges, rational_k, modulus = _scan_general(tvec, kmax, N_RECORDS, s_grid, prec_bits)
 
     # per-s table with exact minima
     s_table = []
@@ -459,7 +447,7 @@ def classify(
         evidence = (
             len(shell) >= 2
             and min(mins) > 0.0
-            and min(mins) >= dio_ratio * max(mins)
+            and min(mins) >= DIO_RATIO * max(mins)
         )
         s_table.append(
             SLevelRow(s, float(c_val), c_k, min(mins), max(mins), evidence)
@@ -489,13 +477,13 @@ def classify(
                         levels.append(s)
                 if not levels:
                     continue
-                d = mpmath.mpf(rp) / modulus
+                d, div = _divisor(rp, modulus)
                 wit_records.append(
                     WitnessRecord(
                         k=kvec,
                         normk=normk,
                         dist=float(d),
-                        divisor=float(2 * mpmath.sin(mpmath.pi * d)),
+                        divisor=float(div),
                         exponent=float(1 - mpmath.log(d) / mpmath.log(normk)),
                         levels=tuple(levels),
                         significant=tuple(s for s in levels if normk >= floors[s]),
@@ -503,18 +491,12 @@ def classify(
                 )
 
     # global records: smallest scanned divisors
-    merged = sorted(
-        {(rp, kv) for rng in ranges for rp, kv in rng.kept},
-        key=lambda p: (p[0], p[1]),
-    )[:n_records]
-    records = tuple(
-        DivisorRecord(
-            k=kv,
-            divisor=float(2 * _sin_pi(Fraction(rp, modulus), prec=100)),
-            normk=max(abs(c) for c in kv),
+    merged = sorted(p for rng in ranges for p in rng.kept)[:N_RECORDS]
+    with mp_prec(100):
+        records = tuple(
+            DivisorRecord(k=kv, divisor=float(_divisor(rp, modulus)[1]), normk=max(map(abs, kv)))
+            for rp, kv in merged
         )
-        for rp, kv in merged
-    )
 
     # every requested level must have a witness; the top level additionally
     # needs one clearing the accident floor

@@ -2,8 +2,9 @@
 
 PrecisionReal keeps either an exact rational (Fraction) or an mpmath float
 together with the binary precision it was produced at.  Exact inputs are
-never rounded; scans and divisor computations draw scaled-integer views from
-this class so all downstream decisions are made on exact integers.
+never rounded; scans and divisor computations read the stored value exactly
+(``diophantine._phase_grid``) so all downstream decisions are made on exact
+integers.
 """
 
 from __future__ import annotations
@@ -126,14 +127,6 @@ class PrecisionReal:
             return PrecisionReal(f, None, self.prec)
         with mp_prec(self.prec + 8):
             return PrecisionReal(None, self.approx - mpmath.floor(self.approx), self.prec)
-
-    def scaled_int(self, bits) -> int:
-        """round(value * 2**bits), exact for both representations."""
-        if self.fraction is not None:
-            p, q = self.fraction.numerator, self.fraction.denominator
-            return ((p << (bits + 1)) + q) // (2 * q)
-        with mp_prec(max(self.prec, bits) + 16):
-            return int(mpmath.nint(mpmath.ldexp(self.approx, bits)))
 
 
 def liouville_constant(prec=DEFAULT_PREC) -> PrecisionReal:

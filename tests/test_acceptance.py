@@ -341,7 +341,8 @@ def test_c13_rank1_scan_at_kmax_1e12():
 
 
 def test_c14_rank1_scan_above_192_bits():
-    # 256 input bits scan at 320 bits; the result matches the 128-bit input
+    # 256 input bits scan on their own grid of 2^255, the 128-bit input on
+    # one widened to 2^192; the results match
     t0 = time.perf_counter()
     wide = classify(PrecisionReal.parse("golden", 256), 20000)
     narrow = classify(GOLDEN, 20000)
@@ -359,3 +360,15 @@ def test_c15_rank2_scan_at_kmax_1000():
     assert rep.points_scanned == (2001**2 - 1) // 2
     assert rep.argmin_k == (368, 110)
     _report(15, "golden,sqrt2 at Kmax 1000", t0, budget=5.0)
+
+
+def test_c16_exact_ties_at_kmax_1e6():
+    # exact ties share one r', so each tie class puts only its least k on the
+    # frontier and the range minima refine a few points, not one per k
+    t0 = time.perf_counter()
+    rep = classify(Fraction(3, 7), 10**6, s_grid=[0.5, 1.5])
+    assert rep.verdict == "Rational" and rep.rational_k == (7,)
+    assert rep.points_scanned == 10**6 - 10**6 // 7
+    assert rep.argmin_k == (2,)
+    assert [row.argmin_k for row in rep.s_table] == [(2,), (1,)]
+    _report(16, "3/7 at s = 0.5, Kmax 1e6", t0, budget=3.0)

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import operator
 import random
 from bisect import insort
 from fractions import Fraction
@@ -145,6 +146,20 @@ def test_classify_deep_near_rational_is_liouville_evidence_in_range():
     assert rep_deep.verdict == "Rational"  # denominator now inside the scan
 
 
+def _stored(c):
+    """The value c holds, as a Fraction: p/q, or an mpf's man * 2^exp."""
+    if c.exact_value:
+        return c.fraction
+    man, exp = c.approx.man_exp
+    return man * Fraction(2) ** exp
+
+
+def _grid(t):
+    """(T, m): the stored value of t mod 1 as T / m, on its own least grid."""
+    f = _stored(t)
+    return f.numerator % f.denominator, f.denominator
+
+
 def _u(rp, k, s, modulus):
     with mpmath.workprec(100):
         return mpmath.power(k, s) * 2 * mpmath.sin(mpmath.pi * (mpmath.mpf(rp) / modulus))
@@ -162,8 +177,7 @@ def _brute_minimum(points, s, modulus):
 def _check_against_every_k(t, kmax, s_grid):
     """The report's range minima and records, recomputed from every k."""
     rep = classify(t, kmax, s_grid=s_grid)
-    modulus = 1 << 192
-    T = t.scaled_int(192) % modulus
+    T, modulus = _grid(t)
     pts = [(min(k * T % modulus, modulus - k * T % modulus), k) for k in range(1, kmax + 1)]
     for row in rep.s_table:
         shell = [
@@ -192,7 +206,7 @@ def test_refine_matches_brute_force_on_random_ranges(s_grid):
     ts += [(modulus * p // q + r.getrandbits(150)) % modulus for p, q in ((1, 3), (2, 7), (355, 113))]
     for T in ts:
         ranges = _scan.scan_unit(
-            [T], 192, 4095, 64, _witness_bound_fn(modulus, s_grid[0]), s_grid[0], s_grid[-1]
+            [T], modulus, 4095, 64, _witness_bound_fn(modulus, s_grid[0]), s_grid[0], s_grid[-1], (0,)
         )
         for rd in ranges[5:]:
             pts = [
@@ -207,22 +221,21 @@ def test_refine_matches_brute_force_on_random_ranges(s_grid):
 def test_rescue_finds_brute_force_minimum_355_113():
     # [2^16, 2^17) is a range where a rescan capped at 10,000 points cut
     # the candidates short
-    t = PrecisionReal.coerce(Fraction(355, 113))
-    modulus = 1 << 192
-    T = t.scaled_int(192) % modulus
+    modulus = 113 << 185  # 355/113 on its exact grid of 192 bits
+    T = 355 * (modulus // 113) % modulus
     lo, hi = 2**16, 2**17
     pts = [
         (min(k * T % modulus, modulus - k * T % modulus), k)
         for k in range(lo, hi)
         if k % 113
     ]
-    ranges = _scan.scan_unit(
-        [T], 192, hi - 1, 64, _witness_bound_fn(modulus, 1.5), 1.5, 3.0, lambda k: k[0] % 113 == 0
-    )
+    ranges = _scan.scan_unit([T], modulus, hi - 1, 64, _witness_bound_fn(modulus, 1.5), 1.5, 3.0, ())
     (rng,) = [r for r in ranges if r.lo == lo]
     for s in (3.0, 1.5):
         u, k = _refine_range_minimum(rng, s, modulus)
         assert (u, k) == ((b := _brute_minimum(pts, s, modulus))[0], (b[1],))
+
+
 def test_classify_sqrt2_diophantine():
     rep = classify(PrecisionReal.parse("sqrt2", 128), 20000)
     assert rep.verdict == "DiophantineEvidence"
@@ -393,13 +406,15 @@ def _shell_vectors(n, m):
             yield v
 
 
-def _shell_scan(tvec, bits, kmax, keep, wbound):
+def _shell_scan(tvec, modulus, kmax, keep, wbound):
     """Per dyadic range, every k shell by shell: (lo, hi, kept, witnesses,
     zeros, points).  kept holds the `keep` smallest (r', k); witnesses
     (k, r', |k|) with 0 < r' <= wbound(lo); zeros the k with <k, t> in Z
-    exactly; points every (r', k) that is not a zero."""
-    modulus = 1 << bits
-    t_scaled = [c.scaled_int(bits) % modulus for c in tvec]
+    exactly; points every (r', k) that is not a zero, with r' / modulus the
+    exact distance of the stored values' phase."""
+    t_scaled = [_stored(c) * modulus for c in tvec]
+    assert all(t.denominator == 1 for t in t_scaled)  # the grid holds t exactly
+    t_scaled = [int(t) for t in t_scaled]
     out = []
     for lo, hi in _scan.dyadic_ranges(kmax):
         bound = wbound(lo)
@@ -457,7 +472,7 @@ def test_rank_n_scan_matches_every_k(names, kmax):
     s_grid = [1.0, 1.5, 2.0, 3.0]
     keep = 64
     ranges, rational_k, modulus = _scan_general(tvec, kmax, keep, s_grid, None)
-    oracle = _shell_scan(tvec, modulus.bit_length() - 1, kmax, keep, _witness_bound_fn(modulus, 1.0))
+    oracle = _shell_scan(tvec, modulus, kmax, keep, _witness_bound_fn(modulus, 1.0))
     assert [(r.lo, r.hi) for r in ranges] == [o[:2] for o in oracle]
     zeros = [k for o in oracle for k in o[4]]
     assert rational_k == min(zeros, key=lambda v: (max(map(abs, v)), v), default=None)
@@ -470,9 +485,61 @@ def test_rank_n_scan_matches_every_k(names, kmax):
 
 
 def test_rank_n_range_minimum_beyond_the_kept_list():
-    # in [64, 101) the s = 1 minimiser (1, -64) sits at distance 1/21 with 20
-    # others of that distance and smaller rounding, which fill a kept list of 64
+    # in [64, 101) the s = 1 minimiser is (1, -64), the least |k| at
+    # distance 1/21
     rep = classify([Fraction(1, 3), Fraction(2, 7)], 100)
     div = 2 * math.sin(math.pi / 21)
     assert rep.s_table[0].shell_max == pytest.approx(64 * div, rel=1e-15)
     assert rep.s_table[2].shell_max == pytest.approx(64**3 * div, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# exact input against every k: exact ties go to the least (dist, k)
+
+
+def _brute_exact(tvec, kmax):
+    """(records, least zero, points) of the exact vector tvec over every
+    canonical k with 0 < |k| <= kmax: the first 10 (dist, k) that are not
+    zeros, as (k, numerator, denominator) of dist; the least zero by (|k|,
+    k); the number of points that are not zeros."""
+    den = math.lcm(*(t.denominator for t in tvec))
+    weights = [t.numerator * (den // t.denominator) for t in tvec]
+    pts, zeros = [], []
+    for k in itertools.product(range(-kmax, kmax + 1), repeat=len(tvec)):
+        if not any(k) or next(c for c in k if c) < 0:
+            continue
+        x = sum(map(operator.mul, k, weights)) % den
+        if x:
+            pts.append((min(x, den - x), k))
+        else:
+            zeros.append(k)
+    records = [(k, x, den) for x, k in sorted(pts)[:10]]
+    return records, min(zeros, key=lambda k: (max(map(abs, k)), k), default=None), len(pts)
+
+
+def _check_exact(tvec, kmax):
+    rep = classify(tvec, kmax)
+    records, zero, points = _brute_exact(tvec, kmax)
+    assert [(r.k, r.divisor) for r in rep.records] == [
+        (k, float(_u(x, 1, 1, den))) for k, x, den in records
+    ]
+    assert rep.argmin_k == (records[0][0] if records else None)
+    assert rep.rational_k == zero
+    assert rep.points_scanned == points
+
+
+def test_exact_rank1_matches_every_k():
+    r = random.Random(71)
+    for _ in range(300):
+        q = r.choice([r.randint(1, 40), r.randint(2, 3000)])
+        _check_exact([Fraction(r.randint(-3 * q, 3 * q), q)], r.randint(1, 1200))
+
+
+def test_exact_rank2_matches_every_k():
+    r = random.Random(72)
+    for _ in range(60):
+        tvec = []
+        for _ in range(2):
+            q = r.randint(1, 40)
+            tvec.append(Fraction(r.randint(-q, 2 * q), q))
+        _check_exact(tvec, r.randint(1, 24))

@@ -2,7 +2,7 @@
 
 The expected files are the stdout of each command.  The rank-1 `classify`
 cases cover irrationals, named constants, exact rationals (with and without a
-denominator inside the scan), a 320-bit scan and a fractional level.  The
+denominator inside the scan), a 256-bit input and a fractional level.  The
 rank-2 cases are exact (`1/3,2/7`), mixed (`golden,1/3`) and algebraic
 (`golden,sqrt2`); their minima, argmins, zeros and point counts were checked
 against a brute-force scan of every k when they were generated.

@@ -3,6 +3,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from heisencoh.diophantine import _phase_grid
 from heisencoh.errors import DomainError, PrecisionError
 from heisencoh.precision import (
     PrecisionReal,
@@ -34,14 +35,27 @@ def test_coerce_types():
     assert r.fraction == 2
 
 
-def test_scaled_int_exact():
-    r = PrecisionReal.exact(Fraction(1, 3))
-    t = r.scaled_int(192)
-    assert abs(t * 3 - (1 << 192)) <= 2
-    g = PrecisionReal.parse("golden", 128)
-    t = g.scaled_int(192)
+def test_phase_grid_is_exact():
+    # U_i / L is each stored value exactly: p/q as it is, an mpf as man * 2^exp
+    comps = [
+        PrecisionReal.exact(Fraction(1, 3)),
+        PrecisionReal.parse("golden", 128),
+        PrecisionReal.exact(Fraction(-5, 14)),
+        PrecisionReal.parse("e", 256),
+        liouville_constant(128),
+        PrecisionReal.parse("pi", 64),
+        PrecisionReal.exact(0),
+    ]
+    for vec in [[c] for c in comps] + [comps, comps[:2], comps[2:4]]:
+        scaled, modulus = _phase_grid(vec)
+        for u, c in zip(scaled, vec):
+            man, exp = (0, 0) if c.exact_value else c.approx.man_exp
+            stored = c.fraction if c.exact_value else man * Fraction(2) ** exp
+            assert Fraction(u, modulus) == stored
+    assert _phase_grid([comps[0]]) == ([1], 3)
+    scaled, modulus = _phase_grid(comps[1:2])
     with mpmath.workprec(260):
-        err = abs(mpmath.mpf(t) / 2**192 - (mpmath.sqrt(5) - 1) / 2)
+        err = abs(mpmath.mpf(scaled[0]) / modulus - (mpmath.sqrt(5) - 1) / 2)
         assert err < mpmath.mpf(2) ** -126
 
 
