@@ -28,10 +28,6 @@ from dataclasses import dataclass
 
 from .errors import PrecisionError
 
-# lowest-|k| witnesses retained per range; guards against degenerate
-# near-resonant inputs flooding memory
-WITNESS_CAP = 10000
-
 # an exact rational upper bound of pi
 PI_NUM, PI_DEN = 314159265358979323847, 10**20
 
@@ -209,34 +205,35 @@ def range_points(tvec, m, lo, hi):
         yield rp, (k, *tail)
 
 
-def scan_unit(tvec, m, kmax, keep, witness_bound_fn, s_min, s_max, inexact):
+def scan_unit(tvec, m, kmax, keep, witness_bound_fn, s_min, s_max, declared):
     """Scan 0 < |k| <= kmax in dyadic ranges; folded distances are r'/m.
 
     tvec holds the components as exact integers U_i with t_i = U_i / m;
-    `inexact` indexes those that stand for a real known only to some
-    precision.
+    `declared` indexes those that stand for a real known only to the
+    precision they declare.
 
-    Per range: the `keep` smallest (r', k), the first WITNESS_CAP k in
-    ascending (|k|, k) with r' <= witness_bound_fn(lo), the frontier
+    Per range: the `keep` smallest (r', k), every witness candidate r' <=
+    witness_bound_fn(lo) in ascending (|k|, k), the frontier
     (``collect_below``) and the least exact zero, all from one walk of the
-    range's stream (``_walk``).
+    range's stream (``_walk``).  The caller picks the witnesses among the
+    candidates and caps them.
     """
     n = len(tvec)
     out = []
     for lo, hi in dyadic_ranges(kmax):
         rs = RangeScan(lo, hi, ((2 * hi - 1) ** n - (2 * lo - 1) ** n) // 2, [], [], [], None)
-        walk = _walk(rs, tvec, m, keep, witness_bound_fn(lo), s_max, inexact)
+        walk = _walk(rs, tvec, m, keep, witness_bound_fn(lo), s_max, declared)
         rs.frontier = collect_below(walk, s_min)
-        rs.witnesses = sorted(rs.witnesses, key=lambda w: (w[2], w[0]))[:WITNESS_CAP]
+        rs.witnesses.sort(key=lambda w: (w[2], w[0]))
         out.append(rs)
     return out
 
 
-def _walk(rs, tvec, m, keep, bound, s_max, inexact):
+def _walk(rs, tvec, m, keep, bound, s_max, declared):
     """Yield (r', k, |k|) for the points of the range rs in ascending (r', k),
     filling rs.kept, rs.witnesses and rs.zero on the way.
 
-    A point with r' = 0 whose k vanishes on every inexact component is an
+    A point with r' = 0 whose k vanishes on every declared component is an
     exact zero: it is counted off rs.n_scanned and skipped.  Any other point
     with r' = 0 is below the scan resolution and raises PrecisionError.
 
@@ -256,7 +253,7 @@ def _walk(rs, tvec, m, keep, bound, s_max, inexact):
         if rp > stop and rp > bound and len(kept) >= keep:
             return
         if rp == 0:
-            if any(map(k.__getitem__, inexact)):
+            if any(map(k.__getitem__, declared)):
                 raise PrecisionError(
                     f"divisor at k={k} is below the scan resolution; "
                     "increase the working precision"

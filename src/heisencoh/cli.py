@@ -55,22 +55,14 @@ def _cmd_group(args, out, err):
         if binary:
             b = heis.parse_element(lines[idx + 1], idx + 2)
             idx += 2
-            a_n = isinstance(a, heis.HeisElementN)
-            b_n = isinstance(b, heis.HeisElementN)
-            if a_n != b_n:
+            if isinstance(a, heis.HeisElementN) != isinstance(b, heis.HeisElementN):
                 raise DomainError("cannot mix rank-1 and rank-n element lines")
             if args.op == "mul":
                 res = a * b
             elif args.op == "comm":
-                if a_n:
-                    res = a * b * a.inverse() * b.inverse()
-                else:
-                    res = heis.commutator(a, b)
+                res = heis.commutator(a, b)
             else:
-                if a_n:
-                    res = a * b * a.inverse()
-                else:
-                    res = heis.conjugate(a, b)
+                res = heis.conjugate(a, b)
             out.write(heis.format_element(res) + "\n")
         else:
             idx += 1

@@ -17,7 +17,7 @@ import numpy as np
 from .coefficients import CoefficientField
 # phase_distance and complex_divisor are looked up on this module by
 # perfbench/trace_child.py; solve itself goes through divisor_table
-from .diophantine import _resolved, complex_divisor, divisor_table, phase_distance  # noqa: F401
+from .diophantine import _declared, _resolved, complex_divisor, divisor_table, phase_distance  # noqa: F401
 from .errors import DomainError, NonzeroMeanError, PrecisionError, ResonanceError
 from .fourier import sobolev_norms
 from .precision import PrecisionReal
@@ -127,7 +127,7 @@ def solve(problem: CoboundaryProblem, classification=None) -> CoboundarySolution
         raise NonzeroMeanError(mean)
 
     divs, modulus, table = _divisors(u, g.keys(), problem.sign)
-    inexact = [c.prec for c in u if not c.exact_value]
+    declared, prec = _declared(u)
     resonant = []
     coeffs = {}
     min_div = None
@@ -137,11 +137,10 @@ def solve(problem: CoboundaryProblem, classification=None) -> CoboundarySolution
             continue
         r, _ = table[k]
         denom = divs[k]
-        # resolved by the least precise inexact component
-        if r and inexact and not _resolved(r, sum(map(abs, k)), modulus, min(inexact)):
-            raise PrecisionError(
-                f"divisor at k={k} is not resolved at {min(inexact)} input bits"
-            )
+        # a phase is exact where k vanishes on every declared component;
+        # anywhere else it must be resolved at the least declared precision
+        if any(k[i] for i in declared) and not _resolved(r, sum(map(abs, k)), modulus, prec):
+            raise PrecisionError(f"divisor at k={k} is not resolved at {prec} input bits")
         div_abs = abs(denom)
         if div_abs <= tol:
             if abs(gk) > tol:

@@ -50,10 +50,6 @@ class CoefficientField:
                     data[key] = v
         self._entries = data
 
-    @classmethod
-    def from_dict(cls, mapping, dim=1):
-        return cls(dim, mapping)
-
     def get(self, k):
         return self._entries.get(_as_key(k, self.dim), 0j)
 

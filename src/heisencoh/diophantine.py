@@ -37,9 +37,9 @@ _DIVISOR_PREC = 80
 # the inputs' own rounding, far too narrow to admit spurious witnesses
 WITNESS_TOL_BITS = 20
 
-# the scan grid is widened until L has at least this many bits, so the +1
-# slack of _witness_bound_fn stays below one unit in 2**191 of distance
-SCAN_BITS = 192
+# witnesses with a level retained per range, lowest (|k|, k) first; guards
+# against degenerate near-resonant inputs flooding the report
+WITNESS_CAP = 10000
 
 # records printed, which is also the size of each range's kept list
 N_RECORDS = 10
@@ -114,6 +114,15 @@ def _resolved(r, weight, modulus, prec):
     most that components resolved to `prec` bits can move a phase <k, t>
     with |k|_1 <= weight; decided on integers."""
     return r << prec > 4 * weight * modulus
+
+
+def _declared(tvec):
+    """(indices, bits): the components that declare a resolution and the
+    least one they declare, None when every component is exact as given.
+    An exact truncation of a named constant (``liouville``) declares one: a
+    phase on it is exact only where k vanishes on it."""
+    idx = tuple(i for i, c in enumerate(tvec) if c.prec is not None)
+    return idx, min((tvec[i].prec for i in idx), default=None)
 
 
 def _nonzero_index(t, k):
@@ -301,19 +310,17 @@ def _significance_floor(s, n, budget=0.02):
     return lo
 
 
-def _witness_bound_fn(modulus, s_min):
-    tol = 1 + 4 * 2.0 ** -WITNESS_TOL_BITS
+def _level_bound(modulus, norm, s):
+    """The largest r' with r' / modulus <= norm**-s (1 + 2**-WITNESS_TOL_BITS).
 
-    def bound(lo):
-        if lo <= 1:
-            return modulus
-        if float(s_min).is_integer():
-            s = int(s_min)
-            return (modulus + (modulus >> (WITNESS_TOL_BITS - 2))) // lo**s + 1
-        with mp_prec(64):
-            return int(mpmath.floor(modulus * mpmath.power(lo, -s_min) * tol)) + 1
-
-    return bound
+    Exact on integers for an integer s; otherwise norm**-s (1 + 2**-20) is
+    evaluated once at 100 bits and its product with modulus floored exactly.
+    """
+    if float(s).is_integer():
+        return (modulus + (modulus >> WITNESS_TOL_BITS)) // norm ** int(s)
+    with mp_prec(100):
+        man, exp = (mpmath.power(norm, -s) * (1 + 2.0**-WITNESS_TOL_BITS)).man_exp
+    return modulus * man >> -exp if exp < 0 else modulus * man << exp
 
 
 def _scan_general(tvec, kmax, keep, s_grid, prec_bits):
@@ -321,18 +328,17 @@ def _scan_general(tvec, kmax, keep, s_grid, prec_bits):
 
     Returns (ranges, rational_k, modulus): the ``_scan.RangeScan`` of each
     dyadic range, the least exact zero (by |k|, then k) or None, and the
-    scan modulus L: that of ``_phase_grid``, widened to SCAN_BITS bits or more,
-    so an exact p/q has period q and an exact zero has r' = 0.  Raises
-    PrecisionError when a divisor is below the scan resolution, or when the
-    smallest one is not resolved at the declared `prec_bits`.
+    modulus L of ``_phase_grid``, so an exact p/q has period q and an exact
+    zero has r' = 0.  A range's witness candidates are its r' <=
+    ``_level_bound(L, lo, s_grid[0])``: every point with a level, since the
+    bound falls as |k| and s grow.  Raises PrecisionError when a divisor is
+    below the scan resolution, or when the smallest one is not resolved at
+    the declared `prec_bits`.
     """
     scaled, modulus = _phase_grid(tvec)
-    shift = max(0, SCAN_BITS - modulus.bit_length())
-    modulus <<= shift
-    inexact = tuple(i for i, c in enumerate(tvec) if not c.exact_value)
     ranges = _scan.scan_unit(
-        [u << shift for u in scaled], modulus, kmax, keep,
-        _witness_bound_fn(modulus, s_grid[0]), s_grid[0], s_grid[-1], inexact,
+        scaled, modulus, kmax, keep, lambda lo: _level_bound(modulus, lo, s_grid[0]),
+        s_grid[0], s_grid[-1], _declared(tvec)[0],
     )
     # ranges ascend in |k|, so the first zero found is the least
     rational_k = next((rng.zero for rng in ranges if rng.zero), None)
@@ -361,36 +367,11 @@ def _weighted(rp, normk, s, modulus):
 
 
 def _refine_range_minimum(rng, s, modulus):
-    """Exact per-range minimum of |k|^s * divisor over every scanned k, with
-    its k.
-
-    The range's frontier (``_scan.collect_below``) holds the argmin.
-    Frontier points come in ascending distance and descending |k|, so a
-    point p beats the best b so far whenever |k_p|^floor(s) r_p <
-    |k_b|^floor(s) r_b (sin(pi x) / x falls as x grows); mpmath decides only
-    the pairs this leaves open.  The search stops where the scan's walk may
-    stop (``_scan._walk``): no later point can win.
-    """
-    c_lo, c_hi = math.floor(s), math.ceil(s)
-    lo_c = rng.lo**c_hi
-    best_rp, best_k, best_norm = rng.frontier[0]
-    best = None  # _weighted of the best point, once computed
-    for rp, k, norm in rng.frontier[1:]:
-        if 2 * lo_c * rp * _scan.PI_DEN > _scan.PI_NUM * best_norm**c_hi * best_rp:
-            break
-        if norm**c_lo * rp >= best_norm**c_lo * best_rp:
-            if best is None:
-                best = _weighted(best_rp, best_norm, s, modulus)
-            u = _weighted(rp, norm, s, modulus)
-            if u > best:
-                continue
-            best = u  # ties go to the smaller |k|
-        else:
-            best = None
-        best_rp, best_k, best_norm = rp, k, norm
-    if best is None:
-        best = _weighted(best_rp, best_norm, s, modulus)
-    return best, best_k
+    """The least 100-bit |k|^s * divisor over the range's frontier
+    (``_scan.collect_below``), which holds every range minimum, with its k;
+    of equal values the smaller |k| wins."""
+    u, _, k = min((_weighted(rp, norm, s, modulus), norm, k) for rp, k, norm in rng.frontier)
+    return u, k
 
 
 def classify(
@@ -423,10 +404,7 @@ def classify(
         raise DomainError("s values below 1/2 carry no approximation content")
     s_max = s_grid[-1]
 
-    # declared resolution: exact values may still carry one (truncations of a
-    # named constant); None means the vector is exact as given
-    declared = [c.prec for c in tvec if c.prec is not None]
-    prec_bits = min(declared) if declared else None
+    prec_bits = _declared(tvec)[1]
     ranges, rational_k, modulus = _scan_general(tvec, kmax, N_RECORDS, s_grid, prec_bits)
 
     # per-s table with exact minima
@@ -455,28 +433,25 @@ def classify(
         if evidence and dio_s is None:
             dio_s, dio_c = s, float(c_val)
 
-    # witness refinement on exact integers
+    # witness refinement on exact integers: the first WITNESS_CAP candidates
+    # of each range, in (|k|, k) order, that carry a level
     wit_records = []
-    tol_num = modulus + (modulus >> WITNESS_TOL_BITS)
     floors = {s: _significance_floor(s, n) for s in s_grid}
     with mp_prec(100):
         for rng in ranges:
+            kept = 0
             for kvec, rp, normk in rng.witnesses:
-                levels = []
-                for s in s_grid:
-                    if normk < 2 or s * math.log2(normk) < 1.0:
-                        # |k|^s < 2: the bound dist <= |k|^-s is trivial
-                        continue
-                    if float(s).is_integer():
-                        ok = rp * normk ** int(s) <= tol_num
-                    else:
-                        ok = mpmath.mpf(rp) / modulus <= mpmath.power(
-                            normk, -s
-                        ) * (1 + 2.0 ** -WITNESS_TOL_BITS)
-                    if ok:
-                        levels.append(s)
+                if kept == WITNESS_CAP:
+                    break
+                # |k|^s < 2 makes the bound dist <= |k|^-s trivial
+                levels = tuple(
+                    s for s in s_grid
+                    if normk >= 2 and s * math.log2(normk) >= 1.0
+                    and rp <= _level_bound(modulus, normk, s)
+                )
                 if not levels:
                     continue
+                kept += 1
                 d, div = _divisor(rp, modulus)
                 wit_records.append(
                     WitnessRecord(
@@ -485,7 +460,7 @@ def classify(
                         dist=float(d),
                         divisor=float(div),
                         exponent=float(1 - mpmath.log(d) / mpmath.log(normk)),
-                        levels=tuple(levels),
+                        levels=levels,
                         significant=tuple(s for s in levels if normk >= floors[s]),
                     )
                 )

@@ -69,12 +69,13 @@ def inverse(a: HeisElement) -> HeisElement:
 
 
 def conjugate(a: HeisElement, b: HeisElement) -> HeisElement:
-    """a b a^-1, always evaluated through the group law."""
+    """a b a^-1, always evaluated through the group law, in either rank."""
     return a * b * a.inverse()
 
 
 def commutator(a: HeisElement, b: HeisElement) -> HeisElement:
-    """[a, b] = a b a^-1 b^-1; lands in the centre (0, 0, a.x b.y - b.x a.y)."""
+    """[a, b] = a b a^-1 b^-1, in either rank; lands in the centre with
+    z = <a.x, b.y> - <b.x, a.y>."""
     return a * b * a.inverse() * b.inverse()
 
 

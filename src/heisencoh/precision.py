@@ -107,11 +107,6 @@ class PrecisionReal:
     def exact_value(self) -> bool:
         return self.fraction is not None
 
-    @property
-    def resolution_bits(self) -> int | None:
-        """Bits to which the stored value equals the intended real."""
-        return self.prec
-
     def mpf(self, prec=None):
         with mp_prec(prec or self.prec or DEFAULT_PREC):
             if self.fraction is not None:

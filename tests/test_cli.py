@@ -40,6 +40,19 @@ def test_group_comm_conj_nf():
     assert r.stdout == "2 3 -4\n"
 
 
+def test_group_comm_conj_rank_n():
+    # a = (1 2 | 0 1 | 3), b = (0 1 | 4 -1 | 2): <a.x, b.y> = 2, <b.x, a.y> = 1
+    pair = "1 2 | 0 1 | 3\n0 1 | 4 -1 | 2\n"
+    r = run_cli("group", "comm", stdin=pair)
+    assert r.returncode == 0
+    assert r.stdout == "0 0 | 0 0 | 1\n"
+    r = run_cli("group", "conj", stdin=pair)
+    assert r.returncode == 0
+    assert r.stdout == "0 1 | 4 -1 | 3\n"
+    r = run_cli("group", "comm", stdin="1 2 | 0 1 | 3\n1 2 3\n")
+    assert r.returncode == 3 and "cannot mix" in r.stderr
+
+
 def test_group_odd_lines_is_error():
     r = run_cli("group", "mul", stdin="1 2 3\n")
     assert r.returncode == 3

@@ -20,7 +20,7 @@ from heisencoh.coefficients import CoefficientField, write_coefficients
 from heisencoh.diophantine import classify, complex_divisor, divisor_table, phase_distance
 from heisencoh.errors import DomainError, NonzeroMeanError, PrecisionError, ResonanceError
 from heisencoh.fourier import sobolev_norm
-from heisencoh.precision import PrecisionReal, mp_prec
+from heisencoh.precision import PrecisionReal, liouville_constant, mp_prec
 
 rng = np.random.default_rng(2024)
 GOLDEN = PrecisionReal.parse("golden", 128)
@@ -433,6 +433,20 @@ def test_precision_error_exactly_at_the_resolution_bound(u, k, raises):
     else:
         sol = solve(problem)
         assert sol.argmin_k == k
+
+
+def test_declared_precision_is_checked_on_exact_truncations():
+    # liouville_constant(128) stops at 10^-24, so k = 10^24 has an integral
+    # phase; the 128 declared bits cannot tell that from the true 10^-96
+    g = CoefficientField(1, {(10**24,): 1.0, (-(10**24),): 1.0})
+    with pytest.raises(PrecisionError, match="not resolved at 128"):
+        solve(CoboundaryProblem(g, [liouville_constant(128)]))
+    # at 420 bits the phase 10^-96 is resolved, and its divisor is a
+    # resonance below the tolerance
+    with pytest.raises(ResonanceError) as ei:
+        solve(CoboundaryProblem(g, [liouville_constant(420)]))
+    assert [k for k, _, _ in ei.value.modes] == [(-(10**24),), (10**24,)]
+    assert all(0 < d < 1e-94 for _, d, _ in ei.value.modes)
 
 
 def test_mixed_vector_with_a_rational_resonance():

@@ -9,12 +9,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from heisencoh import _scan
+from heisencoh import _scan, diophantine
 from heisencoh.diophantine import (
+    _level_bound,
     _refine_range_minimum,
     _scan_general,
     _significance_floor,
-    _witness_bound_fn,
     classify,
     complex_divisor,
     fan_member,
@@ -198,15 +198,15 @@ def test_classify_matches_every_k_oracle():
 
 @pytest.mark.parametrize("s_grid", [[1.5, 2.5, 3.0], [1.0, 2.5]])
 def test_refine_matches_brute_force_on_random_ranges(s_grid):
-    # fractional levels and near-rationals give frontiers where the integer
-    # test at floor(s) and the stop at ceil(s) both matter
+    # fractional levels and near-rationals give long frontiers, where the
+    # walk's stop at ceil(s) and collect_below's pruning at floor(s) matter
     r = random.Random(21)
     modulus = 1 << 192
     ts = [r.getrandbits(192) for _ in range(12)]
     ts += [(modulus * p // q + r.getrandbits(150)) % modulus for p, q in ((1, 3), (2, 7), (355, 113))]
     for T in ts:
         ranges = _scan.scan_unit(
-            [T], modulus, 4095, 64, _witness_bound_fn(modulus, s_grid[0]), s_grid[0], s_grid[-1], (0,)
+            [T], modulus, 4095, 64, lambda lo: _level_bound(modulus, lo, s_grid[0]), s_grid[0], s_grid[-1], (0,)
         )
         for rd in ranges[5:]:
             pts = [
@@ -229,7 +229,9 @@ def test_rescue_finds_brute_force_minimum_355_113():
         for k in range(lo, hi)
         if k % 113
     ]
-    ranges = _scan.scan_unit([T], modulus, hi - 1, 64, _witness_bound_fn(modulus, 1.5), 1.5, 3.0, ())
+    ranges = _scan.scan_unit(
+        [T], modulus, hi - 1, 64, lambda lo: _level_bound(modulus, lo, 1.5), 1.5, 3.0, ()
+    )
     (rng,) = [r for r in ranges if r.lo == lo]
     for s in (3.0, 1.5):
         u, k = _refine_range_minimum(rng, s, modulus)
@@ -472,7 +474,7 @@ def test_rank_n_scan_matches_every_k(names, kmax):
     s_grid = [1.0, 1.5, 2.0, 3.0]
     keep = 64
     ranges, rational_k, modulus = _scan_general(tvec, kmax, keep, s_grid, None)
-    oracle = _shell_scan(tvec, modulus, kmax, keep, _witness_bound_fn(modulus, 1.0))
+    oracle = _shell_scan(tvec, modulus, kmax, keep, lambda lo: _level_bound(modulus, lo, 1.0))
     assert [(r.lo, r.hi) for r in ranges] == [o[:2] for o in oracle]
     zeros = [k for o in oracle for k in o[4]]
     assert rational_k == min(zeros, key=lambda v: (max(map(abs, v)), v), default=None)
@@ -482,6 +484,39 @@ def test_rank_n_scan_matches_every_k(names, kmax):
         assert rng.n_scanned == len(pts)
         for s in s_grid:
             assert _refine_range_minimum(rng, s, modulus) == _brute_vector_minimum(pts, s, modulus)
+
+
+def test_witness_cap_keeps_the_first_witnesses_with_a_level(monkeypatch):
+    # the cap counts only candidates that carry a level: with 20 per range
+    # each range keeps the first 20 witnesses of the uncapped run
+    t = [PrecisionReal.parse(v, 128) for v in ("golden", "sqrt2")]
+    full = classify(t, 100).witnesses
+    monkeypatch.setattr(diophantine, "WITNESS_CAP", 20)
+    capped = classify(t, 100).witnesses
+    expect = []
+    for lo, hi in _scan.dyadic_ranges(100):
+        expect += [w for w in full if lo <= w.normk < hi][:20]
+    assert capped == tuple(expect)
+    assert len(capped) == 116 < len(full)
+
+
+def test_level_bound_is_the_largest_witness_distance():
+    # _level_bound(L, norm, s) is the largest r' with r' / L <= norm^-s
+    # (1 + 2^-20): exactly for integer s, else but where L norm^-s (1 + 2^-20)
+    # is within 2^-95 of an integer
+    r = random.Random(31)
+    for _ in range(300):
+        modulus = r.choice([r.randint(1, 10**6), r.getrandbits(192), 113 << r.randint(0, 300)])
+        norm = r.choice([1, 2, 113, r.randint(2, 10**4), r.randint(2, 10**12)])
+        s = r.choice([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, r.uniform(0.5, 4)])
+        bound = _level_bound(modulus, norm, s)
+        if s.is_integer():
+            assert bound == modulus * (2**20 + 1) // (2**20 * norm ** int(s))
+            continue
+        with mpmath.workprec(400):
+            exact = modulus * mpmath.power(norm, -mpmath.mpf(s)) * (1 + mpmath.mpf(2) ** -20)
+            near = abs(exact - mpmath.nint(exact)) <= exact * mpmath.mpf(2) ** -95
+            assert bound == int(mpmath.floor(exact)) or near
 
 
 def test_rank_n_range_minimum_beyond_the_kept_list():

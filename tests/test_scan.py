@@ -2,8 +2,8 @@
 
 ``walk`` is the reference: it steps x_k = k t + offset mod m one k at a
 time, in O(hi - lo), and keeps the points the scan must find.  An exact
-rational p/q is put on its exact grid, m = q 2^E and t = p 2^E, as
-``diophantine._scan_general`` does.
+rational p/q is put on an exact grid, m = q 2^E and t = p 2^E, so it keeps
+its period q as on the grid of ``diophantine._phase_grid``.
 """
 
 import math
@@ -29,7 +29,7 @@ def walk(t, m, lo, hi, keep, witness_bound, offset=0, skip=None):
     """(kept, witnesses, zeros, all points) over k in [lo, hi), one k at a time.
 
     kept: the `keep` smallest (r', k); witnesses: (k, r') with 0 < r' <=
-    witness_bound, first WITNESS_CAP in ascending k; zeros: k with r' = 0;
+    witness_bound, in ascending k; zeros: k with r' = 0;
     all points: every (r', k) sorted.  k with skip(k) true are left out.
     """
     r = ((lo - 1) * t + offset) % m
@@ -43,7 +43,7 @@ def walk(t, m, lo, hi, keep, witness_bound, offset=0, skip=None):
         if rp == 0:
             zeros.append(k)
             continue
-        if rp <= witness_bound and len(witnesses) < _scan.WITNESS_CAP:
+        if rp <= witness_bound:
             witnesses.append((k, rp))
         if len(kept) < keep:
             insort(kept, (rp, k))
@@ -191,14 +191,14 @@ def test_scan_unit_raises_below_the_resolution():
     assert sum(r.n_scanned for r in ranges) == 100 - 100 // 8
 
 
-def test_scan_unit_witness_cap_keeps_lowest_k():
-    # every point of [2^14, 2^15) is a witness: the cap keeps the lowest k
+def test_scan_unit_keeps_every_witness_candidate():
+    # every point of [2^14, 2^15) is a candidate: the scan keeps them all,
+    # in ascending k, and leaves the cap to classify
     t = random.Random(2).getrandbits(192)
     ranges = _scan.scan_unit([t], M192, 2**15 - 1, 8, lambda lo: M192, 1.0, 3.0, (0,))
     (last,) = [r for r in ranges if r.lo == 2**14]
     assert last.witnesses == [((k,), rp, k) for k, rp in walk(t, M192, 2**14, 2**15, 8, M192)[1]]
-    assert len(last.witnesses) == _scan.WITNESS_CAP
-    assert [k for (k,), _, _ in last.witnesses] == list(range(2**14, 2**14 + _scan.WITNESS_CAP))
+    assert [k for (k,), _, _ in last.witnesses] == list(range(2**14, 2**15))
 
 
 def test_collect_below_holds_every_range_minimum():
