@@ -12,12 +12,11 @@ import json
 import sys
 from fractions import Fraction
 
+# coboundary, fourier and representations load numpy: the handlers that need
+# them import them, so the other commands start without numpy.
 from . import cohomology as cohomology_mod
-from . import coboundary as coboundary_mod
 from . import diophantine as diophantine_mod
-from . import fourier as fourier_mod
 from . import heisenberg as heis
-from . import representations as reps
 from .coefficients import read_coefficients, write_coefficients
 from .errors import DomainError, HeisencohError, ParseError, PrecisionError
 from .precision import PrecisionReal
@@ -77,6 +76,8 @@ def _cmd_group(args, out, err):
 
 
 def _irrep_params(args):
+    from . import representations as reps
+
     try:
         eta = Fraction(args.eta.strip())  # "1/2", "0.25", "0", ...
     except (ValueError, ZeroDivisionError):
@@ -85,6 +86,8 @@ def _irrep_params(args):
 
 
 def _cmd_rep_character(args, out, err):
+    from . import representations as reps
+
     P = _irrep_params(args)
     rows = reps.character_table(P, args.range)
     if args.format == "json":
@@ -109,6 +112,8 @@ def _cmd_rep_character(args, out, err):
 
 
 def _cmd_rep_matrix(args, out, err):
+    from . import representations as reps
+
     P = _irrep_params(args)
     toks = args.element.split()
     if len(toks) != 3:
@@ -182,6 +187,8 @@ def _cmd_classify(args, out, err):
 
 
 def _cmd_solve(args, out, err):
+    from . import coboundary as coboundary_mod
+
     with open(args.g, encoding="utf-8") as fh:
         g = read_coefficients(fh)
     u = _parse_vector(args.u, args.prec)
@@ -265,6 +272,8 @@ def _cmd_fan(args, out, err):
 
 
 def _cmd_sobolev(args, out, err):
+    from . import fourier as fourier_mod
+
     with open(args.f, encoding="utf-8") as fh:
         field = read_coefficients(fh)
     if field.dim != 1:
@@ -278,6 +287,8 @@ def _cmd_sobolev(args, out, err):
 
 
 def _cmd_cohomology(args, out, err):
+    if args.k is not None and args.k < 0:
+        raise DomainError("k must be nonnegative")
     table = cohomology_mod.cohomology_table(args.n)
     if args.k is not None:
         ks = [args.k]

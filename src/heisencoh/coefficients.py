@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import DimensionMismatchError, DomainError, ParseError
 
 
@@ -33,7 +31,7 @@ def _as_key(k, dim):
 class CoefficientField:
     """Immutable finitely supported map Z^dim -> C."""
 
-    __slots__ = ("dim", "_entries")
+    __slots__ = ("dim", "_entries", "_radius")
 
     def __init__(self, dim, entries=None, drop_zeros=True):
         if dim < 1:
@@ -49,6 +47,7 @@ class CoefficientField:
                 if v != 0 or not drop_zeros:
                     data[key] = v
         self._entries = data
+        self._radius = None  # support_radius, computed on first call
 
     def get(self, k):
         return self._entries.get(_as_key(k, self.dim), 0j)
@@ -75,9 +74,9 @@ class CoefficientField:
 
     def support_radius(self):
         """Max-norm radius of the support (0 for the zero field)."""
-        if not self._entries:
-            return 0
-        return max(max(abs(v) for v in k) for k in self._entries)
+        if self._radius is None:
+            self._radius = max((max(map(abs, k)) for k in self._entries), default=0)
+        return self._radius
 
     def truncate(self, radius):
         """Drop all indices with max-norm above radius."""
@@ -117,6 +116,8 @@ class CoefficientField:
     def evaluate(self, points):
         """Evaluate sum_k c_k exp(2 pi i <k, x>) at points (m, dim); a flat
         array is read as m scalar points when dim is 1."""
+        import numpy as np
+
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1) if self.dim == 1 else pts.reshape(1, -1)

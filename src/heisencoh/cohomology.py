@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import DomainError
+
 
 def binom(a: int, b: int) -> int:
     """C(a, b), with value 0 outside 0 <= b <= a; exact integers."""
@@ -140,9 +142,9 @@ def cohomology(n: int, k: int, warnings=None) -> AbelianGroupDesc:
     k >= 2n + 2.  Pass a list as `warnings` to collect clamp events.
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise DomainError("n must be positive")
     if k < 0:
-        raise ValueError("k must be nonnegative")
+        raise DomainError("k must be nonnegative")
     if warnings is None:
         warnings = []
     if k >= 2 * n + 2:
@@ -197,7 +199,7 @@ def cohomology_table(n: int) -> CohomologyTable:
     """Groups for k = 0 .. 2n + 2 plus the alternating-rank sum and the
     rank symmetry free_rank(k) = free_rank(2n + 1 - k)."""
     if n > 30:
-        raise ValueError("table restricted to n <= 30")
+        raise DomainError("table restricted to n <= 30")
     warnings = []
     groups = tuple(cohomology(n, k, warnings) for k in range(2 * n + 3))
     euler = sum((-1) ** k * g.free_rank for k, g in enumerate(groups))

@@ -15,10 +15,12 @@ width.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DimensionMismatchError, DomainError, ParseError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,6 +174,8 @@ def matrix_embed(a: HeisElementN) -> np.ndarray:
     identity block in between.  Entries are Python integers (object dtype)
     so products stay exact at any width.
     """
+    import numpy as np
+
     n = a.n
     m = np.zeros((n + 2, n + 2), dtype=object)
     for i in range(n + 2):

@@ -85,6 +85,15 @@ def test_cohomology_table():
     assert doc["euler_characteristic"] == 0
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("args", [("--n", "0"), ("--n", "31"), ("--n", "1", "--k", "-1")])
+def test_cohomology_domain_errors(args, fmt):
+    r = run_cli("cohomology", *args, "--format", fmt)
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr.startswith("error[domain]: ") and "Traceback" not in r.stderr
+
+
 def test_rep_character_table():
     r = run_cli("rep", "character", "--p", "2", "--eta", "1/2", "--range", "1")
     assert r.returncode == 0

@@ -17,6 +17,26 @@ def test_basic_accessors():
     assert f.keys() == sorted(f.keys())
 
 
+def _brute_radius(field):
+    return max((abs(c) for k in field.keys() for c in k), default=0)
+
+
+def test_support_radius_of_derived_fields():
+    f = CoefficientField(2, {(0, 0): 1.0, (3, -7): 2j, (-5, 1): 1 + 1j, (2, 2): -1.0})
+    g = CoefficientField(2, {(-9, 0): 0.5, (3, -7): -2j})
+    buf = io.StringIO()
+    write_coefficients(f + g, buf)
+    buf.seek(0)
+    derived = [
+        f, f.truncate(5), f.truncate(0), f.truncate(-1), f + g, f - f, g.scale(3j),
+        g.scale(0), read_coefficients(buf), CoefficientField(2),
+    ]
+    for field in derived:
+        assert field.support_radius() == _brute_radius(field)
+        assert field.support_radius() == _brute_radius(field)  # cached value
+    assert [d.support_radius() for d in derived[:5]] == [7, 5, 0, 0, 9]
+
+
 def test_zero_dropping_and_truncate():
     f = CoefficientField(1, {(0,): 0.0, (1,): 1.0, (9,): 2.0})
     assert len(f) == 2
