@@ -8,6 +8,7 @@ codes: 0 ok, 2 usage, 3 domain/parse error, 4 precision error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from fractions import Fraction
@@ -210,16 +211,19 @@ def _cmd_solve(args, out, err):
         rows, _ = coboundary_mod.sobolev_loss(sol, g, alphas)
         sol.norms = rows
 
+    # the text of f, written once: read back by --verify, then printed or
+    # stored in the --out file (the JSON document carries f itself)
+    buf = io.StringIO()
+    if args.verify or args.format != "json":
+        write_coefficients(sol.f, buf)
+
     verify_residual = None
     if args.verify:
-        import io
-
-        buf = io.StringIO()
-        write_coefficients(sol.f, buf)
         buf.seek(0)
         f_back = read_coefficients(buf)
         grid = max(2 * max(f_back.support_radius(), g.support_radius()) + 1, 3)
         verify_residual = sol.residual(f_back, g, grid)
+        del f_back  # freed before the text of f is written out
 
     diag_lines = []
     d = sol.diagnostics_dict()
@@ -250,11 +254,11 @@ def _cmd_solve(args, out, err):
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            write_coefficients(sol.f, fh)
+            fh.write(buf.getvalue())
         for line in diag_lines:
             out.write(line + "\n")
     else:
-        write_coefficients(sol.f, out)
+        out.write(buf.getvalue())
         for line in diag_lines:
             err.write(line + "\n")
     return 0
@@ -290,18 +294,19 @@ def _cmd_cohomology(args, out, err):
     if args.k is not None and args.k < 0:
         raise DomainError("k must be nonnegative")
     table = cohomology_mod.cohomology_table(args.n)
-    if args.k is not None:
-        ks = [args.k]
-    else:
-        ks = range(len(table.groups))
+    ks = range(len(table.groups)) if args.k is None else [args.k]
+    rows = [
+        (k, table.groups[k] if k < len(table.groups) else cohomology_mod.cohomology(args.n, k))
+        for k in ks
+    ]
     if args.format == "json":
         doc = table.to_dict()
-        if args.k is not None:
-            doc["rows"] = [r for r in doc["rows"] if r["k"] == args.k]
+        doc["rows"] = [
+            {"k": k, "free_rank": g.free_rank, "torsion": g.torsion_text()} for k, g in rows
+        ]
         _emit_json(doc, out)
         return 0
-    for k in ks:
-        g = table.groups[k] if k < len(table.groups) else cohomology_mod.cohomology(args.n, k)
+    for k, g in rows:
         out.write(f"{k} {g.free_rank} {g.torsion_text()}\n")
     return 0
 

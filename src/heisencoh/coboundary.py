@@ -156,12 +156,21 @@ def solve(problem: CoboundaryProblem, classification=None) -> CoboundarySolution
     f = CoefficientField(g.dim, coeffs, drop_zeros=False)
 
     radius = f.support_radius()
-    trunc = []
+    radii = []
     r = 1
     while r < radius:
-        trunc.append((r, f.truncate(r).norm_l2()))
+        radii.append(r)
         r *= 2
-    trunc.append((radius, f.norm_l2()))
+    radii.append(radius)
+    # one pass over f.items(): each sum adds the terms of
+    # f.truncate(r).norm_l2() in its order, so it is the same float
+    sums = [0.0] * len(radii)
+    for k, v in f.items():
+        n, t = max(map(abs, k)), abs(v) ** 2
+        for i, r in enumerate(radii):
+            if n <= r:
+                sums[i] += t
+    trunc = [(r, math.sqrt(s)) for r, s in zip(radii, sums)]
 
     sol = CoboundarySolution(
         f=f, min_divisor=min_div, argmin_k=argmin, truncation_norms=trunc,

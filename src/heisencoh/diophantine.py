@@ -87,12 +87,15 @@ def divisor_table(t, keys):
     r is 0; otherwise d = r / L is rounded once to 80 bits and the divisor is
     2 sin^2(pi d) - i sign 2 sin(pi d) cos(pi d), with pi d, sin and cos
     rounded to 80 bits and sign +1 when frac(<k, t>) <= 1/2, -1 otherwise.
+    The trigonometric part depends on r alone, so it is evaluated once per
+    distinct r (k and -k share it) and each k takes only its own sign.
     The arithmetic is mpmath's, called at fixed precision without touching
     its global context.  Keys must be integer tuples of the length of t.
     """
     scaled, modulus = _phase_grid(_coerce_vector(t))
     prec, rnd = _DIVISOR_PREC, round_nearest
     pi = mpf_pi(prec, rnd)
+    by_distance = {}  # r -> the divisor of sign +1
     table = {}
     for k in keys:
         phase = sum(ki * ui for ki, ui in zip(k, scaled)) % modulus
@@ -100,12 +103,16 @@ def divisor_table(t, keys):
         if r == 0:
             table[k] = (0, 0j)
             continue
-        x = mpf_mul(pi, from_rational(r, modulus, prec, rnd), prec, rnd)
-        c, s = mpf_cos_sin(x, prec, rnd)
-        s2 = mpf_shift(s, 1)  # 2 sin, exact
-        re = to_float(mpf_mul(s2, s, prec, rnd), rnd=rnd)
-        im = to_float(mpf_mul(s2, c, prec, rnd), rnd=rnd)
-        table[k] = (r, complex(re, -im if 2 * phase <= modulus else im))
+        d = by_distance.get(r)
+        if d is None:
+            x = mpf_mul(pi, from_rational(r, modulus, prec, rnd), prec, rnd)
+            c, s = mpf_cos_sin(x, prec, rnd)
+            s2 = mpf_shift(s, 1)  # 2 sin, exact
+            re = to_float(mpf_mul(s2, s, prec, rnd), rnd=rnd)
+            im = to_float(mpf_mul(s2, c, prec, rnd), rnd=rnd)
+            d = by_distance[r] = complex(re, -im)
+        # conjugate() negates the imaginary part exactly: sign -1
+        table[k] = (r, d if 2 * phase <= modulus else d.conjugate())
     return modulus, table
 
 

@@ -85,6 +85,17 @@ def test_cohomology_table():
     assert doc["euler_characteristic"] == 0
 
 
+@pytest.mark.parametrize("k", [3, 10])
+def test_cohomology_single_k_agrees_across_formats(k):
+    # k = 10 lies above the n = 1 table (k = 0..4): both formats give H^10 = 0
+    text = run_cli("cohomology", "--n", "1", "--k", str(k))
+    doc = json.loads(run_cli("cohomology", "--n", "1", "--k", str(k), "--format", "json").stdout)
+    assert text.returncode == 0
+    assert [f"{r['k']} {r['free_rank']} {r['torsion']}" for r in doc["rows"]] == \
+        text.stdout.splitlines()
+    assert len(doc["rows"]) == 1
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("args", [("--n", "0"), ("--n", "31"), ("--n", "1", "--k", "-1")])
 def test_cohomology_domain_errors(args, fmt):
@@ -216,6 +227,24 @@ def test_solve_json(tmp_path):
     assert doc["f"] == [{"k": [1], "re": 0.5, "im": 0.5}]
     assert doc["min_divisor"] == pytest.approx(2**0.5)
     assert len(doc["norms"]) == 2
+
+
+def test_solve_writes_f_once(tmp_path, monkeypatch, capsys):
+    from heisencoh import cli
+
+    g = tmp_path / "g.coef"
+    g.write_text("dim=1\n-2 0.5 0.25\n1 1 0\n3 0 -2\n", encoding="utf-8")
+    calls = []
+    real_write = cli.write_coefficients
+    monkeypatch.setattr(cli, "write_coefficients",
+                        lambda f, fh: calls.append(f) or real_write(f, fh))
+    argv = ["solve", "--g", str(g), "--u", "golden", "--verify"]
+    assert cli.main(argv + ["--out", str(tmp_path / "f.coef")]) == 0
+    assert len(calls) == 1
+    assert "verify_residual=" in capsys.readouterr().out
+    assert cli.main(argv) == 0
+    assert len(calls) == 2
+    assert capsys.readouterr().out == (tmp_path / "f.coef").read_text(encoding="utf-8")
 
 
 def test_unknown_flag_is_usage_error():

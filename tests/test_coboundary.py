@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from heisencoh import cli, coboundary
+from heisencoh import cli, coboundary, diophantine
 from heisencoh.coboundary import (
     CoboundaryProblem,
     coboundary_from,
@@ -340,6 +340,39 @@ def test_divisor_table_matches_reference_bit_for_bit(spec, prec):
             # exact input, or an inexact sum that mpmath carried exactly
             assert (dist, side) == (ref_dist, ref_side), k
         assert (table[k][0] == 0) == (dist == 0)
+
+
+@pytest.mark.parametrize("spec", ["1/2", "golden", "1/2,sqrt2", "1/4,1/3", "golden,sqrt2"])
+def test_divisor_table_shares_trig_between_k_and_minus_k(spec, monkeypatch):
+    # a symmetric box: k and -k share r, and for 1/2 (k odd) and 1/4,1/3
+    # some phases are exactly L/2, where k and -k take the same sign
+    u = parse_u(spec, 128)
+    box = 12 if len(u) == 1 else 4
+    keys = [k for k in itertools.product(range(-box, box + 1), repeat=len(u)) if any(k)]
+    per_mode = {k: divisor_table(u, [k])[1][k] for k in keys}
+    calls = []
+    real_cos_sin = diophantine.mpf_cos_sin
+    monkeypatch.setattr(diophantine, "mpf_cos_sin",
+                        lambda *a: calls.append(a) or real_cos_sin(*a))
+    modulus, table = divisor_table(u, keys)
+    for k in keys:
+        (r, got), (r1, want) = table[k], per_mode[k]
+        assert r == r1
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), k
+    assert len(calls) == len({r for r, _ in table.values() if r})
+    if spec == "1/2":
+        assert table[(1,)] == table[(-1,)] and 2 * table[(1,)][0] == modulus
+
+
+def test_truncation_norms_equal_the_truncated_fields_norms():
+    g = random_field(40, dim=2)
+    # explicit zero coefficients: truncate drops them, solve keeps them
+    g = CoefficientField(2, {**dict(g.items()), (3, -7): 0j, (0, 33): 0j}, drop_zeros=False)
+    sol = solve(CoboundaryProblem(g, [GOLDEN, PrecisionReal.parse("sqrt2", 128)]))
+    radii = [r for r, _ in sol.truncation_norms]
+    assert radii == [1, 2, 4, 8, 16, 32, sol.f.support_radius()]
+    for r, value in sol.truncation_norms:
+        assert value == sol.f.truncate(r).norm_l2(), r
 
 
 def test_divisors_match_reference_for_both_signs():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,6 +8,9 @@ from heisencoh.coefficients import CoefficientField
 from heisencoh.errors import DegenerateInputError, DomainError
 from heisencoh.fourier import (
     SampledFunction,
+    _fhat_on_panels,
+    _gauss_panels,
+    _NODES,
     dft,
     difference,
     fhat,
@@ -14,6 +18,7 @@ from heisencoh.fourier import (
     is_radial,
     restriction_ratio,
     sobolev_norm,
+    sobolev_norms,
 )
 
 rng = np.random.default_rng(1729)
@@ -137,6 +142,49 @@ def test_sobolev_norm_axioms():
         a = 1.3
         assert abs(sobolev_norm(f.scale(-2.5), a) - 2.5 * sobolev_norm(f, a)) < 1e-10
         assert sobolev_norm(f + g, a) <= sobolev_norm(f, a) + sobolev_norm(g, a) + 1e-10
+
+
+def sobolev_norms_direct(f, alphas):
+    """The quadrature of ``sobolev_norms`` with f_hat summed mode by mode at
+    every node by ``fhat``: O(R^2), the oracle for the FFT evaluation."""
+    xi, w = _gauss_panels(max(4, f.support_radius()), _NODES)
+    fh = fhat(f, xi)
+    base = 1.0 + 2.0 * np.sin(np.pi * xi)
+    return [math.sqrt(math.fsum((w * np.abs(base**a * fh) ** 2).tolist())) for a in alphas]
+
+
+def seeded_field(radius, sparse):
+    """c_k = (x + iy) / (1 + |k|) on [-radius, radius], or on a random fifth
+    of it that keeps both ends, with x, y standard normal."""
+    r = random.Random(radius * 2 + sparse)
+    ks = range(-radius, radius + 1)
+    if sparse:
+        ks = sorted({-radius, radius} | set(r.sample(ks, (2 * radius + 1) // 5)))
+    return CoefficientField(1, {(k,): complex(r.gauss(0, 1), r.gauss(0, 1)) / (1 + abs(k))
+                                for k in ks})
+
+
+SOBOLEV_RADII = sorted(set(range(1, 41)) | {57, 59, 64, 103, 128, 200, 256, 300})
+
+
+@pytest.mark.parametrize("radius", SOBOLEV_RADII)
+def test_sobolev_fft_matches_direct_sum(radius):
+    # The FFT and the direct sum round differently; 2 ulp is the most seen on
+    # these fields, and 4 ulp is allowed.
+    alphas = [0.0, 1.0, 1.5, 2.0]
+    for sparse in (False, True):
+        f = seeded_field(radius, sparse)
+        for got, want in zip(sobolev_norms(f, alphas), sobolev_norms_direct(f, alphas)):
+            assert abs(got - want) <= 4 * math.ulp(want), (radius, sparse, got, want)
+
+
+def test_sobolev_fft_values_match_direct_sum_at_every_node():
+    for radius in (4, 9, 33, 256):
+        f = seeded_field(radius, False)
+        xi, _ = _gauss_panels(max(4, radius), _NODES)
+        scale = sum(abs(v) for _, v in f.items())
+        err = np.max(np.abs(_fhat_on_panels(f, max(4, radius), xi) - fhat(f, xi)))
+        assert err <= 1e-14 * scale, radius  # 3e-15 * scale seen at radius 256
 
 
 def test_sobolev_rejects_negative_alpha():

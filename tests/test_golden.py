@@ -1,4 +1,5 @@
-"""Byte-exact `classify` and `solve` output against the files in tests/golden/.
+"""Byte-exact `classify`, `solve` and `sobolev` output against the files in
+tests/golden/.
 
 The expected files are the stdout of each command.  The rank-1 `classify`
 cases cover irrationals, named constants, exact rationals (with and without a
@@ -16,6 +17,9 @@ Those are sups over the grid of a residual at roundoff level (about 1e-15),
 whose last digits move with the order of the floating-point summation (a
 direct mode-by-mode sum or an inverse FFT); they are checked to be at most
 1e-12.
+
+The `sobolev` cases take the multiplier Sobolev norm of the dim-1 `solve`
+input at alpha 0 and 1.5, in both formats.
 """
 
 import re
@@ -66,11 +70,19 @@ SOLVE = {
 }
 SOLVE_INPUTS = ["solve_g_dim1_r32.txt", "solve_g_dim2_r4_exact.txt", "solve_g_dim2_r8.txt"]
 
+# stdout file -> arguments after `sobolev --f solve_g_dim1_r32.txt`
+SOBOLEV = {
+    "sobolev_g_dim1_r32_alpha0.txt": "--alpha 0",
+    "sobolev_g_dim1_r32_alpha0.json": "--alpha 0 --format json",
+    "sobolev_g_dim1_r32_alpha1.5.txt": "--alpha 1.5",
+    "sobolev_g_dim1_r32_alpha1.5.json": "--alpha 1.5 --format json",
+}
+
 ROUNDOFF = re.compile(r'^(\s*"?(?:residual_sup|verify_residual)"?[=:] ?)(\S+?)(,?)$', re.M)
 
 
 def test_corpus_lists_every_file():
-    expected = set(CORPUS) | set(SOLVE) | set(SOLVE_INPUTS)
+    expected = set(CORPUS) | set(SOLVE) | set(SOLVE_INPUTS) | set(SOBOLEV)
     expected |= {out for _, out in SOLVE.values() if out}
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(expected)
 
@@ -107,3 +119,14 @@ def test_golden_solve(name, tmp_path):
     assert all(0 <= v <= 1e-12 for v in got_values)
     if out_name:
         assert (tmp_path / out_name).read_bytes() == (GOLDEN / out_name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(SOBOLEV))
+def test_golden_sobolev(name):
+    r = subprocess.run(
+        [sys.executable, "-m", "heisencoh", "sobolev",
+         "--f", str(GOLDEN / "solve_g_dim1_r32.txt"), *SOBOLEV[name].split()],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (GOLDEN / name).read_text(encoding="utf-8")
