@@ -56,31 +56,6 @@ def period(t, m):
     return m // math.gcd(t, m)
 
 
-@functools.lru_cache(maxsize=64)
-def _neighbours(t, m, n):
-    """(a, x_a, b, m - x_b): indices in [1, n) of the smallest and the largest
-    residue k t mod m, for n >= 2 distinct residues.
-
-    Stern-Brocot descent with one division per step: (a, b) only ever moves to
-    a mediant a + j b or b + j a, and stops once a + b >= n.
-    """
-    a, xa = 1, t
-    b, yb = 0, m  # x_0 = 0 seen from below, at distance m
-    while True:
-        if xa < yb:
-            j = min((yb - 1) // xa, (n - 1 - b) // a)
-            if j == 0:
-                return a, xa, b, yb
-            b += j * a
-            yb -= j * xa
-        else:
-            j = min((xa - 1) // yb, (n - 1 - a) // b)
-            if j == 0:
-                return a, xa, b, yb
-            a += j * b
-            xa -= j * yb
-
-
 def _rise_min(s, c, m, n):
     """(j, x): the j in [0, n) with the least x = (c + s j) mod m, for
     0 <= s, c < m and 1 <= n <= m / gcd(s, m) (distinct residues).
@@ -119,6 +94,16 @@ def _rise_min(s, c, m, n):
     return j, x
 
 
+@functools.lru_cache(maxsize=64)
+def _extremes(t, m, n):
+    """(a, x_a, b, m - x_b): indices in [1, n) of the smallest and the largest
+    residue k t mod m, for n >= 2 distinct residues.  The largest k t is the
+    smallest k (m - t), so both are ``_rise_min`` over k = j + 1."""
+    j, xa = _rise_min(t, t, m, n - 1)
+    i, yb = _rise_min(m - t, m - t, m, n - 1)
+    return j + 1, xa, i + 1, yb
+
+
 def _line(t, c, m, lo, n):
     """(r', k) for lo <= k < lo + n in ascending (r', k), x_k = (k - lo) t + c
     mod m, for n distinct residues: one walk up from the point nearest 0
@@ -126,7 +111,7 @@ def _line(t, c, m, lo, n):
     if n == 1:
         yield min(c, m - c), lo
         return
-    a, xa, b, yb = _neighbours(t, m, n)
+    a, xa, b, yb = _extremes(t, m, n)
     j, x = _rise_min(t, c, m, n)  # nearest 0 from above
     # its predecessor on the circle is the largest point, nearest 0 from below
     if j >= a:

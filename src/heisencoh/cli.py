@@ -199,9 +199,7 @@ def _cmd_solve(args, out, err):
         resonance_tol=args.resonance_tol,
         truncation_radius=args.truncation_radius,
     )
-    sol = coboundary_mod.solve(problem)
-    if args.grid_size:
-        sol.residual_sup = sol.residual(sol.f, g, args.grid_size)
+    sol = coboundary_mod.solve(problem, grid_size=args.grid_size)
     alphas = (
         [float(a) for a in args.alpha_list.split(",") if a.strip()]
         if args.alpha_list
@@ -214,15 +212,14 @@ def _cmd_solve(args, out, err):
     # the text of f, written once: read back by --verify, then printed or
     # stored in the --out file (the JSON document carries f itself)
     buf = io.StringIO()
-    if args.verify or args.format != "json":
+    if args.verify or args.out or args.format != "json":
         write_coefficients(sol.f, buf)
 
     verify_residual = None
     if args.verify:
         buf.seek(0)
         f_back = read_coefficients(buf)
-        grid = max(2 * max(f_back.support_radius(), g.support_radius()) + 1, 3)
-        verify_residual = sol.residual(f_back, g, grid)
+        verify_residual = sol.residual(f_back, g, coboundary_mod.residual_grid(f_back, g))
         del f_back  # freed before the text of f is written out
 
     diag_lines = []
@@ -242,6 +239,9 @@ def _cmd_solve(args, out, err):
     if verify_residual is not None:
         diag_lines.append(f"verify_residual={_fmt(verify_residual)}")
 
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(buf.getvalue())
     if args.format == "json":
         doc = sol.diagnostics_dict()
         doc["f"] = [
@@ -250,11 +250,7 @@ def _cmd_solve(args, out, err):
         if verify_residual is not None:
             doc["verify_residual"] = verify_residual
         _emit_json(doc, out)
-        return 0
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
+    elif args.out:
         for line in diag_lines:
             out.write(line + "\n")
     else:

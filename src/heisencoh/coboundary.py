@@ -108,7 +108,14 @@ def coboundary_from(f: CoefficientField, u, sign=1) -> CoefficientField:
     return CoefficientField(f.dim, {k: v * divs[k] for k, v in f.items() if any(k)})
 
 
-def solve(problem: CoboundaryProblem, classification=None) -> CoboundarySolution:
+def residual_grid(f: CoefficientField, g: CoefficientField) -> int:
+    """The default residual grid, max(2 max(R_f, R_g) + 1, 3): the least
+    on which no two modes of f or g alias."""
+    return max(2 * max(f.support_radius(), g.support_radius()) + 1, 3)
+
+
+def solve(problem: CoboundaryProblem, classification=None,
+          grid_size: int | None = None) -> CoboundarySolution:
     """Solve f - f o gamma = g coefficientwise.
 
     Raises NonzeroMeanError when |g_0| exceeds the resonance tolerance,
@@ -116,6 +123,8 @@ def solve(problem: CoboundaryProblem, classification=None) -> CoboundarySolution
     coefficient, PrecisionError when a divisor cannot be resolved.  With a
     LiouvilleEvidence classification the solution is emitted but flagged
     formal: truncation-norm growth is reported as evidence in either case.
+    residual_sup is taken on grid_size points per axis, by default on
+    ``residual_grid(f, g)``.
     """
     g = problem.g
     u = problem.u
@@ -182,8 +191,7 @@ def solve(problem: CoboundaryProblem, classification=None) -> CoboundarySolution
             "formal solution: Liouville-type divisors; the norm may diverge "
             "as the truncation radius grows (see truncation_norms)"
         )
-    grid = max(2 * max(radius, g.support_radius()) + 1, 3)
-    sol.residual_sup = sol.residual(f, g, grid)
+    sol.residual_sup = sol.residual(f, g, grid_size or residual_grid(f, g))
     return sol
 
 

@@ -189,7 +189,8 @@ class DivisorRecord:
 
 @dataclass(frozen=True)
 class WitnessRecord:
-    """A frequency beating the power-law bound at the listed levels.
+    """A frequency beating the power-law bound at the listed levels, which
+    are the levels above the rank n that it meets.
 
     exponent is the approximation exponent mu with dist = |k|^-(mu - 1),
     i.e. |t - p/k| ~ |k|^-mu in one dimension.  significant lists the levels
@@ -337,14 +338,18 @@ def _scan_general(tvec, kmax, keep, s_grid, prec_bits):
     dyadic range, the least exact zero (by |k|, then k) or None, and the
     modulus L of ``_phase_grid``, so an exact p/q has period q and an exact
     zero has r' = 0.  A range's witness candidates are its r' <=
-    ``_level_bound(L, lo, s_grid[0])``: every point with a level, since the
-    bound falls as |k| and s grow.  Raises PrecisionError when a divisor is
-    below the scan resolution, or when the smallest one is not resolved at
-    the declared `prec_bits`.
+    ``_level_bound(L, lo, s*)``, s* the least level of s_grid above the rank
+    n: every point with a level above n, since the bound falls as |k| and s
+    grow.  Levels s <= n are left out, as Dirichlet's theorem gives them a
+    witness for every t; with no level above n there is no candidate.
+    Raises PrecisionError when a divisor is below the scan resolution, or
+    when the smallest one is not resolved at the declared `prec_bits`.
     """
     scaled, modulus = _phase_grid(tvec)
+    s_star = next((s for s in s_grid if s > len(tvec)), None)
     ranges = _scan.scan_unit(
-        scaled, modulus, kmax, keep, lambda lo: _level_bound(modulus, lo, s_grid[0]),
+        scaled, modulus, kmax, keep,
+        lambda lo: -1 if s_star is None else _level_bound(modulus, lo, s_star),
         s_grid[0], s_grid[-1], _declared(tvec)[0],
     )
     # ranges ascend in |k|, so the first zero found is the least
@@ -388,12 +393,17 @@ def classify(
 ) -> ClassificationReport:
     """Scan 0 < |k| <= kmax and classify the translation vector t.
 
+    Witnesses are the k with |k| >= 2 and dist(<k,t>, Z) <= |k|^-s
+    (relative tolerance 2**-20) at a level s of s_grid above the rank n.
+    Levels s <= n are neither scanned nor reported: by Dirichlet's theorem
+    every t has such witnesses at every scale, so they are no evidence.
+
     Rational: an exactly zero divisor was certified.
-    LiouvilleEvidence: every requested level s has a witness with
-    dist(<k,t>, Z) <= |k|^-s (relative tolerance 2**-20, |k|^s >= 2), and at
-    the largest s some witness clears the accident floor: random phases alone
-    produce small-k coincidences, so a witness only counts once fewer than
-    ~0.02 such accidents would be expected at or beyond its scale.
+    LiouvilleEvidence: s_grid has a level above n, every such level has a
+    witness, and at the largest s some witness clears the accident floor:
+    random phases alone produce small-k coincidences, so a witness only
+    counts once fewer than ~0.02 such accidents would be expected at or
+    beyond its scale.
     DiophantineEvidence(C, s): the per-dyadic-shell minima of |k|^s * divisor
     stay within DIO_RATIO of each other, giving the empirical constant
     C(s) = min |k|^s * divisor.
@@ -441,20 +451,19 @@ def classify(
             dio_s, dio_c = s, float(c_val)
 
     # witness refinement on exact integers: the first WITNESS_CAP candidates
-    # of each range, in (|k|, k) order, that carry a level
+    # of each range, in (|k|, k) order, that carry a level above n (|k| = 1
+    # would make every bound dist <= |k|^-s trivial)
     wit_records = []
-    floors = {s: _significance_floor(s, n) for s in s_grid}
+    floors = {s: _significance_floor(s, n) for s in s_grid if s > n}
     with mp_prec(100):
         for rng in ranges:
             kept = 0
             for kvec, rp, normk in rng.witnesses:
                 if kept == WITNESS_CAP:
                     break
-                # |k|^s < 2 makes the bound dist <= |k|^-s trivial
                 levels = tuple(
-                    s for s in s_grid
-                    if normk >= 2 and s * math.log2(normk) >= 1.0
-                    and rp <= _level_bound(modulus, normk, s)
+                    s for s in floors
+                    if normk >= 2 and rp <= _level_bound(modulus, normk, s)
                 )
                 if not levels:
                     continue
@@ -480,10 +489,10 @@ def classify(
             for rp, kv in merged
         )
 
-    # every requested level must have a witness; the top level additionally
-    # needs one clearing the accident floor
+    # every requested level above n must have a witness, and the top level
+    # one clearing the accident floor: none can when no level is above n
     liouville = all(
-        any(s in w.levels for w in wit_records) for s in s_grid
+        any(s in w.levels for w in wit_records) for s in floors
     ) and any(s_max in w.significant for w in wit_records)
     if rational_k is not None:
         verdict = "Rational"

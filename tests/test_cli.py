@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -268,3 +269,29 @@ def test_determinism_byte_identical():
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
         assert a.stderr == b.stderr
+
+
+def test_solve_json_writes_the_out_file(tmp_path):
+    g = tmp_path / "g.coef"
+    g.write_text("dim=1\n1 1 0\n", encoding="utf-8")
+    out = tmp_path / "f.coef"
+    r = run_cli("solve", "--g", str(g), "--u", "1/4", "--format", "json", "--out", str(out))
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["f"] == [{"k": [1], "re": 0.5, "im": 0.5}]
+    assert out.read_text(encoding="utf-8") == run_cli("solve", "--g", str(g), "--u", "1/4").stdout
+
+
+def test_solve_computes_the_residual_once_per_grid(monkeypatch):
+    from heisencoh import cli, coboundary
+
+    grids = []
+    real = coboundary._residual
+    monkeypatch.setattr(coboundary, "_residual",
+                        lambda f, g, divs, n: grids.append(n) or real(f, g, divs, n))
+    argv = ["solve", "--g", str(Path(__file__).parent / "golden" / "solve_g_dim2_r8.txt"),
+            "--u", "golden,sqrt2"]
+    assert cli.main(argv + ["--grid-size", "31"]) == 0
+    assert grids == [31]
+    # the default grid 2 R + 1, once in solve and once for --verify
+    assert cli.main(argv + ["--verify"]) == 0
+    assert grids == [31, 17, 17]

@@ -1,15 +1,17 @@
 import cmath
 import itertools
+import json
 import math
 import operator
 import random
+import re
 from bisect import insort
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from heisencoh import _scan, diophantine
+from heisencoh import _scan, cli, diophantine
 from heisencoh.diophantine import (
     _level_bound,
     _refine_range_minimum,
@@ -23,6 +25,7 @@ from heisencoh.diophantine import (
 )
 from heisencoh.errors import DomainError, PrecisionError
 from heisencoh.precision import PrecisionReal, liouville_constant
+from test_golden import CORPUS, GOLDEN
 
 rng = random.Random(55)
 
@@ -387,10 +390,13 @@ def test_significance_floor_against_the_shell_counts(n, s):
 @pytest.mark.parametrize("names, kmax", [("golden,sqrt2", 100), ("golden,sqrt2,sqrt3", 20)])
 def test_rank_n_algebraic_is_not_liouville(names, kmax):
     # Schmidt's subspace theorem: Diophantine for every s > n; level-s
-    # witnesses with s <= n are what Dirichlet's theorem promises
+    # witnesses with s <= n are what Dirichlet's theorem promises, and are
+    # not reported
+    n = len(names.split(","))
     rep = classify([PrecisionReal.parse(v, 128) for v in names.split(",")], kmax)
     assert rep.verdict != "LiouvilleEvidence"
-    assert any(3.0 in w.levels for w in rep.witnesses)
+    assert all(min(w.levels) > n for w in rep.witnesses)
+    assert any(3.0 in w.levels for w in rep.witnesses) == (n < 3)
     assert all(3.0 not in w.significant for w in rep.witnesses)
 
 
@@ -400,6 +406,9 @@ def test_rank_n_algebraic_is_not_liouville(names, kmax):
 
 def _shell_vectors(n, m):
     """Canonical representatives of max-norm-m vectors: first nonzero > 0."""
+    if n == 1:
+        yield (m,)
+        return
     for v in itertools.product(range(-m, m + 1), repeat=n):
         if max(abs(c) for c in v) != m:
             continue
@@ -474,7 +483,13 @@ def test_rank_n_scan_matches_every_k(names, kmax):
     s_grid = [1.0, 1.5, 2.0, 3.0]
     keep = 64
     ranges, rational_k, modulus = _scan_general(tvec, kmax, keep, s_grid, None)
-    oracle = _shell_scan(tvec, modulus, kmax, keep, lambda lo: _level_bound(modulus, lo, 1.0))
+    # candidates only for the least level above the rank: s = 3 in rank 2,
+    # none in rank 3
+    s_star = next((s for s in s_grid if s > len(tvec)), None)
+    oracle = _shell_scan(
+        tvec, modulus, kmax, keep,
+        lambda lo: -1 if s_star is None else _level_bound(modulus, lo, s_star),
+    )
     assert [(r.lo, r.hi) for r in ranges] == [o[:2] for o in oracle]
     zeros = [k for o in oracle for k in o[4]]
     assert rational_k == min(zeros, key=lambda v: (max(map(abs, v)), v), default=None)
@@ -488,8 +503,9 @@ def test_rank_n_scan_matches_every_k(names, kmax):
 
 def test_witness_cap_keeps_the_first_witnesses_with_a_level(monkeypatch):
     # the cap counts only candidates that carry a level: with 20 per range
-    # each range keeps the first 20 witnesses of the uncapped run
-    t = [PrecisionReal.parse(v, 128) for v in ("golden", "sqrt2")]
+    # each range keeps the first 20 witnesses of the uncapped run.  Every
+    # k >= 2 is a witness of t = 10^-30, k = 1 is not
+    t = Fraction(1, 10**30)
     full = classify(t, 100).witnesses
     monkeypatch.setattr(diophantine, "WITNESS_CAP", 20)
     capped = classify(t, 100).witnesses
@@ -497,7 +513,7 @@ def test_witness_cap_keeps_the_first_witnesses_with_a_level(monkeypatch):
     for lo, hi in _scan.dyadic_ranges(100):
         expect += [w for w in full if lo <= w.normk < hi][:20]
     assert capped == tuple(expect)
-    assert len(capped) == 116 < len(full)
+    assert len(capped) == 70 < len(full) == 99
 
 
 def test_level_bound_is_the_largest_witness_distance():
@@ -578,3 +594,170 @@ def test_exact_rank2_matches_every_k():
             q = r.randint(1, 40)
             tvec.append(Fraction(r.randint(-q, 2 * q), q))
         _check_exact(tvec, r.randint(1, 24))
+
+
+# ---------------------------------------------------------------------------
+# witnesses only at levels above the rank
+
+
+def _golden_input(name):
+    """(tvec, kmax, s_grid) of the `classify` golden `name`, read by the CLI's
+    own parser."""
+    args = cli.build_parser().parse_args(["classify", *CORPUS[name].split()])
+    tvec = [c.fractional_part() for c in cli._parse_vector(args.vector, args.prec)]
+    return tvec, args.kmax, sorted({float(s) for s in args.s_grid.split(",")})
+
+
+def _old_rule_verdict(tvec, kmax, s_grid, rep):
+    """The verdict of the earlier rule, which also asked for a witness at
+    every level s <= n, on the report rep.
+
+    That rule: every level of s_grid has a witness with |k| >= 2, s log2|k|
+    >= 1 and r' <= _level_bound(L, |k|, s), and some witness at the top
+    level clears the accident floor.  Levels above n are read off rep, whose
+    witnesses are every point with such a level (see the brute-force tests
+    below); each level s <= n is searched over every k in ascending |k| up to
+    its first witness.
+    """
+    n = len(tvec)
+    scaled, modulus = diophantine._phase_grid(tvec)
+    found = {s for w in rep.witnesses for s in w.levels}
+
+    def low_witness(s):
+        for m in range(2, kmax + 1):
+            if s * math.log2(m) < 1.0:
+                continue
+            for k in _shell_vectors(n, m):
+                r = sum(map(operator.mul, k, scaled)) % modulus
+                if 0 < min(r, modulus - r) <= _level_bound(modulus, m, s):
+                    return True
+        return False
+
+    liouville = all(s in found if s > n else low_witness(s) for s in s_grid) and any(
+        s_grid[-1] in w.significant for w in rep.witnesses
+    )
+    if rep.rational_k is not None:
+        return "Rational"
+    if liouville:
+        return "LiouvilleEvidence"
+    if any(row.evidence for row in rep.s_table):
+        return "DiophantineEvidence"
+    return "Inconclusive"
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_verdict_matches_the_old_rule_on_the_goldens(name):
+    tvec, kmax, s_grid = _golden_input(name)
+    rep = classify(tvec, kmax, s_grid)
+    assert rep.verdict == _old_rule_verdict(tvec, kmax, s_grid, rep)
+
+
+def _random_component(r):
+    kind = r.randrange(4)
+    if kind == 0:
+        return PrecisionReal.parse(r.choice(["golden", "sqrt2", "sqrt3", "e", "pi", "liouville"]), 128)
+    q = r.randint(1, 10**r.randint(1, 8))
+    p = Fraction(r.randint(0, q), q)
+    if kind == 1:
+        return PrecisionReal.coerce(p)
+    # near a rational: the witnesses the rule is about
+    return PrecisionReal.coerce(p + Fraction(r.choice([-1, 1]), 10 ** r.randint(3, 30)))
+
+
+def test_verdict_matches_the_old_rule_on_random_vectors():
+    # the significant top-level witness, |k| >= 2, is an old-rule witness at
+    # every level s >= 1, so grids without a level below 1 agree at any kmax;
+    # a level s < 1 also needs a witness with |k| >= 2^(1/s), which every
+    # input here has at kmax >= 8 (the next test has none at kmax 3)
+    r = random.Random(73)
+    grids = [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0], [1.5, 2.5, 3.5, 5.0], [0.5, 1.0, 6.0], [0.75, 10.0]]
+    verdicts = set()
+    for n, kmaxes, trials in ((1, (8, 4000), 120), (2, (8, 40), 40), (3, (8, 10), 8)):
+        for _ in range(trials):
+            tvec = [_random_component(r).fractional_part() for _ in range(n)]
+            kmax, s_grid = r.randint(*kmaxes), r.choice(grids)
+            rep = classify(tvec, kmax, s_grid)
+            assert rep.verdict == _old_rule_verdict(tvec, kmax, s_grid, rep), (tvec, kmax, s_grid)
+            verdicts.add(rep.verdict)
+    assert verdicts == {"Rational", "LiouvilleEvidence", "DiophantineEvidence", "Inconclusive"}
+
+
+def test_verdict_differs_from_the_old_rule_below_kmax_8():
+    # k = 2 is a significant level-10 witness (floor 2), but the old rule
+    # also asked for a level-0.5 witness with 0.5 log2|k| >= 1, |k| >= 4
+    t = [PrecisionReal.coerce(Fraction(500000001, 10**9))]
+    rep = classify(t, 3, [0.5, 10.0])
+    assert rep.verdict == "LiouvilleEvidence"
+    assert _old_rule_verdict(t, 3, [0.5, 10.0], rep) == "Inconclusive"
+    assert classify(t, 8, [0.5, 10.0]).verdict == "LiouvilleEvidence"
+
+
+_WITNESS = re.compile(
+    r"^witness k=(\S+) dist=(\S+) divisor=\S+ exponent=\S+ levels=(\S+) significant=(\S+)$", re.M
+)
+
+
+def _printed_witnesses(name):
+    """(k, dist, levels, significant) of every witness the golden prints."""
+    text = (GOLDEN / name).read_text(encoding="utf-8")
+    if name.endswith(".json"):
+        return [
+            (tuple(w["k"]), w["dist"], tuple(w["levels"]), tuple(w["significant"]))
+            for w in json.loads(text)["witnesses"]
+        ]
+
+    def floats(field):
+        return () if field == "-" else tuple(map(float, field.split(",")))
+
+    return [
+        (tuple(map(int, k.split(","))), float(d), floats(lv), floats(sig))
+        for k, d, lv, sig in _WITNESS.findall(text)
+    ]
+
+
+def _exact_levels(rp, modulus, norm, s_grid, n):
+    """The levels s > n of s_grid with r'/L <= norm^-s (1 + 2^-20), decided
+    on integers: for s = p/q, (r' 2^20)^q norm^p <= (L (2^20 + 1))^q."""
+    out = []
+    for s in s_grid:
+        if s <= n or norm < 2:
+            continue
+        if rp / modulus * norm**s > 1.01:  # far from the bound
+            continue
+        p, q = s.as_integer_ratio()
+        if (rp << 20) ** q * norm**p <= (modulus * (2**20 + 1)) ** q:
+            out.append(s)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_golden_witnesses_are_the_points_above_the_rank(name):
+    # every printed witness has exactly the levels above n it meets and is
+    # significant where |k| reaches the floor; up to K = 10^5, a pass over
+    # every k finds no other point with such a level
+    tvec, kmax, s_grid = _golden_input(name)
+    n = len(tvec)
+    stored = [_stored(c) for c in tvec]
+    modulus = math.lcm(*(f.denominator for f in stored))
+    weights = [int(f * modulus) for f in stored]
+
+    def point(k):
+        r = sum(map(operator.mul, k, weights)) % modulus
+        rp = min(r, modulus - r)
+        return rp, _exact_levels(rp, modulus, max(map(abs, k)), s_grid, n)
+
+    printed = _printed_witnesses(name)
+    for k, dist, levels, significant in printed:
+        rp, want = point(k)
+        assert rp > 0 and levels == want, k
+        assert dist == pytest.approx(rp / modulus, rel=1e-15)
+        assert significant == tuple(s for s in levels if max(map(abs, k)) >= _significance_floor(s, n))
+    if kmax > 10**5:
+        return
+    every = []
+    for k in itertools.product(range(-kmax, kmax + 1), repeat=n):
+        if any(k) and next(c for c in k if c) > 0:
+            rp, levels = point(k)
+            if rp and levels:
+                every.append((max(map(abs, k)), k, levels))
+    assert [(k, levels) for k, _, levels, _ in printed] == [w[1:] for w in sorted(every)]

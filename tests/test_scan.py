@@ -148,6 +148,21 @@ def test_rise_min_matches_every_j():
         assert _scan._rise_min(s, c, m, n) == (xs.index(min(xs)), min(xs))
 
 
+def test_extremes_match_every_j():
+    # (a, x_a, b, m - x_b): the least and the largest of j t mod m over
+    # 1 <= j < n, against a scan of every j, distinct residues only
+    rnd = random.Random(19)
+    for _ in range(3000):
+        m = rnd.choice([rnd.randint(2, 2000), 1 << rnd.randint(1, 64), rnd.getrandbits(192) | 1])
+        t = rnd.randrange(1, m)
+        n = rnd.randint(2, min(m // math.gcd(t, m), 3000))
+        xs = [j * t % m for j in range(n)]
+        top = max(xs[1:])
+        assert _scan._extremes(t, m, n) == (
+            xs.index(min(xs[1:])), min(xs[1:]), xs.index(top), m - top
+        )
+
+
 def test_scan_unit_matches_walk():
     rnd = random.Random(11)
     cases = [(rnd.getrandbits(192), M192, None) for _ in range(10)]
