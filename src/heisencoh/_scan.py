@@ -1,29 +1,32 @@
-"""Exact divisor scan by the three-distance theorem, for every rank.
+"""Exact divisor scan by lattice enumeration, for every rank.
 
-A line is the progression x_k = k T + C mod m over lo <= k < hi, for any
-modulus m; ``points`` enumerates it in ascending (r', k) order, r' =
-min(x_k, m - x_k), without visiting every k.  Its points x_j, j = k - lo in
-[0, N), split the circle into gaps of at most three lengths (Sos 1958;
-Swierczkowski 1959): with a and b the indices in [1, N) of the smallest and
-of the largest residue of j T, the next point above x_j is x_{j+a} if j + a
-< N, else x_{j-b} if j >= b, else x_{j+a-b}.  The walk starts at the line's
-point nearest 0 from above and at the one nearest from below, found by a
-Euclid descent, and merges the two sides, so it gives the points nearest 0
-first and a scan stops as soon as it has what it needs.  Each line costs
-O(log m) to start; each point after that costs O(1).
-
-A dyadic range lo <= |k| < hi (max-norm) of the canonical k in Z^n (first
-nonzero component > 0) is a set of lines along k_1, one per tail (k_2 ...
-k_n) with the offset <tail, T_tail>; ``range_points`` merges them into one
-ascending (r', k) stream.  Rank 1 is the one line with the empty tail.
+A range holds the canonical k in Z^n (first nonzero component > 0) with
+lo <= |k| < hi (max-norm), each at r' = min(x, m - x), x = <k, U> mod m, for
+exact integers U_i = t_i m.  With e the residue of x in -m < 2 e <= m, r' =
+|e| and (k, e) runs over the lattice spanned by the rows (e_i, U_i mod m)
+and (0, m): the points at r' <= R are its vectors in a box, a box of k
+(one in rank 1, 2n - 1 in rank n, filtered for the canonical k) times |e|
+<= R.  Per shell R and box, integer weights make the box a cube; the basis
+is LLL-reduced under them (Lenstra, Lenstra and Lovasz 1982, on integers
+as in Cohen's Algorithm 2.6.7), starting from the basis the last shell
+left, which takes a few swaps (O(log m) for the first); rows n .. 1 run
+over the ball around the box's center that holds the cube (Fincke and
+Pohst 1985), with exact integer bounds at every level; and row 0 runs over
+the exact interval that keeps the point in the box.  Along it e is
+constant and k monotone (a residue class of an exact rational), or |e|
+grows on each side of e = 0, so each interval gives at most two runs that
+already ascend in (r', k), and ``heapq.merge`` joins them lazily.  R starts
+where about 8 points are expected and doubles up to m / 2, so a walk costs
+one ball per box and shell plus O(log runs) per point it reads.  No float
+takes part in any decision.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import PrecisionError
@@ -44,150 +47,139 @@ class RangeScan:
 
 
 def dyadic_ranges(kmax):
-    lo = 1
-    while lo <= kmax:
-        hi = min(2 * lo, kmax + 1)
-        yield lo, hi
-        lo = 2 * lo
+    for j in range(kmax.bit_length()):
+        yield 1 << j, min(2 << j, kmax + 1)
 
 
-def period(t, m):
-    """The least p >= 1 with p t = 0 mod m."""
-    return m // math.gcd(t, m)
+def lattice(tvec, m):
+    """The rows (unit vector e_i, U_i mod m) and (0, m): a basis of the
+    lattice of the scan, (k, e) with e = <k, U> mod m."""
+    n = len(tvec)
+    rows = [[int(i == j) for j in range(n)] + [u % m] for i, u in enumerate(tvec)]
+    return rows + [[0] * n + [m]]
 
 
-def _rise_min(s, c, m, n):
-    """(j, x): the j in [0, n) with the least x = (c + s j) mod m, for
-    0 <= s, c < m and 1 <= n <= m / gcd(s, m) (distinct residues).
+def _gso(b, w):
+    """Integral Gram-Schmidt data of the rows b under <u, v> = sum w_c u_c v_c:
+    d[j + 1] = lam[j][j] is the Gram determinant of rows 0 .. j and lam[i][j]
+    = d[j + 1] mu_ij, all integers (d[j + 1] = 0 once the rows are dependent)."""
+    d, lam = [1], [[0] * len(b) for _ in b]
+    for i, u in enumerate(b):
+        for j in range(i + 1):
+            g = sum(map(operator.mul, map(operator.mul, w, u), b[j]))
+            for l in range(j):
+                g = (d[l + 1] * g - lam[i][l] * lam[j][l]) // d[l]
+            lam[i][j] = g
+        d.append(lam[i][i])
+    return d, lam
 
-    Climbing by s, the least point is j = 0 or one just past a wrap of m: the
-    w-th wrap leaves (c - w m) mod s, which falls by m mod s modulo s.
-    Falling by s, it is the last point or one below s, just before a wrap:
-    j = (c + i m) // s, leaving (c + i m) mod s, which climbs by m mod s.
-    The moduli follow Euclid's algorithm on (m, s): O(log m) steps down, then
-    each step's candidate is compared with its endpoint on the way back.
-    """
-    steps = []
-    rising = True
+
+def _reduce(b, w):
+    """LLL-reduce the rows b in place (delta = 99/100), one ``_gso`` a swap."""
     while True:
-        if rising:
-            wraps = (c + s * (n - 1)) // m
-            if wraps == 0:
-                j, x = 0, c
+        d, lam = _gso(b, w)
+        for k in range(1, len(b)):
+            for l in reversed(range(k)):
+                q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])  # nearest integer
+                if q:
+                    b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+                    for i in range(l + 1):
+                        lam[k][i] -= q * lam[l][i]
+            if 100 * d[k + 1] * d[k - 1] < 99 * d[k] ** 2 - 100 * lam[k][k - 1] ** 2:
+                b[k - 1], b[k] = b[k], b[k - 1]
                 break
-            steps.append((True, s, c, m, 0))
-            s, c, m, n = m % s, (c - m) % s, s, wraps
-        else:
-            last = (c - s * (n - 1)) % m
-            if s * n <= c:  # no wrap: the last point is the least
-                j, x = n - 1, last
-                break
-            steps.append((False, s, c, m, n))
-            s, c, m, n = m % s, c % s, s, (s * n - c - 1) // m + 1
-        rising = not rising
-    for rose, s, c, m, n in reversed(steps):
-        if rose:  # j counts wraps from the first
-            j, x = (0, c) if x >= c else (((j + 1) * m - c + x) // s, x)
-        else:
-            last = (c - s * (n - 1)) % m
-            j, x = (n - 1, last) if last < x else ((c + j * m) // s, x)
-    return j, x
-
-
-@functools.lru_cache(maxsize=64)
-def _extremes(t, m, n):
-    """(a, x_a, b, m - x_b): indices in [1, n) of the smallest and the largest
-    residue k t mod m, for n >= 2 distinct residues.  The largest k t is the
-    smallest k (m - t), so both are ``_rise_min`` over k = j + 1."""
-    j, xa = _rise_min(t, t, m, n - 1)
-    i, yb = _rise_min(m - t, m - t, m, n - 1)
-    return j + 1, xa, i + 1, yb
-
-
-def _line(t, c, m, lo, n):
-    """(r', k) for lo <= k < lo + n in ascending (r', k), x_k = (k - lo) t + c
-    mod m, for n distinct residues: one walk up from the point nearest 0
-    from above, one down from the point nearest from below, merged."""
-    if n == 1:
-        yield min(c, m - c), lo
-        return
-    a, xa, b, yb = _extremes(t, m, n)
-    j, x = _rise_min(t, c, m, n)  # nearest 0 from above
-    # its predecessor on the circle is the largest point, nearest 0 from below
-    if j >= a:
-        i, y = j - a, xa - x
-    elif j + b < n:
-        i, y = j + b, yb - x
-    else:
-        i, y = j + b - a, xa + yb - x
-    # up takes the x with 2 x <= m, down the y with 2 y < m: each point once
-    half, below, top = m >> 1, (m + 1) >> 1, lo + n
-    up, down = (x, lo + j), (y, lo + i)
-    while True:
-        if up[0] <= half and (up < down or down[0] >= below):
-            yield up
-            x, k = up
-            if k + a < top:
-                up = x + xa, k + a
-            elif k - b >= lo:
-                up = x + yb, k - b
-            else:
-                up = x + xa + yb, k + a - b
-        elif down[0] < below:
-            yield down
-            y, k = down
-            if k - a >= lo:
-                down = y + xa, k - a
-            elif k + b < top:
-                down = y + yb, k + b
-            else:
-                down = y + xa + yb, k + b - a
         else:
             return
 
 
-def _expand(base, p, hi):
-    """Each point k0 of a walk on [lo, lo + p) as every k0 + j p < hi; the
-    points sharing one r' come from at most two residues k0."""
-    for rp, group in itertools.groupby(base, key=lambda pt: pt[0]):
-        for k in heapq.merge(*(range(k0, hi, p) for _, k0 in group)):
-            yield rp, k
+def _ball(d, lam, x, j, budget, p=0):
+    """Each x with x[j + 1:] as given whose levels j .. 1 keep the squared
+    norm of u = sum x_i b_i within budget (``_gso`` data d, lam).  Level j
+    adds y^2 / (d[j + 1] d[j]), y = d[j + 1] x_j + sum_{i > j} lam[i][j] x_i,
+    to the integer p = d[j + 1] |u projected away from rows 0 .. j|^2, so
+    it keeps y^2 <= d[j] (budget d[j + 1] - p)."""
+    if j == 0:
+        yield x
+        return
+    t = sum(lam[i][j] * x[i] for i in range(j + 1, len(x)))
+    r = math.isqrt(d[j] * (budget * d[j + 1] - p))
+    for x[j] in range(-((r + t) // d[j + 1]), (r - t) // d[j + 1] + 1):
+        y = d[j + 1] * x[j] + t
+        yield from _ball(d, lam, x, j - 1, budget, (d[j] * p + y * y) // d[j + 1])
 
 
-def points(t, m, lo, hi, offset=0):
-    """An iterator of (r', k) for lo <= k < hi in ascending (r', k), where
-    r' = min(x, m - x) and x = k t + offset mod m.
-
-    When t has a period p = m / gcd(t, m) < hi - lo (q for t = p/q on an
-    exact grid) the walk runs on [lo, lo + p) and each point k0 stands for
-    the whole residue class k0 + j p in the range.
-    """
-    t %= m
-    p = period(t, m)
-    base = _line(t, (lo * t + offset) % m, m, lo, min(p, hi - lo))
-    return base if p >= hi - lo else _expand(base, p, hi)
+def _column(a, step, count):
+    return range(a, a + count * step, step) if step else itertools.repeat(a, count)
 
 
-def range_points(tvec, m, lo, hi):
-    """Yield (r', k) for the canonical k in Z^n with lo <= |k| < hi, in
-    ascending (r', k): r' = min(x, m - x), x = <k, tvec> mod m.
+def _run(v, b0, bounds):
+    """The points v + t b0 with every coordinate in its bounds (low, high),
+    as an iterator of (|e|, k) ascending in |e|, then in k.
 
-    One line along k_1 per tail (k_2 ... k_n) with |tail| < hi.  k_1 runs
-    over [lo, hi) when |tail| < lo, else over [1, hi), or over [0, hi) when
-    the tail's first nonzero component is positive.
-    """
-    t1, rest = tvec[0], tvec[1:]
-    zero = (0,) * len(rest)
-    lines = []
-    for tail in itertools.product(range(1 - hi, hi), repeat=len(rest)):
-        if max(map(abs, tail), default=0) < lo:
-            start = lo
-        else:
-            start = 0 if tail > zero else 1
-        offset = sum(ki * ti for ki, ti in zip(tail, rest)) % m
-        lines.append(zip(points(t1, m, start, hi, offset), itertools.repeat(tail)))
-    for (rp, k), tail in heapq.merge(*lines):
-        yield rp, (k, *tail)
+    e is constant along t or |e| grows with t on the side of e = 0 that the
+    bounds of e select: either way one direction of t ascends."""
+    lows, highs = [], []
+    for vc, bc, (low, high) in zip(v, b0, bounds):
+        if bc < 0:
+            vc, bc, low, high = -vc, -bc, -high, -low
+        if bc:
+            lows.append(-((vc - low) // bc))
+            highs.append((high - vc) // bc)
+        elif not low <= vc <= high:
+            return ()
+    ta, tb = max(lows), min(highs)
+    if ta > tb:
+        return ()
+    e0 = b0[-1]
+    up = (e0 > 0) == (bounds[-1][0] >= 0) if e0 else b0 > [0] * len(b0)
+    t0, step = (ta, 1) if up else (tb, -1)
+    ks = [_column(vc + t0 * bc, step * bc, tb - ta + 1) for vc, bc in zip(v[:-1], b0)]
+    return zip(_column(abs(v[-1] + t0 * e0), abs(e0), tb - ta + 1), zip(*ks))
+
+
+def _box_runs(rows, box, big, sides):
+    """The runs of the lattice points in the box of k times each side of e,
+    enumerated in the ball around the box's center that holds the box."""
+    center = [(a + b) // 2 for a, b in box] + [0]
+    half = [max(1, b - c) for (_, b), c in zip(box, center)] + [max(big, 1)]
+    cube = math.prod(half)
+    w = [(cube // h) ** 2 for h in half]  # the box is a cube of half-side cube
+    _reduce(rows, w)
+    d, lam = _gso(rows + [center], w)
+    for x in _ball(d, lam, [0] * len(rows) + [-1], len(box), len(rows) * cube**2):
+        v = [sum(map(operator.mul, x[1:-1], col)) for col in zip(*rows[1:])]
+        for side in sides:
+            yield _run(v, rows[0], box + [side])
+
+
+def range_points(rows, m, lo, hi):
+    """An iterator of (r', k) for the canonical k in Z^n with lo <= |k| < hi,
+    in ascending (r', k): r' = min(x, m - x), x = <k, U> mod m, with rows
+    the basis of ``lattice(U, m)``, which each shell reduces in place."""
+    return itertools.chain.from_iterable(_shells(rows, m, lo, hi))
+
+
+def _shells(rows, m, lo, hi):
+    """One ascending iterator per shell R of the points prev < r' <= R.  Box
+    i: |k_j| < lo for j < i, lo <= |k_i| < hi, |k_j| < hi for j > i; k_1 > 0
+    in box 1, else filtered for the canonical k; e >= 0 and e < 0 run apart."""
+    n = len(rows) - 1
+    zero = (0,) * n
+    boxes = []
+    for i in range(n):
+        box = [(1 - lo, lo - 1)] * i + [(lo, hi - 1)] + [(1 - hi, hi - 1)] * (n - 1 - i)
+        boxes += [box, box[:i] + [(1 - hi, -lo)] + box[i + 1:]] if i else [box]
+    count = ((2 * hi - 1) ** n - (2 * lo - 1) ** n) // 2
+    prev, big = -1, min(max(1, 8 * m // count), m // 2)
+    while True:
+        sides = [(prev + 1, big), (max(-big, -((m - 1) // 2)), -max(prev + 1, 1))]
+        runs = [run for box in boxes for run in _box_runs(rows, box, big, sides)]
+        if n > 1:
+            runs = [filter(lambda p: p[1] > zero, run) for run in runs]
+        yield heapq.merge(*runs)
+        if big >= m // 2:
+            return
+        prev, big = big, min(2 * big, m // 2)
 
 
 def scan_unit(tvec, m, kmax, keep, witness_bound_fn, s_min, s_max, declared):
@@ -204,17 +196,18 @@ def scan_unit(tvec, m, kmax, keep, witness_bound_fn, s_min, s_max, declared):
     candidates and caps them.
     """
     n = len(tvec)
+    rows = lattice(tvec, m)
     out = []
     for lo, hi in dyadic_ranges(kmax):
         rs = RangeScan(lo, hi, ((2 * hi - 1) ** n - (2 * lo - 1) ** n) // 2, [], [], [], None)
-        walk = _walk(rs, tvec, m, keep, witness_bound_fn(lo), s_max, declared)
+        walk = _walk(rs, rows, m, keep, witness_bound_fn(lo), s_max, declared)
         rs.frontier = collect_below(walk, s_min)
         rs.witnesses.sort(key=lambda w: (w[2], w[0]))
         out.append(rs)
     return out
 
 
-def _walk(rs, tvec, m, keep, bound, s_max, declared):
+def _walk(rs, rows, m, keep, bound, s_max, declared):
     """Yield (r', k, |k|) for the points of the range rs in ascending (r', k),
     filling rs.kept, rs.witnesses and rs.zero on the way.
 
@@ -234,7 +227,7 @@ def _walk(rs, tvec, m, keep, bound, s_max, declared):
     least = math.inf  # least |k| seen
     zero = (math.inf, None)  # the least exact zero as (|k|, k)
     kept, wit = rs.kept, rs.witnesses
-    for rp, k in range_points(tvec, m, rs.lo, rs.hi):
+    for rp, k in range_points(rows, m, rs.lo, rs.hi):
         if rp > stop and rp > bound and len(kept) >= keep:
             return
         if rp == 0:

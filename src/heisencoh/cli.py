@@ -35,6 +35,13 @@ def _parse_vector(text: str, prec: int):
     return [PrecisionReal.parse(tok, prec) for tok in text.split(",") if tok.strip()]
 
 
+def _parse_floats(text: str, flag: str):
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ParseError(f"{flag} expects comma-separated numbers, got {text!r}") from None
+
+
 def _emit_json(obj, out):
     out.write(json.dumps(obj, sort_keys=True, indent=2))
     out.write("\n")
@@ -145,7 +152,7 @@ def _cmd_classify(args, out, err):
     tvec = _parse_vector(args.vector, args.prec)
     if not tvec:
         raise DomainError("--vector is empty")
-    s_grid = [float(s) for s in args.s_grid.split(",") if s.strip()]
+    s_grid = _parse_floats(args.s_grid, "--s-grid")
     report = diophantine_mod.classify(tvec, args.kmax, s_grid)
     if args.format == "json":
         _emit_json(report.to_dict(), out)
@@ -200,11 +207,7 @@ def _cmd_solve(args, out, err):
         truncation_radius=args.truncation_radius,
     )
     sol = coboundary_mod.solve(problem, grid_size=args.grid_size)
-    alphas = (
-        [float(a) for a in args.alpha_list.split(",") if a.strip()]
-        if args.alpha_list
-        else []
-    )
+    alphas = _parse_floats(args.alpha_list, "--alpha-list")
     if alphas:
         rows, _ = coboundary_mod.sobolev_loss(sol, g, alphas)
         sol.norms = rows

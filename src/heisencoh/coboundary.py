@@ -242,6 +242,8 @@ def sobolev_loss(sol: CoboundarySolution, g: CoefficientField, alphas,
     |f_k| C <= |g_k| |k|^s is checked (up to floating roundoff) for every k
     inside the scanned range; without evidence the table is emitted alone.
     """
+    if not all(map(math.isfinite, alphas)):
+        raise DomainError("alpha must be finite")
     f = sol.f
     shift = evidence[1] if evidence else 0.0
     if f.dim == 1:

@@ -9,10 +9,9 @@ finite scan, never proof.
 
 ``classify`` and ``divisor_table`` (behind ``solve``) take the phase <k, t>
 on one exact integer grid, ``_phase_grid``: <k, U> mod L, t_i = U_i / L for
-the stored values.  Scans walk it in every rank by rank-1 lines along k_1 and
-the three-distance theorem (see ``_scan``); every decision is taken on exact
-integers or on deterministic high-precision evaluations of them, so reports
-are reproducible bit for bit.
+the stored values.  Scans enumerate it in every rank as a lattice (see
+``_scan``); every decision is taken on exact integers or on deterministic
+high-precision evaluations of them, so reports are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -417,6 +416,8 @@ def classify(
     s_grid = sorted({float(s) for s in s_grid})
     if not s_grid:
         raise DomainError("s_grid must be nonempty")
+    if not all(map(math.isfinite, s_grid)):
+        raise DomainError("s values must be finite")
     if s_grid[0] < 0.5:
         raise DomainError("s values below 1/2 carry no approximation content")
     s_max = s_grid[-1]

@@ -131,8 +131,8 @@ def sobolev_norm(f, alpha) -> float:
 def sobolev_norms(f, alphas) -> list[float]:
     """``sobolev_norm(f, alpha)`` for each alpha, with f_hat evaluated once
     at the quadrature nodes; each value is the same float."""
-    if any(alpha < 0 for alpha in alphas):
-        raise DomainError("alpha must be nonnegative")
+    if not all(0 <= alpha < math.inf for alpha in alphas):
+        raise DomainError("alpha must be finite and nonnegative")
     f = _as_field1(f)
     if len(f) == 0:
         return [0.0 for _ in alphas]

@@ -163,6 +163,23 @@ def test_sobolev(tmp_path):
     assert abs(json.loads(r.stdout)["norm"] - 2.3550964076806551) < 1e-10
 
 
+@pytest.mark.parametrize("s_grid", ["abc", "1,x", "nan", "inf"])
+def test_classify_s_grid_that_is_no_finite_number(s_grid):
+    r = run_cli("classify", "--vector", "golden", "--kmax", "10", "--s-grid", s_grid)
+    assert r.returncode == 3
+    assert r.stderr.startswith("error[") and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("alphas", ["x", "0,x", "nan", "0,inf"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_solve_alpha_list_that_is_no_finite_number(tmp_path, alphas, dim):
+    g = tmp_path / "g.coef"
+    g.write_text(f"dim={dim}\n{'1 ' * dim}1 0\n", encoding="utf-8")
+    r = run_cli("solve", "--g", str(g), "--u", ",".join(["1/4"] * dim), "--alpha-list", alphas)
+    assert r.returncode == 3
+    assert r.stderr.startswith("error[") and "Traceback" not in r.stderr
+
+
 def test_sobolev_missing_file(tmp_path):
     r = run_cli("sobolev", "--f", str(tmp_path / "nope.coef"), "--alpha", "0")
     assert r.returncode == 3

@@ -305,6 +305,9 @@ def test_classify_validation():
         classify(Fraction(1, 3), 10, s_grid=[])
     with pytest.raises(DomainError):
         classify(Fraction(1, 3), 10, s_grid=[0.1])
+    for s in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            classify(Fraction(1, 3), 10, s_grid=[1.0, s])
 
 
 def test_fan_member_examples():
@@ -733,8 +736,9 @@ def _exact_levels(rp, modulus, norm, s_grid, n):
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_golden_witnesses_are_the_points_above_the_rank(name):
     # every printed witness has exactly the levels above n it meets and is
-    # significant where |k| reaches the floor; up to K = 10^5, a pass over
-    # every k finds no other point with such a level
+    # significant where |k| reaches the floor; where the box |k| <= K holds
+    # at most 2 10^5 + 1 points (K = 10^5 in rank 1), a pass over every k
+    # finds no other point with such a level
     tvec, kmax, s_grid = _golden_input(name)
     n = len(tvec)
     stored = [_stored(c) for c in tvec]
@@ -752,7 +756,7 @@ def test_golden_witnesses_are_the_points_above_the_rank(name):
         assert rp > 0 and levels == want, k
         assert dist == pytest.approx(rp / modulus, rel=1e-15)
         assert significant == tuple(s for s in levels if max(map(abs, k)) >= _significance_floor(s, n))
-    if kmax > 10**5:
+    if (2 * kmax + 1) ** n > 2 * 10**5 + 1:
         return
     every = []
     for k in itertools.product(range(-kmax, kmax + 1), repeat=n):

@@ -188,8 +188,9 @@ def test_sobolev_fft_values_match_direct_sum_at_every_node():
 
 
 def test_sobolev_rejects_negative_alpha():
-    with pytest.raises(DomainError):
-        sobolev_norm(CoefficientField(1, {(0,): 1.0}), -0.5)
+    for alpha in (-0.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            sobolev_norm(CoefficientField(1, {(0,): 1.0}), alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ cases cover irrationals, named constants, exact rationals (with and without a
 denominator inside the scan), a 256-bit input and a fractional level.  The
 rank-2 cases are exact (`1/3,2/7`), mixed (`golden,1/3`) and algebraic
 (`golden,sqrt2`); their minima, argmins, zeros and point counts were checked
-against a brute-force scan of every k when they were generated.
+against a brute-force scan of every k when they were generated.  The
+algebraic `golden,sqrt2` at K = 10^5 and `golden,sqrt2,sqrt3` at K = 300 are
+beyond such a scan; they were generated by the rank-1 line walk that the
+lattice scan replaced, an independent implementation of the same stream.
 
 The `solve` cases read the seeded coefficient files `solve_g_*.txt` (c_k =
 (x + iy) / (1 + |k|) with x, y standard normal from Python's `random`; the
@@ -46,6 +49,8 @@ CORPUS = {
     "classify_1_3_2_7_k100.txt": "--vector 1/3,2/7 --kmax 100",
     "classify_golden_1_3_k100.txt": "--vector golden,1/3 --kmax 100",
     "classify_golden_sqrt2_k100.txt": "--vector golden,sqrt2 --kmax 100",
+    "classify_golden_sqrt2_k1e5.txt": "--vector golden,sqrt2 --kmax 100000",
+    "classify_golden_sqrt2_sqrt3_k300.txt": "--vector golden,sqrt2,sqrt3 --kmax 300",
 }
 
 

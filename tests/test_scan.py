@@ -1,20 +1,25 @@
-"""The three-distance enumerator against a walk over every k.
+"""The lattice enumerator against a list of every k.
 
-``walk`` is the reference: it steps x_k = k t + offset mod m one k at a
-time, in O(hi - lo), and keeps the points the scan must find.  An exact
-rational p/q is put on an exact grid, m = q 2^E and t = p 2^E, so it keeps
-its period q as on the grid of ``diophantine._phase_grid``.
+``every_k`` is the reference of ``range_points``: every canonical k of a
+range, sorted.  ``walk`` is the reference of ``scan_unit`` in rank 1: it
+steps x_k = k t + offset mod m one k at a time, in O(hi - lo), and keeps the
+points the scan must find.  An exact rational p/q is put on an exact grid,
+m = q 2^E and t = p 2^E, as on the grid of ``diophantine._phase_grid``.
 """
 
+import itertools
 import math
+import operator
 import random
+import tracemalloc
 from bisect import insort
 
 import mpmath
 import pytest
 
-from heisencoh import _scan
+from heisencoh import _scan, diophantine
 from heisencoh.errors import PrecisionError
+from heisencoh.precision import PrecisionReal
 
 M192 = 1 << 192
 
@@ -53,114 +58,152 @@ def walk(t, m, lo, hi, keep, witness_bound, offset=0, skip=None):
     return kept, witnesses, zeros, sorted(pts)
 
 
-def check_points(t, m, lo, hi, offset=0):
-    _, _, zeros, pts = walk(t, m, lo, hi, 1, 0, offset)
-    assert list(_scan.points(t, m, lo, hi, offset)) == pts
-    return zeros
+def every_k(U, m, lo, hi):
+    """Every (r', k) of a range, sorted: the canonical k in Z^n (first nonzero
+    component > 0) with lo <= |k| < hi, x = <k, U> mod m, r' = min(x, m - x)."""
+    n = len(U)
+    pts = []
+    for k in itertools.product(range(hi), *[range(1 - hi, hi)] * (n - 1)):
+        if k > (0,) * n and max(map(abs, k)) >= lo:
+            x = sum(map(operator.mul, k, U)) % m
+            pts.append((min(x, m - x), k))
+    return sorted(pts)
+
+
+def check_range(U, m, lo, hi, limit=None):
+    """range_points against every_k, whole or its first `limit` points; the
+    zeros of the range."""
+    got = list(itertools.islice(_scan.range_points(_scan.lattice(U, m), m, lo, hi), limit))
+    want = every_k(U, m, lo, hi)
+    assert got == want[:limit]
+    return [k for rp, k in want if rp == 0]
+
+
+def random_range(rnd, n):
+    """(lo, hi) with hi <= 2 lo about half the time, small enough for every_k."""
+    lo = rnd.randint(1, (3000, 30, 6, 3)[n - 1])
+    return lo, lo + rnd.choice([1, rnd.randint(1, lo), lo])
 
 
 def test_points_random_192_bit():
     rnd = random.Random(7)
-    for _ in range(300):
-        lo = rnd.randint(-300, 500)
-        hi = lo + rnd.randint(1, 2000)
-        offset = rnd.choice([0, rnd.getrandbits(192), rnd.getrandbits(40)])
-        check_points(rnd.getrandbits(192), M192, lo, hi, offset)
+    for _ in range(100):
+        n = rnd.randint(1, 3)
+        check_range([rnd.getrandbits(192) for _ in range(n)], M192, *random_range(rnd, n), 1500)
 
 
 def test_points_dyadic_zeros_and_periods():
-    # t = M/8: period 8, residues cycle through 0 at every multiple of 8
-    assert _scan.period(M192 // 8, M192) == 8
-    assert check_points(M192 // 8, M192, 1, 64) == [8, 16, 24, 32, 40, 48, 56]
-    assert check_points(M192 // 8, M192, 1, 64, M192 // 16) == []
-    assert check_points(M192 // 8, M192, 1, 64, 3 * M192 // 8) == [5, 13, 21, 29, 37, 45, 53, 61]
+    # t = M/8: the multiples of 8 are exact zeros
+    assert check_range([M192 // 8], M192, 1, 64) == [(k,) for k in range(8, 64, 8)]
+    assert check_range([0], M192, 3, 7) == [(3,), (4,), (5,), (6,)]
+    assert check_range([M192 // 8, M192 // 16], M192, 1, 3) == [(1, -2)]
+    assert check_range([3 * M192 // 8, M192 // 2], M192, 1, 9) == [
+        (k1, k2) for k1 in range(9) for k2 in range(-8, 9)
+        if (k1, k2) > (0, 0) and (3 * k1 + 4 * k2) % 8 == 0
+    ]
     for t in (M192 // 2, 3 * M192 // 8, M192 - M192 // 8, 5 * M192 // 64, 0):
-        for lo, hi in ((1, 2), (1, 3), (5, 9), (3, 200), (64, 128), (100, 1000), (-40, 30)):
-            for offset in (0, 1, M192 // 8, M192 // 2 + 7, M192 - 1):
-                check_points(t, M192, lo, hi, offset)
-    assert _scan.period(0, M192) == 1
-    assert check_points(0, M192, 3, 7) == [3, 4, 5, 6]
-    assert check_points(0, M192, 3, 7, 5) == []
+        for lo, hi in ((1, 2), (1, 3), (5, 9), (3, 200), (64, 128), (100, 1000)):
+            check_range([t], M192, lo, hi)
+        for c in (0, 1, M192 // 8, M192 // 2 + 7, M192 - 1):
+            for lo, hi in ((1, 2), (1, 3), (5, 9), (16, 32)):
+                check_range([t, c], M192, lo, hi)
 
 
 def test_points_near_rationals_with_offsets():
-    # p/q rounded to 2^-192 (long runs of tiny r'), and exactly on its grid
-    # (period q: one walk of q residues stands for every k)
+    # p/q rounded to 2^-192 (long runs of tiny r'), exactly on its grid (the
+    # multiples of q are the zeros), and with a second component on the same
+    # grid, exact or not (mixed vectors)
     rnd = random.Random(3)
     for p, q in ((355, 113), (22, 7), (1, 3), (2, 5), (520001, 10**6), (1, 1009)):
         t, m = exact_grid(p, q)
-        assert _scan.period(t, m) == q
         near = round(p * M192 / q) % M192
-        for lo, hi in ((1, 2), (1, 300), (64, 128), (1024, 2048), (4096, 6000), (-200, 200)):
-            check_points(near, M192, lo, hi)
-            check_points(near, M192, lo, hi, round(rnd.randrange(q) * M192 / q) % M192)
-            check_points(near, M192, lo, hi, rnd.getrandbits(192))
-            assert check_points(t, m, lo, hi) == [k for k in range(lo, hi) if k % q == 0]
-            check_points(t, m, lo, hi, rnd.randrange(q) * (m // q))
-            check_points(t, m, lo, hi, rnd.randrange(m))
+        for lo, hi in ((1, 2), (1, 300), (64, 128), (1024, 2048), (4096, 6000)):
+            check_range([near], M192, lo, hi)
+            assert check_range([t], m, lo, hi) == [(k,) for k in range(lo, hi) if k % q == 0]
+        for lo, hi in ((1, 2), (3, 5), (16, 32), (40, 50)):
+            check_range([near, round(rnd.randrange(q) * M192 / q) % M192], M192, lo, hi)
+            check_range([near, rnd.getrandbits(192)], M192, lo, hi)
+            check_range([t, rnd.randrange(q) * (m // q)], m, lo, hi)
+            check_range([rnd.randrange(m), t], m, lo, hi)
 
 
 def test_points_single_point_ranges():
     rnd = random.Random(5)
     for _ in range(100):
-        t, offset = rnd.getrandbits(192), rnd.choice([0, rnd.getrandbits(192)])
-        k = rnd.randint(-10**12, 10**12)
-        x = (k * t + offset) % M192
-        assert list(_scan.points(t, M192, k, k + 1, offset)) == [(min(x, M192 - x), k)]
-    check_points(M192 // 4, M192, 4, 5)
-    check_points(M192 // 4, M192, 4, 5, M192 // 4)
+        t = rnd.getrandbits(192)
+        k = rnd.randint(1, 10**12)
+        x = k * t % M192
+        got = list(_scan.range_points(_scan.lattice([t], M192), M192, k, k + 1))
+        assert got == [(min(x, M192 - x), (k,))]
+    check_range([M192 // 4], M192, 4, 5)
+    # rank n: hi = lo + 1 is the one shell |k| = lo
+    for n, lo in ((2, 1), (2, 17), (3, 1), (3, 6), (4, 3)):
+        check_range([rnd.getrandbits(192) for _ in range(n)], M192, lo, lo + 1)
+        check_range([M192 // 4] * n, M192, lo, lo + 1)
 
 
 @pytest.mark.parametrize("bits", [8, 13, 64, 193, 320, 512])
 def test_points_other_moduli(bits):
     rnd = random.Random(bits)
-    for _ in range(50):
-        lo = rnd.randint(-100, 300)
-        hi = lo + rnd.randint(1, 1500)
-        t = rnd.getrandbits(bits)
-        if rnd.random() < 0.3:
-            j = rnd.randint(max(0, bits - 12), bits)
-            t = (t >> j) << j  # period 2**(bits - j) at most
-        offset = rnd.choice([0, rnd.getrandbits(bits)])
-        check_points(t % (1 << bits), 1 << bits, lo, hi, offset)
+    for _ in range(20):
+        n = rnd.randint(1, 3)
+        tvec = []
+        for _ in range(n):
+            t = rnd.getrandbits(bits)
+            if rnd.random() < 0.3:
+                j = rnd.randint(max(0, bits - 12), bits)
+                t = (t >> j) << j  # period 2**(bits - j) at most
+            tvec.append(t)
+        check_range(tvec, 1 << bits, *random_range(rnd, n), 1500)
 
 
 @pytest.mark.parametrize("m", [2, 3, 7, 113, 21 << 187, 3**121, 10**6 << 172, 2**192 + 1])
 def test_points_moduli_not_powers_of_two(m):
     rnd = random.Random(m)
-    for _ in range(50):
-        lo = rnd.randint(-100, 300)
-        hi = lo + rnd.randint(1, 1500)
-        t = rnd.randrange(m)
-        if rnd.random() < 0.3:
-            t -= t % (m // math.gcd(m, rnd.choice([2, 3, 5, 7, 21, 113, 1000])))
-        check_points(t, m, lo, hi, rnd.choice([0, rnd.randrange(m)]))
+    for _ in range(20):
+        n = rnd.randint(1, 3)
+        tvec = []
+        for _ in range(n):
+            t = rnd.randrange(m)
+            if rnd.random() < 0.3:
+                t -= t % (m // math.gcd(m, rnd.choice([2, 3, 5, 7, 21, 113, 1000])))
+            tvec.append(t)
+        check_range(tvec, m, *random_range(rnd, n), 1500)
 
 
-def test_rise_min_matches_every_j():
-    # the Euclid descent against a scan of every j, distinct residues only
-    rnd = random.Random(17)
-    for _ in range(3000):
-        m = rnd.choice([rnd.randint(2, 2000), 1 << rnd.randint(1, 64), rnd.getrandbits(192) | 1])
-        s, c = rnd.randrange(m), rnd.randrange(m)
-        n = rnd.randint(1, min(m // math.gcd(s, m), 3000))
-        xs = [(c + s * j) % m for j in range(n)]
-        assert _scan._rise_min(s, c, m, n) == (xs.index(min(xs)), min(xs))
+@pytest.mark.parametrize("m", [1, 2, 4, 6])
+def test_points_small_moduli(m):
+    # every point sits at one of m // 2 + 1 distances: long runs of ties
+    rnd = random.Random(m)
+    for n, kmax in ((1, 300), (2, 40), (3, 12), (4, 5)):
+        for _ in range(3):
+            tvec = [rnd.randrange(m) for _ in range(n)]
+            for lo, hi in _scan.dyadic_ranges(kmax):
+                check_range(tvec, m, lo, hi)
 
 
-def test_extremes_match_every_j():
-    # (a, x_a, b, m - x_b): the least and the largest of j t mod m over
-    # 1 <= j < n, against a scan of every j, distinct residues only
-    rnd = random.Random(19)
-    for _ in range(3000):
-        m = rnd.choice([rnd.randint(2, 2000), 1 << rnd.randint(1, 64), rnd.getrandbits(192) | 1])
-        t = rnd.randrange(1, m)
-        n = rnd.randint(2, min(m // math.gcd(t, m), 3000))
-        xs = [j * t % m for j in range(n)]
-        top = max(xs[1:])
-        assert _scan._extremes(t, m, n) == (
-            xs.index(min(xs[1:])), min(xs[1:]), xs.index(top), m - top
-        )
+def test_points_prefixes_of_large_ranges():
+    # the first points of ranges far larger than what a walk reads
+    rnd = random.Random(23)
+    for n, lo, limit in ((1, 2**14, 5000), (2, 48, 3000), (3, 10, 2000), (4, 4, 2000)):
+        for m in (M192, 3 << 150):
+            check_range([rnd.randrange(m) for _ in range(n)], m, lo, 2 * lo, limit)
+        t, m = exact_grid(355, 113)
+        check_range([t] + [rnd.randrange(m) for _ in range(n - 1)], m, lo, 2 * lo, limit)
+
+
+def test_rank3_scan_memory_is_bounded():
+    # a shell holds a few runs of points; one walker per line along k_1 held
+    # about 45 MiB here
+    tvec = [PrecisionReal.parse(c, 128) for c in ("golden", "sqrt2", "sqrt3")]
+    diophantine.classify(tvec, 10)
+    tracemalloc.start()
+    try:
+        diophantine.classify(tvec, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_scan_unit_matches_walk():
