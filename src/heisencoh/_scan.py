@@ -27,7 +27,6 @@ import heapq
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from .errors import PrecisionError
 
@@ -35,15 +34,19 @@ from .errors import PrecisionError
 PI_NUM, PI_DEN = 314159265358979323847, 10**20
 
 
-@dataclass
 class RangeScan:
-    lo: int
-    hi: int            # exclusive
-    n_scanned: int     # points of the range that are not exact zeros
-    kept: list         # [(r', k)] ascending by (r', k)
-    witnesses: list    # [(k, r', |k|)] ascending by (|k|, k)
-    frontier: list     # [(r', k, |k|)], see collect_below
-    zero: tuple | None  # the least exact zero, by (|k|, k)
+    """What the walk of one dyadic range lo <= |k| < hi found."""
+
+    __slots__ = ("lo", "hi", "n_scanned", "kept", "witnesses", "frontier", "zero")
+
+    def __init__(self, lo, hi, n_scanned, kept, witnesses, frontier, zero):
+        self.lo = lo
+        self.hi = hi                # exclusive
+        self.n_scanned = n_scanned  # points of the range that are not exact zeros
+        self.kept = kept            # [(r', k)] ascending by (r', k)
+        self.witnesses = witnesses  # [(k, r', |k|)] ascending by (|k|, k)
+        self.frontier = frontier    # [(r', k, |k|)], see collect_below
+        self.zero = zero            # the least exact zero, by (|k|, k), or None
 
 
 def dyadic_ranges(kmax):

@@ -8,19 +8,12 @@ codes: 0 ok, 2 usage, 3 domain/parse error, 4 precision error.
 from __future__ import annotations
 
 import argparse
-import io
-import json
 import sys
-from fractions import Fraction
 
-# coboundary, fourier and representations load numpy: the handlers that need
-# them import them, so the other commands start without numpy.
-from . import cohomology as cohomology_mod
-from . import diophantine as diophantine_mod
-from . import heisenberg as heis
+# Each handler imports the modules it needs, so a command loads only its
+# own: classify, group, fan and cohomology start without numpy or mpmath.
 from .coefficients import read_coefficients, write_coefficients
 from .errors import DomainError, HeisencohError, ParseError, PrecisionError
-from .precision import PrecisionReal
 
 
 def _fmt(x: float) -> str:
@@ -32,6 +25,8 @@ def _fmt_k(k) -> str:
 
 
 def _parse_vector(text: str, prec: int):
+    from .precision import PrecisionReal
+
     return [PrecisionReal.parse(tok, prec) for tok in text.split(",") if tok.strip()]
 
 
@@ -43,6 +38,8 @@ def _parse_floats(text: str, flag: str):
 
 
 def _emit_json(obj, out):
+    import json
+
     out.write(json.dumps(obj, sort_keys=True, indent=2))
     out.write("\n")
 
@@ -52,6 +49,8 @@ def _emit_json(obj, out):
 
 
 def _cmd_group(args, out, err):
+    from . import heisenberg as heis
+
     lines = [ln for ln in sys.stdin.read().splitlines() if ln.strip()]
     binary = args.op in ("mul", "comm", "conj")
     if binary and len(lines) % 2:
@@ -84,6 +83,8 @@ def _cmd_group(args, out, err):
 
 
 def _irrep_params(args):
+    from fractions import Fraction
+
     from . import representations as reps
 
     try:
@@ -149,11 +150,13 @@ def _cmd_rep_matrix(args, out, err):
 
 
 def _cmd_classify(args, out, err):
+    from . import diophantine
+
     tvec = _parse_vector(args.vector, args.prec)
     if not tvec:
         raise DomainError("--vector is empty")
     s_grid = _parse_floats(args.s_grid, "--s-grid")
-    report = diophantine_mod.classify(tvec, args.kmax, s_grid)
+    report = diophantine.classify(tvec, args.kmax, s_grid)
     if args.format == "json":
         _emit_json(report.to_dict(), out)
         return 0
@@ -195,6 +198,8 @@ def _cmd_classify(args, out, err):
 
 
 def _cmd_solve(args, out, err):
+    import io
+
     from . import coboundary as coboundary_mod
 
     with open(args.g, encoding="utf-8") as fh:
@@ -264,7 +269,9 @@ def _cmd_solve(args, out, err):
 
 
 def _cmd_fan(args, out, err):
-    member = diophantine_mod.fan_member(args.lam, args.xi, args.n)
+    from .diophantine import fan_member
+
+    member = fan_member(args.lam, args.xi, args.n)
     if args.format == "json":
         _emit_json(
             {"lambda": args.lam, "xi": args.xi, "n": args.n, "member": member}, out
@@ -290,6 +297,8 @@ def _cmd_sobolev(args, out, err):
 
 
 def _cmd_cohomology(args, out, err):
+    from . import cohomology as cohomology_mod
+
     if args.k is not None and args.k < 0:
         raise DomainError("k must be nonnegative")
     table = cohomology_mod.cohomology_table(args.n)

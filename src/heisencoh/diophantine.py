@@ -12,29 +12,36 @@ on one exact integer grid, ``_phase_grid``: <k, U> mod L, t_i = U_i / L for
 the stored values.  Scans enumerate it in every rank as a lattice (see
 ``_scan``); every decision is taken on exact integers or on deterministic
 high-precision evaluations of them, so reports are reproducible bit for bit.
+``classify`` evaluates its divisors, weights and exponents at 100 bits on
+integers (``_bigfloat``); only ``solve``'s 80-bit divisors and the
+inexact ``phase_distance`` load mpmath.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-import mpmath
-from mpmath.libmp import (
-    from_rational, mpf_cos_sin, mpf_mul, mpf_pi, mpf_shift, round_nearest, to_float,
-)
-
+from . import _bigfloat as bf
 from . import _scan
 from .errors import DomainError, PrecisionError
-from .precision import PrecisionReal, mp_prec
+from .precision import PrecisionReal
 
-# working bits of every divisor 1 - exp(2 pi i <k, t>)
+# working bits of every divisor 1 - exp(2 pi i <k, t>) in solve
 _DIVISOR_PREC = 80
+
+# working bits of classify's divisors, weights, witness bounds and exponents
+_CLASSIFY_PREC = 100
+_PI = bf.pi(_CLASSIFY_PREC)
+
+# the largest level s: beyond it |k|^s overflows a double for every |k| >= 2
+MAX_LEVEL = 1024
 
 # relative tolerance 2**-20 on witness inequalities: wide enough to absorb
 # the inputs' own rounding, far too narrow to admit spurious witnesses
 WITNESS_TOL_BITS = 20
+_TOLERANCE = bf.from_float(1 + 2.0**-WITNESS_TOL_BITS)
 
 # witnesses with a level retained per range, lowest (|k|, k) first; guards
 # against degenerate near-resonant inputs flooding the report
@@ -65,14 +72,14 @@ def _phase_grid(tvec):
         if c.exact_value:
             den = math.lcm(den, c.fraction.denominator)
         else:
-            shift = max(shift, -c.approx.man_exp[1])
+            shift = max(shift, -c.man_exp[1])
     modulus = den << shift
     scaled = []
     for c in tvec:
         if c.exact_value:
             scaled.append(c.fraction.numerator * (modulus // c.fraction.denominator))
         else:
-            man, exp = c.approx.man_exp
+            man, exp = c.man_exp
             scaled.append((man * den) << (exp + shift))
     return scaled, modulus
 
@@ -88,9 +95,15 @@ def divisor_table(t, keys):
     rounded to 80 bits and sign +1 when frac(<k, t>) <= 1/2, -1 otherwise.
     The trigonometric part depends on r alone, so it is evaluated once per
     distinct r (k and -k share it) and each k takes only its own sign.
-    The arithmetic is mpmath's, called at fixed precision without touching
-    its global context.  Keys must be integer tuples of the length of t.
+    These 80-bit steps are mpmath's low-level functions, called at fixed
+    precision so they leave its global context alone; ``classify`` takes its
+    100-bit divisors from ``_divisor`` on integers instead.  Keys must be
+    integer tuples of the length of t.
     """
+    from mpmath.libmp import (
+        from_rational, mpf_cos_sin, mpf_mul, mpf_pi, mpf_shift, round_nearest, to_float,
+    )
+
     scaled, modulus = _phase_grid(_coerce_vector(t))
     prec, rnd = _DIVISOR_PREC, round_nearest
     pi = mpf_pi(prec, rnd)
@@ -157,6 +170,11 @@ def phase_distance(t, k):
     r = min(phase, modulus - phase)
     if all(c.exact_value for c in tvec):
         return Fraction(r, modulus), sign
+    import mpmath
+    from mpmath.libmp import from_rational, round_nearest
+
+    from .precision import mp_prec
+
     prec = max((c.prec or 64) for c in tvec) + max(abs(v) for v in k).bit_length() + 16
     with mp_prec(prec):
         return mpmath.mpf(from_rational(r, modulus, prec, round_nearest)), sign
@@ -179,15 +197,12 @@ def small_divisor(t, k) -> float:
 # classification report types
 
 
-@dataclass(frozen=True)
-class DivisorRecord:
-    k: tuple
-    divisor: float
-    normk: int
+DivisorRecord = namedtuple("DivisorRecord", "k divisor normk")
 
 
-@dataclass(frozen=True)
-class WitnessRecord:
+class WitnessRecord(namedtuple(
+    "WitnessRecord", "k normk dist divisor exponent levels significant", defaults=((),)
+)):
     """A frequency beating the power-law bound at the listed levels, which
     are the levels above the rank n that it meets.
 
@@ -197,38 +212,21 @@ class WitnessRecord:
     dist <= |k|^-s by chance alone too often to count as evidence).
     """
 
-    k: tuple
-    normk: int
-    dist: float
-    divisor: float
-    exponent: float
-    levels: tuple
-    significant: tuple = ()
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SLevelRow:
-    s: float
-    c: float
-    argmin_k: tuple
-    shell_min: float
-    shell_max: float
-    evidence: bool
+SLevelRow = namedtuple("SLevelRow", "s c argmin_k shell_min shell_max evidence")
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    verdict: str  # Rational | DiophantineEvidence | LiouvilleEvidence | Inconclusive
-    dim: int
-    kmax: int
-    precision_bits: int | None  # None for fully exact input
-    points_scanned: int
-    s_table: tuple
-    witnesses: tuple
-    records: tuple
-    rational_k: tuple | None
-    diophantine_s: float | None
-    diophantine_c: float | None
+class ClassificationReport(namedtuple("ClassificationReport", (
+    "verdict dim kmax precision_bits points_scanned s_table witnesses records "
+    "rational_k diophantine_s diophantine_c"
+))):
+    """What ``classify`` found.  verdict is Rational, DiophantineEvidence,
+    LiouvilleEvidence or Inconclusive; precision_bits is None for fully
+    exact input."""
+
+    __slots__ = ()
 
     @property
     def min_divisor(self):
@@ -321,12 +319,12 @@ def _level_bound(modulus, norm, s):
     """The largest r' with r' / modulus <= norm**-s (1 + 2**-WITNESS_TOL_BITS).
 
     Exact on integers for an integer s; otherwise norm**-s (1 + 2**-20) is
-    evaluated once at 100 bits and its product with modulus floored exactly.
+    evaluated once at 100 bits (two roundings: the power, the product) and
+    its product with modulus floored exactly.
     """
     if float(s).is_integer():
         return (modulus + (modulus >> WITNESS_TOL_BITS)) // norm ** int(s)
-    with mp_prec(100):
-        man, exp = (mpmath.power(norm, -s) * (1 + 2.0**-WITNESS_TOL_BITS)).man_exp
+    man, exp = bf.mul(bf.power(norm, -s, _CLASSIFY_PREC), _TOLERANCE, _CLASSIFY_PREC)
     return modulus * man >> -exp if exp < 0 else modulus * man << exp
 
 
@@ -365,24 +363,43 @@ def _scan_general(tvec, kmax, keep, s_grid, prec_bits):
 
 
 def _divisor(rp, modulus):
-    """(d, 2 sin(pi d)) for the folded distance d = rp / modulus, at the
-    working precision: every caller holds mp_prec(100)."""
-    d = mpmath.mpf(rp) / modulus
-    return d, 2 * mpmath.sin(mpmath.pi * d)
+    """(d, 2 sin(pi d)) at 100 bits for the folded distance d = rp / modulus,
+    as (man, exp) pairs.  Each step is rounded at 100 bits: rp, its quotient
+    by modulus, the product with pi, the sine (the doubling is exact)."""
+    prec = _CLASSIFY_PREC
+    d = bf.div(bf.normalize(rp, 0, prec), (modulus, 0), prec)
+    man, exp = bf.sin(bf.mul(_PI, d, prec), prec)
+    return d, (man, exp + 1)
 
 
 def _weighted(rp, normk, s, modulus):
     """|k|^s * divisor at 100 bits, for the folded distance rp / modulus."""
-    with mp_prec(100):
-        return mpmath.power(normk, s) * _divisor(rp, modulus)[1]
+    prec = _CLASSIFY_PREC
+    return bf.mul(bf.power(normk, s, prec), _divisor(rp, modulus)[1], prec)
+
+
+def _exponent(d, normk):
+    """1 - log d / log |k| at 100 bits (each log, the quotient and the
+    difference rounded), for the 100-bit distance d of ``_divisor``."""
+    prec = _CLASSIFY_PREC
+    ratio = bf.div(bf.log(d, prec), bf.log((normk, 0), prec), prec)
+    return bf.sub((1, 0), ratio, prec)
 
 
 def _refine_range_minimum(rng, s, modulus):
     """The least 100-bit |k|^s * divisor over the range's frontier
-    (``_scan.collect_below``), which holds every range minimum, with its k;
-    of equal values the smaller |k| wins."""
-    u, _, k = min((_weighted(rp, norm, s, modulus), norm, k) for rp, k, norm in rng.frontier)
+    (``_scan.collect_below``), which holds every range minimum, as an exact
+    Fraction with its k; of equal values the smaller |k| wins."""
+    u, _, k = min(
+        (bf.fraction(_weighted(rp, norm, s, modulus)), norm, k) for rp, k, norm in rng.frontier
+    )
     return u, k
+
+
+def _float(u):
+    """float() of a Fraction u with a power-of-two denominator, rounded as
+    ``_bigfloat.to_float`` rounds."""
+    return bf.to_float((u.numerator, 1 - u.denominator.bit_length()))
 
 
 def classify(
@@ -420,6 +437,11 @@ def classify(
         raise DomainError("s values must be finite")
     if s_grid[0] < 0.5:
         raise DomainError("s values below 1/2 carry no approximation content")
+    if s_grid[-1] > MAX_LEVEL:
+        raise DomainError(
+            f"s values above {MAX_LEVEL} are out of range: |k|^s overflows a double "
+            "for every |k| >= 2"
+        )
     s_max = s_grid[-1]
 
     prec_bits = _declared(tvec)[1]
@@ -439,56 +461,54 @@ def classify(
             s_table.append(SLevelRow(s, math.inf, (), math.inf, math.inf, False))
             continue
         c_val, c_k = min(shell, key=lambda p: (p[0], p[1]))
-        mins = [float(u) for u, _ in shell]
+        mins = [_float(u) for u, _ in shell]
         evidence = (
             len(shell) >= 2
             and min(mins) > 0.0
             and min(mins) >= DIO_RATIO * max(mins)
         )
         s_table.append(
-            SLevelRow(s, float(c_val), c_k, min(mins), max(mins), evidence)
+            SLevelRow(s, _float(c_val), c_k, min(mins), max(mins), evidence)
         )
         if evidence and dio_s is None:
-            dio_s, dio_c = s, float(c_val)
+            dio_s, dio_c = s, _float(c_val)
 
     # witness refinement on exact integers: the first WITNESS_CAP candidates
     # of each range, in (|k|, k) order, that carry a level above n (|k| = 1
     # would make every bound dist <= |k|^-s trivial)
     wit_records = []
     floors = {s: _significance_floor(s, n) for s in s_grid if s > n}
-    with mp_prec(100):
-        for rng in ranges:
-            kept = 0
-            for kvec, rp, normk in rng.witnesses:
-                if kept == WITNESS_CAP:
-                    break
-                levels = tuple(
-                    s for s in floors
-                    if normk >= 2 and rp <= _level_bound(modulus, normk, s)
+    for rng in ranges:
+        kept = 0
+        for kvec, rp, normk in rng.witnesses:
+            if kept == WITNESS_CAP:
+                break
+            levels = tuple(
+                s for s in floors
+                if normk >= 2 and rp <= _level_bound(modulus, normk, s)
+            )
+            if not levels:
+                continue
+            kept += 1
+            d, div = _divisor(rp, modulus)
+            wit_records.append(
+                WitnessRecord(
+                    k=kvec,
+                    normk=normk,
+                    dist=bf.to_float(d),
+                    divisor=bf.to_float(div),
+                    exponent=bf.to_float(_exponent(d, normk)),
+                    levels=levels,
+                    significant=tuple(s for s in levels if normk >= floors[s]),
                 )
-                if not levels:
-                    continue
-                kept += 1
-                d, div = _divisor(rp, modulus)
-                wit_records.append(
-                    WitnessRecord(
-                        k=kvec,
-                        normk=normk,
-                        dist=float(d),
-                        divisor=float(div),
-                        exponent=float(1 - mpmath.log(d) / mpmath.log(normk)),
-                        levels=levels,
-                        significant=tuple(s for s in levels if normk >= floors[s]),
-                    )
-                )
+            )
 
     # global records: smallest scanned divisors
     merged = sorted(p for rng in ranges for p in rng.kept)[:N_RECORDS]
-    with mp_prec(100):
-        records = tuple(
-            DivisorRecord(k=kv, divisor=float(_divisor(rp, modulus)[1]), normk=max(map(abs, kv)))
-            for rp, kv in merged
-        )
+    records = tuple(
+        DivisorRecord(k=kv, divisor=bf.to_float(_divisor(rp, modulus)[1]), normk=max(map(abs, kv)))
+        for rp, kv in merged
+    )
 
     # every requested level above n must have a witness, and the top level
     # one clearing the accident floor: none can when no level is above n

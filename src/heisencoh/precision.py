@@ -1,21 +1,23 @@
 """Configurable-precision reals and continued fractions.
 
-PrecisionReal keeps either an exact rational (Fraction) or an mpmath float
-together with the binary precision it was produced at.  Exact inputs are
-never rounded; scans and divisor computations read the stored value exactly
-(``diophantine._phase_grid``) so all downstream decisions are made on exact
-integers.
+PrecisionReal keeps either an exact rational (Fraction) or a binary float
+man * 2**exp (the integer pair ``man_exp``, with man odd as mpmath
+normalises it) together with the binary precision it was produced at.
+Exact inputs are never rounded; scans and divisor computations read the
+stored value exactly (``diophantine._phase_grid``) so all downstream
+decisions are made on exact integers.  The named constants are evaluated
+on integers (``_bigfloat``); mpmath is loaded only by the views and
+constructors that hand out or take in an mpmath float.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
+from . import _bigfloat as bf
 from .errors import DomainError, PrecisionError
 
 DEFAULT_PREC = 128
@@ -28,18 +30,67 @@ _MP_LOCK = threading.RLock()
 
 @contextmanager
 def mp_prec(bits):
+    import mpmath
+
     with _MP_LOCK:
         with mpmath.workprec(bits):
             yield
 
 
-@dataclass(frozen=True)
-class PrecisionReal:
-    """A real number: exact Fraction, or mpf resolved to `prec` bits."""
+def _golden(prec):
+    """(sqrt(5) - 1) / 2 in mpmath's steps: sqrt(5) and the difference
+    rounded, the halving exact."""
+    man, exp = bf.sub(bf.sqrt((5, 0), prec), (1, 0), prec)
+    return man, exp - 1
 
-    fraction: Fraction | None
-    approx: object | None  # mpmath.mpf
-    prec: int | None       # None for exact values
+
+# (man, exp) of each named constant at prec bits, as mpmath rounds it there
+_NAMED = {
+    "golden": _golden,
+    "sqrt2": lambda p: bf.sqrt((2, 0), p),
+    "sqrt3": lambda p: bf.sqrt((3, 0), p),
+    "sqrt5": lambda p: bf.sqrt((5, 0), p),
+    "pi": bf.pi,
+    "e": bf.e,
+}
+
+
+class PrecisionReal:
+    """A real number: exact Fraction, or man * 2**exp resolved to `prec` bits.
+
+    Immutable; equal when fraction, value and prec are, and hashed as the
+    tuple (fraction, value, prec)."""
+
+    __slots__ = ("fraction", "man_exp", "prec")
+
+    def __init__(self, fraction, man_exp, prec):
+        set_ = object.__setattr__
+        set_(self, "fraction", fraction)
+        set_(self, "man_exp", man_exp)  # None for exact values
+        set_(self, "prec", prec)        # None for exact values
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return PrecisionReal, (self.fraction, self.man_exp, self.prec)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.fraction, self.man_exp, self.prec) == (
+            other.fraction, other.man_exp, other.prec
+        )
+
+    def __hash__(self):
+        value = None if self.man_exp is None else bf.fraction(self.man_exp)
+        return hash((self.fraction, value, self.prec))
+
+    def __repr__(self):
+        return (
+            f"PrecisionReal(fraction={self.fraction!r}, man_exp={self.man_exp!r}, "
+            f"prec={self.prec!r})"
+        )
 
     # -- constructors -------------------------------------------------
 
@@ -52,8 +103,12 @@ class PrecisionReal:
         """value rounded to `prec` bits, whatever mpmath's working precision."""
         if prec < 64:
             raise DomainError("precision must be at least 64 bits")
+        import mpmath
+
         with mp_prec(prec):
-            return cls(None, mpmath.mpf(value), int(prec))
+            value = mpmath.mpf(value)
+        sign, man, exp, _ = value._mpf_
+        return cls(None, (-man if sign else man, exp), int(prec))
 
     @classmethod
     def coerce(cls, value, prec=DEFAULT_PREC) -> "PrecisionReal":
@@ -63,11 +118,13 @@ class PrecisionReal:
             return cls.exact(value)
         if isinstance(value, str):
             return cls.parse(value, prec)
-        if isinstance(value, mpmath.mpf):
-            return cls.from_mpf(value, prec)
         if isinstance(value, float):
             # a float is an exact binary rational; honour it as such
             return cls.exact(Fraction(value))
+        # no mpmath float exists before mpmath is loaded
+        mpmath = sys.modules.get("mpmath")
+        if mpmath is not None and isinstance(value, mpmath.mpf):
+            return cls.from_mpf(value, prec)
         raise DomainError(f"cannot interpret {value!r} as a real number")
 
     @classmethod
@@ -80,19 +137,12 @@ class PrecisionReal:
         t = text.strip().lower()
         if not t:
             raise DomainError("empty number")
-        named = {
-            "golden": lambda: (mpmath.sqrt(5) - 1) / 2,
-            "sqrt2": lambda: mpmath.sqrt(2),
-            "sqrt3": lambda: mpmath.sqrt(3),
-            "sqrt5": lambda: mpmath.sqrt(5),
-            "pi": lambda: mpmath.pi + 0,
-            "e": lambda: mpmath.e + 0,
-        }
         if t == "liouville":
             return liouville_constant(prec)
-        if t in named:
-            with mp_prec(prec):
-                return cls.from_mpf(named[t](), prec)
+        if t in _NAMED:
+            if prec < 64:
+                raise DomainError("precision must be at least 64 bits")
+            return cls(None, _NAMED[t](int(prec)), int(prec))
         try:
             if "/" in t:
                 num, den = t.split("/")
@@ -107,7 +157,19 @@ class PrecisionReal:
     def exact_value(self) -> bool:
         return self.fraction is not None
 
+    @property
+    def approx(self):
+        """The inexact value as an mpmath float, exactly; None when exact."""
+        if self.man_exp is None:
+            return None
+        from mpmath import mp
+        from mpmath.libmp import from_man_exp
+
+        return mp.make_mpf(from_man_exp(*self.man_exp))
+
     def mpf(self, prec=None):
+        import mpmath
+
         with mp_prec(prec or self.prec or DEFAULT_PREC):
             if self.fraction is not None:
                 return mpmath.mpf(self.fraction.numerator) / self.fraction.denominator
@@ -120,8 +182,10 @@ class PrecisionReal:
         if self.fraction is not None:
             f = self.fraction - (self.fraction.numerator // self.fraction.denominator)
             return PrecisionReal(f, None, self.prec)
-        with mp_prec(self.prec + 8):
-            return PrecisionReal(None, self.approx - mpmath.floor(self.approx), self.prec)
+        # x - floor(x) rounded to prec + 8 bits; exact unless x < 0 is tiny
+        man, exp = self.man_exp
+        frac = man - (man >> -exp << -exp) if exp < 0 else 0
+        return PrecisionReal(None, bf.normalize(frac, exp, self.prec + 8), self.prec)
 
 
 def liouville_constant(prec=DEFAULT_PREC) -> PrecisionReal:
@@ -173,6 +237,8 @@ def continued_fraction(x, depth) -> list[int]:
             quotients.append(int(a))
             num, den = den, num
         return quotients
+
+    import mpmath
 
     prec = x.prec
     with mp_prec(prec + 16):

@@ -1,9 +1,12 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+
+from heisencoh import cli
 
 CMD = [sys.executable, "-m", "heisencoh"]
 
@@ -168,6 +171,26 @@ def test_classify_s_grid_that_is_no_finite_number(s_grid):
     r = run_cli("classify", "--vector", "golden", "--kmax", "10", "--s-grid", s_grid)
     assert r.returncode == 3
     assert r.stderr.startswith("error[") and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("s_grid", ["1e300", "1e6", "1,1024.5"])
+def test_classify_level_above_1024_is_a_domain_error(s_grid, capsys):
+    # |k|^s overflows a double for every |k| >= 2 above s = 1024; such a
+    # level used to run the exact powers lo**ceil(s) without end
+    argv = ["classify", "--vector", "golden", "--kmax", "10000000", "--s-grid", s_grid]
+    start = time.monotonic()
+    assert cli.main(argv) == 3
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error[domain]") and "1024" in err
+
+
+def test_classify_level_1024_runs():
+    r = run_cli("classify", "--vector", "golden,sqrt2", "--kmax", "1000", "--s-grid", "1.5,1024")
+    assert r.returncode == 0, r.stderr
+    rows = [ln for ln in r.stdout.splitlines() if ln.startswith("s=")]
+    assert [ln.split()[0] for ln in rows] == ["s=1.5", "s=1024"]
+    assert "shell_max=inf" in rows[1]
 
 
 @pytest.mark.parametrize("alphas", ["x", "0,x", "nan", "0,inf"])

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from heisencoh import cli, coboundary, diophantine
+from heisencoh import cli, coboundary
 from heisencoh.coboundary import (
     CoboundaryProblem,
     coboundary_from,
@@ -351,8 +351,8 @@ def test_divisor_table_shares_trig_between_k_and_minus_k(spec, monkeypatch):
     keys = [k for k in itertools.product(range(-box, box + 1), repeat=len(u)) if any(k)]
     per_mode = {k: divisor_table(u, [k])[1][k] for k in keys}
     calls = []
-    real_cos_sin = diophantine.mpf_cos_sin
-    monkeypatch.setattr(diophantine, "mpf_cos_sin",
+    real_cos_sin = mpmath.libmp.mpf_cos_sin  # looked up by divisor_table on each call
+    monkeypatch.setattr(mpmath.libmp, "mpf_cos_sin",
                         lambda *a: calls.append(a) or real_cos_sin(*a))
     modulus, table = divisor_table(u, keys)
     for k in keys:

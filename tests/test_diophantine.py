@@ -164,8 +164,11 @@ def _grid(t):
 
 
 def _u(rp, k, s, modulus):
+    """mpmath's 100-bit k^s * divisor, as its exact Fraction."""
     with mpmath.workprec(100):
-        return mpmath.power(k, s) * 2 * mpmath.sin(mpmath.pi * (mpmath.mpf(rp) / modulus))
+        u = mpmath.power(k, s) * 2 * mpmath.sin(mpmath.pi * (mpmath.mpf(rp) / modulus))
+    man, exp = u.man_exp
+    return man * Fraction(2) ** exp
 
 
 def _brute_minimum(points, s, modulus):
@@ -305,7 +308,7 @@ def test_classify_validation():
         classify(Fraction(1, 3), 10, s_grid=[])
     with pytest.raises(DomainError):
         classify(Fraction(1, 3), 10, s_grid=[0.1])
-    for s in (math.nan, math.inf):
+    for s in (math.nan, math.inf, 1024.5, 1e300):
         with pytest.raises(DomainError):
             classify(Fraction(1, 3), 10, s_grid=[1.0, s])
 

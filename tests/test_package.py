@@ -1,4 +1,4 @@
-"""The package surface and the numpy-free cold start of the CLI."""
+"""The package surface and the cold start of the CLI without numpy or mpmath."""
 
 import importlib
 import json
@@ -48,11 +48,12 @@ def test_unknown_name_and_version():
     assert heisencoh.__version__ == "0.1.0"
 
 
-# Runs `cli.main` on each (argv, stdin) of a JSON list with numpy made
-# unimportable; prints a JSON list of [exit code, stdout].
+# Runs `cli.main` on each (argv, stdin) of a JSON list with numpy and mpmath
+# made unimportable; prints a JSON list of [exit code, stdout].
 NO_NUMPY_CHILD = """
 import io, json, sys
 sys.modules["numpy"] = None
+sys.modules["mpmath"] = None
 from heisencoh import cli
 results = []
 for argv, stdin in json.loads(sys.argv[1]):
@@ -63,16 +64,31 @@ sys.stdout = sys.__stdout__
 print(json.dumps(results))
 """
 
+CLASSIFY_ARGS = [
+    ["golden", "--kmax", "3000"],
+    ["e", "--kmax", "3000"],
+    ["pi", "--kmax", "3000"],
+    ["liouville", "--kmax", "3000"],
+    ["355/113", "--kmax", "1000"],
+    ["22/7", "--kmax", "1000"],
+    ["golden,1/3", "--kmax", "100"],
+    ["golden,sqrt2", "--kmax", "40"],
+    ["golden,sqrt2,sqrt3", "--kmax", "12"],
+    ["golden", "--kmax", "2000", "--prec", "256"],
+    ["golden", "--kmax", "3000", "--s-grid", "1.5,2.5"],
+]
 NUMPY_FREE_COMMANDS = [
-    (["classify", "--vector", "golden", "--kmax", "3000"], ""),
-    (["classify", "--vector", "golden", "--kmax", "3000", "--format", "json"], ""),
-    (["classify", "--vector", "22/7", "--kmax", "1000"], ""),
-    (["classify", "--vector", "22/7", "--kmax", "1000", "--format", "json"], ""),
-    (["classify", "--vector", "golden,sqrt2", "--kmax", "40"], ""),
-    (["classify", "--vector", "golden,sqrt2", "--kmax", "40", "--format", "json"], ""),
+    *(
+        (["classify", "--vector", *args, *fmt], "")
+        for args in CLASSIFY_ARGS
+        for fmt in ([], ["--format", "json"])
+    ),
     (["group", "mul"], "1 2 3\n4 5 6\n1 0 | 0 0 | 0\n0 0 | 0 1 | 0\n"),
+    (["group", "nf"], "1 2 3\n-4 0 7\n"),
     (["fan", "--lambda", "-4", "--xi", "12", "--n", "2"], ""),
+    (["fan", "--lambda", "3", "--xi", "10", "--n", "1", "--format", "json"], ""),
     (["cohomology", "--n", "3"], ""),
+    (["cohomology", "--n", "2", "--format", "json"], ""),
 ]
 
 
@@ -97,3 +113,14 @@ def test_cli_import_leaves_numpy_out():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
     assert r.stdout == "False\n"
+
+
+def test_cli_import_loads_no_command_module():
+    heavy = [
+        "mpmath", "numpy", "dataclasses",
+        "heisencoh.diophantine", "heisencoh.cohomology", "heisencoh.heisenberg",
+    ]
+    code = f"import sys, heisencoh.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"

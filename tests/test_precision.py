@@ -59,6 +59,13 @@ def test_phase_grid_is_exact():
         assert err < mpmath.mpf(2) ** -126
 
 
+def test_phase_grid_keeps_the_sign_of_an_inexact_value():
+    # the float -0.3 is exact at 64 bits; its phase is read as -0.3, not 0.3
+    x = PrecisionReal.from_mpf(mpmath.mpf(-0.3), 64)
+    scaled, modulus = _phase_grid([x])
+    assert Fraction(scaled[0], modulus) == Fraction(-0.3)
+
+
 def test_fractional_part():
     assert PrecisionReal.exact(Fraction(7, 4)).fractional_part().fraction == Fraction(3, 4)
     assert PrecisionReal.exact(Fraction(-1, 4)).fractional_part().fraction == Fraction(3, 4)
