@@ -8,9 +8,10 @@ at `prec` bits, as mpmath's default context does:
 
 - ``normalize``, ``mul``, ``div``, ``sub`` and ``sqrt`` exactly, from
   integers, and the constants ``pi`` and ``e`` from series;
-- ``sin``, ``log`` and ``exp`` by Ziv's strategy: a fixed-point series
-  with guard bits and a bound on its error, evaluated again with twice the
-  bits while the error interval holds a rounding boundary;
+- ``cos_sin`` (cos and sin together), ``log`` and ``exp`` by Ziv's
+  strategy: a fixed-point series with guard bits and a bound on its error,
+  evaluated again with twice the bits while an error interval holds a
+  rounding boundary;
 - ``power`` takes the steps of mpmath's ``mpf_pow``, the roundings of
   its intermediate results included.
 
@@ -106,15 +107,19 @@ def sqrt(a, prec):
 
 
 def _ziv(series, prec):
-    """The value v rounded at prec bits, from series(w) = (a, err, exp) with
-    |v - a * 2**exp| <= err * 2**exp at w working bits; v must not be a
-    rounding boundary, or this does not end."""
+    """The values v rounded at prec bits, from series(w) = ((a, err, exp),
+    ...) with |v - a * 2**exp| <= err * 2**exp at w working bits, one triple
+    per value; no v may be a rounding boundary, or this does not end."""
     w = prec + 32
     while True:
-        a, err, exp = series(w)
-        low = normalize(a - err, exp, prec)
-        if low == normalize(a + err, exp, prec):
-            return low
+        out = []
+        for a, err, exp in series(w):
+            low = normalize(a - err, exp, prec)
+            if low != normalize(a + err, exp, prec):
+                break
+            out.append(low)
+        else:
+            return tuple(out)
         w *= 2
 
 
@@ -149,9 +154,9 @@ def pi(prec):
     def series(w):
         a5, err5 = _atan_inv(5, w)
         a239, err239 = _atan_inv(239, w)
-        return 16 * a5 - 4 * a239, 16 * err5 + 4 * err239, -w
+        return ((16 * a5 - 4 * a239, 16 * err5 + 4 * err239, -w),)
 
-    return _ziv(series, prec)
+    return _ziv(series, prec)[0]
 
 
 def e(prec):
@@ -163,28 +168,40 @@ def e(prec):
             total += term
             j += 1
             term //= j
-        return total, 2 * j + 2, -w
+        return ((total, 2 * j + 2, -w),)
+
+    return _ziv(series, prec)[0]
+
+
+def cos_sin(x, prec):
+    """(cos x, sin x) for 0 <= x <= 2, from sum_j (-x**2)**j / (2j)! and x
+    times sum_j (-x**2)**j / (2j + 1)!, both summed in one pass."""
+    man, ex = x
+    if not man:
+        return (1, 0), (0, 0)
+
+    def series(w):
+        shift = 2 * ex + w
+        x2 = man * man << shift if shift >= 0 else man * man >> -shift
+        cos, sin, even, j = 0, 0, 1 << w, 0  # even = x**(2j) / (2j)!
+        while even:
+            odd = even // (2 * j + 1)  # x**(2j) / (2j + 1)!
+            if j & 1:
+                cos, sin = cos - even, sin - odd
+            else:
+                cos, sin = cos + even, sin + odd
+            j += 1
+            even = (odd * x2 >> w) // (2 * j)
+        # each term is within 4.01 units (x**2 <= 4) and so is the tail
+        err = 5 * j + 5
+        return (cos, err, -w), (man * sin, man * err, ex - w)
 
     return _ziv(series, prec)
 
 
 def sin(x, prec):
-    """sin x for 0 <= x <= 2, as x times sum_j (-x**2)**j / (2j + 1)!."""
-    man, ex = x
-    if not man:
-        return 0, 0
-
-    def series(w):
-        shift = 2 * ex + w
-        x2 = man * man << shift if shift >= 0 else man * man >> -shift
-        total, term, j = 0, 1 << w, 0
-        while term:
-            total += -term if j & 1 else term
-            j += 1
-            term = (term * x2 >> w) // (2 * j * (2 * j + 1))
-        return man * total, man * (4 * j + 4), ex - w
-
-    return _ziv(series, prec)
+    """sin x for 0 <= x <= 2."""
+    return cos_sin(x, prec)[1]
 
 
 def log(x, prec):
@@ -211,9 +228,9 @@ def log(x, prec):
             j += 1
         ln2, err2 = _ln2_fixed(w)
         atanh2 = 2 * total if y >= one else -2 * total
-        return n * ln2 + atanh2, abs(n) * err2 + 6 * j + 12, -w
+        return ((n * ln2 + atanh2, abs(n) * err2 + 6 * j + 12, -w),)
 
-    return _ziv(series, prec)
+    return _ziv(series, prec)[0]
 
 
 def exp(x, prec):
@@ -235,9 +252,9 @@ def exp(x, prec):
             total += term
             j += 1
             term = (term * r >> w) // j
-        return total, 2 * (abs(n) * err2 + 1) + 4 * j + 4, n - w
+        return ((total, 2 * (abs(n) * err2 + 1) + 4 * j + 4, n - w),)
 
-    return _ziv(series, prec)
+    return _ziv(series, prec)[0]
 
 
 def pow_int(a, n, prec):

@@ -49,6 +49,14 @@ class CoefficientField:
         self._entries = data
         self._radius = None  # support_radius, computed on first call
 
+    @classmethod
+    def _from_checked(cls, dim, data):
+        """The field of dim >= 1 whose entries are data, a dict of dim-tuples
+        of ints to complex numbers with zeros kept, taken without a copy."""
+        field = cls.__new__(cls)
+        field.dim, field._entries, field._radius = dim, data, None
+        return field
+
     def get(self, k):
         return self._entries.get(_as_key(k, self.dim), 0j)
 
@@ -158,20 +166,20 @@ def read_coefficients(fh) -> CoefficientField:
 
     entries = {}
     for lineno, raw in it:
-        line = raw.strip()
-        if not line:
+        toks = raw.split()
+        if not toks:
             continue
-        toks = line.split()
         if len(toks) != dim + 2:
             raise ParseError(
                 f"expected {dim} integers and two reals, got {len(toks)} tokens", lineno
             )
         try:
-            key = tuple(int(t) for t in toks[:dim])
+            key = tuple(map(int, toks[:dim]))
             val = complex(float(toks[dim]), float(toks[dim + 1]))
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
         if key in entries:
             raise ParseError(f"duplicate index {key}", lineno)
         entries[key] = val
-    return CoefficientField(dim, entries, drop_zeros=False)
+    # every entry is checked above: the field takes the dict as it is
+    return CoefficientField._from_checked(dim, entries)

@@ -13,8 +13,8 @@ the stored values.  Scans enumerate it in every rank as a lattice (see
 ``_scan``); every decision is taken on exact integers or on deterministic
 high-precision evaluations of them, so reports are reproducible bit for bit.
 ``classify`` evaluates its divisors, weights and exponents at 100 bits on
-integers (``_bigfloat``); only ``solve``'s 80-bit divisors and the
-inexact ``phase_distance`` load mpmath.
+integers (``_bigfloat``), and ``solve`` its 80-bit divisors; only the
+inexact ``phase_distance`` loads mpmath.
 """
 
 from __future__ import annotations
@@ -95,18 +95,14 @@ def divisor_table(t, keys):
     rounded to 80 bits and sign +1 when frac(<k, t>) <= 1/2, -1 otherwise.
     The trigonometric part depends on r alone, so it is evaluated once per
     distinct r (k and -k share it) and each k takes only its own sign.
-    These 80-bit steps are mpmath's low-level functions, called at fixed
-    precision so they leave its global context alone; ``classify`` takes its
-    100-bit divisors from ``_divisor`` on integers instead.  Keys must be
-    integer tuples of the length of t.
+    These 80-bit steps are taken on integers by ``_bigfloat``, with cos and
+    sin correctly rounded; ``classify`` takes its 100-bit divisors from
+    ``_divisor`` in the same way.  Keys must be integer tuples of the length
+    of t.
     """
-    from mpmath.libmp import (
-        from_rational, mpf_cos_sin, mpf_mul, mpf_pi, mpf_shift, round_nearest, to_float,
-    )
-
     scaled, modulus = _phase_grid(_coerce_vector(t))
-    prec, rnd = _DIVISOR_PREC, round_nearest
-    pi = mpf_pi(prec, rnd)
+    prec = _DIVISOR_PREC
+    pi = bf.pi(prec)
     by_distance = {}  # r -> the divisor of sign +1
     table = {}
     for k in keys:
@@ -117,11 +113,11 @@ def divisor_table(t, keys):
             continue
         d = by_distance.get(r)
         if d is None:
-            x = mpf_mul(pi, from_rational(r, modulus, prec, rnd), prec, rnd)
-            c, s = mpf_cos_sin(x, prec, rnd)
-            s2 = mpf_shift(s, 1)  # 2 sin, exact
-            re = to_float(mpf_mul(s2, s, prec, rnd), rnd=rnd)
-            im = to_float(mpf_mul(s2, c, prec, rnd), rnd=rnd)
+            x = bf.mul(pi, bf.div((r, 0), (modulus, 0), prec), prec)
+            c, s = bf.cos_sin(x, prec)
+            s2 = s[0], s[1] + 1  # 2 sin, exact
+            re = bf.to_float(bf.mul(s2, s, prec))
+            im = bf.to_float(bf.mul(s2, c, prec))
             d = by_distance[r] = complex(re, -im)
         # conjugate() negates the imaginary part exactly: sign -1
         table[k] = (r, d if 2 * phase <= modulus else d.conjugate())

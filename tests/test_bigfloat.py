@@ -20,8 +20,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 from mpmath.libmp import (
-    fone, from_float, from_int, from_man_exp, mpf_div, mpf_exp, mpf_log, mpf_mul, mpf_pi,
-    mpf_pow, mpf_shift, mpf_sin, mpf_sub, normalize, round_nearest,
+    fone, from_float, from_int, from_man_exp, mpf_cos_sin, mpf_div, mpf_exp, mpf_log, mpf_mul,
+    mpf_pi, mpf_pow, mpf_shift, mpf_sin, mpf_sub, normalize, round_nearest,
 )
 
 from heisencoh import _bigfloat as bf
@@ -173,6 +173,41 @@ def test_sin_differs_from_mpmath_only_where_mpmath_misrounds():
             assert got == _value(_rounded(mpf_sin, from_man_exp(*x), P))
             assert abs(own - got) <= got * Fraction(2) ** (1 - P)
     assert misrounded < 30
+
+
+def _cos_sin_arguments(seed, count):
+    """(x, prec) with 0 < x <= 2 of at most prec bits: spread over [2**-300, 2],
+    on both sides of pi / 2 within a few units, and below 2**-60."""
+    r = random.Random(seed)
+    for i in range(count):
+        prec = r.choice([53, 64, 80, 100, 128])
+        man = r.getrandbits(prec) | 1 << (prec - 1) | 1
+        kind = i % 4
+        if kind == 0:  # [1/2, 2)
+            yield (man, 1 - prec - r.randint(0, 1)), prec
+        elif kind == 1:  # pi / 2 rounded, and a few units either side
+            pm, pe = bf.pi(prec)
+            yield bf.normalize(pm + r.randint(-4, 4), pe - 1, prec), prec
+        elif kind == 2:  # below 2**-60
+            yield (man, -prec - r.randint(60, 300)), prec
+        else:
+            yield (man, -prec - r.randint(0, 60)), prec
+
+
+def test_cos_sin_is_correctly_rounded():
+    # mpmath's cos and sin at 400 bits rounded once at prec; x of at most
+    # prec bits, so that rounding lands on no tie
+    negative_cos = tiny = 0
+    for x, prec in _cos_sin_arguments(13, 4400):
+        want_c, want_s = (_value(normalize(*v, prec, RN))
+                          for v in mpf_cos_sin(from_man_exp(*x), 400, RN))
+        c, s = bf.cos_sin(x, prec)
+        assert (bf.fraction(c), bf.fraction(s)) == (want_c, want_s), (x, prec)
+        assert bf.sin(x, prec) == s
+        negative_cos += c[0] < 0
+        tiny += x[0].bit_length() + x[1] < -60
+    assert negative_cos >= 100 and tiny >= 1000
+    assert bf.cos_sin((0, 0), 80) == ((1, 0), (0, 0))
 
 
 @pytest.mark.parametrize("name, expr", [

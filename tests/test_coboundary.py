@@ -2,11 +2,13 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+from heisencoh import _bigfloat as bf
 from heisencoh import cli, coboundary
 from heisencoh.coboundary import (
     CoboundaryProblem,
@@ -276,7 +278,8 @@ def reference_complex_divisor(tvec, k):
         return 0j
     with mp_prec(80):
         if isinstance(dist, Fraction):
-            d = mpmath.mpf(dist.numerator) / dist.denominator
+            # rounded once: mpf(numerator) would round a long numerator first
+            d = mpmath.fdiv(dist.numerator, dist.denominator)
         else:
             d = mpmath.mpf(dist)
         s = mpmath.sin(mpmath.pi * d)
@@ -342,6 +345,54 @@ def test_divisor_table_matches_reference_bit_for_bit(spec, prec):
         assert (table[k][0] == 0) == (dist == 0)
 
 
+def _distance_cases(seed, count):
+    """{L: [r, ...]}: count pairs (r, L), L up to 2**260; per L tiny r, r
+    within 2 of L / 2 and r anywhere below L."""
+    r = random.Random(seed)
+    cases = {}
+    while sum(map(len, cases.values())) < count:
+        modulus = r.choice([
+            r.randint(2, 10**6), r.getrandbits(64) | 1, r.getrandbits(128) | 1,
+            1 << r.randint(1, 260), r.getrandbits(r.randint(100, 260)) | 1 << 99, 3 << 258,
+        ])
+        half = modulus // 2
+        rs = {1, 2, r.randint(1, 1000), *(half + j for j in range(-2, 3)),
+              *(r.randint(1, modulus - 1) for _ in range(4))}
+        cases.setdefault(modulus, set()).update(v for v in rs if 0 < v < modulus)
+    return cases
+
+
+def test_divisor_table_matches_reference_on_random_distances():
+    # t = 1/L and k = r put the phase at r / L exactly
+    n = 0
+    for modulus, rs in _distance_cases(17, 20000).items():
+        u = [PrecisionReal.exact(Fraction(1, modulus))]
+        keys = [(v,) for v in sorted(rs)]
+        _, table = divisor_table(u, keys)
+        for k in keys:
+            want = reference_complex_divisor(u, k)
+            got = table[k][1]
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (k, modulus)
+            n += 1
+    assert n >= 20000
+
+
+@pytest.mark.parametrize("g_file, spec", [
+    ("solve_g_dim2_r8.txt", "golden,sqrt2"), ("solve_g_dim1_r32.txt", "golden"),
+    ("solve_g_dim2_r4_exact.txt", "1/4,1/3"), ("solve_g_dim1_r32.txt", "sqrt2"),
+])
+def test_divisor_table_matches_reference_on_the_solve_goldens(g_file, spec):
+    # every (g, u) of the solve commands in tests/golden
+    with open(Path(__file__).parent / "golden" / g_file, encoding="utf-8") as fh:
+        keys = [k for k in cli.read_coefficients(fh).keys() if any(k)]
+    u = parse_u(spec, 128)
+    _, table = divisor_table(u, keys)
+    for k in keys:
+        want = reference_complex_divisor(u, k)
+        got = table[k][1]
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), k
+
+
 @pytest.mark.parametrize("spec", ["1/2", "golden", "1/2,sqrt2", "1/4,1/3", "golden,sqrt2"])
 def test_divisor_table_shares_trig_between_k_and_minus_k(spec, monkeypatch):
     # a symmetric box: k and -k share r, and for 1/2 (k odd) and 1/4,1/3
@@ -351,9 +402,8 @@ def test_divisor_table_shares_trig_between_k_and_minus_k(spec, monkeypatch):
     keys = [k for k in itertools.product(range(-box, box + 1), repeat=len(u)) if any(k)]
     per_mode = {k: divisor_table(u, [k])[1][k] for k in keys}
     calls = []
-    real_cos_sin = mpmath.libmp.mpf_cos_sin  # looked up by divisor_table on each call
-    monkeypatch.setattr(mpmath.libmp, "mpf_cos_sin",
-                        lambda *a: calls.append(a) or real_cos_sin(*a))
+    real_cos_sin = bf.cos_sin  # looked up on _bigfloat by divisor_table on each call
+    monkeypatch.setattr(bf, "cos_sin", lambda *a: calls.append(a) or real_cos_sin(*a))
     modulus, table = divisor_table(u, keys)
     for k in keys:
         (r, got), (r1, want) = table[k], per_mode[k]

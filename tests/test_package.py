@@ -2,8 +2,11 @@
 
 import importlib
 import json
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,21 +51,45 @@ def test_unknown_name_and_version():
     assert heisencoh.__version__ == "0.1.0"
 
 
-# Runs `cli.main` on each (argv, stdin) of a JSON list with numpy and mpmath
-# made unimportable; prints a JSON list of [exit code, stdout].
-NO_NUMPY_CHILD = """
+# Runs `cli.main` on each (argv, stdin) of a JSON list with the modules of
+# another JSON list made unimportable; prints a JSON list of [exit code,
+# stdout, stderr].
+BLOCKED_CHILD = """
 import io, json, sys
-sys.modules["numpy"] = None
-sys.modules["mpmath"] = None
+for name in json.loads(sys.argv[1]):
+    sys.modules[name] = None
 from heisencoh import cli
 results = []
-for argv, stdin in json.loads(sys.argv[1]):
-    sys.stdin, sys.stdout = io.StringIO(stdin), io.StringIO()
+for argv, stdin in json.loads(sys.argv[2]):
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin), io.StringIO(), io.StringIO()
     rc = cli.main(argv)
-    results.append([rc, sys.stdout.getvalue()])
-sys.stdout = sys.__stdout__
+    results.append([rc, sys.stdout.getvalue(), sys.stderr.getvalue()])
+sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
 print(json.dumps(results))
 """
+
+
+def run_blocked(blocked, commands, child_cwd=None, normal_cwd=None):
+    """Run the commands in one child without the blocked modules, and each
+    of them normally by `python -m heisencoh`; assert that both exit 0 and
+    print the same stdout and stderr."""
+    # the package as this process imports it, from whatever directory
+    path = [str(Path(heisencoh.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    child = subprocess.run(
+        [sys.executable, "-c", BLOCKED_CHILD, json.dumps(blocked), json.dumps(commands)],
+        capture_output=True, text=True, timeout=300, cwd=child_cwd, env=env,
+    )
+    assert child.returncode == 0, child.stderr
+    for (argv, stdin), (rc, stdout, stderr) in zip(commands, json.loads(child.stdout)):
+        normal = subprocess.run(
+            [sys.executable, "-m", "heisencoh", *argv],
+            input=stdin.encode(), capture_output=True, timeout=120, cwd=normal_cwd, env=env,
+        )
+        assert rc == normal.returncode == 0, (argv, stderr)
+        assert stdout.encode() == normal.stdout, argv
+        assert stderr.encode() == normal.stderr, argv
+
 
 CLASSIFY_ARGS = [
     ["golden", "--kmax", "3000"],
@@ -93,19 +120,36 @@ NUMPY_FREE_COMMANDS = [
 
 
 def test_commands_run_without_numpy():
-    child = subprocess.run(
-        [sys.executable, "-c", NO_NUMPY_CHILD, json.dumps(NUMPY_FREE_COMMANDS)],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert child.returncode == 0, child.stderr
-    results = json.loads(child.stdout)
-    for (argv, stdin), (rc, stdout) in zip(NUMPY_FREE_COMMANDS, results):
-        normal = subprocess.run(
-            [sys.executable, "-m", "heisencoh", *argv],
-            input=stdin.encode(), capture_output=True, timeout=120,
-        )
-        assert rc == normal.returncode == 0, argv
-        assert stdout.encode() == normal.stdout, argv
+    run_blocked(["numpy", "mpmath"], NUMPY_FREE_COMMANDS)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+DIM1, DIM2, DIM2_EXACT = "solve_g_dim1_r32.txt", "solve_g_dim2_r8.txt", "solve_g_dim2_r4_exact.txt"
+MPMATH_FREE_COMMANDS = [
+    (["solve", "--g", DIM2, "--u", "golden,sqrt2", "--verify"], ""),
+    (["solve", "--g", DIM2, "--u", "golden,sqrt2", "--verify", "--format", "json"], ""),
+    (["solve", "--g", DIM2_EXACT, "--u", "1/4,1/3", "--verify", "--out", "f_dim2.txt"], ""),
+    (["solve", "--g", DIM1, "--u", "golden", "--alpha-list", "0,1,1.5", "--verify",
+      "--out", "f_dim1.txt"], ""),
+    (["solve", "--g", DIM1, "--u", "sqrt2", "--alpha-list", "0,2", "--format", "json"], ""),
+    (["solve", "--g", DIM1, "--u", "e", "--prec", "256"], ""),
+    (["sobolev", "--f", DIM1, "--alpha", "1.5"], ""),
+    (["sobolev", "--f", DIM1, "--alpha", "0", "--format", "json"], ""),
+    (["rep", "character", "--p", "3", "--eta", "2/3", "--alpha", "0.25", "--range", "2"], ""),
+    (["rep", "matrix", "--p", "3", "--eta", "1/3", "--element", "1 2 0", "--format", "json"], ""),
+]
+
+
+def test_solve_sobolev_and_rep_run_without_mpmath(tmp_path):
+    # each side reads a copy of the inputs and writes its --out files beside it
+    child, normal = tmp_path / "child", tmp_path / "normal"
+    for where in (child, normal):
+        where.mkdir()
+        for name in (DIM1, DIM2, DIM2_EXACT):
+            shutil.copy(GOLDEN / name, where / name)
+    run_blocked(["mpmath"], MPMATH_FREE_COMMANDS, child, normal)
+    for name in ("f_dim1.txt", "f_dim2.txt"):
+        assert (child / name).read_bytes() == (normal / name).read_bytes(), name
 
 
 def test_cli_import_leaves_numpy_out():
