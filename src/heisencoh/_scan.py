@@ -237,7 +237,7 @@ def _walk(rs, rows, m, keep, bound, s_max, declared):
             if any(map(k.__getitem__, declared)):
                 raise PrecisionError(
                     f"divisor at k={k} is below the scan resolution; "
-                    "increase the working precision"
+                    "increase the working precision", k
                 )
             rs.n_scanned -= 1
             z = (max(map(abs, k)), k)

@@ -37,6 +37,16 @@ def _parse_floats(text: str, flag: str):
         raise ParseError(f"{flag} expects comma-separated numbers, got {text!r}") from None
 
 
+def _lines(text):
+    """The lines of text one at a time, each with its newline; io.StringIO
+    would first copy all of text at four bytes a character."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 def _emit_json(obj, out):
     import json
 
@@ -149,6 +159,15 @@ def _cmd_rep_matrix(args, out, err):
     return 0
 
 
+def _integer_phase(text, prec, k):
+    """Whether <k, t> is an integer, taken exactly on ``_phase_grid`` with the
+    components of text parsed at prec bits."""
+    from .diophantine import _phase_grid
+
+    scaled, modulus = _phase_grid([c.fractional_part() for c in _parse_vector(text, prec)])
+    return sum(ki * ui for ki, ui in zip(k, scaled)) % modulus == 0
+
+
 def _cmd_classify(args, out, err):
     from . import diophantine
 
@@ -156,7 +175,16 @@ def _cmd_classify(args, out, err):
     if not tvec:
         raise DomainError("--vector is empty")
     s_grid = _parse_floats(args.s_grid, "--s-grid")
-    report = diophantine.classify(tvec, args.kmax, s_grid)
+    try:
+        report = diophantine.classify(tvec, args.kmax, s_grid)
+    except PrecisionError as exc:
+        if exc.k is None or not _integer_phase(args.vector, 2 * args.prec, exc.k):
+            raise
+        raise PrecisionError(
+            f"divisor at k={exc.k} is below the scan resolution, and <k, t> is "
+            f"still an integer at {2 * args.prec} bits: the components look "
+            "rationally dependent, and more precision will not help", exc.k
+        ) from None
     if args.format == "json":
         _emit_json(report.to_dict(), out)
         return 0
@@ -217,18 +245,24 @@ def _cmd_solve(args, out, err):
         rows, _ = coboundary_mod.sobolev_loss(sol, g, alphas)
         sol.norms = rows
 
-    # the text of f, written once: read back by --verify, then printed or
+    # the text of f, formatted once: read back by --verify, then printed or
     # stored in the --out file (the JSON document carries f itself)
-    buf = io.StringIO()
+    text = ""
     if args.verify or args.out or args.format != "json":
+        buf = io.StringIO()
         write_coefficients(sol.f, buf)
+        text = buf.getvalue()
 
     verify_residual = None
     if args.verify:
-        buf.seek(0)
-        f_back = read_coefficients(buf)
-        verify_residual = sol.residual(f_back, g, coboundary_mod.residual_grid(f_back, g))
-        del f_back  # freed before the text of f is written out
+        f_back = read_coefficients(_lines(text))
+        if f_back == sol.f and problem.g is g and args.grid_size is None:
+            # every entry round-trips, and solve took the residual of f
+            # against this g on the default grid: it is the same float
+            verify_residual = sol.residual_sup
+        else:
+            verify_residual = sol.residual(f_back, g, coboundary_mod.residual_grid(f_back, g))
+        del f_back
 
     diag_lines = []
     d = sol.diagnostics_dict()
@@ -249,7 +283,7 @@ def _cmd_solve(args, out, err):
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
+            fh.write(text)
     if args.format == "json":
         doc = sol.diagnostics_dict()
         doc["f"] = [
@@ -262,7 +296,7 @@ def _cmd_solve(args, out, err):
         for line in diag_lines:
             out.write(line + "\n")
     else:
-        out.write(buf.getvalue())
+        out.write(text)
         for line in diag_lines:
             err.write(line + "\n")
     return 0

@@ -129,7 +129,6 @@ def solve(problem: CoboundaryProblem, classification=None,
     g = problem.g
     u = problem.u
     tol = problem.resonance_tol
-    zero = (0,) * g.dim
 
     mean = obstruction(g)
     if abs(mean) > tol:
@@ -141,10 +140,10 @@ def solve(problem: CoboundaryProblem, classification=None,
     coeffs = {}
     min_div = None
     argmin = None
-    for k, gk in g.items():
-        if k == zero:
-            continue
-        r, _ = table[k]
+    # the table holds the nonzero keys of g in ascending order, so coeffs is
+    # filled in the order of f.items()
+    for k, (r, _) in table.items():
+        gk = g._entries[k]
         denom = divs[k]
         # a phase is exact where k vanishes on every declared component;
         # anywhere else it must be resolved at the least declared precision
@@ -159,10 +158,12 @@ def solve(problem: CoboundaryProblem, classification=None,
         if min_div is None or div_abs < min_div:
             min_div = div_abs
             argmin = k
+    del table  # only the divisors are kept past the division
     if resonant:
         raise ResonanceError(resonant)
 
-    f = CoefficientField(g.dim, coeffs, drop_zeros=False)
+    # every key is one of g's and every value a complex quotient
+    f = CoefficientField._from_checked(g.dim, coeffs)
 
     radius = f.support_radius()
     radii = []
@@ -171,10 +172,10 @@ def solve(problem: CoboundaryProblem, classification=None,
         radii.append(r)
         r *= 2
     radii.append(radius)
-    # one pass over f.items(): each sum adds the terms of
-    # f.truncate(r).norm_l2() in its order, so it is the same float
+    # one pass over the entries of f in the order of f.items(): each sum adds
+    # the terms of f.truncate(r).norm_l2() in its order, so it is the same float
     sums = [0.0] * len(radii)
-    for k, v in f.items():
+    for k, v in coeffs.items():
         n, t = max(map(abs, k)), abs(v) ** 2
         for i, r in enumerate(radii):
             if n <= r:
@@ -221,15 +222,22 @@ def _residual(f, g, divisors, grid_size):
             f"grid_size {n} undersamples support radius {radius} "
             f"(need at least {2 * radius + 1})"
         )
-    modes = {k: v * divisors[k] for k, v in f.items() if any(k)}
-    for k, v in g.items():
-        modes[k] = modes.get(k, 0j) - v
-    if not modes:
+    f_keys = [k for k in f._entries if any(k)]
+    if not f_keys and not len(g):
         return 0.0
+    # the coefficients of f - f o gamma - g, placed at k mod n; no two keys
+    # share an index, so each slot is f_k d_k - g_k as one difference
     vals = np.zeros((n,) * f.dim, dtype=complex)
-    idx = np.array(list(modes), dtype=np.int64) % n
-    vals[tuple(idx.T)] = list(modes.values())
+    vals[_grid_index(f_keys, f.dim, n)] = np.fromiter(
+        (f._entries[k] * divisors[k] for k in f_keys), complex, len(f_keys))
+    vals[_grid_index(g._entries, g.dim, n)] -= np.fromiter(g._entries.values(), complex, len(g))
     return float(np.max(np.abs(np.fft.ifftn(vals, norm="forward"))))
+
+
+def _grid_index(keys, dim, n):
+    """The index k mod n of each key in an n^dim array, as one array per axis."""
+    idx = np.array(list(keys), dtype=np.int64).reshape(len(keys), dim) % n
+    return tuple(idx.T)
 
 
 def sobolev_loss(sol: CoboundarySolution, g: CoefficientField, alphas,

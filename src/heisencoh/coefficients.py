@@ -86,12 +86,14 @@ class CoefficientField:
             self._radius = max((max(map(abs, k)) for k in self._entries), default=0)
         return self._radius
 
+    # truncate, + and scale combine entries that are already checked: each
+    # builds its dict directly and drops zeros, as the constructor does
+
     def truncate(self, radius):
         """Drop all indices with max-norm above radius."""
-        return CoefficientField(
-            self.dim,
-            {k: v for k, v in self._entries.items() if max(abs(c) for c in k) <= radius},
-        )
+        return CoefficientField._from_checked(self.dim, {
+            k: v for k, v in self._entries.items() if v and max(map(abs, k)) <= radius
+        })
 
     def __add__(self, other):
         if self.dim != other.dim:
@@ -99,13 +101,16 @@ class CoefficientField:
         data = dict(self._entries)
         for k, v in other._entries.items():
             data[k] = data.get(k, 0j) + v
-        return CoefficientField(self.dim, data)
+        return CoefficientField._from_checked(self.dim, {k: v for k, v in data.items() if v})
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        return CoefficientField(self.dim, {k: c * v for k, v in self._entries.items()})
+        c = complex(c)
+        return CoefficientField._from_checked(self.dim, {
+            k: w for k, v in self._entries.items() if (w := c * v)
+        })
 
     def norm_l1(self):
         return float(sum(abs(v) for _, v in self.items()))
@@ -139,14 +144,17 @@ class CoefficientField:
 
 def write_coefficients(field: CoefficientField, fh) -> None:
     fh.write(f"dim={field.dim}\n")
-    for k, v in field.items():
+    entries = field._entries
+    for k in sorted(entries):
+        v = entries[k]
         ks = " ".join(str(c) for c in k)
         fh.write(f"{ks} {v.real:.17g} {v.imag:.17g}\n")
 
 
 def read_coefficients(fh) -> CoefficientField:
-    lines = fh.read().splitlines()
-    it = iter(enumerate(lines, start=1))
+    """The field written in fh, an open text file or any iterable of its
+    lines, read one line at a time."""
+    it = enumerate(fh, start=1)
     dim = None
     for lineno, raw in it:
         line = raw.strip()

@@ -28,7 +28,12 @@ class ParseError(HeisencohError, ValueError):
 
 
 class PrecisionError(HeisencohError, ArithmeticError):
-    """The working precision cannot resolve the requested quantity."""
+    """The working precision cannot resolve the requested quantity; k is the
+    mode whose divisor it cannot resolve, when the error names one."""
+
+    def __init__(self, message, k=None):
+        super().__init__(message)
+        self.k = k
 
 
 class NonzeroMeanError(DomainError):

@@ -60,9 +60,27 @@ def fhat(f, xi) -> np.ndarray:
 
 _NODES = 24  # Gauss-Legendre nodes per panel of the Sobolev quadrature
 
+# numpy.polynomial.legendre.leggauss(24) as numpy 2.4.6 gives it, which is
+# symmetric: node 23 - i is -(node i), weight 23 - i is weight i.  Stored
+# here so the quadrature needs neither numpy.polynomial nor LAPACK.
+_HALF_NODES = (
+    0.06405689286260563, 0.1911188674736163, 0.3150426796961634,
+    0.4337935076260451, 0.5454214713888396, 0.6480936519369755,
+    0.7401241915785544, 0.820001985973903, 0.8864155270044011,
+    0.9382745520027328, 0.9747285559713095, 0.9951872199970213,
+)
+_HALF_WEIGHTS = (
+    0.12793819534675202, 0.12583745634682825, 0.1216704729278033,
+    0.11550566805372552, 0.10744427011596556, 0.09761865210411393,
+    0.0861901615319532, 0.07334648141108016, 0.05929858491543636,
+    0.04427743881741941, 0.02853138862893356, 0.01234122979998869,
+)
+_GAUSS_NODES = tuple(-x for x in reversed(_HALF_NODES)) + _HALF_NODES
+_GAUSS_WEIGHTS = tuple(reversed(_HALF_WEIGHTS)) + _HALF_WEIGHTS
 
-def _gauss_panels(n_panels, n_nodes):
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+
+def _gauss_panels(n_panels):
+    nodes, weights = np.array(_GAUSS_NODES), np.array(_GAUSS_WEIGHTS)
     edges = np.linspace(0.0, 1.0, n_panels + 1)
     mid = (edges[:-1] + edges[1:]) / 2
     half = (edges[1:] - edges[:-1]) / 2
@@ -72,7 +90,7 @@ def _gauss_panels(n_panels, n_nodes):
 
 
 def _fhat_on_panels(f: CoefficientField, n_panels, xi) -> np.ndarray:
-    """fhat(f, xi) at the nodes xi of ``_gauss_panels(n_panels, _NODES)``,
+    """fhat(f, xi) at the nodes xi of ``_gauss_panels(n_panels)``,
     in O(R log R) for support radius R <= n_panels (below 2**26).
 
     Panel p carries node j at y = (2p + 1 + x_j) / (2P), P = n_panels, so
@@ -83,7 +101,7 @@ def _fhat_on_panels(f: CoefficientField, n_panels, xi) -> np.ndarray:
     fhat'(y), and fhat(y) + delta fhat'(y) is fhat(xi) up to a term of
     order (2 pi R delta)^2, so the FFT evaluates the same rule as ``fhat``.
     """
-    nodes, _ = np.polynomial.legendre.leggauss(_NODES)
+    nodes = np.array(_GAUSS_NODES)
     items = f.items()
     k = np.array([key for (key,), _ in items], dtype=np.int64)
     v = np.array([val for _, val in items], dtype=complex)
@@ -137,7 +155,7 @@ def sobolev_norms(f, alphas) -> list[float]:
     if len(f) == 0:
         return [0.0 for _ in alphas]
     n_panels = max(4, f.support_radius())
-    xi, w = _gauss_panels(n_panels, _NODES)
+    xi, w = _gauss_panels(n_panels)
     fh = _fhat_on_panels(f, n_panels, xi)
     base = 1.0 + 2.0 * np.sin(np.pi * xi)
     norms = []

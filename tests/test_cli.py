@@ -311,6 +311,41 @@ def test_determinism_byte_identical():
         assert a.stderr == b.stderr
 
 
+@pytest.mark.parametrize("prec", ["128", "512"])
+@pytest.mark.parametrize("vector,k", [("golden,sqrt5", "(2, -1)"), ("sqrt2,sqrt2", "(1, -1)")])
+def test_classify_names_a_relation_that_precision_cannot_resolve(vector, k, prec):
+    # 2 golden - sqrt5 = -1 and sqrt2 - sqrt2 = 0 hold at every precision
+    r = run_cli("classify", "--vector", vector, "--kmax", "100", "--prec", prec)
+    assert r.returncode == 4
+    assert r.stdout == ""
+    assert r.stderr == (
+        f"error[precision]: divisor at k={k} is below the scan resolution, and "
+        f"<k, t> is still an integer at {2 * int(prec)} bits: the components look "
+        "rationally dependent, and more precision will not help\n"
+    )
+
+
+def test_classify_keeps_its_advice_where_more_precision_resolves():
+    from decimal import Decimal, localcontext
+
+    from heisencoh.precision import PrecisionReal
+
+    # the exact decimal of sqrt2's fractional part at 64 bits: equal to it at
+    # 64 bits, and no longer at 128
+    man, exp = PrecisionReal.parse("sqrt2", 64).fractional_part().man_exp
+    with localcontext() as ctx:
+        ctx.prec = 100
+        frac = Decimal(man) / Decimal(2) ** -exp
+    vector = f"sqrt2,{frac}"
+    r = run_cli("classify", "--vector", vector, "--kmax", "100", "--prec", "64")
+    assert r.returncode == 4
+    assert r.stderr == (
+        "error[precision]: divisor at k=(1, -1) is below the scan resolution; "
+        "increase the working precision\n"
+    )
+    assert run_cli("classify", "--vector", vector, "--kmax", "100").returncode == 0
+
+
 def test_solve_json_writes_the_out_file(tmp_path):
     g = tmp_path / "g.coef"
     g.write_text("dim=1\n1 1 0\n", encoding="utf-8")
@@ -332,6 +367,75 @@ def test_solve_computes_the_residual_once_per_grid(monkeypatch):
             "--u", "golden,sqrt2"]
     assert cli.main(argv + ["--grid-size", "31"]) == 0
     assert grids == [31]
-    # the default grid 2 R + 1, once in solve and once for --verify
+    # the default grid 2 R + 1 in solve; the re-read f equals f, so --verify
+    # takes that residual
     assert cli.main(argv + ["--verify"]) == 0
-    assert grids == [31, 17, 17]
+    assert grids == [31, 17]
+    # with --grid-size the re-read f gets its own residual on the default grid
+    assert cli.main(argv + ["--verify", "--grid-size", "31"]) == 0
+    assert grids == [31, 17, 31, 17]
+    # f solves the truncated g; --verify checks it against the g of the file
+    assert cli.main(argv + ["--verify", "--truncation-radius", "3"]) == 0
+    assert grids == [31, 17, 31, 17, 7, 17]
+
+
+def test_solve_verify_takes_the_residual_of_a_corrupted_reread(monkeypatch, capsys):
+    from heisencoh import coboundary
+    from heisencoh.coefficients import CoefficientField
+    from heisencoh.precision import PrecisionReal
+
+    real_read = cli.read_coefficients
+    fields = []
+
+    def read(fh):
+        field = real_read(fh)
+        if fields:  # the re-read of f: one coefficient moves
+            entries = dict(field.items())
+            entries[max(entries)] += 1e-3
+            field = CoefficientField(field.dim, entries)
+        fields.append(field)
+        return field
+
+    monkeypatch.setattr(cli, "read_coefficients", read)
+    g_path = Path(__file__).parent / "golden" / "solve_g_dim2_r8.txt"
+    argv = ["solve", "--g", str(g_path), "--u", "golden,sqrt2", "--verify", "--format", "json"]
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    g, f_back = fields
+    u = [PrecisionReal.parse("golden"), PrecisionReal.parse("sqrt2")]
+    grid = coboundary.residual_grid(f_back, g)
+    assert doc["verify_residual"] == coboundary.residual(f_back, g, u, grid)
+    assert doc["verify_residual"] > 1e-4 > doc["residual_sup"]
+
+
+def test_solve_verify_out_memory_peak(tmp_path, capsys):
+    # dim 2, R = 32: g, f and the divisors are held once, the text of f is
+    # formatted once, and the re-read f that equals f takes no residual of
+    # its own.  The traced peak is about 2.0 MiB; a copy of f, a re-read
+    # through a second buffer and a second residual bring it to 2.9 MiB.
+    import itertools
+    import random
+    import tracemalloc
+
+    from heisencoh import coboundary, precision  # noqa: F401  (imported before tracing)
+
+    rng = random.Random(32)
+    lines = ["dim=2"]
+    for k in itertools.product(range(-32, 33), repeat=2):
+        if any(k):
+            w = 1.0 / (1 + max(map(abs, k)))
+            lines.append(f"{k[0]} {k[1]} {rng.gauss(0, 1) * w!r} {rng.gauss(0, 1) * w!r}")
+    g_path = tmp_path / "g.txt"
+    g_path.write_text("\n".join(lines) + "\n")
+    argv = ["solve", "--g", str(g_path), "--u", "golden,sqrt2", "--verify",
+            "--out", str(tmp_path / "f.txt")]
+    assert cli.main(argv) == 0  # warm: argparse and lazy imports
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 2.5 * 2**20, peak

@@ -1,4 +1,5 @@
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,6 +50,30 @@ def test_arithmetic():
     assert (f + g).keys() == [(2,)]
     assert (f - f).norm_l1() == 0.0
     assert f.scale(2j).get(0) == 2j
+
+
+def _bits(field):
+    return field.dim, [(k, type(v), repr(v)) for k, v in field.items()]
+
+
+def test_derived_fields_equal_the_checking_constructor():
+    # zeros are stored in the operands, which the results drop
+    f = CoefficientField(2, {(0, 0): 1.0, (3, -7): 2j, (-5, 1): 1 + 1j, (2, 2): -1.0,
+                             (1, 1): 0j, (4, 0): -0.0 + 2.5e-300j}, drop_zeros=False)
+    g = CoefficientField(2, {(-9, 0): 0.5, (3, -7): -2j, (2, 2): 1.0, (0, 4): -0.0},
+                         drop_zeros=False)
+    for radius in (-1, 0, 1, 2, 5, 9):
+        want = {k: v for k, v in f.items() if max(map(abs, k)) <= radius}
+        assert _bits(f.truncate(radius)) == _bits(CoefficientField(2, want))
+    for c in (0, 1, -1, 3, 2.5, 3j, -0.5 + 1e-300j, np.float64(1.7), Fraction(1, 3)):
+        want = {k: c * v for k, v in f.items()}
+        assert _bits(f.scale(c)) == _bits(CoefficientField(2, want))
+    for a, b in ((f, g), (g, f), (f, f.scale(-1)), (f, f), (f, CoefficientField(2))):
+        want = dict(a.items())
+        for k, v in b.items():
+            want[k] = want.get(k, 0j) + v
+        assert _bits(a + b) == _bits(CoefficientField(2, want))
+    assert len(f.scale(0)) == len(f + f.scale(-1)) == len(f - f) == 0
 
 
 def test_norms_and_hermitian():

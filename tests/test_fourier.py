@@ -9,8 +9,9 @@ from heisencoh.errors import DegenerateInputError, DomainError
 from heisencoh.fourier import (
     SampledFunction,
     _fhat_on_panels,
+    _GAUSS_NODES,
+    _GAUSS_WEIGHTS,
     _gauss_panels,
-    _NODES,
     dft,
     difference,
     fhat,
@@ -147,7 +148,7 @@ def test_sobolev_norm_axioms():
 def sobolev_norms_direct(f, alphas):
     """The quadrature of ``sobolev_norms`` with f_hat summed mode by mode at
     every node by ``fhat``: O(R^2), the oracle for the FFT evaluation."""
-    xi, w = _gauss_panels(max(4, f.support_radius()), _NODES)
+    xi, w = _gauss_panels(max(4, f.support_radius()))
     fh = fhat(f, xi)
     base = 1.0 + 2.0 * np.sin(np.pi * xi)
     return [math.sqrt(math.fsum((w * np.abs(base**a * fh) ** 2).tolist())) for a in alphas]
@@ -181,10 +182,16 @@ def test_sobolev_fft_matches_direct_sum(radius):
 def test_sobolev_fft_values_match_direct_sum_at_every_node():
     for radius in (4, 9, 33, 256):
         f = seeded_field(radius, False)
-        xi, _ = _gauss_panels(max(4, radius), _NODES)
+        xi, _ = _gauss_panels(max(4, radius))
         scale = sum(abs(v) for _, v in f.items())
         err = np.max(np.abs(_fhat_on_panels(f, max(4, radius), xi) - fhat(f, xi)))
         assert err <= 1e-14 * scale, radius  # 3e-15 * scale seen at radius 256
+
+
+def test_quadrature_constants_are_leggauss_24():
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    assert _GAUSS_NODES == tuple(nodes.tolist())
+    assert _GAUSS_WEIGHTS == tuple(weights.tolist())
 
 
 def test_sobolev_rejects_negative_alpha():

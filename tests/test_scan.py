@@ -242,8 +242,9 @@ def test_scan_unit_witness_bound_is_inclusive():
 
 def test_scan_unit_raises_below_the_resolution():
     # k = 8 is a zero of t = M/8; it is exact only when t is exact
-    with pytest.raises(PrecisionError, match=r"k=\(8,\)"):
+    with pytest.raises(PrecisionError, match=r"k=\(8,\)") as err:
         _scan.scan_unit([M192 // 8], M192, 100, 4, lambda lo: M192 // lo, 1.0, 3.0, (0,))
+    assert err.value.k == (8,)
     ranges = _scan.scan_unit([M192 // 8], M192, 100, 4, lambda lo: M192 // lo, 1.0, 3.0, ())
     assert [r.zero for r in ranges if r.zero] == [(8,), (16,), (32,), (64,)]
     assert sum(r.n_scanned for r in ranges) == 100 - 100 // 8
