@@ -12,7 +12,7 @@ import sys
 
 # Each handler imports the modules it needs, so a command loads only its
 # own: classify, group, fan and cohomology start without numpy or mpmath.
-from .coefficients import read_coefficients, write_coefficients
+from .coefficients import read_coefficients, reads_as, write_coefficients
 from .errors import DomainError, HeisencohError, ParseError, PrecisionError
 
 
@@ -48,9 +48,12 @@ def _lines(text):
 
 
 def _emit_json(obj, out):
+    """obj as json.dumps(obj, sort_keys=True, indent=2) gives it, written a
+    chunk at a time without joining the text first."""
     import json
 
-    out.write(json.dumps(obj, sort_keys=True, indent=2))
+    for chunk in json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj):
+        out.write(chunk)
     out.write("\n")
 
 
@@ -159,13 +162,23 @@ def _cmd_rep_matrix(args, out, err):
     return 0
 
 
-def _integer_phase(text, prec, k):
-    """Whether <k, t> is an integer, taken exactly on ``_phase_grid`` with the
-    components of text parsed at prec bits."""
-    from .diophantine import _phase_grid
+def _raise_if_dependent(exc, text, prec, what):
+    """Raise a PrecisionError naming a rational dependence when exc, a
+    PrecisionError at mode k of the vector text parsed at prec bits, has
+    <k, t> still an integer with text parsed at 2 prec bits, taken exactly
+    on ``_phase_grid``; what says how the divisor at k failed.  Return
+    otherwise, so the caller raises exc."""
+    from .diophantine import _phase, _phase_grid
 
-    scaled, modulus = _phase_grid([c.fractional_part() for c in _parse_vector(text, prec)])
-    return sum(ki * ui for ki, ui in zip(k, scaled)) % modulus == 0
+    if exc.k is None:
+        return
+    scaled, modulus = _phase_grid([c.fractional_part() for c in _parse_vector(text, 2 * prec)])
+    if _phase(scaled, modulus, exc.k)[0] == 0:
+        raise PrecisionError(
+            f"divisor at k={exc.k} {what}, and <k, t> is still an integer at "
+            f"{2 * prec} bits: the components look rationally dependent, and "
+            "more precision will not help", exc.k
+        ) from None
 
 
 def _cmd_classify(args, out, err):
@@ -178,13 +191,8 @@ def _cmd_classify(args, out, err):
     try:
         report = diophantine.classify(tvec, args.kmax, s_grid)
     except PrecisionError as exc:
-        if exc.k is None or not _integer_phase(args.vector, 2 * args.prec, exc.k):
-            raise
-        raise PrecisionError(
-            f"divisor at k={exc.k} is below the scan resolution, and <k, t> is "
-            f"still an integer at {2 * args.prec} bits: the components look "
-            "rationally dependent, and more precision will not help", exc.k
-        ) from None
+        _raise_if_dependent(exc, args.vector, args.prec, "is below the scan resolution")
+        raise
     if args.format == "json":
         _emit_json(report.to_dict(), out)
         return 0
@@ -225,6 +233,19 @@ def _cmd_classify(args, out, err):
     return 0
 
 
+def _read_back(f, path, text):
+    """The field --verify reads back from the --out file at path, or else
+    from text: f itself where the lines hold f exactly (``reads_as``), and
+    otherwise what ``read_coefficients`` makes of them."""
+    if path is None:
+        return f if reads_as(_lines(text), f) else read_coefficients(_lines(text))
+    with open(path, encoding="utf-8") as fh:
+        if reads_as(fh, f):
+            return f
+        fh.seek(0)
+        return read_coefficients(fh)
+
+
 def _cmd_solve(args, out, err):
     import io
 
@@ -232,36 +253,48 @@ def _cmd_solve(args, out, err):
 
     with open(args.g, encoding="utf-8") as fh:
         g = read_coefficients(fh)
-    u = _parse_vector(args.u, args.prec)
+    # f solves problem.g, which is g truncated by --truncation-radius: the
+    # norms and --verify measure f against it, as residual_sup does
     problem = coboundary_mod.CoboundaryProblem(
         g=g,
-        u=u,
+        u=_parse_vector(args.u, args.prec),
         resonance_tol=args.resonance_tol,
         truncation_radius=args.truncation_radius,
     )
-    sol = coboundary_mod.solve(problem, grid_size=args.grid_size)
+    del g
+    try:
+        sol = coboundary_mod.solve(problem, grid_size=args.grid_size)
+    except PrecisionError as exc:
+        _raise_if_dependent(exc, args.u, args.prec, f"is not resolved at {args.prec} input bits")
+        raise
     alphas = _parse_floats(args.alpha_list, "--alpha-list")
     if alphas:
-        rows, _ = coboundary_mod.sobolev_loss(sol, g, alphas)
+        rows, _ = coboundary_mod.sobolev_loss(sol, problem.g, alphas)
         sol.norms = rows
 
-    # the text of f, formatted once: read back by --verify, then printed or
-    # stored in the --out file (the JSON document carries f itself)
+    # f is formatted once: into the --out file, or else into the text that
+    # stdout prints (the JSON document carries f itself); --verify reads
+    # back what was formatted
     text = ""
-    if args.verify or args.out or args.format != "json":
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            write_coefficients(sol.f, fh)
+    elif args.verify or args.format != "json":
         buf = io.StringIO()
         write_coefficients(sol.f, buf)
         text = buf.getvalue()
+        del buf
 
     verify_residual = None
     if args.verify:
-        f_back = read_coefficients(_lines(text))
-        if f_back == sol.f and problem.g is g and args.grid_size is None:
+        f_back = _read_back(sol.f, args.out, text)
+        if f_back is sol.f and args.grid_size is None:
             # every entry round-trips, and solve took the residual of f
-            # against this g on the default grid: it is the same float
+            # against problem.g on the default grid: it is the same float
             verify_residual = sol.residual_sup
         else:
-            verify_residual = sol.residual(f_back, g, coboundary_mod.residual_grid(f_back, g))
+            grid = coboundary_mod.residual_grid(f_back, problem.g)
+            verify_residual = sol.residual(f_back, problem.g, grid)
         del f_back
 
     diag_lines = []
@@ -281,9 +314,6 @@ def _cmd_solve(args, out, err):
     if verify_residual is not None:
         diag_lines.append(f"verify_residual={_fmt(verify_residual)}")
 
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
     if args.format == "json":
         doc = sol.diagnostics_dict()
         doc["f"] = [

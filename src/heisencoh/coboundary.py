@@ -16,8 +16,11 @@ import numpy as np
 
 from .coefficients import CoefficientField
 # phase_distance and complex_divisor are looked up on this module by
-# perfbench/trace_child.py; solve itself goes through divisor_table
-from .diophantine import _declared, _resolved, complex_divisor, divisor_table, phase_distance  # noqa: F401
+# perfbench/trace_child.py; solve itself goes through iter_divisors
+from .diophantine import (  # noqa: F401
+    _declared, _phase_grid, _resolved, complex_divisor, divisor_table, iter_divisors,
+    phase_distance,
+)
 from .errors import DomainError, NonzeroMeanError, PrecisionError, ResonanceError
 from .fourier import sobolev_norms
 from .precision import PrecisionReal
@@ -95,16 +98,14 @@ def _coerce_u(u, dim):
 
 
 def _divisors(u, keys, sign):
-    """{k: 1 - exp(2 pi i sign <k, u>)} for the nonzero k in keys, and the
-    exact (r, L) table behind them (see ``divisor_table``)."""
-    modulus, table = divisor_table(u, [k for k in keys if any(k)])
-    divs = {k: d if sign == 1 else d.conjugate() for k, (_, d) in table.items()}
-    return divs, modulus, table
+    """{k: 1 - exp(2 pi i sign <k, u>)} for the nonzero k in keys."""
+    _, table = divisor_table(u, [k for k in keys if any(k)])
+    return {k: d if sign == 1 else d.conjugate() for k, (_, d) in table.items()}
 
 
 def coboundary_from(f: CoefficientField, u, sign=1) -> CoefficientField:
     """Forward map g_k = (1 - exp(2 pi i <k, u>)) f_k; g_0 = 0 always."""
-    divs, _, _ = _divisors(_coerce_u(u, f.dim), f.keys(), sign)
+    divs = _divisors(_coerce_u(u, f.dim), f.keys(), sign)
     return CoefficientField(f.dim, {k: v * divs[k] for k, v in f.items() if any(k)})
 
 
@@ -120,7 +121,8 @@ def solve(problem: CoboundaryProblem, classification=None,
 
     Raises NonzeroMeanError when |g_0| exceeds the resonance tolerance,
     ResonanceError when a vanishing divisor meets a non-negligible
-    coefficient, PrecisionError when a divisor cannot be resolved.  With a
+    coefficient, PrecisionError naming k for the least k (in key order)
+    whose divisor cannot be resolved.  With a
     LiouvilleEvidence classification the solution is emitted but flagged
     formal: truncation-norm growth is reported as evidence in either case.
     residual_sup is taken on grid_size points per axis, by default on
@@ -134,21 +136,27 @@ def solve(problem: CoboundaryProblem, classification=None,
     if abs(mean) > tol:
         raise NonzeroMeanError(mean)
 
-    divs, modulus, table = _divisors(u, g.keys(), problem.sign)
+    grid = _phase_grid(u)
+    modulus = grid[1]
     declared, prec = _declared(u)
+    sign = problem.sign
+    entries = g._entries
+    divs = {}
     resonant = []
     coeffs = {}
     min_div = None
     argmin = None
-    # the table holds the nonzero keys of g in ascending order, so coeffs is
-    # filled in the order of f.items()
-    for k, (r, _) in table.items():
-        gk = g._entries[k]
-        denom = divs[k]
+    # the nonzero keys of g in ascending order, so coeffs is filled in the
+    # order of f.items(); each divisor is evaluated, checked and used in turn
+    for k, r, denom in iter_divisors(grid, (k for k in g.keys() if any(k))):
         # a phase is exact where k vanishes on every declared component;
         # anywhere else it must be resolved at the least declared precision
-        if any(k[i] for i in declared) and not _resolved(r, sum(map(abs, k)), modulus, prec):
-            raise PrecisionError(f"divisor at k={k} is not resolved at {prec} input bits")
+        if any(map(k.__getitem__, declared)) and not _resolved(r, sum(map(abs, k)), modulus, prec):
+            raise PrecisionError(f"divisor at k={k} is not resolved at {prec} input bits", k)
+        if sign == -1:
+            denom = denom.conjugate()
+        divs[k] = denom
+        gk = entries[k]
         div_abs = abs(denom)
         if div_abs <= tol:
             if abs(gk) > tol:
@@ -158,7 +166,6 @@ def solve(problem: CoboundaryProblem, classification=None,
         if min_div is None or div_abs < min_div:
             min_div = div_abs
             argmin = k
-    del table  # only the divisors are kept past the division
     if resonant:
         raise ResonanceError(resonant)
 
@@ -208,7 +215,7 @@ def residual(f: CoefficientField, g: CoefficientField, u, grid_size: int,
     distinct mod n, so no two modes alias onto one index and the FFT sums
     exactly the trigonometric polynomial.
     """
-    divs, _, _ = _divisors(_coerce_u(u, f.dim), f.keys(), sign)
+    divs = _divisors(_coerce_u(u, f.dim), f.keys(), sign)
     return _residual(f, g, divs, grid_size)
 
 

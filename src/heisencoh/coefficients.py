@@ -151,9 +151,12 @@ def write_coefficients(field: CoefficientField, fh) -> None:
         fh.write(f"{ks} {v.real:.17g} {v.imag:.17g}\n")
 
 
-def read_coefficients(fh) -> CoefficientField:
-    """The field written in fh, an open text file or any iterable of its
-    lines, read one line at a time."""
+def _read_lines(fh):
+    """(dim, entries) of the coefficient text in fh, an open text file or
+    any iterable of its lines: dim from its header, and entries a generator
+    that reads the lines after it one at a time and yields (lineno, key,
+    value) for each.  Raises ParseError on a malformed header or line; a
+    key may repeat."""
     it = enumerate(fh, start=1)
     dim = None
     for lineno, raw in it:
@@ -172,22 +175,56 @@ def read_coefficients(fh) -> CoefficientField:
     if dim < 1:
         raise ParseError("dimension must be positive")
 
+    def entries():
+        for lineno, raw in it:
+            toks = raw.split()
+            if not toks:
+                continue
+            if len(toks) != dim + 2:
+                raise ParseError(
+                    f"expected {dim} integers and two reals, got {len(toks)} tokens", lineno
+                )
+            try:
+                key = tuple(map(int, toks[:dim]))
+                val = complex(float(toks[dim]), float(toks[dim + 1]))
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
+            yield lineno, key, val
+
+    return dim, entries()
+
+
+def read_coefficients(fh) -> CoefficientField:
+    """The field written in fh, an open text file or any iterable of its
+    lines, read one line at a time."""
+    dim, lines = _read_lines(fh)
     entries = {}
-    for lineno, raw in it:
-        toks = raw.split()
-        if not toks:
-            continue
-        if len(toks) != dim + 2:
-            raise ParseError(
-                f"expected {dim} integers and two reals, got {len(toks)} tokens", lineno
-            )
-        try:
-            key = tuple(map(int, toks[:dim]))
-            val = complex(float(toks[dim]), float(toks[dim + 1]))
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
+    for lineno, key, val in lines:
         if key in entries:
             raise ParseError(f"duplicate index {key}", lineno)
         entries[key] = val
     # every entry is checked above: the field takes the dict as it is
     return CoefficientField._from_checked(dim, entries)
+
+
+def reads_as(fh, field: CoefficientField) -> bool:
+    """Whether fh, an open text file or any iterable of its lines, holds
+    field as ``write_coefficients`` writes it, checked one line at a time
+    without building a field: the header dim=<field.dim>, then one line per
+    entry of field in ascending index order, each read as
+    ``read_coefficients`` reads it and equal to the entry.  True only where
+    ``read_coefficients(fh) == field``; False for any other text, including
+    text that ``read_coefficients`` rejects or that holds field out of
+    order."""
+    entries = field._entries
+    keys = iter(sorted(entries))
+    try:
+        dim, lines = _read_lines(fh)
+        if dim != field.dim:
+            return False
+        for _, key, val in lines:
+            if key != next(keys, None) or val != entries[key]:
+                return False
+    except ParseError:
+        return False
+    return next(keys, None) is None

@@ -7,7 +7,7 @@ evidence C |k|^-s <= divisor (Diophantine), or witnesses of abnormally close
 approach (Liouville).  Verdicts other than Rational are evidence from a
 finite scan, never proof.
 
-``classify`` and ``divisor_table`` (behind ``solve``) take the phase <k, t>
+``classify`` and ``iter_divisors`` (behind ``solve``) take the phase <k, t>
 on one exact integer grid, ``_phase_grid``: <k, U> mod L, t_i = U_i / L for
 the stored values.  Scans enumerate it in every rank as a lattice (see
 ``_scan``); every decision is taken on exact integers or on deterministic
@@ -20,6 +20,7 @@ inexact ``phase_distance`` loads mpmath.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
 
@@ -84,15 +85,22 @@ def _phase_grid(tvec):
     return scaled, modulus
 
 
-def divisor_table(t, keys):
-    """The divisors 1 - exp(2 pi i <k, t>) of every k in keys, in one pass.
+def _phase(scaled, modulus, k):
+    """(r, sign) of the phase <k, t> on the grid (scaled, modulus) of
+    ``_phase_grid``: r / modulus is its exact distance to the nearest
+    integer, and sign is +1 when frac(<k, t>) <= 1/2, -1 otherwise."""
+    phase = sum(map(operator.mul, k, scaled)) % modulus
+    return min(phase, modulus - phase), 1 if 2 * phase <= modulus else -1
 
-    Returns (L, table) with table[k] = (r, divisor).  The phase <k, t> is
-    taken exactly on the integer grid of ``_phase_grid``, so r / L is the
-    exact distance of <k, t> to the nearest integer.  The divisor is 0j when
-    r is 0; otherwise d = r / L is rounded once to 80 bits and the divisor is
-    2 sin^2(pi d) - i sign 2 sin(pi d) cos(pi d), with pi d, sin and cos
-    rounded to 80 bits and sign +1 when frac(<k, t>) <= 1/2, -1 otherwise.
+
+def iter_divisors(grid, keys):
+    """Yield (k, r, divisor) for each k of keys, in their order: the
+    divisor 1 - exp(2 pi i <k, t>) and r, with r / L the exact distance of
+    <k, t> to the nearest integer on grid = (U, L) = ``_phase_grid(t)``.
+
+    The divisor is 0j when r is 0; otherwise d = r / L is rounded once to
+    80 bits and the divisor is 2 sin^2(pi d) - i sign 2 sin(pi d) cos(pi d),
+    with pi d, sin and cos rounded to 80 bits and sign as in ``_phase``.
     The trigonometric part depends on r alone, so it is evaluated once per
     distinct r (k and -k share it) and each k takes only its own sign.
     These 80-bit steps are taken on integers by ``_bigfloat``, with cos and
@@ -100,16 +108,14 @@ def divisor_table(t, keys):
     ``_divisor`` in the same way.  Keys must be integer tuples of the length
     of t.
     """
-    scaled, modulus = _phase_grid(_coerce_vector(t))
+    scaled, modulus = grid
     prec = _DIVISOR_PREC
     pi = bf.pi(prec)
     by_distance = {}  # r -> the divisor of sign +1
-    table = {}
     for k in keys:
-        phase = sum(ki * ui for ki, ui in zip(k, scaled)) % modulus
-        r = min(phase, modulus - phase)
+        r, sign = _phase(scaled, modulus, k)
         if r == 0:
-            table[k] = (0, 0j)
+            yield k, 0, 0j
             continue
         d = by_distance.get(r)
         if d is None:
@@ -120,8 +126,14 @@ def divisor_table(t, keys):
             im = bf.to_float(bf.mul(s2, c, prec))
             d = by_distance[r] = complex(re, -im)
         # conjugate() negates the imaginary part exactly: sign -1
-        table[k] = (r, d if 2 * phase <= modulus else d.conjugate())
-    return modulus, table
+        yield k, r, d if sign == 1 else d.conjugate()
+
+
+def divisor_table(t, keys):
+    """(L, table) with table[k] = (r, divisor) for every k in keys, from
+    ``iter_divisors`` on the grid (U, L) of t."""
+    grid = _phase_grid(_coerce_vector(t))
+    return grid[1], {k: (r, d) for k, r, d in iter_divisors(grid, keys)}
 
 
 def _resolved(r, weight, modulus, prec):
@@ -161,9 +173,7 @@ def phase_distance(t, k):
     """
     tvec, k = _nonzero_index(t, k)
     scaled, modulus = _phase_grid(tvec)
-    phase = sum(ki * ui for ki, ui in zip(k, scaled)) % modulus
-    sign = 1 if 2 * phase <= modulus else -1
-    r = min(phase, modulus - phase)
+    r, sign = _phase(scaled, modulus, k)
     if all(c.exact_value for c in tvec):
         return Fraction(r, modulus), sign
     import mpmath

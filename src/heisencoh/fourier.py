@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -79,49 +80,69 @@ _GAUSS_NODES = tuple(-x for x in reversed(_HALF_NODES)) + _HALF_NODES
 _GAUSS_WEIGHTS = tuple(reversed(_HALF_WEIGHTS)) + _HALF_WEIGHTS
 
 
-def _gauss_panels(n_panels):
-    nodes, weights = np.array(_GAUSS_NODES), np.array(_GAUSS_WEIGHTS)
+# complex entries per block of ``_fhat_blocks``: b node rows hold
+# b (modes + 2 panels) of them in their twisted and folded coefficients,
+# and b is the most rows that fit, or 1.  Blocks of about 1 MiB are long
+# enough that numpy's per-call cost does not show.
+_BLOCK = 1 << 16
+
+
+def _panel_nodes(n_panels, rows):
+    """(xi, w): the nodes rows (a slice of range(24)) of every one of
+    n_panels equal panels of [0, 1] and their weights, arrays of shape
+    (len(rows), n_panels) with xi[i, p] the node rows[i] of panel p."""
+    nodes, weights = np.array(_GAUSS_NODES[rows]), np.array(_GAUSS_WEIGHTS[rows])
     edges = np.linspace(0.0, 1.0, n_panels + 1)
     mid = (edges[:-1] + edges[1:]) / 2
     half = (edges[1:] - edges[:-1]) / 2
-    xi = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
-    return xi, w
+    return mid + half * nodes[:, None], half * weights[:, None]
 
 
-def _fhat_on_panels(f: CoefficientField, n_panels, xi) -> np.ndarray:
-    """fhat(f, xi) at the nodes xi of ``_gauss_panels(n_panels)``,
+def _fhat_blocks(f: CoefficientField, n_panels):
+    """Yield (rows, fh) for blocks of node rows that cover range(24):
+    fh = fhat(f, xi) at the nodes xi of ``_panel_nodes(n_panels, rows)``,
     in O(R log R) for support radius R <= n_panels (below 2**26).
 
     Panel p carries node j at y = (2p + 1 + x_j) / (2P), P = n_panels, so
     fhat(y) = sum_m a_j[m] exp(-2 pi i m p / P) with the folded coefficients
     a_j[m] = sum_{k = m mod P} f_k exp(-pi i k (1 + x_j) / P): one length-P
-    FFT per node offset.  The float node xi sits delta = xi - y away from
+    FFT per node row.  The float node xi sits delta = xi - y away from
     the exact y (below 1 ulp of xi); the same FFTs of -2 pi i k f_k give
     fhat'(y), and fhat(y) + delta fhat'(y) is fhat(xi) up to a term of
     order (2 pi R delta)^2, so the FFT evaluates the same rule as ``fhat``.
+    Each value is the same float whatever the block size.
     """
     nodes = np.array(_GAUSS_NODES)
-    items = f.items()
-    k = np.array([key for (key,), _ in items], dtype=np.int64)
-    v = np.array([val for _, val in items], dtype=complex)
-    twisted = v * np.exp(-1j * np.pi * k * (1.0 + nodes[:, None]) / n_panels)
-    folded = np.zeros((2, _NODES, n_panels), dtype=complex)
-    np.add.at(folded[0], (slice(None), k % n_panels), twisted)
-    twisted *= -2j * np.pi * k
-    np.add.at(folded[1], (slice(None), k % n_panels), twisted)
-    del twisted  # in place and freed early: R = 4096 holds 24 x 8193 of each
-    np.fft.fft(folded, axis=2, out=folded)
-    value, slope = folded.transpose(0, 2, 1).reshape(2, -1)
-    # delta from the split xi = hi + lo (26 bits each): hi * 2P and lo * 2P
-    # are exact, and so is the cancellation against the integer 2p + 1
+    keys = f.keys()
+    k = np.fromiter((key for (key,) in keys), np.int64, len(keys))
+    v = np.fromiter(map(f._entries.__getitem__, keys), complex, len(keys))
+    # the keys ascend, so each run of one k // P has distinct slots k mod P,
+    # and adding the runs in turn adds each slot's terms in key order
+    cuts = [0, *(np.flatnonzero(np.diff(k // n_panels)) + 1).tolist(), len(k)]
+    slabs = [(slice(a, b), k[a:b] % n_panels) for a, b in zip(cuts, cuts[1:])]
+    step = min(_NODES, max(1, _BLOCK // (len(k) + 2 * n_panels)))
     two_p = 2.0 * n_panels
-    odd = np.repeat(2.0 * np.arange(n_panels) + 1.0, _NODES)
-    split = 134217729.0 * xi  # 2**27 + 1
-    hi = split - (split - xi)
-    lo = xi - hi
-    delta = ((hi * two_p - odd - np.tile(nodes, n_panels)) + lo * two_p) / two_p
-    return value + delta * slope
+    odd = 2.0 * np.arange(n_panels) + 1.0
+    for j in range(0, _NODES, step):
+        rows = slice(j, j + step)
+        x = nodes[rows, None]
+        twisted = v * np.exp(-1j * np.pi * k * (1.0 + x) / n_panels)
+        folded = np.zeros((2, len(x), n_panels), dtype=complex)
+        for run, slots in slabs:
+            folded[0][:, slots] += twisted[:, run]
+        twisted *= -2j * np.pi * k
+        for run, slots in slabs:
+            folded[1][:, slots] += twisted[:, run]
+        del twisted
+        np.fft.fft(folded, axis=2, out=folded)
+        # delta from the split xi = hi + lo (26 bits each): hi * 2P and
+        # lo * 2P are exact, and so is the cancellation against 2p + 1
+        xi, _ = _panel_nodes(n_panels, rows)
+        split = 134217729.0 * xi  # 2**27 + 1
+        hi = split - (split - xi)
+        lo = xi - hi
+        delta = ((hi * two_p - odd - x) + lo * two_p) / two_p
+        yield rows, folded[0] + delta * folded[1]
 
 
 def sobolev_norm(f, alpha) -> float:
@@ -132,7 +153,7 @@ def sobolev_norm(f, alpha) -> float:
     support radius: at least 8 nodes per oscillation of |f_hat|^2; the
     integrand is analytic, so the documented error is below 1e-10 for
     support radii up to 64.  f_hat is evaluated at all 24 max(4, R) nodes
-    by 48 FFTs of length max(4, R) (``_fhat_on_panels``), O(R log R); the
+    by 48 FFTs of length max(4, R) (``_fhat_blocks``), O(R log R); the
     direct sum ``fhat`` at the same nodes gives norms within 2 ulp of it on
     seeded fields up to radius 300 (4 ulp are allowed in the tests).  The
     quadrature sum is correctly rounded (math.fsum), so the value does not
@@ -155,14 +176,20 @@ def sobolev_norms(f, alphas) -> list[float]:
     if len(f) == 0:
         return [0.0 for _ in alphas]
     n_panels = max(4, f.support_radius())
-    xi, w = _gauss_panels(n_panels)
-    fh = _fhat_on_panels(f, n_panels, xi)
-    base = 1.0 + 2.0 * np.sin(np.pi * xi)
-    norms = []
-    for alpha in alphas:
+    # f_hat is kept, a block at a time; the nodes, weights and multipliers
+    # are taken again for each alpha, so no array spans every node
+    blocks = list(_fhat_blocks(f, n_panels))
+
+    def terms(rows, fh, alpha):
+        xi, w = _panel_nodes(n_panels, rows)
+        base = 1.0 + 2.0 * np.sin(np.pi * xi)
         vals = np.abs(base**alpha * fh) ** 2
-        norms.append(math.sqrt(math.fsum((w * vals).tolist())))
-    return norms
+        return (w * vals).ravel().tolist()
+
+    return [
+        math.sqrt(math.fsum(chain.from_iterable(terms(rows, fh, alpha) for rows, fh in blocks)))
+        for alpha in alphas
+    ]
 
 
 # ---------------------------------------------------------------------------

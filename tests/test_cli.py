@@ -346,6 +346,38 @@ def test_classify_keeps_its_advice_where_more_precision_resolves():
     assert run_cli("classify", "--vector", vector, "--kmax", "100").returncode == 0
 
 
+@pytest.mark.parametrize("prec", ["128", "512"])
+@pytest.mark.parametrize("vector,k", [("golden,sqrt5", "(-2, 1)"), ("sqrt2,sqrt2", "(-1, 1)")])
+def test_solve_names_a_relation_that_precision_cannot_resolve(tmp_path, vector, k, prec):
+    g = tmp_path / "g.coef"
+    g.write_text("dim=2\n-2 1 1 0\n-1 1 1 0\n1 -1 1 0\n2 -1 1 0\n", encoding="utf-8")
+    r = run_cli("solve", "--g", str(g), "--u", vector, "--prec", prec)
+    assert r.returncode == 4
+    assert r.stdout == ""
+    assert r.stderr == (
+        f"error[precision]: divisor at k={k} is not resolved at {prec} input bits, and "
+        f"<k, t> is still an integer at {2 * int(prec)} bits: the components look "
+        "rationally dependent, and more precision will not help\n"
+    )
+
+
+def test_solve_keeps_its_message_where_more_precision_resolves(tmp_path):
+    from decimal import Decimal, localcontext
+
+    from heisencoh.precision import PrecisionReal
+
+    # as for classify: the zero at k = (1, -1) is gone at 128 bits
+    man, exp = PrecisionReal.parse("sqrt2", 64).fractional_part().man_exp
+    with localcontext() as ctx:
+        ctx.prec = 100
+        frac = Decimal(man) / Decimal(2) ** -exp
+    g = tmp_path / "g.coef"
+    g.write_text("dim=2\n1 -1 1 0\n", encoding="utf-8")
+    r = run_cli("solve", "--g", str(g), "--u", f"sqrt2,{frac}", "--prec", "64")
+    assert r.returncode == 4
+    assert r.stderr == "error[precision]: divisor at k=(1, -1) is not resolved at 64 input bits\n"
+
+
 def test_solve_json_writes_the_out_file(tmp_path):
     g = tmp_path / "g.coef"
     g.write_text("dim=1\n1 1 0\n", encoding="utf-8")
@@ -374,68 +406,111 @@ def test_solve_computes_the_residual_once_per_grid(monkeypatch):
     # with --grid-size the re-read f gets its own residual on the default grid
     assert cli.main(argv + ["--verify", "--grid-size", "31"]) == 0
     assert grids == [31, 17, 31, 17]
-    # f solves the truncated g; --verify checks it against the g of the file
+    # f solves the truncated g, and --verify checks it against that g: the
+    # residual solve took on its default grid 2 * 3 + 1
     assert cli.main(argv + ["--verify", "--truncation-radius", "3"]) == 0
-    assert grids == [31, 17, 31, 17, 7, 17]
+    assert grids == [31, 17, 31, 17, 7]
 
 
-def test_solve_verify_takes_the_residual_of_a_corrupted_reread(monkeypatch, capsys):
+def test_solve_verify_takes_the_residual_of_a_corrupted_reread(tmp_path, monkeypatch, capsys):
     from heisencoh import coboundary
-    from heisencoh.coefficients import CoefficientField
+    from heisencoh.coefficients import CoefficientField, read_coefficients
     from heisencoh.precision import PrecisionReal
 
-    real_read = cli.read_coefficients
-    fields = []
+    real_write = cli.write_coefficients
+    written = []
 
-    def read(fh):
-        field = real_read(fh)
-        if fields:  # the re-read of f: one coefficient moves
-            entries = dict(field.items())
-            entries[max(entries)] += 1e-3
-            field = CoefficientField(field.dim, entries)
-        fields.append(field)
-        return field
+    def write(field, fh):  # what --verify reads back: one coefficient moves
+        entries = dict(field.items())
+        entries[max(entries)] += 1e-3
+        written.append(CoefficientField(field.dim, entries))
+        real_write(written[-1], fh)
 
-    monkeypatch.setattr(cli, "read_coefficients", read)
+    monkeypatch.setattr(cli, "write_coefficients", write)
     g_path = Path(__file__).parent / "golden" / "solve_g_dim2_r8.txt"
-    argv = ["solve", "--g", str(g_path), "--u", "golden,sqrt2", "--verify", "--format", "json"]
-    assert cli.main(argv) == 0
-    doc = json.loads(capsys.readouterr().out)
-    g, f_back = fields
+    with open(g_path, encoding="utf-8") as fh:
+        g = read_coefficients(fh)
     u = [PrecisionReal.parse("golden"), PrecisionReal.parse("sqrt2")]
-    grid = coboundary.residual_grid(f_back, g)
-    assert doc["verify_residual"] == coboundary.residual(f_back, g, u, grid)
-    assert doc["verify_residual"] > 1e-4 > doc["residual_sup"]
+    argv = ["solve", "--g", str(g_path), "--u", "golden,sqrt2", "--verify", "--format", "json"]
+    # read back from the --out file, and from the text without one
+    for extra in (["--out", str(tmp_path / "f.txt")], []):
+        written.clear()
+        assert cli.main(argv + extra) == 0
+        doc = json.loads(capsys.readouterr().out)
+        (f_back,) = written
+        grid = coboundary.residual_grid(f_back, g)
+        assert doc["verify_residual"] == coboundary.residual(f_back, g, u, grid)
+        assert doc["verify_residual"] > 1e-4 > doc["residual_sup"]
 
 
-def test_solve_verify_out_memory_peak(tmp_path, capsys):
-    # dim 2, R = 32: g, f and the divisors are held once, the text of f is
-    # formatted once, and the re-read f that equals f takes no residual of
-    # its own.  The traced peak is about 2.0 MiB; a copy of f, a re-read
-    # through a second buffer and a second residual bring it to 2.9 MiB.
+def _seeded_g(path, dim, radius):
+    """A mean-free field on the box |k| <= radius, c_k = (x + iy) / (1 + |k|)
+    with x, y standard normal from a seeded generator, written to path."""
     import itertools
     import random
-    import tracemalloc
 
-    from heisencoh import coboundary, precision  # noqa: F401  (imported before tracing)
-
-    rng = random.Random(32)
-    lines = ["dim=2"]
-    for k in itertools.product(range(-32, 33), repeat=2):
+    rng = random.Random(radius)
+    lines = [f"dim={dim}"]
+    for k in itertools.product(range(-radius, radius + 1), repeat=dim):
         if any(k):
             w = 1.0 / (1 + max(map(abs, k)))
-            lines.append(f"{k[0]} {k[1]} {rng.gauss(0, 1) * w!r} {rng.gauss(0, 1) * w!r}")
-    g_path = tmp_path / "g.txt"
-    g_path.write_text("\n".join(lines) + "\n")
-    argv = ["solve", "--g", str(g_path), "--u", "golden,sqrt2", "--verify",
-            "--out", str(tmp_path / "f.txt")]
-    assert cli.main(argv) == 0  # warm: argparse and lazy imports
+            lines.append(" ".join(map(str, k)) + f" {rng.gauss(0, 1) * w!r} {rng.gauss(0, 1) * w!r}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _traced_peak(argv):
+    """The tracemalloc peak above the start of a second in-process run of
+    argv, after a first run has loaded argparse and the lazy imports."""
+    import tracemalloc
+
+    from heisencoh import coboundary, fourier, precision  # noqa: F401  (imported before tracing)
+
+    assert cli.main(argv) == 0
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         assert cli.main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1] - start
+        return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
+
+
+def test_solve_verify_out_memory_peak(tmp_path, capsys):
+    # dim 2, R = 32: g, f and the divisors are held once, f goes straight
+    # into the --out file, and --verify reads the file back line by line
+    # against f, building neither its text nor a second field.  The traced
+    # peak is about 1.6 MiB; the text of f re-read through a field, as
+    # before, brings it to 2.0 MiB.
+    g_path = _seeded_g(tmp_path / "g.txt", 2, 32)
+    peak = _traced_peak(["solve", "--g", str(g_path), "--u", "golden,sqrt2", "--verify",
+                         "--out", str(tmp_path / "f.txt")])
     capsys.readouterr()
-    assert peak < 2.5 * 2**20, peak
+    assert peak < 1.8 * 2**20, peak
+
+
+def test_solve_norms_memory_peak(tmp_path, capsys):
+    # dim 1, R = 4096: the Sobolev quadrature holds f_hat and works on a few
+    # node rows at a time, so no array spans all 24 x 8193 nodes or modes.
+    # The traced peak is about 6.1 MiB; arrays over every node took 15.8 MiB.
+    g_path = _seeded_g(tmp_path / "g.txt", 1, 4096)
+    peak = _traced_peak(["solve", "--g", str(g_path), "--u", "golden", "--alpha-list", "0,1",
+                         "--verify", "--out", str(tmp_path / "f.txt")])
+    capsys.readouterr()
+    assert peak < 10 * 2**20, peak
+
+
+def test_solve_json_memory_peak(tmp_path, monkeypatch):
+    # dim 2, R = 32 in JSON, written to a file: the document goes out a
+    # chunk at a time, so its text is never held whole.  The traced peak is
+    # about 2.8 MiB; joined first, it was 6.5 MiB.
+    g_path = _seeded_g(tmp_path / "g.txt", 2, 32)
+    argv = ["solve", "--g", str(g_path), "--u", "golden,sqrt2", "--verify", "--format", "json"]
+    with open(tmp_path / "out.json", "w", encoding="utf-8") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        peak = _traced_peak(argv)
+    text = (tmp_path / "out.json").read_text(encoding="utf-8")  # two runs, the same bytes
+    doc = json.loads(text[:len(text) // 2])
+    assert text == 2 * text[:len(text) // 2]
+    assert len(doc["f"]) == 65 * 65 - 1 and doc["verify_residual"] == doc["residual_sup"]
+    assert peak < 4 * 2**20, peak

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from heisencoh import _bigfloat as bf
-from heisencoh import cli, coboundary
+from heisencoh import cli, coboundary, diophantine
 from heisencoh.coboundary import (
     CoboundaryProblem,
     coboundary_from,
@@ -449,13 +449,17 @@ def test_each_divisor_is_evaluated_once_per_solve_command(tmp_path, monkeypatch,
     with open(g_path, "w", encoding="utf-8") as fh:
         write_coefficients(g, fh)
     seen = []
+    real = diophantine.iter_divisors
 
-    def counting(t, keys):
-        keys = list(keys)
-        seen.extend(keys)
-        return divisor_table(t, keys)
+    def counting(grid, keys):
+        for k, r, d in real(grid, keys):
+            seen.append(k)
+            yield k, r, d
 
-    monkeypatch.setattr(coboundary, "divisor_table", counting)
+    # solve reads the generator directly, and divisor_table (behind residual
+    # and coboundary_from) reads it on diophantine
+    monkeypatch.setattr(coboundary, "iter_divisors", counting)
+    monkeypatch.setattr(diophantine, "iter_divisors", counting)
     rc = cli.main(["solve", "--g", str(g_path), "--u", "golden,sqrt2", "--verify",
                    "--grid-size", "31", "--out", str(tmp_path / "f.txt")])
     assert rc == 0, capsys.readouterr().err

@@ -4,7 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heisencoh.coefficients import CoefficientField, read_coefficients, write_coefficients
+from heisencoh.coefficients import (
+    CoefficientField,
+    read_coefficients,
+    reads_as,
+    write_coefficients,
+)
 from heisencoh.errors import DimensionMismatchError, DomainError, ParseError
 
 
@@ -152,3 +157,45 @@ def test_read_errors():
 def test_duplicate_in_constructor():
     with pytest.raises(DomainError):
         CoefficientField(1, [((1,), 1.0), ((1,), 2.0)])
+
+
+def test_reads_as_accepts_only_texts_that_read_as_the_field():
+    field = CoefficientField(2, {(-1, 2): 0.5 - 1e-300j, (0, 0): 0j, (3, -4): -0.0 + 2.5j},
+                             drop_zeros=False)
+    buf = io.StringIO()
+    write_coefficients(field, buf)
+    text = buf.getvalue()
+    head, *lines = text.splitlines(keepends=True)
+    variants = {
+        "as written": text,
+        "blank lines": "\n" + head + "\n" + "".join(lines) + "  \n",
+        "spaced header": " dim=2 \n" + "".join(lines),
+        "other digits": head + "-1 2 0.50 -1e-300\n" + "".join(lines[1:]),
+        "out of order": head + "".join(reversed(lines)),
+        "duplicate": head + lines[0] + "".join(lines),
+        "missing line": head + "".join(lines[:-1]),
+        "extra line": text + "5 5 1 0\n",
+        "other value": text.replace("2.5", "2.4"),
+        "other dim": "dim=3\n",
+        "bad dim": "dim=two\n" + "".join(lines),
+        "no header": "".join(lines),
+        "empty": "",
+        "short line": head + "-1 2 0.5\n" + "".join(lines[1:]),
+        "bad number": head + "-1 2 0.5 x\n" + "".join(lines[1:]),
+        "nan": head + "".join(lines) + "4 4 nan 0\n",
+    }
+    equal = set()
+    for name, variant in variants.items():
+        try:
+            if read_coefficients(io.StringIO(variant)) == field:
+                equal.add(name)
+        except ParseError:
+            pass
+    accepted = {name for name, variant in variants.items()
+                if reads_as(variant.splitlines(keepends=True), field)}
+    # every text that reads as field in the written order, and no other
+    assert accepted == equal - {"out of order"}
+    assert accepted == {"as written", "blank lines", "spaced header", "other digits"}
+    assert reads_as(io.StringIO(text), field)
+    nan_field = CoefficientField(1, {(1,): complex(float("nan"), 0)})
+    assert not reads_as(["dim=1\n", "1 nan 0\n"], nan_field)

@@ -7,11 +7,12 @@ import pytest
 from heisencoh.coefficients import CoefficientField
 from heisencoh.errors import DegenerateInputError, DomainError
 from heisencoh.fourier import (
+    _NODES,
     SampledFunction,
-    _fhat_on_panels,
+    _fhat_blocks,
     _GAUSS_NODES,
     _GAUSS_WEIGHTS,
-    _gauss_panels,
+    _panel_nodes,
     dft,
     difference,
     fhat,
@@ -145,6 +146,51 @@ def test_sobolev_norm_axioms():
         assert sobolev_norm(f + g, a) <= sobolev_norm(f, a) + sobolev_norm(g, a) + 1e-10
 
 
+def _gauss_panels(n_panels):
+    """Every node and weight of the composite rule, panel by panel: node j
+    of panel p at index 24 p + j."""
+    nodes, weights = np.array(_GAUSS_NODES), np.array(_GAUSS_WEIGHTS)
+    edges = np.linspace(0.0, 1.0, n_panels + 1)
+    mid = (edges[:-1] + edges[1:]) / 2
+    half = (edges[1:] - edges[:-1]) / 2
+    xi = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+    w = (half[:, None] * weights[None, :]).ravel()
+    return xi, w
+
+
+def batched_fhat_on_panels(f, n_panels, xi):
+    """The FFT evaluation of ``_fhat_blocks`` on all 24 node rows at once,
+    with np.add.at folding: the reference the blocks must equal bit for bit.
+    Values at the nodes xi of ``_gauss_panels(n_panels)``, in their order."""
+    nodes = np.array(_GAUSS_NODES)
+    items = f.items()
+    k = np.array([key for (key,), _ in items], dtype=np.int64)
+    v = np.array([val for _, val in items], dtype=complex)
+    twisted = v * np.exp(-1j * np.pi * k * (1.0 + nodes[:, None]) / n_panels)
+    folded = np.zeros((2, _NODES, n_panels), dtype=complex)
+    np.add.at(folded[0], (slice(None), k % n_panels), twisted)
+    twisted *= -2j * np.pi * k
+    np.add.at(folded[1], (slice(None), k % n_panels), twisted)
+    np.fft.fft(folded, axis=2, out=folded)
+    value, slope = folded.transpose(0, 2, 1).reshape(2, -1)
+    two_p = 2.0 * n_panels
+    odd = np.repeat(2.0 * np.arange(n_panels) + 1.0, _NODES)
+    split = 134217729.0 * xi
+    hi = split - (split - xi)
+    lo = xi - hi
+    delta = ((hi * two_p - odd - np.tile(nodes, n_panels)) + lo * two_p) / two_p
+    return value + delta * slope
+
+
+def batched_sobolev_norms(f, alphas):
+    """``sobolev_norms`` with every node in one array: the reference."""
+    n_panels = max(4, f.support_radius())
+    xi, w = _gauss_panels(n_panels)
+    fh = batched_fhat_on_panels(f, n_panels, xi)
+    base = 1.0 + 2.0 * np.sin(np.pi * xi)
+    return [math.sqrt(math.fsum((w * np.abs(base**a * fh) ** 2).tolist())) for a in alphas]
+
+
 def sobolev_norms_direct(f, alphas):
     """The quadrature of ``sobolev_norms`` with f_hat summed mode by mode at
     every node by ``fhat``: O(R^2), the oracle for the FFT evaluation."""
@@ -182,10 +228,33 @@ def test_sobolev_fft_matches_direct_sum(radius):
 def test_sobolev_fft_values_match_direct_sum_at_every_node():
     for radius in (4, 9, 33, 256):
         f = seeded_field(radius, False)
-        xi, _ = _gauss_panels(max(4, radius))
+        n_panels = max(4, radius)
         scale = sum(abs(v) for _, v in f.items())
-        err = np.max(np.abs(_fhat_on_panels(f, max(4, radius), xi) - fhat(f, xi)))
-        assert err <= 1e-14 * scale, radius  # 3e-15 * scale seen at radius 256
+        for rows, fh in _fhat_blocks(f, n_panels):
+            xi, _ = _panel_nodes(n_panels, rows)
+            err = np.max(np.abs(fh - fhat(f, xi)))
+            assert err <= 1e-14 * scale, radius  # 3e-15 * scale seen at radius 256
+
+
+@pytest.mark.parametrize("radius", sorted(set(range(1, 41)) | {57, 64, 100, 103, 255, 256, 257,
+                                                                1000, 4096}))
+def test_fhat_blocks_and_norms_equal_the_batched_reference(radius):
+    # blocks of node rows and in-order slab additions change no bit: every
+    # f_hat value and every correctly rounded norm is the batched one's
+    alphas = [0.0, 0.5, 1.0, 1.5, 2.0, 3.7]
+    for sparse in (False, True):
+        f = seeded_field(radius, sparse)
+        n_panels = max(4, radius)
+        xi, _ = _gauss_panels(n_panels)
+        want = batched_fhat_on_panels(f, n_panels, xi).reshape(n_panels, _NODES)
+        covered = []
+        for rows, fh in _fhat_blocks(f, n_panels):
+            covered.extend(range(_NODES)[rows])
+            assert fh.tobytes() == np.ascontiguousarray(want[:, rows].T).tobytes(), (radius, rows)
+        assert covered == list(range(_NODES))
+        if radius >= 1000 and not sparse:
+            assert len(list(_fhat_blocks(f, n_panels))) > 1  # the rows come in blocks
+        assert sobolev_norms(f, alphas) == batched_sobolev_norms(f, alphas), (radius, sparse)
 
 
 def test_quadrature_constants_are_leggauss_24():
