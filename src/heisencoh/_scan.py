@@ -33,6 +33,10 @@ from .errors import PrecisionError
 # an exact rational upper bound of pi
 PI_NUM, PI_DEN = 314159265358979323847, 10**20
 
+# witnesses with a level retained per range, lowest (|k|, k) first; bounds
+# the report and the scan's memory on degenerate near-resonant inputs
+WITNESS_CAP = 10000
+
 
 class RangeScan:
     """What the walk of one dyadic range lo <= |k| < hi found."""
@@ -44,7 +48,7 @@ class RangeScan:
         self.hi = hi                # exclusive
         self.n_scanned = n_scanned  # points of the range that are not exact zeros
         self.kept = kept            # [(r', k)] ascending by (r', k)
-        self.witnesses = witnesses  # [(k, r', |k|)] ascending by (|k|, k)
+        self.witnesses = witnesses  # [(k, r', |k|, levels)] ascending by (|k|, k)
         self.frontier = frontier    # [(r', k, |k|)], see collect_below
         self.zero = zero            # the least exact zero, by (|k|, k), or None
 
@@ -185,34 +189,39 @@ def _shells(rows, m, lo, hi):
         prev, big = big, min(2 * big, m // 2)
 
 
-def scan_unit(tvec, m, kmax, keep, witness_bound_fn, s_min, s_max, declared):
+def scan_unit(tvec, m, kmax, keep, witness_bound_fn, witness_levels, s_min, s_max, declared):
     """Scan 0 < |k| <= kmax in dyadic ranges; folded distances are r'/m.
 
     tvec holds the components as exact integers U_i with t_i = U_i / m;
     `declared` indexes those that stand for a real known only to the
     precision they declare.
 
-    Per range: the `keep` smallest (r', k), every witness candidate r' <=
-    witness_bound_fn(lo) in ascending (|k|, k), the frontier
-    (``collect_below``) and the least exact zero, all from one walk of the
-    range's stream (``_walk``).  The caller picks the witnesses among the
-    candidates and caps them.
+    Per range: the `keep` smallest (r', k); the witnesses, the first
+    WITNESS_CAP in ascending (|k|, k) of the points with r' <=
+    witness_bound_fn(lo) for which witness_levels(r', |k|) is not empty,
+    each with those levels; the frontier (``collect_below``) and the least
+    exact zero, all from one walk of the range's stream (``_walk``).
     """
     n = len(tvec)
     rows = lattice(tvec, m)
     out = []
     for lo, hi in dyadic_ranges(kmax):
         rs = RangeScan(lo, hi, ((2 * hi - 1) ** n - (2 * lo - 1) ** n) // 2, [], [], [], None)
-        walk = _walk(rs, rows, m, keep, witness_bound_fn(lo), s_max, declared)
+        walk = _walk(rs, rows, m, keep, witness_bound_fn(lo), witness_levels, s_max, declared)
         rs.frontier = collect_below(walk, s_min)
-        rs.witnesses.sort(key=lambda w: (w[2], w[0]))
+        rs.witnesses = [w[2:] for w in sorted(rs.witnesses, reverse=True)]
         out.append(rs)
     return out
 
 
-def _walk(rs, rows, m, keep, bound, s_max, declared):
+def _walk(rs, rows, m, keep, bound, witness_levels, s_max, declared):
     """Yield (r', k, |k|) for the points of the range rs in ascending (r', k),
-    filling rs.kept, rs.witnesses and rs.zero on the way.
+    filling rs.kept and rs.zero on the way, and rs.witnesses with a heap of
+    (-|k|, -k, k, r', |k|, levels): the WITNESS_CAP least (|k|, k) among
+    the points with r' <= bound and nonempty witness_levels(r', |k|), whose
+    root is the greatest of them.  A point that cannot enter a full heap
+    skips the level test, which would otherwise run on every point of a
+    range whose points all lie below the bound.
 
     A point with r' = 0 whose k vanishes on every declared component is an
     exact zero: it is counted off rs.n_scanned and skipped.  Any other point
@@ -229,7 +238,7 @@ def _walk(rs, rows, m, keep, bound, s_max, declared):
     stop = math.inf  # no later point can beat a point seen once r' > stop
     least = math.inf  # least |k| seen
     zero = (math.inf, None)  # the least exact zero as (|k|, k)
-    kept, wit = rs.kept, rs.witnesses
+    kept, wit, cap = rs.kept, rs.witnesses, WITNESS_CAP
     for rp, k in range_points(rows, m, rs.lo, rs.hi):
         if rp > stop and rp > bound and len(kept) >= keep:
             return
@@ -248,8 +257,14 @@ def _walk(rs, rows, m, keep, bound, s_max, declared):
         norm = max(map(abs, k))
         if len(kept) < keep:
             kept.append((rp, k))
-        if rp <= bound:
-            wit.append((k, rp, norm))
+        if rp <= bound and (len(wit) < cap or (norm, k) < (wit[0][4], wit[0][2])):
+            levels = witness_levels(rp, norm)
+            if levels:
+                entry = (-norm, tuple(map(operator.neg, k)), k, rp, norm, levels)
+                if len(wit) < cap:
+                    heapq.heappush(wit, entry)
+                else:
+                    heapq.heapreplace(wit, entry)
         if norm < least:
             least = norm
             stop = min(stop, PI_NUM * norm**c_hi * rp // stop_den)

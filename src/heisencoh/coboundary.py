@@ -18,12 +18,11 @@ from .coefficients import CoefficientField
 # phase_distance and complex_divisor are looked up on this module by
 # perfbench/trace_child.py; solve itself goes through iter_divisors
 from .diophantine import (  # noqa: F401
-    _declared, _phase_grid, _resolved, complex_divisor, divisor_table, iter_divisors,
-    phase_distance,
+    _coerce_vector, _declared, _phase_grid, _resolved, complex_divisor, divisor_table,
+    iter_divisors, phase_distance,
 )
 from .errors import DomainError, NonzeroMeanError, PrecisionError, ResonanceError
 from .fourier import sobolev_norms
-from .precision import PrecisionReal
 
 
 @dataclass
@@ -35,13 +34,7 @@ class CoboundaryProblem:
     sign: int = 1  # +1: factor (1 - e^{2 pi i <k,u>}); -1: conjugate reading
 
     def __post_init__(self):
-        comps = self.u if isinstance(self.u, (list, tuple)) else [self.u]
-        self.u = [PrecisionReal.coerce(c) for c in comps]
-        if len(self.u) != self.g.dim:
-            raise DomainError(
-                f"translation vector has length {len(self.u)}, "
-                f"coefficients have dimension {self.g.dim}"
-            )
+        self.u = _coerce_vector(self.u, self.g.dim)
         if self.sign not in (1, -1):
             raise DomainError("sign must be +1 or -1")
         if self.truncation_radius is not None:
@@ -90,13 +83,6 @@ def obstruction(g: CoefficientField) -> complex:
     return g.get((0,) * g.dim)
 
 
-def _coerce_u(u, dim):
-    u = [PrecisionReal.coerce(c) for c in (u if isinstance(u, (list, tuple)) else [u])]
-    if len(u) != dim:
-        raise DomainError("dimension mismatch between the field and u")
-    return u
-
-
 def _divisors(u, keys, sign):
     """{k: 1 - exp(2 pi i sign <k, u>)} for the nonzero k in keys."""
     _, table = divisor_table(u, [k for k in keys if any(k)])
@@ -105,7 +91,7 @@ def _divisors(u, keys, sign):
 
 def coboundary_from(f: CoefficientField, u, sign=1) -> CoefficientField:
     """Forward map g_k = (1 - exp(2 pi i <k, u>)) f_k; g_0 = 0 always."""
-    divs = _divisors(_coerce_u(u, f.dim), f.keys(), sign)
+    divs = _divisors(_coerce_vector(u, f.dim), f.keys(), sign)
     return CoefficientField(f.dim, {k: v * divs[k] for k, v in f.items() if any(k)})
 
 
@@ -215,7 +201,7 @@ def residual(f: CoefficientField, g: CoefficientField, u, grid_size: int,
     distinct mod n, so no two modes alias onto one index and the FFT sums
     exactly the trigonometric polynomial.
     """
-    divs = _divisors(_coerce_u(u, f.dim), f.keys(), sign)
+    divs = _divisors(_coerce_vector(u, f.dim), f.keys(), sign)
     return _residual(f, g, divs, grid_size)
 
 

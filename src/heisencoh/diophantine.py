@@ -13,8 +13,8 @@ the stored values.  Scans enumerate it in every rank as a lattice (see
 ``_scan``); every decision is taken on exact integers or on deterministic
 high-precision evaluations of them, so reports are reproducible bit for bit.
 ``classify`` evaluates its divisors, weights and exponents at 100 bits on
-integers (``_bigfloat``), and ``solve`` its 80-bit divisors; only the
-inexact ``phase_distance`` loads mpmath.
+integers (``_bigfloat``), ``solve`` its 80-bit divisors, and
+``phase_distance`` returns the exact distance r / L; none loads mpmath.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ MAX_LEVEL = 1024
 WITNESS_TOL_BITS = 20
 _TOLERANCE = bf.from_float(1 + 2.0**-WITNESS_TOL_BITS)
 
-# witnesses with a level retained per range, lowest (|k|, k) first; guards
-# against degenerate near-resonant inputs flooding the report
-WITNESS_CAP = 10000
+# witnesses with a level retained per range, lowest (|k|, k) first; the
+# scan reads the constant of ``_scan``
+WITNESS_CAP = _scan.WITNESS_CAP
 
 # records printed, which is also the size of each range's kept list
 N_RECORDS = 10
@@ -55,8 +55,14 @@ N_RECORDS = 10
 DIO_RATIO = 0.01
 
 
-def _coerce_vector(t):
+def _coerce_vector(t, dim=None):
+    """t as a list of PrecisionReal, a scalar as a vector of length 1; of
+    length dim when dim is given."""
     comps = t if isinstance(t, (list, tuple)) else [t]
+    if dim is not None and len(comps) != dim:
+        raise DomainError(
+            f"translation vector has length {len(comps)}, coefficients have dimension {dim}"
+        )
     if not comps:
         raise DomainError("translation vector is empty")
     return [PrecisionReal.coerce(c) for c in comps]
@@ -166,24 +172,15 @@ def _nonzero_index(t, k):
 def phase_distance(t, k):
     """(dist, sign): distance of <k, t> to the nearest integer and the side.
 
-    sign is +1 when frac(<k, t>) <= 1/2 and -1 otherwise.  dist is an exact
-    Fraction when every component of t is exact, and otherwise an mpf
-    rounded to max(prec) + bit_length(max |k|) + 16 bits from the exact
-    integer phase; it is 0 only when <k, t> is an integer.
+    sign is +1 when frac(<k, t>) <= 1/2 and -1 otherwise.  dist is the
+    exact Fraction r / L on the grid (U, L) of ``_phase_grid``, which holds
+    the stored values exactly, for exact and inexact t alike; it is 0 only
+    when <k, t> is an integer.
     """
     tvec, k = _nonzero_index(t, k)
     scaled, modulus = _phase_grid(tvec)
     r, sign = _phase(scaled, modulus, k)
-    if all(c.exact_value for c in tvec):
-        return Fraction(r, modulus), sign
-    import mpmath
-    from mpmath.libmp import from_rational, round_nearest
-
-    from .precision import mp_prec
-
-    prec = max((c.prec or 64) for c in tvec) + max(abs(v) for v in k).bit_length() + 16
-    with mp_prec(prec):
-        return mpmath.mpf(from_rational(r, modulus, prec, round_nearest)), sign
+    return Fraction(r, modulus), sign
 
 
 def complex_divisor(t, k) -> complex:
@@ -340,20 +337,28 @@ def _scan_general(tvec, kmax, keep, s_grid, prec_bits):
     Returns (ranges, rational_k, modulus): the ``_scan.RangeScan`` of each
     dyadic range, the least exact zero (by |k|, then k) or None, and the
     modulus L of ``_phase_grid``, so an exact p/q has period q and an exact
-    zero has r' = 0.  A range's witness candidates are its r' <=
-    ``_level_bound(L, lo, s*)``, s* the least level of s_grid above the rank
-    n: every point with a level above n, since the bound falls as |k| and s
-    grow.  Levels s <= n are left out, as Dirichlet's theorem gives them a
-    witness for every t; with no level above n there is no candidate.
+    zero has r' = 0.  A range's witnesses are its first WITNESS_CAP points
+    in (|k|, k) order with |k| >= 2 (|k| = 1 would make every bound dist <=
+    |k|^-s trivial) that meet a level of s_grid above the rank n, each with
+    the levels it meets.  Only the points with r' <= ``_level_bound(L, lo,
+    s*)``, s* the least such level, are tested, since the bound falls as |k|
+    and s grow.  Levels s <= n are left out, as Dirichlet's theorem gives
+    them a witness for every t; with no level above n there is no witness.
     Raises PrecisionError when a divisor is below the scan resolution, or
     when the smallest one is not resolved at the declared `prec_bits`.
     """
     scaled, modulus = _phase_grid(tvec)
-    s_star = next((s for s in s_grid if s > len(tvec)), None)
+    above = [s for s in s_grid if s > len(tvec)]
+
+    def levels(rp, norm):
+        if norm < 2:
+            return ()
+        return tuple(s for s in above if rp <= _level_bound(modulus, norm, s))
+
     ranges = _scan.scan_unit(
         scaled, modulus, kmax, keep,
-        lambda lo: -1 if s_star is None else _level_bound(modulus, lo, s_star),
-        s_grid[0], s_grid[-1], _declared(tvec)[0],
+        lambda lo: _level_bound(modulus, lo, above[0]) if above else -1,
+        levels, s_grid[0], s_grid[-1], _declared(tvec)[0],
     )
     # ranges ascend in |k|, so the first zero found is the least
     rational_k = next((rng.zero for rng in ranges if rng.zero), None)
@@ -479,23 +484,11 @@ def classify(
         if evidence and dio_s is None:
             dio_s, dio_c = s, _float(c_val)
 
-    # witness refinement on exact integers: the first WITNESS_CAP candidates
-    # of each range, in (|k|, k) order, that carry a level above n (|k| = 1
-    # would make every bound dist <= |k|^-s trivial)
+    # witness refinement on exact integers
     wit_records = []
     floors = {s: _significance_floor(s, n) for s in s_grid if s > n}
     for rng in ranges:
-        kept = 0
-        for kvec, rp, normk in rng.witnesses:
-            if kept == WITNESS_CAP:
-                break
-            levels = tuple(
-                s for s in floors
-                if normk >= 2 and rp <= _level_bound(modulus, normk, s)
-            )
-            if not levels:
-                continue
-            kept += 1
+        for kvec, rp, normk, levels in rng.witnesses:
             d, div = _divisor(rp, modulus)
             wit_records.append(
                 WitnessRecord(

@@ -3,39 +3,25 @@
 PrecisionReal keeps either an exact rational (Fraction) or a binary float
 man * 2**exp (the integer pair ``man_exp``, with man odd as mpmath
 normalises it) together with the binary precision it was produced at.
-Exact inputs are never rounded; scans and divisor computations read the
-stored value exactly (``diophantine._phase_grid``) so all downstream
-decisions are made on exact integers.  The named constants are evaluated
-on integers (``_bigfloat``); mpmath is loaded only by the views and
-constructors that hand out or take in an mpmath float.
+Exact inputs are never rounded; scans, divisors, continued fractions and
+float() read the stored value exactly (``diophantine._phase_grid``,
+``_bigfloat``), so every downstream decision is made on exact integers.
+The named constants are evaluated on integers too.  mpmath is an optional
+view: only ``from_mpf``, ``coerce`` of an mpf, ``approx`` and ``mpf()``
+load it, and each gives mpmath its precision explicitly, so none reads or
+sets mpmath's process-global precision.
 """
 
 from __future__ import annotations
 
+import math
 import sys
-import threading
-from contextlib import contextmanager
 from fractions import Fraction
 
 from . import _bigfloat as bf
 from .errors import DomainError, PrecisionError
 
 DEFAULT_PREC = 128
-
-# mpmath's working precision is process-global mutable state; every use in
-# this package goes through this guard so concurrent callers cannot corrupt
-# each other's precision
-_MP_LOCK = threading.RLock()
-
-
-@contextmanager
-def mp_prec(bits):
-    import mpmath
-
-    with _MP_LOCK:
-        with mpmath.workprec(bits):
-            yield
-
 
 def _golden(prec):
     """(sqrt(5) - 1) / 2 in mpmath's steps: sqrt(5) and the difference
@@ -105,9 +91,7 @@ class PrecisionReal:
             raise DomainError("precision must be at least 64 bits")
         import mpmath
 
-        with mp_prec(prec):
-            value = mpmath.mpf(value)
-        sign, man, exp, _ = value._mpf_
+        sign, man, exp, _ = mpmath.mpf(value, prec=int(prec), rounding="n")._mpf_
         return cls(None, (-man if sign else man, exp), int(prec))
 
     @classmethod
@@ -168,15 +152,25 @@ class PrecisionReal:
         return mp.make_mpf(from_man_exp(*self.man_exp))
 
     def mpf(self, prec=None):
-        import mpmath
+        """The value as an mpmath float rounded once to prec bits (by
+        default its own precision, else DEFAULT_PREC)."""
+        from mpmath import mp
+        from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
-        with mp_prec(prec or self.prec or DEFAULT_PREC):
-            if self.fraction is not None:
-                return mpmath.mpf(self.fraction.numerator) / self.fraction.denominator
-            return +self.approx
+        prec = int(prec or self.prec or DEFAULT_PREC)
+        if self.fraction is not None:
+            num, den = self.fraction.as_integer_ratio()
+            return mp.make_mpf(from_rational(num, den, prec, round_nearest))
+        return mp.make_mpf(from_man_exp(*self.man_exp, prec, round_nearest))
 
     def __float__(self):
-        return float(self.mpf(64))
+        """The stored value rounded once to a double, subnormals included;
+        +-inf beyond the largest double, as mpmath's float() gives."""
+        x = self.fraction if self.man_exp is None else bf.fraction(self.man_exp)
+        try:
+            return float(x)
+        except OverflowError:
+            return math.inf if x > 0 else -math.inf
 
     def fractional_part(self) -> "PrecisionReal":
         if self.fraction is not None:
@@ -221,9 +215,10 @@ def _factorial(j):
 def continued_fraction(x, depth) -> list[int]:
     """Partial quotients [a0; a1, a2, ...] of x, at most `depth` of them.
 
-    Exact rationals terminate naturally.  For floating values the expansion
-    is tracked with interval arithmetic; when the interval no longer pins the
-    next quotient a PrecisionError is raised rather than guessing.
+    Exact rationals terminate naturally.  An inexact value stands for every
+    real within max(1, |x|) 2^-prec of it; the expansion follows both ends
+    of that interval exactly, and where they part a PrecisionError is raised
+    rather than guessing, so each quotient returned is proved.
     """
     if depth < 1:
         raise DomainError("depth must be positive")
@@ -238,32 +233,29 @@ def continued_fraction(x, depth) -> list[int]:
             num, den = den, num
         return quotients
 
-    import mpmath
-
-    prec = x.prec
-    with mp_prec(prec + 16):
-        err = mpmath.ldexp(max(mpmath.mpf(1), abs(x.approx)), -prec)
-        lo = x.approx - err
-        hi = x.approx + err
-        quotients = []
-        for _ in range(depth):
-            alo = mpmath.floor(lo)
-            ahi = mpmath.floor(hi)
-            if alo != ahi:
-                raise PrecisionError(
-                    f"continued fraction ambiguous after {len(quotients)} terms "
-                    f"at {prec} bits; increase the precision"
-                )
-            quotients.append(int(alo))
-            flo = lo - alo
-            fhi = hi - alo
-            if flo <= 0:
-                raise PrecisionError(
-                    f"cannot certify the expansion beyond {len(quotients)} terms "
-                    f"at {prec} bits"
-                )
-            lo, hi = 1 / fhi, 1 / flo
-        return quotients
+    # the stored value x and its declared resolution eps = max(1, |x|) 2^-prec,
+    # both exact: the endpoints x -+ eps are a/b < c/d, and each step maps
+    # both through y -> 1 / (y - a_j), so a quotient is returned only when
+    # every real of the interval has it
+    x, prec = bf.fraction(x.man_exp), x.prec
+    eps = Fraction(max(1, abs(x)), 1 << prec)  # a Fraction even when max gives 1
+    (a, b), (c, d) = (x - eps).as_integer_ratio(), (x + eps).as_integer_ratio()
+    quotients = []
+    for _ in range(depth):
+        q = a // b
+        if q != c // d:
+            raise PrecisionError(
+                f"continued fraction ambiguous after {len(quotients)} terms "
+                f"at {prec} bits; increase the precision"
+            )
+        quotients.append(q)
+        if a == q * b:
+            raise PrecisionError(
+                f"cannot certify the expansion beyond {len(quotients)} terms "
+                f"at {prec} bits"
+            )
+        a, b, c, d = d, c - q * d, b, a - q * b
+    return quotients
 
 
 def convergents(quotients) -> list[tuple[int, int]]:

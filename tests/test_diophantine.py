@@ -202,6 +202,13 @@ def test_classify_matches_every_k_oracle():
     _check_against_every_k(liouville_constant(128), 3000, [1, 2.5, 3])
 
 
+def _levels(modulus, s_grid):
+    """The witness test classify hands scan_unit, for every level of s_grid."""
+    return lambda rp, norm: tuple(
+        s for s in s_grid if norm >= 2 and rp <= _level_bound(modulus, norm, s)
+    )
+
+
 @pytest.mark.parametrize("s_grid", [[1.5, 2.5, 3.0], [1.0, 2.5]])
 def test_refine_matches_brute_force_on_random_ranges(s_grid):
     # fractional levels and near-rationals give long frontiers, where the
@@ -212,7 +219,8 @@ def test_refine_matches_brute_force_on_random_ranges(s_grid):
     ts += [(modulus * p // q + r.getrandbits(150)) % modulus for p, q in ((1, 3), (2, 7), (355, 113))]
     for T in ts:
         ranges = _scan.scan_unit(
-            [T], modulus, 4095, 64, lambda lo: _level_bound(modulus, lo, s_grid[0]), s_grid[0], s_grid[-1], (0,)
+            [T], modulus, 4095, 64, lambda lo: _level_bound(modulus, lo, s_grid[0]),
+            _levels(modulus, s_grid), s_grid[0], s_grid[-1], (0,)
         )
         for rd in ranges[5:]:
             pts = [
@@ -236,7 +244,8 @@ def test_rescue_finds_brute_force_minimum_355_113():
         if k % 113
     ]
     ranges = _scan.scan_unit(
-        [T], modulus, hi - 1, 64, lambda lo: _level_bound(modulus, lo, 1.5), 1.5, 3.0, ()
+        [T], modulus, hi - 1, 64, lambda lo: _level_bound(modulus, lo, 1.5),
+        _levels(modulus, [1.5, 3.0]), 1.5, 3.0, ()
     )
     (rng,) = [r for r in ranges if r.lo == lo]
     for s in (3.0, 1.5):
@@ -490,7 +499,8 @@ def test_rank_n_scan_matches_every_k(names, kmax):
     keep = 64
     ranges, rational_k, modulus = _scan_general(tvec, kmax, keep, s_grid, None)
     # candidates only for the least level above the rank: s = 3 in rank 2,
-    # none in rank 3
+    # none in rank 3; the witnesses among them are those with a level
+    n = len(tvec)
     s_star = next((s for s in s_grid if s > len(tvec)), None)
     oracle = _shell_scan(
         tvec, modulus, kmax, keep,
@@ -501,7 +511,9 @@ def test_rank_n_scan_matches_every_k(names, kmax):
     assert rational_k == min(zeros, key=lambda v: (max(map(abs, v)), v), default=None)
     for rng, (lo, hi, kept, wits, zs, pts) in zip(ranges, oracle):
         assert rng.kept == kept
-        assert rng.witnesses == sorted(wits, key=lambda w: (w[2], w[0]))
+        want = [(k, rp, m, _exact_levels(rp, modulus, m, s_grid, n)) for k, rp, m in wits]
+        want = sorted((w for w in want if w[3]), key=lambda w: (w[2], w[0]))
+        assert rng.witnesses == want[:diophantine.WITNESS_CAP]
         assert rng.n_scanned == len(pts)
         for s in s_grid:
             assert _refine_range_minimum(rng, s, modulus) == _brute_vector_minimum(pts, s, modulus)
@@ -513,13 +525,50 @@ def test_witness_cap_keeps_the_first_witnesses_with_a_level(monkeypatch):
     # k >= 2 is a witness of t = 10^-30, k = 1 is not
     t = Fraction(1, 10**30)
     full = classify(t, 100).witnesses
-    monkeypatch.setattr(diophantine, "WITNESS_CAP", 20)
+    monkeypatch.setattr(_scan, "WITNESS_CAP", 20)
     capped = classify(t, 100).witnesses
     expect = []
     for lo, hi in _scan.dyadic_ranges(100):
         expect += [w for w in full if lo <= w.normk < hi][:20]
     assert capped == tuple(expect)
     assert len(capped) == 70 < len(full) == 99
+
+
+@pytest.mark.parametrize(
+    "values, kmax, s_grid",
+    [
+        (["1/1000000000000000000000000000000"], 300, [1.0, 2.0, 3.0]),
+        (["0.1428571428571"], 3000, [1.5, 2.0, 3.0]),
+        (["333333333334/1000000000000", "2/7"], 30, [2.5, 3.0]),
+        (["1/1000000000000", "2/7"], 20, [2.5, 3.0]),
+        (["golden", "1/3"], 30, [2.5, 3.0, 4.0]),
+        (["333333333334/1000000000000", "sqrt2"], 30, [2.5, 3.0]),
+    ],
+)
+def test_witness_cap_matches_every_k(monkeypatch, values, kmax, s_grid):
+    # with a cap of 3 each range prints the 3 least (|k|, k) of the points
+    # with a level above the rank, found by a pass over every k; the walk
+    # meets far more candidates than it keeps
+    monkeypatch.setattr(_scan, "WITNESS_CAP", 3)
+    tvec = [PrecisionReal.parse(v, 128).fractional_part() for v in values]
+    n = len(tvec)
+    rep = classify(tvec, kmax, s_grid)
+    stored = [_stored(c) for c in tvec]
+    modulus = math.lcm(*(f.denominator for f in stored))
+    weights = [int(f * modulus) for f in stored]
+    want, cut = [], 0
+    for lo, hi in _scan.dyadic_ranges(kmax):
+        found = []
+        for m in range(lo, hi):
+            for k in _shell_vectors(n, m):
+                r = sum(map(operator.mul, k, weights)) % modulus
+                levels = _exact_levels(min(r, modulus - r), modulus, m, s_grid, n)
+                if r and levels:
+                    found.append((m, k, levels))
+        want += sorted(found)[:3]
+        cut += len(found) > 3
+    assert [(w.normk, w.k, w.levels) for w in rep.witnesses] == want
+    assert cut, "the cap cuts no range"
 
 
 def test_level_bound_is_the_largest_witness_distance():

@@ -91,6 +91,100 @@ def run_blocked(blocked, commands, child_cwd=None, normal_cwd=None):
         assert stderr.encode() == normal.stderr, argv
 
 
+# Calls every name `heisencoh` exports on inexact input where it takes a
+# real, with the modules of a JSON list made unimportable; prints a JSON
+# object of each name's result as repr.
+LIBRARY_CHILD = """
+import io, json, sys
+for name in json.loads(sys.argv[1]):
+    sys.modules[name] = None
+from fractions import Fraction
+from heisencoh import *
+
+golden = PrecisionReal.parse("golden")
+u = [golden, PrecisionReal.parse("sqrt2")]
+f = CoefficientField(2, {(1, 0): 1 + 1j, (0, 2): 0.5, (-1, 1): 2j, (3, -2): 0.25})
+g = coboundary_from(f, u)
+f1 = CoefficientField(1, {(1,): 1.0, (-2,): 0.5j, (5,): 0.125})
+h = HeisElementN((1, 2), (3, -4), 5)
+P, a = IrrepParams(3, 0.25, Fraction(2, 3), 0.5), SemidirectElement(1, 2, 4)
+sampled = SampledFunction([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]], [2.0, 2.0, 2.0])
+
+
+def written(field):
+    out = io.StringIO()
+    write_coefficients(field, out)
+    return out.getvalue()
+
+
+calls = {
+    "G1": lambda: multiply(G1, G2),
+    "G2": lambda: commutator(G2, G1),
+    "G3": lambda: is_central(G3),
+    "IDENTITY": lambda: multiply(IDENTITY, G3),
+    "HeisElement": lambda: HeisElement(1, -2, 3),
+    "HeisElementN": lambda: h.inverse(),
+    "NormalForm": lambda: reconstruct(NormalForm(2, -1, 5)),
+    "commutator": lambda: commutator(HeisElement(1, 2, 3), HeisElement(-4, 5, 6)),
+    "conjugate": lambda: conjugate(HeisElement(1, 2, 3), G1),
+    "inverse": lambda: inverse(HeisElement(1, 2, 3)),
+    "is_central": lambda: is_central(G1),
+    "matrix_embed": lambda: matrix_embed(h).tolist(),
+    "multiply": lambda: multiply(HeisElement(1, 2, 3), HeisElement(4, 5, 6)),
+    "multiply_n": lambda: multiply_n(h, h),
+    "normal_form": lambda: normal_form(HeisElement(7, -3, 2)),
+    "reconstruct": lambda: reconstruct(normal_form(HeisElement(7, -3, 2))),
+    "CoefficientField": lambda: sorted(g.items()),
+    "read_coefficients": lambda: read_coefficients(io.StringIO(written(g))) == g,
+    "write_coefficients": lambda: written(g),
+    "PrecisionReal": lambda: float(golden),
+    "continued_fraction": lambda: continued_fraction(golden, 20),
+    "convergents": lambda: convergents(continued_fraction(PrecisionReal.parse("pi"), 12)),
+    "liouville_constant": lambda: continued_fraction(liouville_constant(128), 12),
+    "ClassificationReport": lambda: isinstance(classify(golden, 10), ClassificationReport),
+    "classify": lambda: classify(u, 40, (1.0, 2.5, 3.0)).to_dict(),
+    "fan_member": lambda: fan_member(-4, 12, 2),
+    "small_divisor": lambda: small_divisor(u, (3, -2)),
+    "CoboundaryProblem": lambda: CoboundaryProblem(g, u).u,
+    "coboundary_from": lambda: sorted(g.items()),
+    "obstruction": lambda: obstruction(g),
+    "residual": lambda: residual(f, g, u, 9),
+    "solve": lambda: solve(CoboundaryProblem(g, u)).diagnostics_dict(),
+    "SampledFunction": lambda: sampled.dim,
+    "dft": lambda: dft([1, 2, 3]).tolist(),
+    "difference": lambda: sorted(difference(f1).items()),
+    "inverse_dft": lambda: inverse_dft(dft([1, 2, 3])).tolist(),
+    "is_radial": lambda: is_radial(sampled, 1e-9),
+    "sobolev_norm": lambda: sobolev_norm(f1, 1.5),
+    "IrrepParams": lambda: P.is_irreducible,
+    "SemidirectElement": lambda: a.star(a),
+    "character": lambda: character(P, a),
+    "irrep_matrix": lambda: irrep_matrix(P, a).tolist(),
+    "AbelianGroupDesc": lambda: AbelianGroupDesc(2, (2, 3)),
+    "binom": lambda: binom(7, 3),
+    "cohomology_table": lambda: cohomology_table(2),
+}
+print(json.dumps({name: repr(call()) for name, call in calls.items()}))
+"""
+
+
+def test_library_runs_without_mpmath():
+    # every exported name, on golden and sqrt2 where it takes a real, gives
+    # the same results with mpmath unimportable as with it
+    path = [str(Path(heisencoh.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    results = []
+    for blocked in (["mpmath"], []):
+        r = subprocess.run(
+            [sys.executable, "-c", LIBRARY_CHILD, json.dumps(blocked)],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert r.returncode == 0, r.stderr
+        results.append(json.loads(r.stdout))
+    assert set(results[0]) == set(heisencoh.__all__)
+    assert results[0] == results[1]
+
+
 CLASSIFY_ARGS = [
     ["golden", "--kmax", "3000"],
     ["e", "--kmax", "3000"],

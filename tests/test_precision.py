@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from heisencoh import _bigfloat as bf
 from heisencoh.diophantine import _phase_grid
 from heisencoh.errors import DomainError, PrecisionError
 from heisencoh.precision import (
@@ -123,6 +125,51 @@ def test_continued_fraction_precision_exhaustion():
     x = PrecisionReal.from_mpf(mpmath.mpf(2) ** 0.5, 64)
     with pytest.raises(PrecisionError):
         continued_fraction(x, 200)  # 64 bits cannot certify 200 quotients
+
+
+def _exact_quotients(v):
+    """Every partial quotient of the rational v, by Euclid's algorithm."""
+    num, den = v.numerator, v.denominator
+    out = []
+    while den:
+        a, num = divmod(num, den)
+        out.append(a)
+        num, den = den, num
+    return out
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256])
+@pytest.mark.parametrize("name", ["golden", "sqrt2", "sqrt3", "sqrt5", "pi", "e"])
+def test_continued_fraction_is_proved(name, prec):
+    # x stands for every real within eps = max(1, |x|) 2^-prec of it: each
+    # quotient returned is one of both endpoints x -+ eps, and the expansion
+    # stops where theirs first part
+    x = PrecisionReal.parse(name, prec)
+    man, exp = x.man_exp
+    v = man * Fraction(2) ** exp
+    eps = max(Fraction(1), abs(v)) / 2**prec
+    lo, hi = _exact_quotients(v - eps), _exact_quotients(v + eps)
+    part = next(i for i, (a, b) in enumerate(zip(lo, hi)) if a != b)
+    assert continued_fraction(x, part) == lo[:part] == hi[:part]
+    with pytest.raises(PrecisionError, match=f"ambiguous after {part} terms at {prec} bits"):
+        continued_fraction(x, part + 1)
+
+
+def test_float_rounds_once():
+    # (5.5 - 2^-60) 2^-1074 is nearest to 5 2^-1074; rounding it to 53 bits
+    # first would give the tie 5.5 2^-1074 and then 6 2^-1074
+    tiny = PrecisionReal(None, ((11 << 59) - 1, -1134), 64)
+    assert float(tiny) == float(PrecisionReal.exact(bf.fraction(tiny.man_exp))) == 5 * 2.0**-1074
+    assert float(PrecisionReal(None, (-1, -2000), 64)) == 0.0
+    assert math.copysign(1, float(PrecisionReal(None, (-1, -2000), 64))) == -1
+    # beyond the largest double both kinds of value give +-inf, as mpmath does
+    for text in ("1e400", "-1e400"):
+        assert float(PrecisionReal.parse(text)) == float(mpmath.mpf(text))
+    assert float(PrecisionReal(None, (-3, 1100), 64)) == -math.inf
+    assert float(PrecisionReal(None, ((1 << 53) - 1, 971), 64)) == 1.7976931348623157e308
+    for name in ("golden", "sqrt2", "pi", "e"):
+        x = PrecisionReal.parse(name, 128)
+        assert float(x) == float(x.mpf())
 
 
 def test_liouville_convergents_include_power_denominators():

@@ -3,7 +3,8 @@
 ``every_k`` is the reference of ``range_points``: every canonical k of a
 range, sorted.  ``walk`` is the reference of ``scan_unit`` in rank 1: it
 steps x_k = k t + offset mod m one k at a time, in O(hi - lo), and keeps the
-points the scan must find.  An exact rational p/q is put on an exact grid,
+points the scan must find; ``capped`` picks the witnesses among them as the
+scan does.  An exact rational p/q is put on an exact grid,
 m = q 2^E and t = p 2^E, as on the grid of ``diophantine._phase_grid``.
 """
 
@@ -56,6 +57,19 @@ def walk(t, m, lo, hi, keep, witness_bound, offset=0, skip=None):
             kept.pop()
             insort(kept, (rp, k))
     return kept, witnesses, zeros, sorted(pts)
+
+
+def level_test(m, levels=(1, 2, 3)):
+    """A witness test of the kind classify passes to scan_unit: the levels s
+    with r' |k|^s <= m, for |k| >= 2."""
+    return lambda rp, norm: tuple(s for s in levels if norm >= 2 and rp * norm**s <= m)
+
+
+def capped(wit, test, cap):
+    """The scan's witnesses from walk's (k, r'): the first `cap` in ascending
+    k whose levels under test are not empty, as (k, r', |k|, levels)."""
+    out = [((k,), rp, k, test(rp, k)) for k, rp in wit]
+    return [w for w in out if w[3]][:cap]
 
 
 def every_k(U, m, lo, hi):
@@ -206,24 +220,26 @@ def test_rank3_scan_memory_is_bounded():
     assert peak < 4 << 20
 
 
-def test_scan_unit_matches_walk():
+def test_scan_unit_matches_walk(monkeypatch):
     rnd = random.Random(11)
     cases = [(rnd.getrandbits(192), M192, None) for _ in range(10)]
     # 355/113 on its exact grid: the multiples of 113 are exact zeros
     cases += [(*exact_grid(355, 113), 113), (rnd.getrandbits(320), 1 << 320, None)]
     for t, m, q in cases:
-        for keep in (1, 4, 64):
+        test = level_test(m)
+        for keep, cap in ((1, 10**9), (4, 3), (64, 1)):
             def bound(lo, _m=m):
                 return _m // lo
 
-            ranges = _scan.scan_unit([t], m, 3000, keep, bound, 1.0, 3.0, () if q else (0,))
+            monkeypatch.setattr(_scan, "WITNESS_CAP", cap)
+            ranges = _scan.scan_unit([t], m, 3000, keep, bound, test, 1.0, 3.0, () if q else (0,))
             assert [(r.lo, r.hi) for r in ranges] == list(_scan.dyadic_ranges(3000))
             for r in ranges:
                 skip = (lambda k, _q=q: k % _q == 0) if q else None
                 kept, wit, zeros, _ = walk(t, m, r.lo, r.hi, keep, bound(r.lo), skip=skip)
                 assert zeros == []
                 assert r.kept == [(rp, (k,)) for rp, k in kept]
-                assert r.witnesses == [((k,), rp, k) for k, rp in wit]
+                assert r.witnesses == capped(wit, test, cap)
                 multiples = [k for k in range(r.lo, r.hi) if q and k % q == 0]
                 assert r.n_scanned == r.hi - r.lo - len(multiples)
                 assert r.zero == ((multiples[0],) if multiples else None)
@@ -232,32 +248,40 @@ def test_scan_unit_matches_walk():
 def test_scan_unit_witness_bound_is_inclusive():
     # t = 3/8: every r' is a multiple of M/8, so the bound M/4 is met exactly
     t, m = exact_grid(3, 8)
-    ranges = _scan.scan_unit([t], m, 100, 4, lambda lo: m // 4, 1.0, 3.0, ())
+    test = level_test(m, (1, 2))
+    ranges = _scan.scan_unit([t], m, 100, 4, lambda lo: m // 4, test, 1.0, 3.0, ())
     for r in ranges:
         kept, wit, _, _ = walk(t, m, r.lo, r.hi, 4, m // 4, skip=lambda k: k % 8 == 0)
         assert r.kept == [(rp, (k,)) for rp, k in kept]
-        assert r.witnesses == [((k,), rp, k) for k, rp in wit]
-    assert any(rp == m // 4 for r in ranges for _, rp, _ in r.witnesses)
+        assert r.witnesses == capped(wit, test, _scan.WITNESS_CAP)
+    assert any(rp == m // 4 for r in ranges for _, rp, _, _ in r.witnesses)
 
 
 def test_scan_unit_raises_below_the_resolution():
     # k = 8 is a zero of t = M/8; it is exact only when t is exact
+    args = (100, 4, lambda lo: M192 // lo, level_test(M192), 1.0, 3.0)
     with pytest.raises(PrecisionError, match=r"k=\(8,\)") as err:
-        _scan.scan_unit([M192 // 8], M192, 100, 4, lambda lo: M192 // lo, 1.0, 3.0, (0,))
+        _scan.scan_unit([M192 // 8], M192, *args, (0,))
     assert err.value.k == (8,)
-    ranges = _scan.scan_unit([M192 // 8], M192, 100, 4, lambda lo: M192 // lo, 1.0, 3.0, ())
+    ranges = _scan.scan_unit([M192 // 8], M192, *args, ())
     assert [r.zero for r in ranges if r.zero] == [(8,), (16,), (32,), (64,)]
     assert sum(r.n_scanned for r in ranges) == 100 - 100 // 8
 
 
-def test_scan_unit_keeps_every_witness_candidate():
-    # every point of [2^14, 2^15) is a candidate: the scan keeps them all,
-    # in ascending k, and leaves the cap to classify
+def test_scan_unit_keeps_every_witness_candidate(monkeypatch):
+    # every point of [2^14, 2^15) is a witness: with a cap above the range's
+    # size the scan keeps them all, in ascending k, and with a cap of 100
+    # the first 100 of them, in a walk that meets every point
     t = random.Random(2).getrandbits(192)
-    ranges = _scan.scan_unit([t], M192, 2**15 - 1, 8, lambda lo: M192, 1.0, 3.0, (0,))
-    (last,) = [r for r in ranges if r.lo == 2**14]
-    assert last.witnesses == [((k,), rp, k) for k, rp in walk(t, M192, 2**14, 2**15, 8, M192)[1]]
-    assert [k for (k,), _, _ in last.witnesses] == list(range(2**14, 2**15))
+    wit = walk(t, M192, 2**14, 2**15, 8, M192)[1]
+    for cap in (2**15, 100):
+        monkeypatch.setattr(_scan, "WITNESS_CAP", cap)
+        ranges = _scan.scan_unit(
+            [t], M192, 2**15 - 1, 8, lambda lo: M192, lambda rp, norm: (1.0,), 1.0, 3.0, (0,)
+        )
+        (last,) = [r for r in ranges if r.lo == 2**14]
+        assert last.witnesses == [((k,), rp, k, (1.0,)) for k, rp in wit][:cap]
+    assert [k for (k,), _, _, _ in ranges[-1].witnesses] == list(range(2**14, 2**14 + 100))
 
 
 def test_collect_below_holds_every_range_minimum():
@@ -266,7 +290,9 @@ def test_collect_below_holds_every_range_minimum():
     cases += [(round(p * M192 / q) % M192, M192, None) for p, q in ((355, 113), (22, 7))]
     cases += [(*exact_grid(p, q), q) for p, q in ((355, 113), (22, 7), (3, 8))]
     for t, m, q in cases:
-        ranges = _scan.scan_unit([t], m, 4095, 64, lambda lo: m // lo, 1.0, 3.0, () if q else (0,))
+        ranges = _scan.scan_unit(
+            [t], m, 4095, 64, lambda lo: m // lo, level_test(m), 1.0, 3.0, () if q else (0,)
+        )
         for r in ranges:
             if r.lo not in (1, 64, 2048):
                 continue
