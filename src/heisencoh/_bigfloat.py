@@ -1,24 +1,19 @@
-"""Binary floating point on Python integers, rounded as mpmath rounds.
+"""Binary floating point on Python integers, and correctly rounded values.
 
-A value is a pair (man, exp) for man * 2**exp.  Every function returns it
-normalised as mpmath normalises it: man odd, or (0, 0) for zero, so a
-pair is mpmath's ``man_exp`` of the same number, with the sign on man.
-Each operation rounds its exact result once, to nearest with ties to even,
-at `prec` bits, as mpmath's default context does:
+A pair (man, exp) stands for man * 2**exp.  ``normalize``, ``sub`` and
+``sqrt`` round their exact result once, to nearest with ties to even, at
+`prec` bits, and return it with man odd (or (0, 0) for zero), as mpmath's
+``man_exp`` has it; ``precision.parse`` builds the stored values of the
+named constants from them and from ``pi`` and ``e``.
 
-- ``normalize``, ``mul``, ``div``, ``sub`` and ``sqrt`` exactly, from
-  integers, and the constants ``pi`` and ``e`` from series;
-- ``cos_sin`` (cos and sin together), ``log`` and ``exp`` by Ziv's
-  strategy: a fixed-point series with guard bits and a bound on its error,
-  evaluated again with twice the bits while an error interval holds a
-  rounding boundary;
-- ``power`` takes the steps of mpmath's ``mpf_pow``, the roundings of
-  its intermediate results included.
-
-mpmath evaluates sin, log and exp with 10 to 20 guard bits and no such
-retry, so at 100 bits its result is one unit off the correctly rounded one
-for about one argument in 10^3 (sin on [1/2, 2]) to 10^5 (log).  Here
-each step is the correctly rounded one, whatever mpmath's caches hold.
+Transcendental values come from fixed-point series on integers, each an
+interval (lo, hi, exp) with lo 2**exp <= v <= hi 2**exp at about w working
+bits: ``pi_fixed``, ``sin_cos_pi`` (the sine and cosine of pi p / q, one
+series pass for both), ``log`` and ``exp``.  ``ziv`` rounds such values
+once by Ziv's strategy: it evaluates them again with twice the bits while
+the interval holds a rounding boundary, so the result is the rounding of the
+exact value.  With ``double`` as the rounding that result is the correctly
+rounded double, subnormals rounded once at 2**-1074.
 """
 
 import math
@@ -44,49 +39,10 @@ def normalize(man, exp, prec):
     return (m if man > 0 else -m), exp + zeros
 
 
-def exact(man, exp=0):
-    """man * 2**exp normalised without rounding."""
-    return normalize(man, exp, abs(man).bit_length())
-
-
-def from_float(x):
-    """The float x as a pair, exactly."""
-    p, q = x.as_integer_ratio()
-    return exact(p, 1 - q.bit_length())
-
-
 def fraction(x):
     """The value of the pair x as a Fraction."""
     man, exp = x
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-
-
-def to_float(x):
-    """float() of the pair x as mpmath gives it: rounded to 53 bits, then
-    scaled (gradual underflow rounds again; overflow gives +-inf)."""
-    man, exp = normalize(*x, 53)
-    try:
-        return math.ldexp(man, exp)
-    except OverflowError:
-        return math.copysign(math.inf, man)
-
-
-def _ratio(p, q, exp, prec):
-    """p / q * 2**exp rounded, q > 0: a nonzero remainder is a sticky bit
-    below at least prec + 1 quotient bits."""
-    shift = max(0, prec + 2 - abs(p).bit_length() + q.bit_length())
-    quot, rem = divmod(abs(p) << shift, q)
-    quot = quot << 1 | (rem != 0)
-    return normalize(quot if p >= 0 else -quot, exp - shift - 1, prec)
-
-
-def mul(a, b, prec):
-    return normalize(a[0] * b[0], a[1] + b[1], prec)
-
-
-def div(a, b, prec):
-    num = a[0] if b[0] > 0 else -a[0]
-    return _ratio(num, abs(b[0]), a[1] - b[1], prec)
 
 
 def sub(a, b, prec):
@@ -106,24 +62,35 @@ def sqrt(a, prec):
     return normalize(root << 1 | sticky, (exp - shift) // 2 - 1, prec)
 
 
-def _ziv(series, prec):
-    """The values v rounded at prec bits, from series(w) = ((a, err, exp),
-    ...) with |v - a * 2**exp| <= err * 2**exp at w working bits, one triple
-    per value; no v may be a rounding boundary, or this does not end."""
-    w = prec + 32
+def double(man, exp):
+    """man * 2**exp rounded once to the nearest double, ties to even, with
+    gradual underflow; +-inf beyond the largest double.  Integer true
+    division and float() of an int round correctly in CPython."""
+    try:
+        return man / (1 << -exp) if exp < 0 else float(man << exp)
+    except OverflowError:
+        return math.inf if man > 0 else -math.inf
+
+
+def ziv(series, rnd, w):
+    """The values v rounded by rnd(man, exp), from series(w) = ((lo, hi,
+    exp), ...), one interval per value with lo 2**exp <= v <= hi 2**exp at w
+    working bits; evaluated again at 2w while rnd(lo, exp) != rnd(hi, exp)
+    for any value.  rnd must be monotone, and no v may be a rounding
+    boundary unless its interval is exact (lo == hi), or this does not end."""
     while True:
         out = []
-        for a, err, exp in series(w):
-            low = normalize(a - err, exp, prec)
-            if low != normalize(a + err, exp, prec):
+        for lo, hi, exp in series(w):
+            low = rnd(lo, exp)
+            if low != rnd(hi, exp):
                 break
             out.append(low)
         else:
-            return tuple(out)
+            return out
         w *= 2
 
 
-# fixed-point series: an integer near value * 2**w and a bound on the error
+# fixed-point series on integers at w working bits, each with its error bound
 
 
 def _atan_inv(x, w):
@@ -148,19 +115,23 @@ def _ln2_fixed(w):
     return 2 * total, 6 * j + 6
 
 
+@lru_cache(maxsize=64)
+def pi_fixed(w):
+    """(lo, hi) with lo <= pi 2**w <= hi, by Machin's formula
+    16 atan(1/5) - 4 atan(1/239)."""
+    a5, err5 = _atan_inv(5, w)
+    a239, err239 = _atan_inv(239, w)
+    v, err = 16 * a5 - 4 * a239, 16 * err5 + 4 * err239
+    return v - err, v + err
+
+
 def pi(prec):
-    """pi by Machin's formula, 16 atan(1/5) - 4 atan(1/239)."""
-
-    def series(w):
-        a5, err5 = _atan_inv(5, w)
-        a239, err239 = _atan_inv(239, w)
-        return ((16 * a5 - 4 * a239, 16 * err5 + 4 * err239, -w),)
-
-    return _ziv(series, prec)[0]
+    """pi rounded at prec bits."""
+    return ziv(lambda w: ((*pi_fixed(w), -w),), lambda m, x: normalize(m, x, prec), prec + 32)[0]
 
 
 def e(prec):
-    """e = sum_j 1 / j!."""
+    """e = sum_j 1 / j!, rounded at prec bits."""
 
     def series(w):
         total, term, j = 0, 1 << w, 0
@@ -168,141 +139,90 @@ def e(prec):
             total += term
             j += 1
             term //= j
-        return ((total, 2 * j + 2, -w),)
+        return ((total - 2 * j - 2, total + 2 * j + 2, -w),)
 
-    return _ziv(series, prec)[0]
-
-
-def cos_sin(x, prec):
-    """(cos x, sin x) for 0 <= x <= 2, from sum_j (-x**2)**j / (2j)! and x
-    times sum_j (-x**2)**j / (2j + 1)!, both summed in one pass."""
-    man, ex = x
-    if not man:
-        return (1, 0), (0, 0)
-
-    def series(w):
-        shift = 2 * ex + w
-        x2 = man * man << shift if shift >= 0 else man * man >> -shift
-        cos, sin, even, j = 0, 0, 1 << w, 0  # even = x**(2j) / (2j)!
-        while even:
-            odd = even // (2 * j + 1)  # x**(2j) / (2j + 1)!
-            if j & 1:
-                cos, sin = cos - even, sin - odd
-            else:
-                cos, sin = cos + even, sin + odd
-            j += 1
-            even = (odd * x2 >> w) // (2 * j)
-        # each term is within 4.01 units (x**2 <= 4) and so is the tail
-        err = 5 * j + 5
-        return (cos, err, -w), (man * sin, man * err, ex - w)
-
-    return _ziv(series, prec)
+    return ziv(series, lambda m, x: normalize(m, x, prec), prec + 32)[0]
 
 
-def sin(x, prec):
-    """sin x for 0 <= x <= 2."""
-    return cos_sin(x, prec)[1]
+def sin_cos_pi(p, q, w):
+    """(sin, cos) of x = pi p / q for integers 0 < p / q <= 1/2, each an
+    interval (lo, hi, exp) of about w bits relative to its value.
+
+    Past 1/4 the two swap, cos(pi d) = sin(pi (1/2 - d)), so the series
+    runs on x <= pi / 4 and the sine of any small x keeps its relative
+    precision: sin x = x S(x**2) and cos x = C(x**2), with S(y) = sum_j
+    (-y)**j / (2j + 1)! and C(y) = sum_j (-y)**j / (2j)! summed in one pass.
+    sin(pi / 2) = 1 and cos(pi / 2) = 0 are exact."""
+    if 4 * p > q:
+        if 2 * p == q:
+            return (1, 1, 0), (0, 0, 0)
+        cos, sin = sin_cos_pi(q - 2 * p, 2 * q, w)
+        return sin, cos
+    e0 = p.bit_length() - q.bit_length()  # p / q < 2**(e0 + 1) and e0 <= -2
+    d = (p << (w - e0)) // q  # d <= p / q 2**(w - e0) < d + 1
+    pi_lo, pi_hi = pi_fixed(w)
+    x_lo, x_hi = d * pi_lo >> w, ((d + 1) * pi_hi >> w) + 1  # x 2**(w - e0)
+    shift = w - 2 * e0
+    y = x_lo * x_lo >> shift  # y <= x**2 2**w <= y + dy, and x**2 < 0.62
+    dy = (x_hi * x_hi >> shift) + 1 - y
+    cos, sinc, even, j = 0, 0, 1 << w, 0  # even = y**j / (2j)!
+    while even:
+        odd = even // (2 * j + 1)  # y**j / (2j + 1)!
+        if j & 1:
+            cos, sinc = cos - even, sinc - odd
+        else:
+            cos, sinc = cos + even, sinc + odd
+        j += 1
+        even = (odd * y >> w) // (2 * j)
+    # each term is within 2 units and so is the tail; |C'|, |S'| <= 1/2
+    err = 5 * j + 5 + dy
+    return (
+        (x_lo * max(sinc - err, 0), x_hi * (sinc + err), e0 - 2 * w),
+        (max(cos - err, 0), cos + err, -w),
+    )
 
 
-def log(x, prec):
-    """ln x for x > 0: n ln 2 + 2 atanh(z) with x = y 2**n, y in [2/3, 4/3)
-    and z = (y - 1) / (y + 1), so |z| <= 1/5."""
-    man, ex = exact(*x)
-    if man == 1 and not ex:
-        return 0, 0
-    top = man.bit_length()  # y = man / 2**top is in [1/2, 1)
-    if 3 * man < 2 << top:
-        top -= 1
-    n = ex + top
-
-    def series(w):
-        w = max(w, top + 32)
-        one = 1 << w
-        y = man << (w - top)
-        z = (abs(y - one) << w) // (y + one)  # |z|, and atanh is odd
-        z2 = z * z >> w
-        total, power, j = 0, z, 0
-        while power:
-            total += power // (2 * j + 1)
-            power = power * z2 >> w
-            j += 1
-        ln2, err2 = _ln2_fixed(w)
-        atanh2 = 2 * total if y >= one else -2 * total
-        return ((n * ln2 + atanh2, abs(n) * err2 + 6 * j + 12, -w),)
-
-    return _ziv(series, prec)[0]
+def log(p, q, w):
+    """ln(p / q) for integers p, q > 0 as an interval (lo, hi, exp), exp
+    about -w: n ln 2 + 2 atanh(z) with p / q = y 2**n, y in [2/3, 4/3) and
+    z = (y - 1) / (y + 1), so |z| <= 1/5."""
+    n = p.bit_length() - q.bit_length()
+    a, b = p << max(0, -n), q << max(0, n)  # y = a / b in (1/2, 2)
+    if 3 * a < 2 * b:
+        a, n = a << 1, n - 1
+    elif 3 * a >= 4 * b:
+        b, n = b << 1, n + 1
+    w += abs(n).bit_length()
+    z = (abs(a - b) << w) // (a + b)  # |z|, and atanh is odd
+    z2 = z * z >> w
+    total, power, j = 0, z, 0
+    while power:
+        total += power // (2 * j + 1)
+        power = power * z2 >> w
+        j += 1
+    ln2, err2 = _ln2_fixed(w)
+    v = n * ln2 + (2 * total if a >= b else -2 * total)
+    err = abs(n) * err2 + 6 * j + 12
+    return v - err, v + err, -w
 
 
-def exp(x, prec):
-    """e**x as 2**n e**r, r = x - n ln 2 with |r| <= ln 2 / 2 (about),
-    e**r by its Taylor series."""
-    man, ex = x
-    if not man:
-        return 1, 0
-    n = round(math.ldexp(man, ex) / math.log(2))
-
-    def series(w):
-        w += abs(n).bit_length()
-        shift = ex + w
-        xw = man << shift if shift >= 0 else man >> -shift
-        ln2, err2 = _ln2_fixed(w)
-        r = xw - n * ln2
-        total, term, j = 0, 1 << w, 0
-        while term:
-            total += term
-            j += 1
-            term = (term * r >> w) // j
-        return ((total, 2 * (abs(n) * err2 + 1) + 4 * j + 4, n - w),)
-
-    return _ziv(series, prec)[0]
-
-
-def pow_int(a, n, prec):
-    """a**n for a > 0 and an integer n, step by step as mpmath's
-    ``mpf_pow_int``: exact while the mantissa bits times n stay below 1000,
-    else by binary powering truncated to prec + 4 bitlen(n) + 4 bits."""
-    man, exp = a
-    if n == 0:
-        return 1, 0
-    if n == -1:
-        return div((1, 0), a, prec)
-    if n < 0:
-        return div((1, 0), pow_int(a, -n, prec + 5), prec)
-    if n <= 2 or man == 1 or man.bit_length() * n < 1000:
-        return normalize(man**n, exp * n, prec)
-    work = prec + 4 * n.bit_length() + 4
-    pm, pe = 1, 0
-    while True:
-        if n & 1:
-            pm, pe = pm * man, pe + exp
-            drop = pm.bit_length() - work
-            if drop > 0:
-                pm, pe = pm >> drop, pe + drop
-            n -= 1
-            if not n:
-                break
-        man, exp = man * man, exp + exp
-        drop = man.bit_length() - work
-        if drop > 0:
-            man, exp = man >> drop, exp + drop
-        n //= 2
-    return normalize(pm, pe, prec)
-
-
-def power(base, t, prec):
-    """base**t for an integer base >= 1 and a float t, step by step as
-    mpmath's ``mpf_pow``: integer t by ``pow_int``, t = m / 2 through the
-    square root at prec + 10 bits, any other t as exp(t log base) with the
-    logarithm at prec + 10 bits and its product with t exact."""
-    b = exact(base)
-    tman, texp = from_float(t)
-    if texp >= 0:
-        return pow_int(b, tman << texp, prec)
-    if texp == -1:
-        if tman == 1:
-            return sqrt(b, prec)
-        if tman == -1:
-            return div((1, 0), sqrt(b, prec + 10), prec)
-        return pow_int(sqrt(b, prec + 10), tman, prec)
-    lman, lexp = log(b, prec + 10)
-    return exp(exact(tman * lman, texp + lexp), prec)
+def exp(lo, hi, ex, w):
+    """e**x for x in [lo, hi] 2**ex, hi - lo small, as an interval (lo, hi,
+    exp) of about w bits relative: 2**n e**r with r = x - n ln 2,
+    |r| <= ln 2 / 2 (about), e**r by its Taylor series, and
+    e**(x + delta) <= e**x (1 + 2 delta) for the width delta <= 1/2."""
+    w += max(abs(lo).bit_length() + ex + 1, 0)  # the bits of n
+    shift = ex + w
+    xw = lo << shift if shift >= 0 else lo >> -shift  # xw 2**-w <= x_lo
+    width = ((hi - lo) << shift if shift >= 0 else -((lo - hi) >> -shift)) + 1
+    ln2, err2 = _ln2_fixed(w)
+    n = (2 * xw + ln2) // (2 * ln2)
+    r = xw - n * ln2
+    total, term, j = 0, 1 << w, 0
+    while term:
+        total += term
+        j += 1
+        term = (term * r >> w) // j
+    err = 2 * (abs(n) * err2 + 1) + 4 * j + 4
+    top = total + err
+    return max(total - err, 0), top + (2 * top * width >> w) + 1, n - w

@@ -2,12 +2,14 @@
 
 Conventions: data on stdout, errors on stderr; floating values printed with
 17 significant digits; identical invocations produce identical bytes.  Exit
-codes: 0 ok, 2 usage, 3 domain/parse error, 4 precision error.
+codes: 0 ok, 1 stdout closed by its reader, 2 usage, 3 domain/parse error,
+4 precision error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 # Each handler imports the modules it needs, so a command loads only its
@@ -469,7 +471,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, sys.stdout, sys.stderr)
+        rc = args.func(args, sys.stdout, sys.stderr)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): as the Python docs advise for
+        # SIGPIPE, point it at devnull so the exit flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except PrecisionError as exc:
         sys.stderr.write(f"error[precision]: {exc}\n")
         return 4

@@ -240,8 +240,9 @@ def sobolev_loss(sol: CoboundarySolution, g: CoefficientField, alphas,
     For dimension 1 the multiplier Sobolev norm is used; for higher
     dimensions the weighted-l2 norm with weight (1 + |k|)^alpha (max-norm).
     With classification evidence (C, s) the per-coefficient bound
-    |f_k| C <= |g_k| |k|^s is checked (up to floating roundoff) for every k
-    inside the scanned range; without evidence the table is emitted alone.
+    |f_k| C <= |g_k| |k|^s is checked (up to floating roundoff) for every
+    nonzero mode k of f, whatever range the evidence scanned; without
+    evidence the table is emitted alone.
     """
     if not all(map(math.isfinite, alphas)):
         raise DomainError("alpha must be finite")

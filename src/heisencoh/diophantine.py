@@ -10,11 +10,13 @@ finite scan, never proof.
 ``classify`` and ``iter_divisors`` (behind ``solve``) take the phase <k, t>
 on one exact integer grid, ``_phase_grid``: <k, U> mod L, t_i = U_i / L for
 the stored values.  Scans enumerate it in every rank as a lattice (see
-``_scan``); every decision is taken on exact integers or on deterministic
-high-precision evaluations of them, so reports are reproducible bit for bit.
-``classify`` evaluates its divisors, weights and exponents at 100 bits on
-integers (``_bigfloat``), ``solve`` its 80-bit divisors, and
-``phase_distance`` returns the exact distance r / L; none loads mpmath.
+``_scan``).  Every value reported or divided by is the correctly rounded
+double of its exact quantity: the distance r / L, the divisors of ``solve``
+and ``classify``, the weights |k|^s * divisor and the exponents.  Each is
+rounded once from an interval of Python integers (``_bigfloat.ziv``), or
+from the exact value where it is rational.  Every decision is taken on
+exact integers or on such intervals refined until they separate, so reports
+are reproducible bit for bit; none loads mpmath.
 """
 
 from __future__ import annotations
@@ -23,18 +25,23 @@ import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 
 from . import _bigfloat as bf
 from . import _scan
 from .errors import DomainError, PrecisionError
 from .precision import PrecisionReal
 
-# working bits of every divisor 1 - exp(2 pi i <k, t>) in solve
-_DIVISOR_PREC = 80
+# working bits at which each correctly rounded value is first evaluated
+_START_BITS = 88
 
-# working bits of classify's divisors, weights, witness bounds and exponents
-_CLASSIFY_PREC = 100
-_PI = bf.pi(_CLASSIFY_PREC)
+# range minima whose intervals still overlap at this many working bits are
+# taken as equal (see ``_least``)
+TIE_BITS = 1024
+
+# (2 sin(pi d))**2 at the d = n / 12 where it is rational, keyed by n: by
+# Niven's theorem d = 1/6, 1/4, 1/3 and 1/2 are the only such d in (0, 1/2]
+_SQUARED_DIVISOR = {2: 1, 3: 2, 4: 3, 6: 4}
 
 # the largest level s: beyond it |k|^s overflows a double for every |k| >= 2
 MAX_LEVEL = 1024
@@ -42,11 +49,6 @@ MAX_LEVEL = 1024
 # relative tolerance 2**-20 on witness inequalities: wide enough to absorb
 # the inputs' own rounding, far too narrow to admit spurious witnesses
 WITNESS_TOL_BITS = 20
-_TOLERANCE = bf.from_float(1 + 2.0**-WITNESS_TOL_BITS)
-
-# witnesses with a level retained per range, lowest (|k|, k) first; the
-# scan reads the constant of ``_scan``
-WITNESS_CAP = _scan.WITNESS_CAP
 
 # records printed, which is also the size of each range's kept list
 N_RECORDS = 10
@@ -104,19 +106,17 @@ def iter_divisors(grid, keys):
     divisor 1 - exp(2 pi i <k, t>) and r, with r / L the exact distance of
     <k, t> to the nearest integer on grid = (U, L) = ``_phase_grid(t)``.
 
-    The divisor is 0j when r is 0; otherwise d = r / L is rounded once to
-    80 bits and the divisor is 2 sin^2(pi d) - i sign 2 sin(pi d) cos(pi d),
-    with pi d, sin and cos rounded to 80 bits and sign as in ``_phase``.
-    The trigonometric part depends on r alone, so it is evaluated once per
+    The divisor is 0j when r is 0; otherwise, for d = r / L, it is
+    2 sin^2(pi d) - i sign 2 sin(pi d) cos(pi d), with sign as in ``_phase``
+    and each part the correctly rounded double of its exact value, from one
+    ``_bigfloat.sin_cos_pi`` interval.  Where a part is rational it is that
+    value exactly: at d = 1/2 the divisor is 2 - 0j, whose imaginary part
+    is -0.0 (sign is +1 there), and at d = 1/4 it is 1 -+ 1j.  The
+    trigonometric part depends on r alone, so it is evaluated once per
     distinct r (k and -k share it) and each k takes only its own sign.
-    These 80-bit steps are taken on integers by ``_bigfloat``, with cos and
-    sin correctly rounded; ``classify`` takes its 100-bit divisors from
-    ``_divisor`` in the same way.  Keys must be integer tuples of the length
-    of t.
+    Keys must be integer tuples of the length of t.
     """
     scaled, modulus = grid
-    prec = _DIVISOR_PREC
-    pi = bf.pi(prec)
     by_distance = {}  # r -> the divisor of sign +1
     for k in keys:
         r, sign = _phase(scaled, modulus, k)
@@ -125,11 +125,11 @@ def iter_divisors(grid, keys):
             continue
         d = by_distance.get(r)
         if d is None:
-            x = bf.mul(pi, bf.div((r, 0), (modulus, 0), prec), prec)
-            c, s = bf.cos_sin(x, prec)
-            s2 = s[0], s[1] + 1  # 2 sin, exact
-            re = bf.to_float(bf.mul(s2, s, prec))
-            im = bf.to_float(bf.mul(s2, c, prec))
+            def series(w, r=r):
+                (sl, sh, se), (cl, ch, ce) = bf.sin_cos_pi(r, modulus, w)
+                return (2 * sl * sl, 2 * sh * sh, 2 * se), (2 * sl * cl, 2 * sh * ch, se + ce)
+
+            re, im = bf.ziv(series, bf.double, _START_BITS)
             d = by_distance[r] = complex(re, -im)
         # conjugate() negates the imaginary part exactly: sign -1
         yield k, r, d if sign == 1 else d.conjugate()
@@ -185,15 +185,17 @@ def phase_distance(t, k):
 
 def complex_divisor(t, k) -> complex:
     """1 - exp(2 pi i <k, t>), stable for tiny divisors: one mode of
-    ``divisor_table``."""
+    ``divisor_table``, each part correctly rounded (2 - 0j, imaginary part
+    -0.0, at a phase of 1/2)."""
     tvec, k = _nonzero_index(t, k)
     return divisor_table(tvec, [k])[1][k][1]
 
 
 def small_divisor(t, k) -> float:
-    """|1 - exp(2 pi i <k, t>)| = 2 sin(pi dist(<k, t>, Z)); exact 0 iff the
-    phase is an integer."""
-    return abs(complex_divisor(t, k))
+    """|1 - exp(2 pi i <k, t>)| = 2 sin(pi dist(<k, t>, Z)), correctly
+    rounded; exact 0 iff the phase is an integer."""
+    dist = phase_distance(t, k)[0]
+    return _divisor(dist.numerator, dist.denominator) if dist else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -318,17 +320,57 @@ def _significance_floor(s, n, budget=0.02):
     return lo
 
 
-def _level_bound(modulus, norm, s):
-    """The largest r' with r' / modulus <= norm**-s (1 + 2**-WITNESS_TOL_BITS).
+def _quotient(a, b, shift):
+    """floor(a 2**shift / b) for b > 0."""
+    return (a << shift) // b if shift >= 0 else a // (b << -shift)
 
-    Exact on integers for an integer s; otherwise norm**-s (1 + 2**-20) is
-    evaluated once at 100 bits (two roundings: the power, the product) and
-    its product with modulus floored exactly.
+
+def _rational_power(norm, s):
+    """norm**s for s >= 0 when it is rational, as an integer: s = m / 2**j
+    and norm a 2**j-th power; None otherwise."""
+    m, q = s.as_integer_ratio()
+    while q > 1:
+        root = math.isqrt(norm)
+        if root * root != norm:
+            return None
+        norm, q = root, q >> 1
+    return norm**m
+
+
+def _power(norm, s, w):
+    """norm**s for s >= 0 as an interval (lo, hi, exp) of about w bits: the
+    exact integer where it is rational, the integer square root of norm**m
+    for s = m / 2, else exp(s ln norm)."""
+    p = _rational_power(norm, s)
+    if p is not None:
+        return p, p, 0
+    m, q = s.as_integer_ratio()
+    if q == 2:
+        v = norm**m
+        shift = max(w - v.bit_length() // 2, 0)
+        root = math.isqrt(v << 2 * shift)
+        return root, root + 1, -shift
+    lo, hi, ex = bf.log(norm, 1, w + 16 + int(s).bit_length())
+    return bf.exp(m * lo, m * hi, ex + 1 - q.bit_length(), w)
+
+
+def _level_bound(modulus, norm, s):
+    """The largest r' with r' / modulus <= norm**-s (1 + 2**-WITNESS_TOL_BITS):
+    the floor of modulus (2**20 + 1) / (2**20 norm**s), exact.
+
+    Where norm**s is rational it is an exact integer and so is the quotient's
+    floor; otherwise the quotient is irrational, and its interval is refined
+    until both ends have one floor.
     """
-    if float(s).is_integer():
-        return (modulus + (modulus >> WITNESS_TOL_BITS)) // norm ** int(s)
-    man, exp = bf.mul(bf.power(norm, -s, _CLASSIFY_PREC), _TOLERANCE, _CLASSIFY_PREC)
-    return modulus * man >> -exp if exp < 0 else modulus * man << exp
+    num = modulus * ((1 << WITNESS_TOL_BITS) + 1)
+
+    def series(w):
+        lo, hi, ex = _power(norm, s, w)
+        shift = -ex - WITNESS_TOL_BITS
+        return ((_quotient(num, hi, shift), _quotient(num, lo, shift), 0),)
+
+    bits = max(modulus.bit_length() - int(s * math.log2(norm)), 0) + 32
+    return bf.ziv(series, lambda man, exp: man, bits)[0]
 
 
 def _scan_general(tvec, kmax, keep, s_grid, prec_bits):
@@ -337,13 +379,14 @@ def _scan_general(tvec, kmax, keep, s_grid, prec_bits):
     Returns (ranges, rational_k, modulus): the ``_scan.RangeScan`` of each
     dyadic range, the least exact zero (by |k|, then k) or None, and the
     modulus L of ``_phase_grid``, so an exact p/q has period q and an exact
-    zero has r' = 0.  A range's witnesses are its first WITNESS_CAP points
-    in (|k|, k) order with |k| >= 2 (|k| = 1 would make every bound dist <=
-    |k|^-s trivial) that meet a level of s_grid above the rank n, each with
-    the levels it meets.  Only the points with r' <= ``_level_bound(L, lo,
-    s*)``, s* the least such level, are tested, since the bound falls as |k|
-    and s grow.  Levels s <= n are left out, as Dirichlet's theorem gives
-    them a witness for every t; with no level above n there is no witness.
+    zero has r' = 0.  A range's witnesses are its first
+    ``_scan.WITNESS_CAP`` points in (|k|, k) order with |k| >= 2 (|k| = 1
+    would make every bound dist <= |k|^-s trivial) that meet a level of
+    s_grid above the rank n, each with the levels it meets.  Only the points
+    with r' <= ``_level_bound(L, lo, s*)``, s* the least such level, are
+    tested, since the bound falls as |k| and s grow.  Levels s <= n are left
+    out, as Dirichlet's theorem gives them a witness for every t; with no
+    level above n there is no witness.
     Raises PrecisionError when a divisor is below the scan resolution, or
     when the smallest one is not resolved at the declared `prec_bits`.
     """
@@ -373,44 +416,76 @@ def _scan_general(tvec, kmax, keep, s_grid, prec_bits):
     return ranges, rational_k, modulus
 
 
+def _weighted(rp, modulus, norm, s, w):
+    """norm**s 2 sin(pi d) for d = rp / modulus in (0, 1/2] as an interval
+    (lo, hi, exp) of about w bits, exact where the value is rational.  It is
+    rational only where (2 sin(pi d))**2 (``_SQUARED_DIVISOR``) and
+    norm**(2 s) are, and their product is the square of an integer: 2 sin(pi
+    d) lies in an abelian field, which meets the real field of norm**s in
+    degree at most 2.  Such a value can be a tie of two doubles (2 * 3**34 at
+    d = 1/2), which no interval would resolve."""
+    twelfths, rem = divmod(12 * rp, modulus)
+    if not rem and twelfths in _SQUARED_DIVISOR:
+        p = _rational_power(norm, 2 * s)
+        if p is not None:
+            v = p * _SQUARED_DIVISOR[twelfths]
+            root = math.isqrt(v)
+            if root * root == v:
+                return root, root, 0
+    (lo, hi, ex), _ = bf.sin_cos_pi(rp, modulus, w)
+    plo, phi, pex = _power(norm, s, w)
+    return 2 * plo * lo, 2 * phi * hi, pex + ex
+
+
+def _exponent(rp, modulus, norm, w):
+    """1 - ln d / ln norm = 1 + ln(modulus / rp) / ln norm for d = rp /
+    modulus <= 1/2 and norm >= 2, as an interval (lo, hi, -w).  It is never
+    a tie of two doubles: that would need norm or 1 / d beyond 2**(2**26)."""
+    alo, ahi, aex = bf.log(modulus, rp, w)
+    blo, bhi, bex = bf.log(norm, 1, w)
+    shift, one = aex - bex + w, 1 << w
+    return one + _quotient(alo, bhi, shift), one - _quotient(-ahi, blo, shift), -w
+
+
+def _double(series):
+    """The correctly rounded double of the value of series(w) = (lo, hi, exp)."""
+    return bf.ziv(lambda w: (series(w),), bf.double, _START_BITS)[0]
+
+
 def _divisor(rp, modulus):
-    """(d, 2 sin(pi d)) at 100 bits for the folded distance d = rp / modulus,
-    as (man, exp) pairs.  Each step is rounded at 100 bits: rp, its quotient
-    by modulus, the product with pi, the sine (the doubling is exact)."""
-    prec = _CLASSIFY_PREC
-    d = bf.div(bf.normalize(rp, 0, prec), (modulus, 0), prec)
-    man, exp = bf.sin(bf.mul(_PI, d, prec), prec)
-    return d, (man, exp + 1)
+    """2 sin(pi rp / modulus), correctly rounded, for 0 < rp <= modulus / 2."""
+    return _double(partial(_weighted, rp, modulus, 1, 0.0))
 
 
-def _weighted(rp, normk, s, modulus):
-    """|k|^s * divisor at 100 bits, for the folded distance rp / modulus."""
-    prec = _CLASSIFY_PREC
-    return bf.mul(bf.power(normk, s, prec), _divisor(rp, modulus)[1], prec)
+def _least(points, s, modulus):
+    """(u, (r', k, |k|)): the point of points (r', k, |k|) with the least
+    |k|^s 2 sin(pi r' / modulus), and u that value correctly rounded.
 
-
-def _exponent(d, normk):
-    """1 - log d / log |k| at 100 bits (each log, the quotient and the
-    difference rounded), for the 100-bit distance d of ``_divisor``."""
-    prec = _CLASSIFY_PREC
-    ratio = bf.div(bf.log(d, prec), bf.log((normk, 0), prec), prec)
-    return bf.sub((1, 0), ratio, prec)
+    Rounding is monotone, so only the points whose doubles equal u can hold
+    the minimum; their intervals are refined, at twice the bits each time,
+    until one lies below the others.  Points equal in (r', |k|) are exact
+    ties, and points whose intervals still overlap at TIE_BITS bits are taken
+    as ties too: of ties the least (|k|, k) wins.
+    """
+    rounded = [
+        (_double(partial(_weighted, rp, modulus, norm, s)), (rp, k, norm))
+        for rp, k, norm in points
+    ]
+    u = min(v for v, _ in rounded)
+    best = [p for v, p in rounded if v == u]
+    w = 128
+    while len({(rp, norm) for rp, _, norm in best}) > 1 and w <= TIE_BITS:
+        bounds = [_weighted(rp, modulus, norm, s, w) for rp, _, norm in best]
+        top = min(bf.fraction((hi, ex)) for _, hi, ex in bounds)
+        best = [p for p, (lo, _, ex) in zip(best, bounds) if bf.fraction((lo, ex)) <= top]
+        w *= 2
+    return u, min(best, key=lambda p: (p[2], p[1]))
 
 
 def _refine_range_minimum(rng, s, modulus):
-    """The least 100-bit |k|^s * divisor over the range's frontier
-    (``_scan.collect_below``), which holds every range minimum, as an exact
-    Fraction with its k; of equal values the smaller |k| wins."""
-    u, _, k = min(
-        (bf.fraction(_weighted(rp, norm, s, modulus)), norm, k) for rp, k, norm in rng.frontier
-    )
-    return u, k
-
-
-def _float(u):
-    """float() of a Fraction u with a power-of-two denominator, rounded as
-    ``_bigfloat.to_float`` rounds."""
-    return bf.to_float((u.numerator, 1 - u.denominator.bit_length()))
+    """``_least`` over the range's frontier (``_scan.collect_below``), which
+    holds every range minimum."""
+    return _least(rng.frontier, s, modulus)
 
 
 def classify(
@@ -462,41 +537,34 @@ def classify(
     s_table = []
     dio_s = dio_c = None
     for s in s_grid:
-        shell = []
-        for rng in ranges:
-            if not rng.kept:
-                continue
-            u, kv = _refine_range_minimum(rng, s, modulus)
-            shell.append((u, kv))
+        # rounding is monotone: C and the shell values are the ranges' doubles
+        shell = [_refine_range_minimum(rng, s, modulus) for rng in ranges if rng.kept]
         if not shell:
             s_table.append(SLevelRow(s, math.inf, (), math.inf, math.inf, False))
             continue
-        c_val, c_k = min(shell, key=lambda p: (p[0], p[1]))
-        mins = [_float(u) for u, _ in shell]
+        c_val, (_, c_k, _) = _least([p for _, p in shell], s, modulus)
+        mins = [u for u, _ in shell]
         evidence = (
             len(shell) >= 2
             and min(mins) > 0.0
             and min(mins) >= DIO_RATIO * max(mins)
         )
-        s_table.append(
-            SLevelRow(s, _float(c_val), c_k, min(mins), max(mins), evidence)
-        )
+        s_table.append(SLevelRow(s, c_val, c_k, min(mins), max(mins), evidence))
         if evidence and dio_s is None:
-            dio_s, dio_c = s, _float(c_val)
+            dio_s, dio_c = s, c_val
 
-    # witness refinement on exact integers
+    # witness values, each rounded once from its exact value
     wit_records = []
     floors = {s: _significance_floor(s, n) for s in s_grid if s > n}
     for rng in ranges:
         for kvec, rp, normk, levels in rng.witnesses:
-            d, div = _divisor(rp, modulus)
             wit_records.append(
                 WitnessRecord(
                     k=kvec,
                     normk=normk,
-                    dist=bf.to_float(d),
-                    divisor=bf.to_float(div),
-                    exponent=bf.to_float(_exponent(d, normk)),
+                    dist=rp / modulus,
+                    divisor=_divisor(rp, modulus),
+                    exponent=_double(partial(_exponent, rp, modulus, normk)),
                     levels=levels,
                     significant=tuple(s for s in levels if normk >= floors[s]),
                 )
@@ -505,7 +573,7 @@ def classify(
     # global records: smallest scanned divisors
     merged = sorted(p for rng in ranges for p in rng.kept)[:N_RECORDS]
     records = tuple(
-        DivisorRecord(k=kv, divisor=bf.to_float(_divisor(rp, modulus)[1]), normk=max(map(abs, kv)))
+        DivisorRecord(k=kv, divisor=_divisor(rp, modulus), normk=max(map(abs, kv)))
         for rp, kv in merged
     )
 

@@ -1,37 +1,44 @@
-"""The integer floating point of ``classify`` against mpmath as the reference.
+"""The correctly rounded values of ``classify`` against mpmath as the oracle.
 
-Each 100-bit value of ``classify`` (the distance, divisor, weight, witness
-bound and exponent) is a chain of roundings, and each step must give the
-value mpmath's context gives at the same precision.  Steps that mpmath does
-exactly or by a fixed procedure (conversion, product, quotient, difference,
-square root, integer and half-integer powers) are compared with mpmath's own
-function.  sin, log and exp are compared with mpmath's value evaluated with
-300 more bits and rounded once: mpmath's own 100-bit sin and exp carry only
-10 and 14 guard bits, so they are one unit off the correctly rounded value
-for about one argument in 10^3 and 10^4, and this module rounds correctly.
-Every comparison is of exact values, Fraction(man) * 2**exp.
+Every value ``classify`` reports (the distance, divisor, weight |k|^s *
+divisor, witness bound and exponent) is the correctly rounded double, or
+the exact floor, of its exact quantity.  The oracle is mpmath at 400 bits
+or more, rounded once to a double through ``rounded_once`` (``float(mpf)``
+would round a subnormal twice), with ``sinpi`` so that the phase is taken
+exactly; where the value is rational the oracle is exact integers.  Every
+comparison is an equality, never a tolerance.  The series of ``_bigfloat``
+are checked the same way: rounded by ``ziv`` at any precision, each gives
+the value mpmath gives with 300 more bits, rounded once.
 """
 
 import math
 import pickle
 import random
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import pytest
 from mpmath.libmp import (
-    fone, from_float, from_int, from_man_exp, mpf_cos_sin, mpf_div, mpf_exp, mpf_log, mpf_mul,
-    mpf_pi, mpf_pow, mpf_shift, mpf_sin, mpf_sub, normalize, round_nearest,
+    from_man_exp, from_rational, mpf_exp, mpf_log, mpf_sin, normalize, round_nearest,
 )
 
 from heisencoh import _bigfloat as bf
 from heisencoh.diophantine import (
-    _CLASSIFY_PREC, _divisor, _exponent, _level_bound, _weighted, WITNESS_TOL_BITS,
+    WITNESS_TOL_BITS, _divisor, _double, _exponent, _level_bound, _power, _weighted,
 )
 from heisencoh.precision import PrecisionReal, liouville_constant
 
-P = _CLASSIFY_PREC
 RN = round_nearest
+
+
+def rounded_once(x):
+    """The mpf x rounded once to the nearest double (+-inf beyond the largest)."""
+    man, exp = x.man_exp
+    try:
+        return float(man * Fraction(2) ** exp)
+    except OverflowError:
+        return math.copysign(math.inf, man)
 
 
 def _value(x):
@@ -44,59 +51,18 @@ def _value(x):
     return man * Fraction(2) ** exp
 
 
-def _rounded(f, x, prec):
-    """mpmath's f(x) correctly rounded at prec bits (one rounding of its
-    value at prec + 300 bits)."""
-    return normalize(*f(x, prec + 300, RN), prec, RN)
-
-
-# mpmath's steps of each chain, transcendental steps correctly rounded
-
-
-def _ref_divisor(rp, modulus):
-    d = mpf_div(from_int(rp, P, RN), from_int(modulus), P, RN)
-    x = mpf_mul(mpf_pi(P, RN), d, P, RN)
-    return d, mpf_shift(_rounded(mpf_sin, x, P), 1)
-
-
-def _ref_power(norm, s):
-    """mpmath's mpf_pow(norm, s) at P bits: its own steps for integer and
-    half-integer s, else exp(s log norm) with log at P + 10 bits."""
-    b, t = from_int(norm), from_float(s)
-    if t[2] >= -1:
-        return mpf_pow(b, t, P, RN)
-    return _rounded(mpf_exp, mpf_mul(t, _rounded(mpf_log, b, P + 10)), P)
-
-
-def _ref_weighted(rp, norm, s, modulus):
-    return mpf_mul(_ref_power(norm, s), _ref_divisor(rp, modulus)[1], P, RN)
-
-
-def _ref_level_bound(modulus, norm, s):
-    tol = from_float(1 + 2.0**-WITNESS_TOL_BITS)
-    v = _value(mpf_mul(_ref_power(norm, -s), tol, P, RN))
-    return math.floor(modulus * v)
-
-
-def _ref_exponent(d, norm):
-    ratio = mpf_div(_rounded(mpf_log, d, P), _rounded(mpf_log, from_int(norm), P), P, RN)
-    return mpf_sub(fone, ratio, P, RN)
-
-
 def _cases(seed, count):
     """(r', L, |k|, s): L up to 2**260, r' <= L / 2, |k| to 2**40, integer,
-    half-integer and other s; every fifth r' is a tie when rounded to P bits
-    (P + 1 odd bits), and |k|**s is a tie at P bits for odd |k| of about
-    P / s bits."""
+    half-integer and other s; every seventh |k|**s has about 54 bits for
+    an odd |k|, and every fourteenth is doubled at r' / L = 1/2, where the
+    value is exact and can be a tie of two doubles."""
     r = random.Random(seed)
     for i in range(count):
         modulus = r.choice([
             r.randint(2, 10**6), r.getrandbits(128) | 1, r.getrandbits(192),
             113 << r.randint(0, 200), r.getrandbits(r.randint(101, 260)) | 1 << 100,
         ])
-        rp = r.randint(1, modulus // 2) if modulus > 1 else 1
-        if i % 5 == 0 and modulus > 1 << (P + 2):
-            rp = r.getrandbits(P) | 1 << P | 1  # P + 1 bits, the last one set
+        rp = r.randint(1, modulus // 2)
         s = r.choice([
             float(r.randint(1, 12)), r.randint(1, 24) / 2, r.uniform(0.5, 8),
             r.uniform(0.5, 1024), float(r.randint(1, 1024)),
@@ -106,108 +72,183 @@ def _cases(seed, count):
         ])
         if i % 7 == 0:
             s = float(r.choice([2, 3, 4]))
-            bits = -(-(P + 1) // int(s))
+            bits = -(-54 // int(s))
             norm = r.getrandbits(bits) | 1 << (bits - 1) | 1
+            if i % 14 == 0:
+                modulus, rp = 2 * modulus, modulus
         yield rp, modulus, norm, s
 
 
-def test_chains_equal_mpmath_steps():
-    n_cases = n_ties = 0
+def _exact_power(norm, s):
+    """norm**s as an exact integer where it is one (s = m / 2**j, norm a
+    2**j-th power), else None; by integer roots, not by the code under test."""
+    m, q = s.as_integer_ratio()
+    if norm == 1 or q > norm.bit_length():
+        return 1 if norm == 1 else None
+    root = round(norm ** (1 / q))
+    for c in (root - 1, root, root + 1):
+        if c >= 1 and c**q == norm:
+            return c**m
+    return None
+
+
+def _oracle_floor(modulus, norm, s):
+    """floor(modulus (2**20 + 1) / (2**20 norm**s)): on integers where norm**s
+    is one, else from mpmath, which must be far from an integer there."""
+    num = modulus * ((1 << WITNESS_TOL_BITS) + 1)
+    power = _exact_power(norm, s)
+    if power is not None:
+        return num // (power << WITNESS_TOL_BITS)
+    with mpmath.workprec(modulus.bit_length() + 400):
+        v = mpmath.mpf(num) / 2**WITNESS_TOL_BITS * mpmath.power(norm, -mpmath.mpf(s))
+        floor = int(mpmath.floor(v))
+        assert min(v - floor, floor + 1 - v) > v * mpmath.mpf(2) ** -300
+    return floor
+
+
+def test_classify_values_are_correctly_rounded():
+    # the divisor, the weight, the witness bound and the exponent of each
+    # case, from one series each, against mpmath at 400 bits rounded once
+    n_cases = n_exact = 0
     for rp, modulus, norm, s in _cases(7, 2400):
         n_cases += 1
-        n_ties += rp.bit_length() == P + 1 and rp & 1
-        d, div = _divisor(rp, modulus)
-        ref_d, ref_div = _ref_divisor(rp, modulus)
-        assert bf.fraction(d) == _value(ref_d), (rp, modulus)
-        assert bf.fraction(div) == _value(ref_div), (rp, modulus)
-        assert bf.fraction(bf.power(norm, s, P)) == _value(_ref_power(norm, s)), (norm, s)
         case = (rp, modulus, norm, s)
-        got = _weighted(rp, norm, s, modulus)
-        assert bf.fraction(got) == _value(_ref_weighted(rp, norm, s, modulus)), case
-        if not s.is_integer():
-            assert _level_bound(modulus, norm, s) == _ref_level_bound(modulus, norm, s), case
-        if norm >= 2:
-            assert bf.fraction(_exponent(d, norm)) == _value(_ref_exponent(ref_d, norm)), case
-    assert n_cases >= 2000 and n_ties >= 100
+        with mpmath.workprec(400):
+            div = 2 * mpmath.sinpi(mpmath.mpf(rp) / modulus)
+            assert _divisor(rp, modulus) == rounded_once(div), case
+            weighted = _double(partial(_weighted, rp, modulus, norm, s))
+            power = _exact_power(norm, s)
+            twice_sin = {2: 2, 6: 1}.get(Fraction(rp, modulus).denominator)
+            if power is not None and twice_sin:  # at 1/2 and 1/6: exact
+                n_exact += 1
+                assert weighted == float(twice_sin * power), case
+            else:
+                assert weighted == rounded_once(mpmath.power(norm, mpmath.mpf(s)) * div), case
+            if norm >= 2:
+                exponent = 1 - mpmath.log(mpmath.mpf(rp) / modulus) / mpmath.log(norm)
+                got = _double(partial(_exponent, rp, modulus, norm))
+                assert got == rounded_once(exponent), case
+        assert _level_bound(modulus, norm, s) == _oracle_floor(modulus, norm, s), case
+    assert n_cases >= 2000 and n_exact >= 1
 
 
-def test_integer_and_half_integer_powers_are_mpmaths_own():
-    # mpf_pow_int powers a mantissa of bc bits exactly while bc * n < 1000
-    # and by truncated binary powering above; both paths, both signs
+def test_powers_are_exact_where_rational():
+    # norm**s is the exact integer for integer s and at a 2**j-th power with
+    # s = m / 2**j; otherwise an interval about w bits wide around it
     r = random.Random(3)
     for _ in range(1500):
         norm = r.choice([r.randint(1, 100), r.randint(2, 2**40), 1 << r.randint(0, 40)])
-        s = r.choice([float(r.randint(1, 1024)), r.randint(1, 2048) / 2])
-        for t in (s, -s):
-            want = mpf_pow(from_int(norm), from_float(t), P, RN)
-            assert bf.fraction(bf.power(norm, t, P)) == _value(want), (norm, t)
+        s = r.choice([float(r.randint(1, 1024)), r.randint(1, 2048) / 2, r.uniform(0.5, 64)])
+        if r.random() < 0.2:  # a perfect square or fourth power, s in halves or quarters
+            root, j = r.randint(2, 1000), r.choice([1, 2])
+            norm, s = root ** (2**j), r.randint(1, 400) / 2**j
+        lo, hi, ex = _power(norm, s, 100)
+        exact = _exact_power(norm, s)
+        if exact is not None:
+            assert (lo, hi, ex) == (exact, exact, 0), (norm, s)
+            continue
+        with mpmath.workprec(hi.bit_length() + 100):  # finer than the interval
+            want = mpmath.power(norm, mpmath.mpf(s))
+        assert _value((lo, ex)) <= _value(want.man_exp) <= _value((hi, ex)), (norm, s)
+        assert hi - lo <= lo >> 80, (norm, s)
 
 
-@pytest.mark.parametrize("f, ref", [(bf.sin, mpf_sin), (bf.log, mpf_log), (bf.exp, mpf_exp)])
+def _reference(f, ref, args, prec):
+    """ref (mpmath's f) at prec + 300 bits, rounded once at prec."""
+    wp = prec + 300
+    if f == "sin":  # of pi p / q
+        with mpmath.workprec(wp):
+            x = (mpmath.pi * mpmath.mpf(args[0]) / args[1])._mpf_
+    elif f == "log":  # of p / q
+        x = from_rational(*args, wp, RN)
+    else:  # of man 2**exp
+        x = from_man_exp(*args)
+    return normalize(*ref(x, wp, RN), prec, RN)
+
+
+def _series(f, args):
+    if f == "sin":
+        return lambda w: (bf.sin_cos_pi(*args, w)[0],)
+    if f == "log":
+        return lambda w: (bf.log(*args, w),)
+    man, exp = args
+    return lambda w: (bf.exp(man, man, exp, w),)
+
+
+@pytest.mark.parametrize("f, ref", [("sin", mpf_sin), ("log", mpf_log), ("exp", mpf_exp)])
 def test_transcendental_steps_are_correctly_rounded(f, ref):
+    # each series rounded by ziv at prec bits is mpmath's value (ref at
+    # prec + 300 bits) rounded once
     r = random.Random(11)
     for _ in range(1500):
-        prec = r.choice([64, 100, 110, 200])
-        man = r.getrandbits(prec) | 1
-        if f is bf.sin:  # 0 < x <= 2
-            x = (man, -prec + 1 - r.choice([0, 0, r.randint(1, 300)]))
-        elif f is bf.log:
-            x = (man, r.randint(-400, 100))
+        prec = r.choice([53, 64, 100, 110, 200])
+        if f == "sin":  # 0 < p / q <= 1/2, down to 2**-300
+            q = r.getrandbits(r.randint(2, 400)) | 1 << 400
+            args = r.randint(1, q >> r.choice([1, 2, 3, r.randint(1, 300)])), q
+        elif f == "log":
+            args = r.getrandbits(r.randint(1, 400)) | 1, r.getrandbits(r.randint(1, 400)) | 1
         else:
-            x = (man * r.choice([1, -1]), -prec + r.randint(-20, 14))
-        want = _rounded(ref, from_man_exp(*x), prec)
-        assert bf.fraction(f(x, prec)) == _value(want), (x, prec)
+            args = (r.getrandbits(prec) | 1) * r.choice([1, -1]), -prec + r.randint(-20, 14)
+        want = _reference(f, ref, args, prec)
+        got = bf.ziv(_series(f, args), lambda man, exp: bf.normalize(man, exp, prec), prec + 8)[0]
+        assert bf.fraction(got) == _value(want), (args, prec)
 
 
-def test_sin_differs_from_mpmath_only_where_mpmath_misrounds():
-    # where mpmath's own 100-bit sin differs from this one, it is mpmath's
-    # that is off: one unit from the correctly rounded value
-    r = random.Random(5)
-    misrounded = 0
-    for _ in range(3000):
-        x = (r.getrandbits(P) | 1, -P + 1)
-        own = _value(mpf_sin(from_man_exp(*x), P, RN))
-        got = bf.fraction(bf.sin(x, P))
-        if own != got:
-            misrounded += 1
-            assert got == _value(_rounded(mpf_sin, from_man_exp(*x), P))
-            assert abs(own - got) <= got * Fraction(2) ** (1 - P)
-    assert misrounded < 30
-
-
-def _cos_sin_arguments(seed, count):
-    """(x, prec) with 0 < x <= 2 of at most prec bits: spread over [2**-300, 2],
-    on both sides of pi / 2 within a few units, and below 2**-60."""
+def _sin_cos_arguments(seed, count):
+    """p / q in (0, 1/2]: spread over [2**-200, 1/2], within a few units of
+    1/4 on either side, near 1/2, and at 1/6, 1/4, 1/3 and 1/2."""
     r = random.Random(seed)
     for i in range(count):
-        prec = r.choice([53, 64, 80, 100, 128])
-        man = r.getrandbits(prec) | 1 << (prec - 1) | 1
-        kind = i % 4
-        if kind == 0:  # [1/2, 2)
-            yield (man, 1 - prec - r.randint(0, 1)), prec
-        elif kind == 1:  # pi / 2 rounded, and a few units either side
-            pm, pe = bf.pi(prec)
-            yield bf.normalize(pm + r.randint(-4, 4), pe - 1, prec), prec
-        elif kind == 2:  # below 2**-60
-            yield (man, -prec - r.randint(60, 300)), prec
+        q = r.getrandbits(200) | 1 << 200
+        kind = i % 5
+        if kind == 0:
+            yield r.randint(1, q // 2), q
+        elif kind == 1:
+            yield q + r.randint(-4, 4), 4 * q
+        elif kind == 2:
+            yield 2 * q - r.randint(1, 8), 4 * q
+        elif kind == 3:
+            yield r.randint(1, max(1, q >> r.randint(60, 300))), q
         else:
-            yield (man, -prec - r.randint(0, 60)), prec
+            yield r.choice([(1, 6), (1, 4), (1, 3), (1, 2), (5, 12), (1, 12)])
 
 
 def test_cos_sin_is_correctly_rounded():
-    # mpmath's cos and sin at 400 bits rounded once at prec; x of at most
-    # prec bits, so that rounding lands on no tie
-    negative_cos = tiny = 0
-    for x, prec in _cos_sin_arguments(13, 4400):
-        want_c, want_s = (_value(normalize(*v, prec, RN))
-                          for v in mpf_cos_sin(from_man_exp(*x), 400, RN))
-        c, s = bf.cos_sin(x, prec)
-        assert (bf.fraction(c), bf.fraction(s)) == (want_c, want_s), (x, prec)
-        assert bf.sin(x, prec) == s
-        negative_cos += c[0] < 0
-        tiny += x[0].bit_length() + x[1] < -60
-    assert negative_cos >= 100 and tiny >= 1000
-    assert bf.cos_sin((0, 0), 80) == ((1, 0), (0, 0))
+    # sin and cos of pi p / q rounded by ziv at prec bits are mpmath's at
+    # 400 bits rounded once; at 1/2 the sine is 1 and the cosine 0 exactly
+    for p, q in _sin_cos_arguments(13, 3000):
+        prec = random.Random(p).choice([53, 64, 80, 100, 128])
+        with mpmath.workprec(400):
+            d = mpmath.mpf(p) / q
+            want = [rounded_once(mpmath.sinpi(d)), rounded_once(mpmath.cospi(d))]
+            want_prec = [_value(normalize(*v._mpf_, prec, RN)) if v else 0
+                         for v in (mpmath.sinpi(d), mpmath.cospi(d))]
+        assert bf.ziv(lambda w: bf.sin_cos_pi(p, q, w), bf.double, 64) == want, (p, q)
+        got = bf.ziv(lambda w: bf.sin_cos_pi(p, q, w), lambda m, e: bf.normalize(m, e, prec), 64)
+        assert [bf.fraction(v) for v in got] == want_prec, (p, q, prec)
+    assert bf.sin_cos_pi(3, 6, 64) == ((1, 1, 0), (0, 0, 0))
+
+
+def test_double_rounds_once():
+    # gradual underflow rounds once at 2**-1074, ties go to even, and a
+    # value beyond the largest double is +-inf
+    r = random.Random(17)
+    for _ in range(5000):
+        man = r.getrandbits(r.randint(1, 120)) * r.choice([1, -1])
+        exp = r.randint(-1200, 1000)
+        want = man * Fraction(2) ** exp
+        try:
+            expect = float(want)
+        except OverflowError:
+            expect = math.inf if man > 0 else -math.inf
+        assert bf.double(man, exp) == expect, (man, exp)
+    tiny = 2.0**-1074
+    assert bf.double(3, -1076) == tiny and bf.double(3, -1075) == 2 * tiny
+    assert bf.double(1, -1075) == 0.0  # half a unit: the tie goes to even
+    # just above half a unit: rounded first to 53 bits it would be a tie
+    assert bf.double(2**55 + 1, -1130) == tiny
+    assert bf.double(2**53 + 1, 0) == 2.0**53 and bf.double(2**53 + 3, 0) == 2.0**53 + 4
+    assert bf.double(1, 1024) == math.inf and bf.double(-(1 << 5000), -3000) == -math.inf
 
 
 @pytest.mark.parametrize("name, expr", [

@@ -514,3 +514,33 @@ def test_solve_json_memory_peak(tmp_path, monkeypatch):
     assert text == 2 * text[:len(text) // 2]
     assert len(doc["f"]) == 65 * 65 - 1 and doc["verify_residual"] == doc["residual_sup"]
     assert peak < 4 * 2**20, peak
+
+
+def test_classify_rounds_a_subnormal_distance_once():
+    # 12 / 10^309 lies below the least normal double: rounded first to 53
+    # bits and then at 2^-1074 it would print 1.2000000000000003e-308
+    r = run_cli("classify", "--vector", "3/1" + "0" * 309, "--kmax", "12")
+    assert r.returncode == 0, r.stderr
+    assert "witness k=4 dist=1.1999999999999998e-308 " in r.stdout
+
+
+def test_classify_weight_halfway_between_two_doubles_ends():
+    # 2 * 3^34 is exact and halfway between two doubles: it is rounded once,
+    # ties to even, and no interval refinement is asked to separate it
+    r = run_cli("classify", "--vector", "1/2", "--kmax", "3", "--s-grid", "34")
+    assert r.returncode == 0, r.stderr
+    assert " shell_max=33354363399333136 " in r.stdout
+    assert 2 * 3**34 - 2 == 33354363399333136 and 2 * 3**34 + 2 == float(2 * 3**34 + 2)
+
+
+def test_closed_stdout_is_not_a_domain_error():
+    # the reader closes the pipe after one line of a report far larger than
+    # the pipe holds: the command ends quietly with status 1 at its next write
+    args = ["classify", "--vector", "1/1" + "0" * 30, "--kmax", "3000"]
+    proc = subprocess.Popen(CMD + args, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"verdict=LiouvilleEvidence\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""

@@ -23,6 +23,7 @@ from heisencoh.diophantine import classify, complex_divisor, divisor_table, phas
 from heisencoh.errors import DomainError, NonzeroMeanError, PrecisionError, ResonanceError
 from heisencoh.fourier import sobolev_norm
 from heisencoh.precision import PrecisionReal, liouville_constant
+from test_bigfloat import rounded_once
 
 rng = np.random.default_rng(2024)
 GOLDEN = PrecisionReal.parse("golden", 128)
@@ -273,18 +274,20 @@ def reference_phase_distance(tvec, k):
 
 
 def reference_complex_divisor(tvec, k):
+    """2 sin^2(pi d) - i sign sin(2 pi d) for the distance d and side of
+    ``reference_phase_distance``, each part from mpmath at 600 bits, with
+    sinpi taking the phase exactly, rounded once to a double."""
     dist, sign = reference_phase_distance(tvec, k)
     if dist == 0:
         return 0j
-    with mpmath.workprec(80):
+    with mpmath.workprec(600):
         if isinstance(dist, Fraction):
             # rounded once: mpf(numerator) would round a long numerator first
             d = mpmath.fdiv(dist.numerator, dist.denominator)
         else:
             d = mpmath.mpf(dist)
-        s = mpmath.sin(mpmath.pi * d)
-        c = mpmath.cos(mpmath.pi * d)
-        return complex(float(2 * s * s), float(-sign * 2 * s * c))
+        re = rounded_once(2 * mpmath.sinpi(d) ** 2)
+        return complex(re, -sign * rounded_once(mpmath.sinpi(2 * d)))
 
 
 def reference_residual(f, g, u, n, sign=1):
@@ -366,7 +369,8 @@ def _distance_cases(seed, count):
 
 
 def test_divisor_table_matches_reference_on_random_distances():
-    # t = 1/L and k = r put the phase at r / L exactly
+    # t = 1/L and k = r put the phase at r / L exactly; r within 2 of L / 2
+    # puts the imaginary part far below the real one
     n = 0
     for modulus, rs in _distance_cases(17, 20000).items():
         u = [PrecisionReal.exact(Fraction(1, modulus))]
@@ -405,14 +409,17 @@ def test_divisor_table_shares_trig_between_k_and_minus_k(spec, monkeypatch):
     keys = [k for k in itertools.product(range(-box, box + 1), repeat=len(u)) if any(k)]
     per_mode = {k: divisor_table(u, [k])[1][k] for k in keys}
     calls = []
-    real_cos_sin = bf.cos_sin  # looked up on _bigfloat by divisor_table on each call
-    monkeypatch.setattr(bf, "cos_sin", lambda *a: calls.append(a) or real_cos_sin(*a))
+    real_sin_cos_pi = bf.sin_cos_pi  # looked up on _bigfloat by divisor_table on each call
+    monkeypatch.setattr(bf, "sin_cos_pi", lambda *a: calls.append(a[:2]) or real_sin_cos_pi(*a))
     modulus, table = divisor_table(u, keys)
     for k in keys:
         (r, got), (r1, want) = table[k], per_mode[k]
         assert r == r1
         assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), k
-    assert len(calls) == len({r for r, _ in table.values() if r})
+    # one series per distinct distance (a distance past 1/4 also calls
+    # itself, on the complement over 2L)
+    distances = sorted({r for r, _ in table.values() if r})
+    assert sorted(r for r, q in calls if q == modulus) == distances
     if spec == "1/2":
         assert table[(1,)] == table[(-1,)] and 2 * table[(1,)][0] == modulus
 

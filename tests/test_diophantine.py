@@ -25,6 +25,7 @@ from heisencoh.diophantine import (
 )
 from heisencoh.errors import DomainError, PrecisionError
 from heisencoh.precision import PrecisionReal, liouville_constant
+from test_bigfloat import _oracle_floor, rounded_once
 from test_golden import CORPUS, GOLDEN
 
 rng = random.Random(55)
@@ -164,20 +165,25 @@ def _grid(t):
 
 
 def _u(rp, k, s, modulus):
-    """mpmath's 100-bit k^s * divisor, as its exact Fraction."""
-    with mpmath.workprec(100):
-        u = mpmath.power(k, s) * 2 * mpmath.sin(mpmath.pi * (mpmath.mpf(rp) / modulus))
-    man, exp = u.man_exp
-    return man * Fraction(2) ** exp
+    """k^s * 2 sin(pi rp / modulus) from mpmath at 400 bits."""
+    with mpmath.workprec(400):
+        return mpmath.power(k, mpmath.mpf(s)) * 2 * mpmath.sinpi(mpmath.mpf(rp) / modulus)
 
 
 def _brute_minimum(points, s, modulus):
-    """min (k^s divisor, k) over every (r', k); floats pick the candidates."""
+    """min (k^s divisor, k) over every (r', k), the value at 400 bits;
+    floats pick the candidates."""
     approx = {k: k**s * 2 * math.sin(math.pi * (rp / modulus)) for rp, k in points}
     top = min(approx.values())
     return min(
         (_u(rp, k, s, modulus), k) for rp, k in points if approx[k] <= top * (1 + 1e-9)
     )
+
+
+def _minimum(rng, s, modulus):
+    """(the correctly rounded range minimum, its k) of ``_refine_range_minimum``."""
+    u, (_, k, _) = _refine_range_minimum(rng, s, modulus)
+    return u, k
 
 
 def _check_against_every_k(t, kmax, s_grid):
@@ -190,9 +196,10 @@ def _check_against_every_k(t, kmax, s_grid):
             _brute_minimum([p for p in pts if lo <= p[1] < 2 * lo], row.s, modulus)
             for lo in (2**j for j in range(kmax.bit_length()))
         ]
-        assert (row.c, row.argmin_k) == (float(min(shell)[0]), (min(shell)[1],))
-        assert row.shell_min == min(float(u) for u, _ in shell)
-        assert row.shell_max == max(float(u) for u, _ in shell)
+        least = min(shell)
+        assert (row.c, row.argmin_k) == (rounded_once(least[0]), (least[1],))
+        assert row.shell_min == min(rounded_once(u) for u, _ in shell)
+        assert row.shell_max == max(rounded_once(u) for u, _ in shell)
     assert [r.k for r in rep.records] == [(k,) for _, k in sorted(pts)[:10]]
     return rep
 
@@ -228,8 +235,8 @@ def test_refine_matches_brute_force_on_random_ranges(s_grid):
                 for k in range(rd.lo, rd.hi)
             ]
             for s in s_grid:
-                b = _brute_minimum(pts, s, modulus)
-                assert _refine_range_minimum(rd, s, modulus) == (b[0], (b[1],))
+                u, k = _brute_minimum(pts, s, modulus)
+                assert _minimum(rd, s, modulus) == (rounded_once(u), (k,))
 
 
 def test_rescue_finds_brute_force_minimum_355_113():
@@ -249,8 +256,8 @@ def test_rescue_finds_brute_force_minimum_355_113():
     )
     (rng,) = [r for r in ranges if r.lo == lo]
     for s in (3.0, 1.5):
-        u, k = _refine_range_minimum(rng, s, modulus)
-        assert (u, k) == ((b := _brute_minimum(pts, s, modulus))[0], (b[1],))
+        u, k = _brute_minimum(pts, s, modulus)
+        assert _minimum(rng, s, modulus) == (rounded_once(u), (k,))
 
 
 def test_classify_sqrt2_diophantine():
@@ -467,9 +474,10 @@ def _shell_scan(tvec, modulus, kmax, keep, wbound):
 
 
 def _brute_vector_minimum(points, s, modulus):
-    """(|k|^s divisor, k) of the least (|k|^s divisor, |k|, r', k) over every
-    (r', k): of values equal at 100 bits, which exact components make common,
-    the smaller |k| wins, then the smaller r'.  Floats pick the candidates."""
+    """(|k|^s divisor correctly rounded, k) of the least (|k|^s divisor, |k|,
+    r', k) over every (r', k), the value at 400 bits: of equal values, which
+    exact components make common at equal (|k|, r'), the least k wins.
+    Floats pick the candidates."""
     approx = [
         (max(map(abs, k)) ** s * 2 * math.sin(math.pi * (rp / modulus)), rp, k) for rp, k in points
     ]
@@ -479,7 +487,7 @@ def _brute_vector_minimum(points, s, modulus):
         for a, rp, k in approx
         if a <= top * (1 + 1e-9)
     )
-    return best[0], best[3]
+    return rounded_once(best[0]), best[3]
 
 
 @pytest.mark.parametrize(
@@ -513,10 +521,10 @@ def test_rank_n_scan_matches_every_k(names, kmax):
         assert rng.kept == kept
         want = [(k, rp, m, _exact_levels(rp, modulus, m, s_grid, n)) for k, rp, m in wits]
         want = sorted((w for w in want if w[3]), key=lambda w: (w[2], w[0]))
-        assert rng.witnesses == want[:diophantine.WITNESS_CAP]
+        assert rng.witnesses == want[:_scan.WITNESS_CAP]
         assert rng.n_scanned == len(pts)
         for s in s_grid:
-            assert _refine_range_minimum(rng, s, modulus) == _brute_vector_minimum(pts, s, modulus)
+            assert _minimum(rng, s, modulus) == _brute_vector_minimum(pts, s, modulus)
 
 
 def test_witness_cap_keeps_the_first_witnesses_with_a_level(monkeypatch):
@@ -573,21 +581,21 @@ def test_witness_cap_matches_every_k(monkeypatch, values, kmax, s_grid):
 
 def test_level_bound_is_the_largest_witness_distance():
     # _level_bound(L, norm, s) is the largest r' with r' / L <= norm^-s
-    # (1 + 2^-20): exactly for integer s, else but where L norm^-s (1 + 2^-20)
-    # is within 2^-95 of an integer
+    # (1 + 2^-20), exactly: on integers where norm^s is rational (integer s,
+    # and half-integer s at a perfect square), else the exact floor of an
+    # irrational value, checked by mpmath far above its precision
     r = random.Random(31)
     for _ in range(300):
         modulus = r.choice([r.randint(1, 10**6), r.getrandbits(192), 113 << r.randint(0, 300)])
-        norm = r.choice([1, 2, 113, r.randint(2, 10**4), r.randint(2, 10**12)])
+        norm = r.choice([1, 2, 4, 113, 12769, r.randint(2, 10**4), r.randint(2, 10**12)])
         s = r.choice([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, r.uniform(0.5, 4)])
         bound = _level_bound(modulus, norm, s)
+        assert bound == _oracle_floor(modulus, norm, s), (modulus, norm, s)
         if s.is_integer():
             assert bound == modulus * (2**20 + 1) // (2**20 * norm ** int(s))
-            continue
-        with mpmath.workprec(400):
-            exact = modulus * mpmath.power(norm, -mpmath.mpf(s)) * (1 + mpmath.mpf(2) ** -20)
-            near = abs(exact - mpmath.nint(exact)) <= exact * mpmath.mpf(2) ** -95
-            assert bound == int(mpmath.floor(exact)) or near
+    for modulus in (1, 2, 2**21, 3 << 100, 10**30 + 7):
+        # 4^0.5 = 2 exactly
+        assert _level_bound(modulus, 4, 0.5) == modulus * (2**20 + 1) // 2**21
 
 
 def test_rank_n_range_minimum_beyond_the_kept_list():
@@ -817,3 +825,169 @@ def test_golden_witnesses_are_the_points_above_the_rank(name):
             if rp and levels:
                 every.append((max(map(abs, k)), k, levels))
     assert [(k, levels) for k, _, levels, _ in printed] == [w[1:] for w in sorted(every)]
+
+
+# ---------------------------------------------------------------------------
+# every printed value is the correctly rounded double of its exact quantity
+
+
+# d -> (Re, |Im|, |divisor|) of 1 - exp(2 pi i d) at the phases where Niven's
+# theorem makes the parts rational or the square roots of rationals
+_EXACT_PHASES = {
+    Fraction(1, 6): (0.5, math.sqrt(3) / 2, 1.0),
+    Fraction(1, 4): (1.0, 1.0, math.sqrt(2)),
+    Fraction(1, 3): (1.5, math.sqrt(3) / 2, math.sqrt(3)),
+    Fraction(1, 2): (2.0, 0.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("t, k", [
+    (Fraction(1, 6), 1), (Fraction(5, 6), 1), (Fraction(1, 4), 1), (Fraction(3, 4), 5),
+    (Fraction(1, 3), 1), (Fraction(2, 3), 4), (Fraction(1, 2), 1), (Fraction(1, 2), -3),
+    ((Fraction(1, 4), Fraction(1, 3)), (2, 0)), ((Fraction(1, 4), Fraction(1, 3)), (-2, 0)),
+    ((Fraction(1, 4), Fraction(1, 3)), (1, 0)), ((Fraction(1, 4), Fraction(1, 3)), (0, -1)),
+    ((Fraction(1, 4), Fraction(1, 3)), (2, 1)), ((Fraction(1, 4), Fraction(1, 3)), (1, -6)),
+])
+def test_exact_phases_are_exact(t, k):
+    # each part is its exact value, correctly rounded where irrational; at
+    # d = 1/2 the divisor is 2 - 0j, with the imaginary part -0.0
+    dist, sign = phase_distance(t, k)
+    re, im, size = _EXACT_PHASES[dist]
+    got = complex_divisor(t, k)
+    assert (got.real, got.imag) == (re, -sign * im)
+    assert math.copysign(1.0, got.imag) == -sign
+    assert small_divisor(t, k) == size
+    tvec = diophantine._coerce_vector(t)
+    key = (k,) if isinstance(k, int) else k
+    ((_, r, d),) = diophantine.iter_divisors(diophantine._phase_grid(tvec), [key])
+    assert (d.real.hex(), d.imag.hex()) == (got.real.hex(), got.imag.hex())
+    assert Fraction(r, diophantine._phase_grid(tvec)[1]) == dist
+
+
+def test_complex_divisor_at_half_is_two():
+    d = complex_divisor((Fraction(1, 4), Fraction(1, 3)), (2, 0))
+    assert d == 2 and math.copysign(1.0, d.imag) == -1.0
+
+
+def test_subnormal_witness_values_are_rounded_once():
+    # every witness dist and divisor of n / 10^z, z = 300 .. 329, is the one
+    # rounding of its exact value (dist) or of its 600-bit value (divisor);
+    # a subnormal dist rounded first to 53 bits and then at 2^-1074 can land
+    # one unit off
+    r = random.Random(309)
+    checked = subnormal = 0
+    for z in range(300, 330):
+        for n in r.sample(range(1, 100), 4):
+            t = Fraction(n, 10**z)
+            for w in classify(t, 12).witnesses:
+                d = w.k[0] * t % 1
+                d = min(d, 1 - d)
+                assert w.dist == float(d), (n, z, w.k)
+                with mpmath.workprec(600):
+                    want = rounded_once(2 * mpmath.sinpi(mpmath.mpf(d.numerator) / d.denominator))
+                assert w.divisor == want, (n, z, w.k)
+                checked += 2
+                subnormal += w.dist < 2.2250738585072014e-308
+    assert checked == 2640 and subnormal > 50
+
+
+def _printed_values(name):
+    """(witnesses (k, dist, divisor, exponent), records (k, divisor), rows
+    (s, C, argmin_k, shell_min, shell_max), min_divisor, diophantine_c) as
+    the golden `name` prints them."""
+    text = (GOLDEN / name).read_text(encoding="utf-8")
+    if name.endswith(".json"):
+        doc = json.loads(text)
+        wit = [(tuple(w["k"]), w["dist"], w["divisor"], w["exponent"]) for w in doc["witnesses"]]
+        rows = [
+            (r["s"], r["c"], tuple(r["argmin_k"]), r["shell_min"], r["shell_max"])
+            for r in doc["s_table"] if r["argmin_k"]
+        ]
+        rec = [(tuple(r["k"]), r["divisor"]) for r in doc["records"]]
+        return wit, rec, rows, doc["min_divisor"], doc["diophantine_c"]
+    wit, rec, rows, top = [], [], [], {}
+    for line in text.splitlines():
+        kind = line.split(" ", 1)[0]
+        if kind not in ("witness", "record") and not kind.startswith("s="):
+            key, _, value = line.partition("=")
+            top[key] = value
+            continue
+        f = dict(field.split("=", 1) for field in line.split()[not kind.startswith("s="):])
+        k = tuple(map(int, f["k"].split(","))) if "k" in f else None
+        if kind == "witness":
+            wit.append((k, float(f["dist"]), float(f["divisor"]), float(f["exponent"])))
+        elif kind == "record":
+            rec.append((k, float(f["divisor"])))
+        else:
+            argmin = tuple(map(int, f["argmin_k"].split(",")))
+            rows.append((float(f["s"]), float(f["C"]), argmin, float(f["shell_min"]),
+                         float(f["shell_max"])))
+    dio_c = float(top["diophantine_c"]) if "diophantine_c" in top else None
+    return wit, rec, rows, float(top["min_divisor"]), dio_c
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_golden_values_are_correctly_rounded(name):
+    # every dist, divisor, exponent, C, shell_min and shell_max the golden
+    # prints is mpmath's value at 400 bits rounded once (dist: the exact r' / L
+    # rounded once); C's argmin and the shell values range over the minima of
+    # the ranges' frontiers, which hold every range minimum
+    tvec, kmax, s_grid = _golden_input(name)
+    ranges, _, modulus = _scan_general(tvec, kmax, diophantine.N_RECORDS, s_grid, None)
+    scaled = diophantine._phase_grid(tvec)[0]
+    wit, rec, rows, min_divisor, dio_c = _printed_values(name)
+    with mpmath.workprec(400):
+
+        def divisor(k):
+            rp = diophantine._phase(scaled, modulus, k)[0]
+            return rp, 2 * mpmath.sinpi(mpmath.mpf(rp) / modulus)
+
+        for k, dist, div, exponent in wit:
+            rp, want = divisor(k)
+            assert (dist, div) == (float(Fraction(rp, modulus)), rounded_once(want)), k
+            ratio = mpmath.log(mpmath.mpf(rp) / modulus) / mpmath.log(max(map(abs, k)))
+            assert exponent == rounded_once(1 - ratio), k
+        for k, div in rec:
+            assert div == rounded_once(divisor(k)[1]), k
+        assert min_divisor == rec[0][1]
+        for s, c, argmin_k, shell_min, shell_max in rows:
+            minima = [
+                min((mpmath.power(norm, mpmath.mpf(s)) * divisor(k)[1], norm, k)
+                    for _, k, norm in rng.frontier)
+                for rng in ranges if rng.kept
+            ]
+            least = min(minima)
+            assert (c, argmin_k) == (rounded_once(least[0]), least[2]), s
+            assert (shell_min, shell_max) == (c, rounded_once(max(minima)[0])), s
+    assert dio_c is None or dio_c in [row[1] for row in rows]
+
+
+def test_range_minima_equal_as_doubles_are_refined():
+    # t = 1/2 - delta / L puts the weights of k = 1 and k = 2 at s = 1.5 within
+    # about 2^-290 of each other: their doubles are equal, and the interval
+    # refinement, not the tie rule, finds the smaller on both sides of the root
+    modulus, s = 1 << 300, 1.5
+    with mpmath.workprec(1000):
+        root = mpmath.findroot(
+            lambda x: mpmath.cospi(x) - 2 ** mpmath.mpf(s) * mpmath.sinpi(2 * x), 0.05
+        )
+        delta = int(mpmath.floor(root * modulus))
+    winners = set()
+    for dl in (delta, delta + 1):
+        row = classify(Fraction(modulus // 2 - dl, modulus), 2, [s]).s_table[0]
+        with mpmath.workprec(1000):
+            one = 2 * mpmath.cospi(mpmath.mpf(dl) / modulus)
+            two = 2 ** mpmath.mpf(s) * 2 * mpmath.sinpi(mpmath.mpf(2 * dl) / modulus)
+        assert row.shell_min == row.shell_max == row.c == rounded_once(min(one, two))
+        assert row.argmin_k == ((1,) if one < two else (2,))
+        winners.add(row.argmin_k)
+    assert winners == {(1,), (2,)}
+
+
+def test_exact_ties_go_to_the_least_norm_then_k():
+    # 2 sin(pi / 4) = 2^0.5 * 2 sin(pi / 6) = sqrt 2 exactly: no refinement up
+    # to TIE_BITS separates them, and the smaller |k| wins; equal (r', |k|)
+    # are the same value, and the smaller k wins
+    points = [(2, (2,), 2), (3, (-1,), 1), (3, (1,), 1)]
+    assert diophantine._least(points, 0.5, 12) == (math.sqrt(2), (3, (-1,), 1))
+    assert diophantine._least(points[:1] + points[2:], 0.5, 12) == (math.sqrt(2), (3, (1,), 1))
