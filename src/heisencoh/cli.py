@@ -14,7 +14,7 @@ import sys
 
 # Each handler imports the modules it needs, so a command loads only its
 # own: classify, group, fan and cohomology start without numpy or mpmath.
-from .coefficients import read_coefficients, reads_as, write_coefficients
+from .coefficients import file_digest, read_coefficients, write_coefficients
 from .errors import DomainError, HeisencohError, ParseError, PrecisionError
 
 
@@ -37,16 +37,6 @@ def _parse_floats(text: str, flag: str):
         return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ParseError(f"{flag} expects comma-separated numbers, got {text!r}") from None
-
-
-def _lines(text):
-    """The lines of text one at a time, each with its newline; io.StringIO
-    would first copy all of text at four bytes a character."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start) + 1 or len(text)
-        yield text[start:end]
-        start = end
 
 
 def _emit_json(obj, out):
@@ -235,22 +225,7 @@ def _cmd_classify(args, out, err):
     return 0
 
 
-def _read_back(f, path, text):
-    """The field --verify reads back from the --out file at path, or else
-    from text: f itself where the lines hold f exactly (``reads_as``), and
-    otherwise what ``read_coefficients`` makes of them."""
-    if path is None:
-        return f if reads_as(_lines(text), f) else read_coefficients(_lines(text))
-    with open(path, encoding="utf-8") as fh:
-        if reads_as(fh, f):
-            return f
-        fh.seek(0)
-        return read_coefficients(fh)
-
-
 def _cmd_solve(args, out, err):
-    import io
-
     from . import coboundary as coboundary_mod
 
     with open(args.g, encoding="utf-8") as fh:
@@ -274,25 +249,22 @@ def _cmd_solve(args, out, err):
         rows, _ = coboundary_mod.sobolev_loss(sol, problem.g, alphas)
         sol.norms = rows
 
-    # f is formatted once: into the --out file, or else into the text that
-    # stdout prints (the JSON document carries f itself); --verify reads
-    # back what was formatted
-    text = ""
+    # f goes straight into the --out file, or to stdout at the end (the JSON
+    # document carries f itself).  --verify takes f as read back when the
+    # file holds the bytes written, since every double survives its
+    # 17-digit text, and otherwise reads the file
+    verify_residual = digest = None
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            write_coefficients(sol.f, fh)
-    elif args.verify or args.format != "json":
-        buf = io.StringIO()
-        write_coefficients(sol.f, buf)
-        text = buf.getvalue()
-        del buf
-
-    verify_residual = None
+            digest = write_coefficients(sol.f, fh)
     if args.verify:
-        f_back = _read_back(sol.f, args.out, text)
+        f_back = sol.f
+        if args.out and file_digest(args.out) != digest:
+            with open(args.out, encoding="utf-8") as fh:
+                f_back = read_coefficients(fh)
         if f_back is sol.f and args.grid_size is None:
-            # every entry round-trips, and solve took the residual of f
-            # against problem.g on the default grid: it is the same float
+            # solve took the residual of f against problem.g on the default
+            # grid: it is the same float
             verify_residual = sol.residual_sup
         else:
             grid = coboundary_mod.residual_grid(f_back, problem.g)
@@ -328,7 +300,7 @@ def _cmd_solve(args, out, err):
         for line in diag_lines:
             out.write(line + "\n")
     else:
-        out.write(text)
+        write_coefficients(sol.f, out)
         for line in diag_lines:
             err.write(line + "\n")
     return 0
@@ -437,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     so.add_argument("--truncation-radius", type=int, default=None)
     so.add_argument("--grid-size", type=int, default=None, help="residual grid override")
     so.add_argument("--verify", action="store_true",
-                    help="re-read the emitted coefficients and recheck the residual")
+                    help="recheck the residual of f as the --out file holds it")
     so.add_argument("--out", type=str, default=None)
     so.add_argument("--format", choices=["text", "json"], default="text")
     so.set_defaults(func=_cmd_solve)

@@ -4,7 +4,8 @@ gamma is translation by u on the n-torus, f o gamma (x) = f(x + u), so mode
 k of f - f o gamma carries the factor (1 - exp(2 pi i <k, u>)).  Solving
 divides each coefficient by that factor; the constant mode is the
 obstruction (it must vanish) and the solution is normalized with f_0 = 0.
-The opposite composition sign is available via ``sign=-1``.
+The opposite composition, f - f o gamma^-1 = g, has the conjugate factor
+(1 - exp(-2 pi i <k, u>)): it is this problem at -u.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from .coefficients import CoefficientField
 # phase_distance and complex_divisor are looked up on this module by
 # perfbench/trace_child.py; solve itself goes through iter_divisors
 from .diophantine import (  # noqa: F401
-    _coerce_vector, _declared, _phase_grid, _resolved, complex_divisor, divisor_table,
-    iter_divisors, phase_distance,
+    _coerce_vector, _declared, _divisor, _phase_grid, _resolved, complex_divisor, iter_divisors,
+    phase_distance,
 )
 from .errors import DomainError, NonzeroMeanError, PrecisionError, ResonanceError
 from .fourier import sobolev_norms
@@ -31,12 +32,9 @@ class CoboundaryProblem:
     u: list  # translation vector; entries coerced to PrecisionReal
     resonance_tol: float = 1e-12
     truncation_radius: int | None = None
-    sign: int = 1  # +1: factor (1 - e^{2 pi i <k,u>}); -1: conjugate reading
 
     def __post_init__(self):
         self.u = _coerce_vector(self.u, self.g.dim)
-        if self.sign not in (1, -1):
-            raise DomainError("sign must be +1 or -1")
         if self.truncation_radius is not None:
             self.g = self.g.truncate(self.truncation_radius)
 
@@ -51,12 +49,12 @@ class CoboundarySolution:
     formal: bool = False
     formal_note: str = ""
     truncation_norms: list = field(default_factory=list)  # (radius, l2 of f)
-    # k -> divisor of the solved u and sign, for every nonzero k of the solved g
+    # k -> divisor of the solved u, for every nonzero k of the solved g
     divisors: dict = field(default_factory=dict, repr=False, compare=False)
 
     def residual(self, f: CoefficientField, g: CoefficientField,
                  grid_size: int) -> float:
-        """``residual(f, g, u, grid_size, sign)`` at the solved u and sign,
+        """``residual(f, g, u, grid_size)`` at the solved u,
         with the divisors ``solve`` already computed.  f must be supported
         on the modes of the solved g, as the solution f and its re-read
         copy are."""
@@ -83,15 +81,14 @@ def obstruction(g: CoefficientField) -> complex:
     return g.get((0,) * g.dim)
 
 
-def _divisors(u, keys, sign):
-    """{k: 1 - exp(2 pi i sign <k, u>)} for the nonzero k in keys."""
-    _, table = divisor_table(u, [k for k in keys if any(k)])
-    return {k: d if sign == 1 else d.conjugate() for k, (_, d) in table.items()}
+def _divisors(u, keys):
+    """{k: 1 - exp(2 pi i <k, u>)} for the nonzero k in keys."""
+    return {k: d for k, _, d in iter_divisors(_phase_grid(u), (k for k in keys if any(k)))}
 
 
-def coboundary_from(f: CoefficientField, u, sign=1) -> CoefficientField:
+def coboundary_from(f: CoefficientField, u) -> CoefficientField:
     """Forward map g_k = (1 - exp(2 pi i <k, u>)) f_k; g_0 = 0 always."""
-    divs = _divisors(_coerce_vector(u, f.dim), f.keys(), sign)
+    divs = _divisors(_coerce_vector(u, f.dim), f.keys())
     return CoefficientField(f.dim, {k: v * divs[k] for k, v in f.items() if any(k)})
 
 
@@ -125,13 +122,11 @@ def solve(problem: CoboundaryProblem, classification=None,
     grid = _phase_grid(u)
     modulus = grid[1]
     declared, prec = _declared(u)
-    sign = problem.sign
     entries = g._entries
     divs = {}
     resonant = []
     coeffs = {}
-    min_div = None
-    argmin = None
+    min_r = argmin = None
     # the nonzero keys of g in ascending order, so coeffs is filled in the
     # order of f.items(); each divisor is evaluated, checked and used in turn
     for k, r, denom in iter_divisors(grid, (k for k in g.keys() if any(k))):
@@ -139,8 +134,6 @@ def solve(problem: CoboundaryProblem, classification=None,
         # anywhere else it must be resolved at the least declared precision
         if any(map(k.__getitem__, declared)) and not _resolved(r, sum(map(abs, k)), modulus, prec):
             raise PrecisionError(f"divisor at k={k} is not resolved at {prec} input bits", k)
-        if sign == -1:
-            denom = denom.conjugate()
         divs[k] = denom
         gk = entries[k]
         div_abs = abs(denom)
@@ -149,9 +142,10 @@ def solve(problem: CoboundaryProblem, classification=None,
                 resonant.append((k, div_abs, abs(gk)))
             continue  # negligible coefficient on a resonant mode: f_k = 0
         coeffs[k] = gk / denom
-        if min_div is None or div_abs < min_div:
-            min_div = div_abs
-            argmin = k
+        # 2 sin(pi r / L) grows with r: the least divisor is the first k of
+        # the least r, decided on the integer and then rounded once
+        if min_r is None or r < min_r:
+            min_r, argmin = r, k
     if resonant:
         raise ResonanceError(resonant)
 
@@ -176,8 +170,8 @@ def solve(problem: CoboundaryProblem, classification=None,
     trunc = [(r, math.sqrt(s)) for r, s in zip(radii, sums)]
 
     sol = CoboundarySolution(
-        f=f, min_divisor=min_div, argmin_k=argmin, truncation_norms=trunc,
-        divisors=divs,
+        f=f, min_divisor=None if argmin is None else _divisor(min_r, modulus), argmin_k=argmin,
+        truncation_norms=trunc, divisors=divs,
     )
     if classification is not None and classification.verdict == "LiouvilleEvidence":
         sol.formal = True
@@ -189,11 +183,10 @@ def solve(problem: CoboundaryProblem, classification=None,
     return sol
 
 
-def residual(f: CoefficientField, g: CoefficientField, u, grid_size: int,
-             sign=1) -> float:
+def residual(f: CoefficientField, g: CoefficientField, u, grid_size: int) -> float:
     """sup over the uniform grid of |f(x) - f(x + u) - g(x)|.
 
-    f - f o gamma has the coefficients f_k (1 - e^{2 pi i sign <k, u>}).
+    f - f o gamma has the coefficients f_k (1 - e^{2 pi i <k, u>}).
     The coefficients of the difference minus g are placed at index k mod n
     of an n^dim array and summed at every grid point x = j / n by one
     inverse FFT, in O(G log G) for G = n^dim points.  grid_size n must be at
@@ -201,7 +194,7 @@ def residual(f: CoefficientField, g: CoefficientField, u, grid_size: int,
     distinct mod n, so no two modes alias onto one index and the FFT sums
     exactly the trigonometric polynomial.
     """
-    divs = _divisors(_coerce_vector(u, f.dim), f.keys(), sign)
+    divs = _divisors(_coerce_vector(u, f.dim), f.keys())
     return _residual(f, g, divs, grid_size)
 
 

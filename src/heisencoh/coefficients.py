@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import math
 
+# _blake2, not hashlib: hashlib loads OpenSSL, a few MiB for one digest
+from _blake2 import blake2b
+
 from .errors import DimensionMismatchError, DomainError, ParseError
 
 
@@ -142,21 +145,32 @@ class CoefficientField:
         return out
 
 
-def write_coefficients(field: CoefficientField, fh) -> None:
-    fh.write(f"dim={field.dim}\n")
+def write_coefficients(field: CoefficientField, fh) -> bytes:
+    """Write field to fh, an open text file, in the format above: ascending
+    keys, each part of each value with 17 significant digits, 1024 lines to
+    a write.  Return the BLAKE2b digest of the UTF-8 bytes of the text."""
+    digest = blake2b()
+
+    def put(text):
+        fh.write(text)
+        digest.update(text.encode())
+
+    put(f"dim={field.dim}\n")
     entries = field._entries
-    for k in sorted(entries):
-        v = entries[k]
-        ks = " ".join(str(c) for c in k)
-        fh.write(f"{ks} {v.real:.17g} {v.imag:.17g}\n")
+    keys = sorted(entries)
+    for i in range(0, len(keys), 1024):
+        put("".join([_line(k, entries[k]) for k in keys[i:i + 1024]]))
+    return digest.digest()
 
 
-def _read_lines(fh):
-    """(dim, entries) of the coefficient text in fh, an open text file or
-    any iterable of its lines: dim from its header, and entries a generator
-    that reads the lines after it one at a time and yields (lineno, key,
-    value) for each.  Raises ParseError on a malformed header or line; a
-    key may repeat."""
+def _line(k, v):
+    return f"{' '.join(map(str, k))} {v.real:.17g} {v.imag:.17g}\n"
+
+
+def read_coefficients(fh) -> CoefficientField:
+    """The field written in fh, an open text file or any iterable of its
+    lines, read one line at a time.  Raises ParseError on a malformed header
+    or line, or a repeated index."""
     it = enumerate(fh, start=1)
     dim = None
     for lineno, raw in it:
@@ -174,32 +188,20 @@ def _read_lines(fh):
         raise ParseError("missing 'dim=' header")
     if dim < 1:
         raise ParseError("dimension must be positive")
-
-    def entries():
-        for lineno, raw in it:
-            toks = raw.split()
-            if not toks:
-                continue
-            if len(toks) != dim + 2:
-                raise ParseError(
-                    f"expected {dim} integers and two reals, got {len(toks)} tokens", lineno
-                )
-            try:
-                key = tuple(map(int, toks[:dim]))
-                val = complex(float(toks[dim]), float(toks[dim + 1]))
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
-            yield lineno, key, val
-
-    return dim, entries()
-
-
-def read_coefficients(fh) -> CoefficientField:
-    """The field written in fh, an open text file or any iterable of its
-    lines, read one line at a time."""
-    dim, lines = _read_lines(fh)
     entries = {}
-    for lineno, key, val in lines:
+    for lineno, raw in it:
+        toks = raw.split()
+        if not toks:
+            continue
+        if len(toks) != dim + 2:
+            raise ParseError(
+                f"expected {dim} integers and two reals, got {len(toks)} tokens", lineno
+            )
+        try:
+            key = tuple(map(int, toks[:dim]))
+            val = complex(float(toks[dim]), float(toks[dim + 1]))
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
         if key in entries:
             raise ParseError(f"duplicate index {key}", lineno)
         entries[key] = val
@@ -207,24 +209,12 @@ def read_coefficients(fh) -> CoefficientField:
     return CoefficientField._from_checked(dim, entries)
 
 
-def reads_as(fh, field: CoefficientField) -> bool:
-    """Whether fh, an open text file or any iterable of its lines, holds
-    field as ``write_coefficients`` writes it, checked one line at a time
-    without building a field: the header dim=<field.dim>, then one line per
-    entry of field in ascending index order, each read as
-    ``read_coefficients`` reads it and equal to the entry.  True only where
-    ``read_coefficients(fh) == field``; False for any other text, including
-    text that ``read_coefficients`` rejects or that holds field out of
-    order."""
-    entries = field._entries
-    keys = iter(sorted(entries))
-    try:
-        dim, lines = _read_lines(fh)
-        if dim != field.dim:
-            return False
-        for _, key, val in lines:
-            if key != next(keys, None) or val != entries[key]:
-                return False
-    except ParseError:
-        return False
-    return next(keys, None) is None
+def file_digest(path) -> bytes:
+    """The BLAKE2b digest of the bytes of the file at path, read 64 KiB at a
+    time: equal to what ``write_coefficients`` returned for that file when
+    the file still holds the bytes it wrote."""
+    digest = blake2b()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            digest.update(chunk)
+    return digest.digest()

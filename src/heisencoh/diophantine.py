@@ -135,13 +135,6 @@ def iter_divisors(grid, keys):
         yield k, r, d if sign == 1 else d.conjugate()
 
 
-def divisor_table(t, keys):
-    """(L, table) with table[k] = (r, divisor) for every k in keys, from
-    ``iter_divisors`` on the grid (U, L) of t."""
-    grid = _phase_grid(_coerce_vector(t))
-    return grid[1], {k: (r, d) for k, r, d in iter_divisors(grid, keys)}
-
-
 def _resolved(r, weight, modulus, prec):
     """Whether the distance r / modulus exceeds weight * 2**(2 - prec), the
     most that components resolved to `prec` bits can move a phase <k, t>
@@ -185,10 +178,10 @@ def phase_distance(t, k):
 
 def complex_divisor(t, k) -> complex:
     """1 - exp(2 pi i <k, t>), stable for tiny divisors: one mode of
-    ``divisor_table``, each part correctly rounded (2 - 0j, imaginary part
+    ``iter_divisors``, each part correctly rounded (2 - 0j, imaginary part
     -0.0, at a phase of 1/2)."""
     tvec, k = _nonzero_index(t, k)
-    return divisor_table(tvec, [k])[1][k][1]
+    return next(iter_divisors(_phase_grid(tvec), [k]))[2]
 
 
 def small_divisor(t, k) -> float:

@@ -399,11 +399,11 @@ def test_solve_computes_the_residual_once_per_grid(monkeypatch):
             "--u", "golden,sqrt2"]
     assert cli.main(argv + ["--grid-size", "31"]) == 0
     assert grids == [31]
-    # the default grid 2 R + 1 in solve; the re-read f equals f, so --verify
-    # takes that residual
+    # the default grid 2 R + 1 in solve; without --out nothing is read back,
+    # so --verify takes that residual
     assert cli.main(argv + ["--verify"]) == 0
     assert grids == [31, 17]
-    # with --grid-size the re-read f gets its own residual on the default grid
+    # with --grid-size f gets its own residual on the default grid
     assert cli.main(argv + ["--verify", "--grid-size", "31"]) == 0
     assert grids == [31, 17, 31, 17]
     # f solves the truncated g, and --verify checks it against that g: the
@@ -420,27 +420,109 @@ def test_solve_verify_takes_the_residual_of_a_corrupted_reread(tmp_path, monkeyp
     real_write = cli.write_coefficients
     written = []
 
-    def write(field, fh):  # what --verify reads back: one coefficient moves
+    def write(field, fh):  # after the digest is taken, one coefficient moves
+        digest = real_write(field, fh)
         entries = dict(field.items())
         entries[max(entries)] += 1e-3
         written.append(CoefficientField(field.dim, entries))
+        fh.seek(0)
+        fh.truncate()
         real_write(written[-1], fh)
+        return digest
 
     monkeypatch.setattr(cli, "write_coefficients", write)
     g_path = Path(__file__).parent / "golden" / "solve_g_dim2_r8.txt"
     with open(g_path, encoding="utf-8") as fh:
         g = read_coefficients(fh)
     u = [PrecisionReal.parse("golden"), PrecisionReal.parse("sqrt2")]
-    argv = ["solve", "--g", str(g_path), "--u", "golden,sqrt2", "--verify", "--format", "json"]
-    # read back from the --out file, and from the text without one
-    for extra in (["--out", str(tmp_path / "f.txt")], []):
-        written.clear()
-        assert cli.main(argv + extra) == 0
-        doc = json.loads(capsys.readouterr().out)
-        (f_back,) = written
-        grid = coboundary.residual_grid(f_back, g)
-        assert doc["verify_residual"] == coboundary.residual(f_back, g, u, grid)
-        assert doc["verify_residual"] > 1e-4 > doc["residual_sup"]
+    argv = ["solve", "--g", str(g_path), "--u", "golden,sqrt2", "--verify", "--format", "json",
+            "--out", str(tmp_path / "f.txt")]
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    (f_back,) = written
+    grid = coboundary.residual_grid(f_back, g)
+    assert doc["verify_residual"] == coboundary.residual(f_back, g, u, grid)
+    assert doc["verify_residual"] > 1e-4 > doc["residual_sup"]
+
+
+def test_solve_verify_reads_the_out_file_when_its_bytes_differ(tmp_path, monkeypatch, capsys):
+    # each variant of the text of f replaces the --out file after the digest
+    # is taken: --verify prints the residual of what read_coefficients makes
+    # of it against g, or the run stops with the error that reading raises
+    import io
+
+    from heisencoh import coboundary
+    from heisencoh.coefficients import read_coefficients
+    from heisencoh.errors import DomainError, ParseError
+
+    g_path = tmp_path / "g.txt"
+    g_path.write_text("dim=2\n0 0 0 0\n-1 2 0.5 -1e-300\n3 -4 -0.0 2.5\n2 1 -1.25 0.75\n",
+                      encoding="utf-8")
+    with open(g_path, encoding="utf-8") as fh:
+        g = read_coefficients(fh)
+    sol = coboundary.solve(coboundary.CoboundaryProblem(g, cli._parse_vector("golden,sqrt2", 128)))
+    buf = io.StringIO()
+    cli.write_coefficients(sol.f, buf)
+    text = buf.getvalue()
+    head, *lines = text.splitlines(keepends=True)
+    first = lines[0].split()
+    last = lines[-1].split()
+    variants = {
+        "as written": text,
+        "blank lines": "\n" + head + "\n" + "".join(lines) + "  \n",
+        "spaced header": " dim=2 \n" + "".join(lines),
+        "other digits": head + " ".join(first[:2] + [format(float(v), ".25g") for v in first[2:]])
+        + "\n" + "".join(lines[1:]),
+        "out of order": head + "".join(reversed(lines)),
+        "duplicate": head + lines[0] + "".join(lines),
+        "missing line": head + "".join(lines[:-1]),
+        "extra line": text + "5 5 1 0\n",
+        "other value": head + "".join(lines[:-1]) + " ".join(last[:2] + ["2.4", last[3]]) + "\n",
+        "other dim": "dim=3\n",
+        "bad dim": "dim=two\n" + "".join(lines),
+        "no header": "".join(lines),
+        "empty": "",
+        "short line": head + " ".join(first[:3]) + "\n" + "".join(lines[1:]),
+        "bad number": head + " ".join(first[:3] + ["x"]) + "\n" + "".join(lines[1:]),
+        "nan": head + "".join(lines[:-1]) + " ".join(last[:2] + ["nan", last[3]]) + "\n",
+    }
+    real_write = cli.write_coefficients
+    real_read = cli.read_coefficients
+    reads = []
+    monkeypatch.setattr(cli, "read_coefficients", lambda fh: reads.append(fh) or real_read(fh))
+    argv = ["solve", "--g", str(g_path), "--u", "golden,sqrt2", "--verify",
+            "--out", str(tmp_path / "f.txt")]
+    for name, variant in variants.items():
+        def write(field, fh, variant=variant):
+            digest = real_write(field, fh)
+            fh.seek(0)
+            fh.truncate()
+            fh.write(variant)
+            return digest
+
+        monkeypatch.setattr(cli, "write_coefficients", write)
+        try:
+            f_back = read_coefficients(io.StringIO(variant))
+            grid = coboundary.residual_grid(f_back, g)
+            want = 0, f"verify_residual={cli._fmt(sol.residual(f_back, g, grid))}\n"
+        except ParseError as exc:
+            want = 3, f"error[parse]: {exc}\n"
+        except DomainError as exc:
+            want = 3, f"error[domain]: {exc}\n"
+        reads.clear()
+        rc = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (rc, out.splitlines(keepends=True)[-1] if rc == 0 else err) == want, name
+        # only bytes other than those written are read back
+        assert len(reads) == (1 if variant == text else 2), name
+    equal = set()
+    for name, variant in variants.items():
+        try:
+            if read_coefficients(io.StringIO(variant)) == sol.f:
+                equal.add(name)
+        except ParseError:
+            pass
+    assert equal == {"as written", "blank lines", "spaced header", "other digits", "out of order"}
 
 
 def _seeded_g(path, dim, radius):
@@ -478,10 +560,10 @@ def _traced_peak(argv):
 
 def test_solve_verify_out_memory_peak(tmp_path, capsys):
     # dim 2, R = 32: g, f and the divisors are held once, f goes straight
-    # into the --out file, and --verify reads the file back line by line
-    # against f, building neither its text nor a second field.  The traced
-    # peak is about 1.6 MiB; the text of f re-read through a field, as
-    # before, brings it to 2.0 MiB.
+    # into the --out file, and --verify takes the digest of the file 64 KiB
+    # at a time, building neither its text nor a second field.  The traced
+    # peak is about 1.6 MiB; the text of f re-read through a field brings
+    # it to 2.0 MiB.
     g_path = _seeded_g(tmp_path / "g.txt", 2, 32)
     peak = _traced_peak(["solve", "--g", str(g_path), "--u", "golden,sqrt2", "--verify",
                          "--out", str(tmp_path / "f.txt")])

@@ -19,7 +19,7 @@ from heisencoh.coboundary import (
     solve,
 )
 from heisencoh.coefficients import CoefficientField, write_coefficients
-from heisencoh.diophantine import classify, complex_divisor, divisor_table, phase_distance
+from heisencoh.diophantine import _phase_grid, classify, complex_divisor, phase_distance
 from heisencoh.errors import DomainError, NonzeroMeanError, PrecisionError, ResonanceError
 from heisencoh.fourier import sobolev_norm
 from heisencoh.precision import PrecisionReal, liouville_constant
@@ -174,13 +174,23 @@ def test_residual_dim2():
         assert abs(sol.f.get(k) - v) < 1e-9
 
 
+def negated(u):
+    """-u, component by component, at the precision each declares."""
+    return [PrecisionReal(None if c.fraction is None else -c.fraction,
+                          None if c.man_exp is None else (-c.man_exp[0], c.man_exp[1]), c.prec)
+            for c in map(PrecisionReal.coerce, u)]
+
+
 def test_sign_convention_flag():
+    # f - f o gamma^-1 = g has the conjugate factor 1 - e^{-2 pi i <k, u>}:
+    # it is the problem at -u
     f = random_field(5)
-    g_plus = coboundary_from(f, [GOLDEN], sign=1)
-    g_minus = coboundary_from(f, [GOLDEN], sign=-1)
-    for k, _ in f.items():
+    g_plus = coboundary_from(f, [GOLDEN])
+    g_minus = coboundary_from(f, negated([GOLDEN]))
+    for k, v in f.items():
+        assert g_minus.get(k) == v * complex_divisor([GOLDEN], k).conjugate()
         assert abs(g_plus.get(k) - g_minus.get(tuple(-c for c in k)).conjugate()) > 0  # differ in general
-    sol = solve(CoboundaryProblem(g_minus, [GOLDEN], sign=-1))
+    sol = solve(CoboundaryProblem(g_minus, negated([GOLDEN])))
     for k, v in f.items():
         assert abs(sol.f.get(k) - v) < 1e-10
 
@@ -290,14 +300,13 @@ def reference_complex_divisor(tvec, k):
         return complex(re, -sign * rounded_once(mpmath.sinpi(2 * d)))
 
 
-def reference_residual(f, g, u, n, sign=1):
+def reference_residual(f, g, u, n):
     """Sum every mode of f - f o gamma - g over the whole n^dim grid."""
     u = [PrecisionReal.coerce(c) for c in u]
     modes = {}
     for k, v in f.items():
         if any(k):
-            d = reference_complex_divisor(u, k)
-            modes[k] = v * (d if sign == 1 else d.conjugate())
+            modes[k] = v * reference_complex_divisor(u, k)
     for k, v in g.items():
         modes[k] = modes.get(k, 0j) - v
     table = np.exp(2j * np.pi * np.arange(n) / n)
@@ -313,6 +322,13 @@ def reference_residual(f, g, u, n, sign=1):
 
 def parse_u(spec, prec):
     return [PrecisionReal.parse(c, prec) for c in spec.split(",")]
+
+
+def iter_divisor_table(u, keys):
+    """(L, {k: (r, divisor)}) for every k of keys, from ``iter_divisors`` on
+    the grid (U, L) of u."""
+    grid = _phase_grid(u)
+    return grid[1], {k: (r, d) for k, r, d in diophantine.iter_divisors(grid, keys)}
 
 
 def random_keys(dim, bound, count, seed):
@@ -334,7 +350,7 @@ def random_keys(dim, bound, count, seed):
 def test_divisor_table_matches_reference_bit_for_bit(spec, prec):
     u = parse_u(spec, prec)
     keys = random_keys(len(u), 10**6, 150, spec + str(prec))
-    _, table = divisor_table(u, keys)
+    _, table = iter_divisor_table(u, keys)
     for k in keys:
         want = reference_complex_divisor(u, k)
         got = table[k][1]
@@ -375,7 +391,7 @@ def test_divisor_table_matches_reference_on_random_distances():
     for modulus, rs in _distance_cases(17, 20000).items():
         u = [PrecisionReal.exact(Fraction(1, modulus))]
         keys = [(v,) for v in sorted(rs)]
-        _, table = divisor_table(u, keys)
+        _, table = iter_divisor_table(u, keys)
         for k in keys:
             want = reference_complex_divisor(u, k)
             got = table[k][1]
@@ -393,7 +409,7 @@ def test_divisor_table_matches_reference_on_the_solve_goldens(g_file, spec):
     with open(Path(__file__).parent / "golden" / g_file, encoding="utf-8") as fh:
         keys = [k for k in cli.read_coefficients(fh).keys() if any(k)]
     u = parse_u(spec, 128)
-    _, table = divisor_table(u, keys)
+    _, table = iter_divisor_table(u, keys)
     for k in keys:
         want = reference_complex_divisor(u, k)
         got = table[k][1]
@@ -407,11 +423,11 @@ def test_divisor_table_shares_trig_between_k_and_minus_k(spec, monkeypatch):
     u = parse_u(spec, 128)
     box = 12 if len(u) == 1 else 4
     keys = [k for k in itertools.product(range(-box, box + 1), repeat=len(u)) if any(k)]
-    per_mode = {k: divisor_table(u, [k])[1][k] for k in keys}
+    per_mode = {k: iter_divisor_table(u, [k])[1][k] for k in keys}
     calls = []
-    real_sin_cos_pi = bf.sin_cos_pi  # looked up on _bigfloat by divisor_table on each call
+    real_sin_cos_pi = bf.sin_cos_pi  # looked up on _bigfloat by iter_divisors on each call
     monkeypatch.setattr(bf, "sin_cos_pi", lambda *a: calls.append(a[:2]) or real_sin_cos_pi(*a))
-    modulus, table = divisor_table(u, keys)
+    modulus, table = iter_divisor_table(u, keys)
     for k in keys:
         (r, got), (r1, want) = table[k], per_mode[k]
         assert r == r1
@@ -422,6 +438,28 @@ def test_divisor_table_shares_trig_between_k_and_minus_k(spec, monkeypatch):
     assert sorted(r for r, q in calls if q == modulus) == distances
     if spec == "1/2":
         assert table[(1,)] == table[(-1,)] and 2 * table[(1,)][0] == modulus
+
+
+def test_min_divisor_is_the_least_divisor_rounded_once():
+    # argmin_k is the first k in key order with the least distance r, and
+    # min_divisor is 2 sin(pi r / L) rounded once, as classify prints it; the
+    # modulus of the rounded complex divisor rounds twice, and at k = 1 it
+    # is one ulp off for about one p/q in five
+    r = random.Random(22)
+    moved = 0
+    for _ in range(300):
+        q = r.randint(3, 10**6)
+        u = [Fraction(r.randint(1, q - 1), q)]
+        sol = solve(CoboundaryProblem(CoefficientField(1, {(-1,): 1.0, (1,): 1.0, (2,): 1j}), u))
+        d1, d2 = phase_distance(u, 1)[0], phase_distance(u, 2)[0]
+        assert sol.argmin_k == ((-1,) if d1 <= d2 else (2,))
+        least = min(d1, d2)
+        with mpmath.workprec(600):
+            d = mpmath.fdiv(least.numerator, least.denominator)
+            assert sol.min_divisor == rounded_once(2 * mpmath.sinpi(d))
+        assert sol.min_divisor == diophantine.small_divisor(u, sol.argmin_k)
+        moved += sol.min_divisor != abs(sol.divisors[sol.argmin_k])
+    assert moved > 0
 
 
 def test_truncation_norms_equal_the_truncated_fields_norms():
@@ -440,9 +478,10 @@ def test_divisors_match_reference_for_both_signs():
     # k_1 != 0 keeps every phase irrational, so no mode is dropped as resonant
     far = [k for k in random_keys(2, 10**6, 60, "far") if k[0]]
     near = [k for k in random_keys(2, 20, 60, "near") if k[0]]
-    for sign in (1, -1):
-        g = coboundary_from(CoefficientField(2, {k: 1.0 for k in far}), u, sign=sign)
-        sol = solve(CoboundaryProblem(CoefficientField(2, {k: 1.0 for k in near}), u, sign=sign))
+    # at -u each divisor is the conjugate of the divisor at u
+    for sign, v in ((1, u), (-1, negated(u))):
+        g = coboundary_from(CoefficientField(2, {k: 1.0 for k in far}), v)
+        sol = solve(CoboundaryProblem(CoefficientField(2, {k: 1.0 for k in near}), v))
         for k in far:
             want = reference_complex_divisor(u, k)
             assert g.get(k) == (want if sign == 1 else want.conjugate()), k
@@ -466,8 +505,8 @@ def test_each_divisor_is_evaluated_once_per_solve_command(tmp_path, monkeypatch,
             seen.append(k)
             yield k, r, d
 
-    # solve reads the generator directly, and divisor_table (behind residual
-    # and coboundary_from) reads it on diophantine
+    # solve, residual and coboundary_from read the generator on coboundary,
+    # and complex_divisor reads it on diophantine
     monkeypatch.setattr(coboundary, "iter_divisors", counting)
     monkeypatch.setattr(diophantine, "iter_divisors", counting)
     rc = cli.main(["solve", "--g", str(g_path), "--u", "golden,sqrt2", "--verify",
@@ -484,9 +523,9 @@ def test_fft_residual_matches_direct_summation(dim, radius, extra):
     assert any(c < 0 for k in f.keys() for c in k)
     n = 2 * max(f.support_radius(), g.support_radius()) + 1 + extra
     tol = 1e-14 * (f.norm_l1() + g.norm_l1())
-    for sign in (1, -1):
-        want = reference_residual(f, g, u, n, sign)
-        assert abs(residual(f, g, u, n, sign=sign) - want) <= tol
+    for v in (u, negated(u)):
+        want = reference_residual(f, g, v, n)
+        assert abs(residual(f, g, v, n) - want) <= tol
 
 
 def test_fft_residual_matches_direct_summation_on_a_perturbed_solution():

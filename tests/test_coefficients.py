@@ -1,4 +1,8 @@
+import hashlib
 import io
+import math
+import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +10,8 @@ import pytest
 
 from heisencoh.coefficients import (
     CoefficientField,
+    file_digest,
     read_coefficients,
-    reads_as,
     write_coefficients,
 )
 from heisencoh.errors import DimensionMismatchError, DomainError, ParseError
@@ -159,43 +163,41 @@ def test_duplicate_in_constructor():
         CoefficientField(1, [((1,), 1.0), ((1,), 2.0)])
 
 
-def test_reads_as_accepts_only_texts_that_read_as_the_field():
-    field = CoefficientField(2, {(-1, 2): 0.5 - 1e-300j, (0, 0): 0j, (3, -4): -0.0 + 2.5j},
+def test_every_double_reads_back_as_written():
+    # each double survives its 17-digit text, signed zeros and infinities too
+    tiny, least_normal, largest = 5e-324, sys.float_info.min, sys.float_info.max
+    values = [0.0, tiny, least_normal - tiny, least_normal, 1.0, 1 / 3, 0.1, 1e22,
+              2.0**-1022 * (1 - 2**-52), largest, math.inf]
+    values += [math.nextafter(v, to) for v in values for to in (0.0, math.inf) if v != to]
+    values = [-v for v in values] + values
+    r = random.Random(5)
+    while len(values) < 1500:
+        v = r.choice([r.random() * 2.0 ** r.randint(-1074, 1023), r.uniform(-1e-300, 1e-300)])
+        values.append(-v if r.random() < 0.5 else v)
+    field = CoefficientField(2, {(i, -i): complex(a, b)
+                                 for i, (a, b) in enumerate(zip(values, reversed(values)))},
                              drop_zeros=False)
     buf = io.StringIO()
     write_coefficients(field, buf)
-    text = buf.getvalue()
-    head, *lines = text.splitlines(keepends=True)
-    variants = {
-        "as written": text,
-        "blank lines": "\n" + head + "\n" + "".join(lines) + "  \n",
-        "spaced header": " dim=2 \n" + "".join(lines),
-        "other digits": head + "-1 2 0.50 -1e-300\n" + "".join(lines[1:]),
-        "out of order": head + "".join(reversed(lines)),
-        "duplicate": head + lines[0] + "".join(lines),
-        "missing line": head + "".join(lines[:-1]),
-        "extra line": text + "5 5 1 0\n",
-        "other value": text.replace("2.5", "2.4"),
-        "other dim": "dim=3\n",
-        "bad dim": "dim=two\n" + "".join(lines),
-        "no header": "".join(lines),
-        "empty": "",
-        "short line": head + "-1 2 0.5\n" + "".join(lines[1:]),
-        "bad number": head + "-1 2 0.5 x\n" + "".join(lines[1:]),
-        "nan": head + "".join(lines) + "4 4 nan 0\n",
-    }
-    equal = set()
-    for name, variant in variants.items():
-        try:
-            if read_coefficients(io.StringIO(variant)) == field:
-                equal.add(name)
-        except ParseError:
-            pass
-    accepted = {name for name, variant in variants.items()
-                if reads_as(variant.splitlines(keepends=True), field)}
-    # every text that reads as field in the written order, and no other
-    assert accepted == equal - {"out of order"}
-    assert accepted == {"as written", "blank lines", "spaced header", "other digits"}
-    assert reads_as(io.StringIO(text), field)
-    nan_field = CoefficientField(1, {(1,): complex(float("nan"), 0)})
-    assert not reads_as(["dim=1\n", "1 nan 0\n"], nan_field)
+    back = read_coefficients(io.StringIO(buf.getvalue()))
+    assert [(k, v.real.hex(), v.imag.hex()) for k, v in back.items()] == [
+        (k, v.real.hex(), v.imag.hex()) for k, v in field.items()
+    ]
+
+
+@pytest.mark.parametrize("n", [0, 1, 1024, 1025, 3000])
+def test_write_returns_the_blake2b_digest_of_the_bytes_written(tmp_path, n):
+    # entries fill one write of 1024 lines, spill into a second, or span
+    # three writes and more than one 64 KiB chunk of file_digest
+    r = random.Random(n)
+    field = CoefficientField(3, {(i, -i, 2 * i): complex(r.gauss(0, 1), r.gauss(0, 1e-300))
+                                 for i in range(n)})
+    path = tmp_path / "f.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        digest = write_coefficients(field, fh)
+    data = path.read_bytes()
+    assert len(data.splitlines()) == n + 1
+    assert digest == hashlib.blake2b(data).digest() == file_digest(path)
+    buf = io.StringIO()
+    assert write_coefficients(field, buf) == digest
+    assert buf.getvalue().encode() == data
