@@ -2,9 +2,11 @@
 
 A pair (man, exp) stands for man * 2**exp.  ``normalize``, ``sub`` and
 ``sqrt`` round their exact result once, to nearest with ties to even, at
-`prec` bits, and return it with man odd (or (0, 0) for zero), as mpmath's
-``man_exp`` has it; ``precision.parse`` builds the stored values of the
-named constants from them and from ``pi`` and ``e``.
+`prec` bits, and return it in the canonical form, man odd (or (0, 0) for
+zero): ``PrecisionReal.__eq__`` compares these pairs, and
+``diophantine._phase_grid`` takes its least grid 2**-exp from them.
+``precision.parse`` builds the stored values of the named constants from
+them and from ``pi`` and ``e``.
 
 Transcendental values come from fixed-point series on integers, each an
 interval (lo, hi, exp) with lo 2**exp <= v <= hi 2**exp at about w working

@@ -240,7 +240,7 @@ def _cmd_solve(args, out, err):
     )
     del g
     try:
-        sol = coboundary_mod.solve(problem, grid_size=args.grid_size)
+        sol = coboundary_mod.solve(problem)
     except PrecisionError as exc:
         _raise_if_dependent(exc, args.u, args.prec, f"is not resolved at {args.prec} input bits")
         raise
@@ -262,13 +262,13 @@ def _cmd_solve(args, out, err):
         if args.out and file_digest(args.out) != digest:
             with open(args.out, encoding="utf-8") as fh:
                 f_back = read_coefficients(fh)
-        if f_back is sol.f and args.grid_size is None:
+        if f_back is sol.f:
             # solve took the residual of f against problem.g on the default
             # grid: it is the same float
             verify_residual = sol.residual_sup
         else:
             grid = coboundary_mod.residual_grid(f_back, problem.g)
-            verify_residual = sol.residual(f_back, problem.g, grid)
+            verify_residual = coboundary_mod.residual(f_back, problem.g, problem.u, grid)
         del f_back
 
     diag_lines = []
@@ -407,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     so.add_argument("--alpha-list", type=str, default="")
     so.add_argument("--resonance-tol", type=float, default=1e-12)
     so.add_argument("--truncation-radius", type=int, default=None)
-    so.add_argument("--grid-size", type=int, default=None, help="residual grid override")
     so.add_argument("--verify", action="store_true",
                     help="recheck the residual of f as the --out file holds it")
     so.add_argument("--out", type=str, default=None)

@@ -34,9 +34,14 @@ class CoboundaryProblem:
     truncation_radius: int | None = None
 
     def __post_init__(self):
+        tol, radius = self.resonance_tol, self.truncation_radius
+        if not (math.isfinite(tol) and tol >= 0):
+            raise DomainError(f"resonance tolerance must be finite and >= 0, got {tol!r}")
+        if radius is not None and radius < 0:
+            raise DomainError(f"truncation radius must be >= 0, got {radius!r}")
         self.u = _coerce_vector(self.u, self.g.dim)
-        if self.truncation_radius is not None:
-            self.g = self.g.truncate(self.truncation_radius)
+        if radius is not None:
+            self.g = self.g.truncate(radius)
 
 
 @dataclass
@@ -49,19 +54,6 @@ class CoboundarySolution:
     formal: bool = False
     formal_note: str = ""
     truncation_norms: list = field(default_factory=list)  # (radius, l2 of f)
-    # k -> divisor of the solved u, for every nonzero k of the solved g
-    divisors: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def residual(self, f: CoefficientField, g: CoefficientField,
-                 grid_size: int) -> float:
-        """``residual(f, g, u, grid_size)`` at the solved u,
-        with the divisors ``solve`` already computed.  f must be supported
-        on the modes of the solved g, as the solution f and its re-read
-        copy are."""
-        missing = [k for k in f.keys() if any(k) and k not in self.divisors]
-        if missing:
-            raise DomainError(f"f has modes the solved g does not: {missing[:3]}")
-        return _residual(f, g, self.divisors, grid_size)
 
     def diagnostics_dict(self):
         return {
@@ -98,8 +90,7 @@ def residual_grid(f: CoefficientField, g: CoefficientField) -> int:
     return max(2 * max(f.support_radius(), g.support_radius()) + 1, 3)
 
 
-def solve(problem: CoboundaryProblem, classification=None,
-          grid_size: int | None = None) -> CoboundarySolution:
+def solve(problem: CoboundaryProblem, classification=None) -> CoboundarySolution:
     """Solve f - f o gamma = g coefficientwise.
 
     Raises NonzeroMeanError when |g_0| exceeds the resonance tolerance,
@@ -108,8 +99,8 @@ def solve(problem: CoboundaryProblem, classification=None,
     whose divisor cannot be resolved.  With a
     LiouvilleEvidence classification the solution is emitted but flagged
     formal: truncation-norm growth is reported as evidence in either case.
-    residual_sup is taken on grid_size points per axis, by default on
-    ``residual_grid(f, g)``.
+    residual_sup is taken on ``residual_grid(f, g)``, with the divisors of
+    the division.
     """
     g = problem.g
     u = problem.u
@@ -171,7 +162,7 @@ def solve(problem: CoboundaryProblem, classification=None,
 
     sol = CoboundarySolution(
         f=f, min_divisor=None if argmin is None else _divisor(min_r, modulus), argmin_k=argmin,
-        truncation_norms=trunc, divisors=divs,
+        truncation_norms=trunc,
     )
     if classification is not None and classification.verdict == "LiouvilleEvidence":
         sol.formal = True
@@ -179,7 +170,7 @@ def solve(problem: CoboundaryProblem, classification=None,
             "formal solution: Liouville-type divisors; the norm may diverge "
             "as the truncation radius grows (see truncation_norms)"
         )
-    sol.residual_sup = sol.residual(f, g, grid_size or residual_grid(f, g))
+    sol.residual_sup = _residual(f, g, divs, residual_grid(f, g))
     return sol
 
 
@@ -194,13 +185,13 @@ def residual(f: CoefficientField, g: CoefficientField, u, grid_size: int) -> flo
     distinct mod n, so no two modes alias onto one index and the FFT sums
     exactly the trigonometric polynomial.
     """
+    if f.dim != g.dim:
+        raise DomainError("dimension mismatch between f and g")
     divs = _divisors(_coerce_vector(u, f.dim), f.keys())
     return _residual(f, g, divs, grid_size)
 
 
 def _residual(f, g, divisors, grid_size):
-    if f.dim != g.dim:
-        raise DomainError("dimension mismatch between f and g")
     radius = max(f.support_radius(), g.support_radius())
     n = int(grid_size)
     if n < 2 * radius + 1:

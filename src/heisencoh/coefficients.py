@@ -32,11 +32,12 @@ def _as_key(k, dim):
 
 
 class CoefficientField:
-    """Immutable finitely supported map Z^dim -> C."""
+    """Immutable finitely supported map Z^dim -> C.  The constructor drops
+    zero values; ``read_coefficients`` keeps them as the text has them."""
 
     __slots__ = ("dim", "_entries", "_radius")
 
-    def __init__(self, dim, entries=None, drop_zeros=True):
+    def __init__(self, dim, entries=None):
         if dim < 1:
             raise DomainError("dim must be positive")
         self.dim = int(dim)
@@ -47,7 +48,7 @@ class CoefficientField:
                 if key in data:
                     raise DomainError(f"duplicate index {key}")
                 v = complex(v)
-                if v != 0 or not drop_zeros:
+                if v != 0:
                     data[key] = v
         self._entries = data
         self._radius = None  # support_radius, computed on first call
@@ -169,8 +170,9 @@ def _line(k, v):
 
 def read_coefficients(fh) -> CoefficientField:
     """The field written in fh, an open text file or any iterable of its
-    lines, read one line at a time.  Raises ParseError on a malformed header
-    or line, or a repeated index."""
+    lines, read one line at a time.  Zero entries are kept as written.
+    Raises ParseError on a malformed header or line, a part that is not a
+    finite number, or a repeated index."""
     it = enumerate(fh, start=1)
     dim = None
     for lineno, raw in it:
@@ -202,6 +204,8 @@ def read_coefficients(fh) -> CoefficientField:
             val = complex(float(toks[dim]), float(toks[dim + 1]))
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
+        if not (math.isfinite(val.real) and math.isfinite(val.imag)):
+            raise ParseError(f"coefficient {toks[dim]} {toks[dim + 1]} is not finite", lineno)
         if key in entries:
             raise ParseError(f"duplicate index {key}", lineno)
         entries[key] = val

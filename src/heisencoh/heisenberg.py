@@ -82,7 +82,8 @@ def commutator(a: HeisElement, b: HeisElement) -> HeisElement:
 
 
 def is_central(a: HeisElement) -> bool:
-    return a.x == 0 and a.y == 0
+    """True exactly when x and y vanish, in either rank."""
+    return not (any(a.x) or any(a.y)) if isinstance(a, HeisElementN) else a.x == a.y == 0
 
 
 @dataclass(frozen=True, slots=True)

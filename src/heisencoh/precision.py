@@ -1,21 +1,19 @@
 """Configurable-precision reals and continued fractions.
 
 PrecisionReal keeps either an exact rational (Fraction) or a binary float
-man * 2**exp (the integer pair ``man_exp``, with man odd as mpmath
-normalises it) together with the binary precision it was produced at.
-Exact inputs are never rounded; scans, divisors, continued fractions and
-float() read the stored value exactly (``diophantine._phase_grid``,
-``_bigfloat``), so every downstream decision is made on exact integers.
-The named constants are evaluated on integers too.  mpmath is an optional
-view: only ``from_mpf``, ``coerce`` of an mpf, ``approx`` and ``mpf()``
-load it, and each gives mpmath its precision explicitly, so none reads or
-sets mpmath's process-global precision.
+man * 2**exp (the integer pair ``man_exp``, in its canonical form: man odd,
+or (0, 0) for zero) together with the binary precision it was produced at.
+The canonical form is what makes the pair the value: ``__eq__`` compares
+``man_exp``, and ``diophantine._phase_grid`` reads the least grid 2**-exp
+from it.  Exact inputs are never rounded; scans, divisors, continued
+fractions and float() read the stored value exactly (``_bigfloat``), so
+every downstream decision is made on exact integers.  The named constants
+are evaluated on integers too.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 
 from . import _bigfloat as bf
@@ -24,13 +22,14 @@ from .errors import DomainError, PrecisionError
 DEFAULT_PREC = 128
 
 def _golden(prec):
-    """(sqrt(5) - 1) / 2 in mpmath's steps: sqrt(5) and the difference
-    rounded, the halving exact."""
+    """(sqrt(5) - 1) / 2 from sqrt(5) rounded to prec bits, then the difference
+    and the halving, both exact; not rounded once, so that 2 golden - sqrt5
+    = -1 holds exactly and the CLI names the dependence of golden,sqrt5."""
     man, exp = bf.sub(bf.sqrt((5, 0), prec), (1, 0), prec)
     return man, exp - 1
 
 
-# (man, exp) of each named constant at prec bits, as mpmath rounds it there
+# (man, exp) of each named constant at prec bits
 _NAMED = {
     "golden": _golden,
     "sqrt2": lambda p: bf.sqrt((2, 0), p),
@@ -44,8 +43,8 @@ _NAMED = {
 class PrecisionReal:
     """A real number: exact Fraction, or man * 2**exp resolved to `prec` bits.
 
-    Immutable; equal when fraction, value and prec are, and hashed as the
-    tuple (fraction, value, prec)."""
+    Immutable; equal when fraction, man_exp and prec are, and hashed as
+    that tuple."""
 
     __slots__ = ("fraction", "man_exp", "prec")
 
@@ -69,8 +68,7 @@ class PrecisionReal:
         )
 
     def __hash__(self):
-        value = None if self.man_exp is None else bf.fraction(self.man_exp)
-        return hash((self.fraction, value, self.prec))
+        return hash((self.fraction, self.man_exp, self.prec))
 
     def __repr__(self):
         return (
@@ -85,16 +83,6 @@ class PrecisionReal:
         return cls(Fraction(value), None, None)
 
     @classmethod
-    def from_mpf(cls, value, prec) -> "PrecisionReal":
-        """value rounded to `prec` bits, whatever mpmath's working precision."""
-        if prec < 64:
-            raise DomainError("precision must be at least 64 bits")
-        import mpmath
-
-        sign, man, exp, _ = mpmath.mpf(value, prec=int(prec), rounding="n")._mpf_
-        return cls(None, (-man if sign else man, exp), int(prec))
-
-    @classmethod
     def coerce(cls, value, prec=DEFAULT_PREC) -> "PrecisionReal":
         if isinstance(value, PrecisionReal):
             return value
@@ -105,10 +93,6 @@ class PrecisionReal:
         if isinstance(value, float):
             # a float is an exact binary rational; honour it as such
             return cls.exact(Fraction(value))
-        # no mpmath float exists before mpmath is loaded
-        mpmath = sys.modules.get("mpmath")
-        if mpmath is not None and isinstance(value, mpmath.mpf):
-            return cls.from_mpf(value, prec)
         raise DomainError(f"cannot interpret {value!r} as a real number")
 
     @classmethod
@@ -141,31 +125,9 @@ class PrecisionReal:
     def exact_value(self) -> bool:
         return self.fraction is not None
 
-    @property
-    def approx(self):
-        """The inexact value as an mpmath float, exactly; None when exact."""
-        if self.man_exp is None:
-            return None
-        from mpmath import mp
-        from mpmath.libmp import from_man_exp
-
-        return mp.make_mpf(from_man_exp(*self.man_exp))
-
-    def mpf(self, prec=None):
-        """The value as an mpmath float rounded once to prec bits (by
-        default its own precision, else DEFAULT_PREC)."""
-        from mpmath import mp
-        from mpmath.libmp import from_man_exp, from_rational, round_nearest
-
-        prec = int(prec or self.prec or DEFAULT_PREC)
-        if self.fraction is not None:
-            num, den = self.fraction.as_integer_ratio()
-            return mp.make_mpf(from_rational(num, den, prec, round_nearest))
-        return mp.make_mpf(from_man_exp(*self.man_exp, prec, round_nearest))
-
     def __float__(self):
         """The stored value rounded once to a double, subnormals included;
-        +-inf beyond the largest double, as mpmath's float() gives."""
+        +-inf beyond the largest double."""
         x = self.fraction if self.man_exp is None else bf.fraction(self.man_exp)
         try:
             return float(x)
@@ -193,19 +155,12 @@ def liouville_constant(prec=DEFAULT_PREC) -> PrecisionReal:
     total = Fraction(0)
     j = 1
     while True:
-        term = Fraction(1, 10 ** _factorial(j))
+        term = Fraction(1, 10 ** math.factorial(j))
         if term < cutoff:
             break
         total += term
         j += 1
     return PrecisionReal(total, None, prec)
-
-
-def _factorial(j):
-    out = 1
-    for i in range(2, j + 1):
-        out *= i
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -223,23 +178,16 @@ def continued_fraction(x, depth) -> list[int]:
     if depth < 1:
         raise DomainError("depth must be positive")
     x = PrecisionReal.coerce(x)
+    # the stored value v and its declared resolution eps, both exact (an
+    # exact value is the interval of width 0): the endpoints v -+ eps are
+    # a/b <= c/d, and each step maps both through y -> 1 / (y - a_j), so a
+    # quotient is returned only when every real of the interval has it
     if x.exact_value:
-        quotients = []
-        frac = x.fraction
-        num, den = frac.numerator, frac.denominator
-        while den and len(quotients) < depth:
-            a, num = divmod(num, den)
-            quotients.append(int(a))
-            num, den = den, num
-        return quotients
-
-    # the stored value x and its declared resolution eps = max(1, |x|) 2^-prec,
-    # both exact: the endpoints x -+ eps are a/b < c/d, and each step maps
-    # both through y -> 1 / (y - a_j), so a quotient is returned only when
-    # every real of the interval has it
-    x, prec = bf.fraction(x.man_exp), x.prec
-    eps = Fraction(max(1, abs(x)), 1 << prec)  # a Fraction even when max gives 1
-    (a, b), (c, d) = (x - eps).as_integer_ratio(), (x + eps).as_integer_ratio()
+        v, eps = x.fraction, 0
+    else:
+        v, prec = bf.fraction(x.man_exp), x.prec
+        eps = Fraction(max(1, abs(v)), 1 << prec)  # a Fraction even when max gives 1
+    (a, b), (c, d) = (v - eps).as_integer_ratio(), (v + eps).as_integer_ratio()
     quotients = []
     for _ in range(depth):
         q = a // b
@@ -250,6 +198,9 @@ def continued_fraction(x, depth) -> list[int]:
             )
         quotients.append(q)
         if a == q * b:
+            # the exact remainder vanishes: an exact value ends here
+            if x.exact_value:
+                break
             raise PrecisionError(
                 f"cannot certify the expansion beyond {len(quotients)} terms "
                 f"at {prec} bits"

@@ -397,19 +397,49 @@ def test_solve_computes_the_residual_once_per_grid(monkeypatch):
                         lambda f, g, divs, n: grids.append(n) or real(f, g, divs, n))
     argv = ["solve", "--g", str(Path(__file__).parent / "golden" / "solve_g_dim2_r8.txt"),
             "--u", "golden,sqrt2"]
-    assert cli.main(argv + ["--grid-size", "31"]) == 0
-    assert grids == [31]
-    # the default grid 2 R + 1 in solve; without --out nothing is read back,
-    # so --verify takes that residual
+    # the default grid 2 R + 1 in solve
+    assert cli.main(argv) == 0
+    assert grids == [17]
+    # without --out nothing is read back, so --verify takes that residual
     assert cli.main(argv + ["--verify"]) == 0
-    assert grids == [31, 17]
-    # with --grid-size f gets its own residual on the default grid
-    assert cli.main(argv + ["--verify", "--grid-size", "31"]) == 0
-    assert grids == [31, 17, 31, 17]
+    assert grids == [17, 17]
     # f solves the truncated g, and --verify checks it against that g: the
     # residual solve took on its default grid 2 * 3 + 1
     assert cli.main(argv + ["--verify", "--truncation-radius", "3"]) == 0
-    assert grids == [31, 17, 31, 17, 7]
+    assert grids == [17, 17, 7]
+
+
+def test_solve_has_no_grid_size_option(tmp_path):
+    g = tmp_path / "g.coef"
+    g.write_text("dim=1\n1 1 0\n", encoding="utf-8")
+    r = run_cli("solve", "--g", str(g), "--u", "1/4", "--grid-size", "31")
+    assert r.returncode == 2 and "--grid-size" in r.stderr and r.stdout == ""
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--resonance-tol", "nan", "resonance tolerance must be finite and >= 0, got nan"),
+    ("--resonance-tol", "-1", "resonance tolerance must be finite and >= 0, got -1.0"),
+    ("--resonance-tol", "inf", "resonance tolerance must be finite and >= 0, got inf"),
+    ("--resonance-tol", "-inf", "resonance tolerance must be finite and >= 0, got -inf"),
+    ("--truncation-radius", "-1", "truncation radius must be >= 0, got -1"),
+])
+def test_solve_rejects_an_option_outside_its_domain(tmp_path, option, value, message):
+    # g holds the resonant mode 4 of u = 1/4 and a mean of 0
+    g = tmp_path / "g.coef"
+    g.write_text("dim=1\n0 0 0\n4 1 0\n1 1 0\n", encoding="utf-8")
+    r = run_cli("solve", "--g", str(g), "--u", "1/4", "--verify", option + "=" + value)
+    assert (r.returncode, r.stdout, r.stderr) == (3, "", f"error[domain]: {message}\n")
+
+
+@pytest.mark.parametrize("part", ["nan", "inf", "-inf", "1e400"])
+def test_solve_and_sobolev_refuse_a_coefficient_that_is_not_finite(tmp_path, part):
+    g = tmp_path / "g.coef"
+    g.write_text(f"dim=1\n1 1 0\n-3 0.5 {part}\n4 1 0\n", encoding="utf-8")
+    for args in (["solve", "--g", str(g), "--u", "golden", "--verify"],
+                 ["sobolev", "--f", str(g), "--alpha", "1"]):
+        r = run_cli(*args)
+        assert (r.returncode, r.stdout) == (3, ""), args
+        assert r.stderr == f"error[parse]: line 3: coefficient 0.5 {part} is not finite\n", args
 
 
 def test_solve_verify_takes_the_residual_of_a_corrupted_reread(tmp_path, monkeypatch, capsys):
@@ -460,7 +490,8 @@ def test_solve_verify_reads_the_out_file_when_its_bytes_differ(tmp_path, monkeyp
                       encoding="utf-8")
     with open(g_path, encoding="utf-8") as fh:
         g = read_coefficients(fh)
-    sol = coboundary.solve(coboundary.CoboundaryProblem(g, cli._parse_vector("golden,sqrt2", 128)))
+    sol_u = cli._parse_vector("golden,sqrt2", 128)
+    sol = coboundary.solve(coboundary.CoboundaryProblem(g, sol_u))
     buf = io.StringIO()
     cli.write_coefficients(sol.f, buf)
     text = buf.getvalue()
@@ -492,6 +523,7 @@ def test_solve_verify_reads_the_out_file_when_its_bytes_differ(tmp_path, monkeyp
     monkeypatch.setattr(cli, "read_coefficients", lambda fh: reads.append(fh) or real_read(fh))
     argv = ["solve", "--g", str(g_path), "--u", "golden,sqrt2", "--verify",
             "--out", str(tmp_path / "f.txt")]
+    codes = {}
     for name, variant in variants.items():
         def write(field, fh, variant=variant):
             digest = real_write(field, fh)
@@ -504,7 +536,8 @@ def test_solve_verify_reads_the_out_file_when_its_bytes_differ(tmp_path, monkeyp
         try:
             f_back = read_coefficients(io.StringIO(variant))
             grid = coboundary.residual_grid(f_back, g)
-            want = 0, f"verify_residual={cli._fmt(sol.residual(f_back, g, grid))}\n"
+            v = coboundary.residual(f_back, g, sol_u, grid)
+            want = 0, f"verify_residual={cli._fmt(v)}\n"
         except ParseError as exc:
             want = 3, f"error[parse]: {exc}\n"
         except DomainError as exc:
@@ -513,6 +546,7 @@ def test_solve_verify_reads_the_out_file_when_its_bytes_differ(tmp_path, monkeyp
         rc = cli.main(argv)
         out, err = capsys.readouterr()
         assert (rc, out.splitlines(keepends=True)[-1] if rc == 0 else err) == want, name
+        codes[name] = rc
         # only bytes other than those written are read back
         assert len(reads) == (1 if variant == text else 2), name
     equal = set()
@@ -523,6 +557,11 @@ def test_solve_verify_reads_the_out_file_when_its_bytes_differ(tmp_path, monkeyp
         except ParseError:
             pass
     assert equal == {"as written", "blank lines", "spaced header", "other digits", "out of order"}
+    # a mode g lacks gets a residual too; a nan is refused where it is read
+    assert {name for name, rc in codes.items() if rc} == {
+        "duplicate", "other dim", "bad dim", "no header", "empty", "short line", "bad number",
+        "nan",
+    }
 
 
 def _seeded_g(path, dim, radius):

@@ -65,12 +65,21 @@ def _bits(field):
     return field.dim, [(k, type(v), repr(v)) for k, v in field.items()]
 
 
+def _kept(dim, entries):
+    """The field of entries with its zero values kept, read as a file holds
+    them: the constructor drops zeros, read_coefficients keeps them."""
+    return read_coefficients([f"dim={dim}\n"] + [
+        f"{' '.join(map(str, k))} {complex(v).real!r} {complex(v).imag!r}\n"
+        for k, v in entries.items()
+    ])
+
+
 def test_derived_fields_equal_the_checking_constructor():
     # zeros are stored in the operands, which the results drop
-    f = CoefficientField(2, {(0, 0): 1.0, (3, -7): 2j, (-5, 1): 1 + 1j, (2, 2): -1.0,
-                             (1, 1): 0j, (4, 0): -0.0 + 2.5e-300j}, drop_zeros=False)
-    g = CoefficientField(2, {(-9, 0): 0.5, (3, -7): -2j, (2, 2): 1.0, (0, 4): -0.0},
-                         drop_zeros=False)
+    f = _kept(2, {(0, 0): 1.0, (3, -7): 2j, (-5, 1): 1 + 1j, (2, 2): -1.0,
+                  (1, 1): 0j, (4, 0): -0.0 + 2.5e-300j})
+    g = _kept(2, {(-9, 0): 0.5, (3, -7): -2j, (2, 2): 1.0, (0, 4): -0.0})
+    assert len(f) == 6 and len(g) == 4
     for radius in (-1, 0, 1, 2, 5, 9):
         want = {k: v for k, v in f.items() if max(map(abs, k)) <= radius}
         assert _bits(f.truncate(radius)) == _bits(CoefficientField(2, want))
@@ -164,25 +173,33 @@ def test_duplicate_in_constructor():
 
 
 def test_every_double_reads_back_as_written():
-    # each double survives its 17-digit text, signed zeros and infinities too
+    # each finite double survives its 17-digit text, signed zeros too
     tiny, least_normal, largest = 5e-324, sys.float_info.min, sys.float_info.max
     values = [0.0, tiny, least_normal - tiny, least_normal, 1.0, 1 / 3, 0.1, 1e22,
-              2.0**-1022 * (1 - 2**-52), largest, math.inf]
+              2.0**-1022 * (1 - 2**-52), largest]
     values += [math.nextafter(v, to) for v in values for to in (0.0, math.inf) if v != to]
+    values = [v for v in values if math.isfinite(v)]
     values = [-v for v in values] + values
     r = random.Random(5)
     while len(values) < 1500:
         v = r.choice([r.random() * 2.0 ** r.randint(-1074, 1023), r.uniform(-1e-300, 1e-300)])
         values.append(-v if r.random() < 0.5 else v)
-    field = CoefficientField(2, {(i, -i): complex(a, b)
-                                 for i, (a, b) in enumerate(zip(values, reversed(values)))},
-                             drop_zeros=False)
+    field = _kept(2, {(i, -i): complex(a, b)
+                      for i, (a, b) in enumerate(zip(values, reversed(values)))})
+    assert len(field) == len(values)
     buf = io.StringIO()
     write_coefficients(field, buf)
     back = read_coefficients(io.StringIO(buf.getvalue()))
     assert [(k, v.real.hex(), v.imag.hex()) for k, v in back.items()] == [
         (k, v.real.hex(), v.imag.hex()) for k, v in field.items()
     ]
+    # a part that is not finite is refused with its line: +-inf as written
+    # or past the largest double, and nan
+    for part in ("inf", "-inf", "1e309", "-1e400", "nan", "-nan"):
+        for line in (f"3 -3 {part} 0", f"3 -3 0.5 {part}"):
+            with pytest.raises(ParseError, match="not finite") as ei:
+                read_coefficients(io.StringIO(f"dim=2\n1 -1 1 0\n{line}\n"))
+            assert ei.value.line == 3, line
 
 
 @pytest.mark.parametrize("n", [0, 1, 1024, 1025, 3000])

@@ -25,7 +25,7 @@ from heisencoh.diophantine import (
 )
 from heisencoh.errors import DomainError, PrecisionError
 from heisencoh.precision import PrecisionReal, liouville_constant
-from test_bigfloat import _oracle_floor, rounded_once
+from test_bigfloat import _oracle_floor, mpf_real, rounded_once
 from test_golden import CORPUS, GOLDEN
 
 rng = random.Random(55)
@@ -130,7 +130,7 @@ def test_classify_small_k_accident_is_not_liouville():
     import mpmath
 
     with mpmath.workprec(128):
-        t = PrecisionReal.from_mpf(mpmath.sqrt(2) - mpmath.mpf(9) / 10, 128)
+        t = mpf_real(mpmath.sqrt(2) - mpmath.mpf(9) / 10, 128)
     rep = classify(t, 1000, s_grid=[1, 2, 3])
     assert rep.verdict == "DiophantineEvidence"
     accident = [w for w in rep.witnesses if w.k == (2,)]
@@ -154,7 +154,7 @@ def _stored(c):
     """The value c holds, as a Fraction: p/q, or an mpf's man * 2^exp."""
     if c.exact_value:
         return c.fraction
-    man, exp = c.approx.man_exp
+    man, exp = mpf_real(c).man_exp
     return man * Fraction(2) ** exp
 
 
@@ -293,7 +293,7 @@ def test_classify_dim2_rational_zero():
 
 def test_classify_precision_guard():
     # 64-bit resolution cannot resolve divisors near 2^-70
-    t = PrecisionReal.from_mpf(
+    t = mpf_real(
         __import__("mpmath").mpf(1) / 3 + __import__("mpmath").mpf(2) ** -70, 64
     )
     with pytest.raises(PrecisionError):

@@ -140,6 +140,23 @@ def test_is_central():
         assert is_central(a) == comm_free
 
 
+def test_is_central_in_rank_n():
+    def rand_n(n, width=20):
+        return HeisElementN(tuple(rng.randint(-width, width) for _ in range(n)),
+                            tuple(rng.randint(-width, width) for _ in range(n)),
+                            rng.randint(-width, width))
+
+    assert is_central(HeisElementN((0, 0), (0, 0), 5)) and is_central(identity_n(3))
+    for n in (1, 2, 3, 5):
+        for _ in range(50):
+            a, b = rand_n(n), rand_n(n)
+            assert is_central(commutator(a, b))
+            x = list(a.x)
+            x[rng.randrange(n)] = rng.choice([-1, 1]) * rng.randint(1, 20)
+            assert not is_central(HeisElementN(x, (0,) * n, a.z))
+            assert not is_central(HeisElementN((0,) * n, x, a.z))
+
+
 def test_normal_form_examples():
     nf0 = normal_form(IDENTITY)
     assert (nf0.a, nf0.b, nf0.c) == (0, 0, 0)

@@ -13,6 +13,7 @@ from heisencoh.precision import (
     convergents,
     liouville_constant,
 )
+from test_bigfloat import mpf_real
 
 
 def test_parse_forms():
@@ -22,7 +23,7 @@ def test_parse_forms():
     g = PrecisionReal.parse("golden", 128)
     assert not g.exact_value and g.prec == 128
     with mpmath.workprec(130):
-        assert abs(g.mpf(130) - (mpmath.sqrt(5) - 1) / 2) < mpmath.mpf(2) ** -120
+        assert abs(mpf_real(g, 130) - (mpmath.sqrt(5) - 1) / 2) < mpmath.mpf(2) ** -120
     with pytest.raises(DomainError):
         PrecisionReal.parse("1/0")
     with pytest.raises(DomainError):
@@ -51,7 +52,7 @@ def test_phase_grid_is_exact():
     for vec in [[c] for c in comps] + [comps, comps[:2], comps[2:4]]:
         scaled, modulus = _phase_grid(vec)
         for u, c in zip(scaled, vec):
-            man, exp = (0, 0) if c.exact_value else c.approx.man_exp
+            man, exp = (0, 0) if c.exact_value else mpf_real(c).man_exp
             stored = c.fraction if c.exact_value else man * Fraction(2) ** exp
             assert Fraction(u, modulus) == stored
     assert _phase_grid([comps[0]]) == ([1], 3)
@@ -63,7 +64,7 @@ def test_phase_grid_is_exact():
 
 def test_phase_grid_keeps_the_sign_of_an_inexact_value():
     # the float -0.3 is exact at 64 bits; its phase is read as -0.3, not 0.3
-    x = PrecisionReal.from_mpf(mpmath.mpf(-0.3), 64)
+    x = mpf_real(mpmath.mpf(-0.3), 64)
     scaled, modulus = _phase_grid([x])
     assert Fraction(scaled[0], modulus) == Fraction(-0.3)
 
@@ -87,7 +88,7 @@ def test_continued_fraction_golden():
     # (sqrt(5)-1)/2 = [0; 1, 1, 1, ...]
     q = continued_fraction(g, 30)
     assert q[0] == 0 and all(a == 1 for a in q[1:])
-    phi = PrecisionReal.from_mpf(mpmath.mpf(1) + g.mpf(160), 160)
+    phi = mpf_real(mpmath.mpf(1) + mpf_real(g, 160), 160)
     assert all(a == 1 for a in continued_fraction(phi, 30))
 
 
@@ -107,22 +108,8 @@ def test_continued_fraction_sqrt2():
             assert abs(root2 - mpmath.mpf(p) / den) < mpmath.mpf(1) / (den * den)
 
 
-def test_from_mpf_rounds_to_its_precision():
-    # called outside any workprec block, the stored value has the declared bits
-    with mpmath.workprec(128):
-        root2_128 = mpmath.sqrt(2)
-    with mpmath.workprec(300):
-        root2_300 = mpmath.sqrt(2)
-    for value in (root2_128, root2_300):
-        x = PrecisionReal.from_mpf(value, 128)
-        assert x.prec == 128
-        assert x.approx.man.bit_length() == 128
-        assert x.approx == root2_128
-    assert PrecisionReal.from_mpf(mpmath.mpf(0.75), 128).approx == mpmath.mpf(0.75)
-
-
 def test_continued_fraction_precision_exhaustion():
-    x = PrecisionReal.from_mpf(mpmath.mpf(2) ** 0.5, 64)
+    x = mpf_real(mpmath.mpf(2) ** 0.5, 64)
     with pytest.raises(PrecisionError):
         continued_fraction(x, 200)  # 64 bits cannot certify 200 quotients
 
@@ -169,7 +156,7 @@ def test_float_rounds_once():
     assert float(PrecisionReal(None, ((1 << 53) - 1, 971), 64)) == 1.7976931348623157e308
     for name in ("golden", "sqrt2", "pi", "e"):
         x = PrecisionReal.parse(name, 128)
-        assert float(x) == float(x.mpf())
+        assert float(x) == float(mpf_real(x))
 
 
 def test_liouville_convergents_include_power_denominators():
@@ -179,7 +166,7 @@ def test_liouville_convergents_include_power_denominators():
     assert 100 in dens and 10**6 in dens
     # the 10^6 convergent has error ~1e-24, i.e. approximation exponent 4
     with mpmath.workprec(200):
-        tv = t.mpf(200)
+        tv = mpf_real(t, 200)
         p = min((p for p, d in convergents(q) if d == 10**6), key=lambda p: abs(p))
         err = abs(tv - mpmath.mpf(p) / 10**6)
         assert mpmath.mpf(10) ** -25 < err < mpmath.mpf(10) ** -23
