@@ -133,17 +133,8 @@ def pi(prec):
 
 
 def e(prec):
-    """e = sum_j 1 / j!, rounded at prec bits."""
-
-    def series(w):
-        total, term, j = 0, 1 << w, 0
-        while term:
-            total += term
-            j += 1
-            term //= j
-        return ((total - 2 * j - 2, total + 2 * j + 2, -w),)
-
-    return ziv(series, lambda m, x: normalize(m, x, prec), prec + 32)[0]
+    """e = exp(1), rounded at prec bits."""
+    return ziv(lambda w: (exp(1, 1, 0, w),), lambda m, x: normalize(m, x, prec), prec + 32)[0]
 
 
 def sin_cos_pi(p, q, w):

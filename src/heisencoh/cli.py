@@ -39,16 +39,6 @@ def _parse_floats(text: str, flag: str):
         raise ParseError(f"{flag} expects comma-separated numbers, got {text!r}") from None
 
 
-def _emit_json(obj, out):
-    """obj as json.dumps(obj, sort_keys=True, indent=2) gives it, written a
-    chunk at a time without joining the text first."""
-    import json
-
-    for chunk in json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj):
-        out.write(chunk)
-    out.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -103,24 +93,7 @@ def _cmd_rep_character(args, out, err):
     from . import representations as reps
 
     P = _irrep_params(args)
-    rows = reps.character_table(P, args.range)
-    if args.format == "json":
-        _emit_json(
-            {
-                "p": P.p,
-                "xi": P.xi,
-                "eta": str(P.eta),
-                "alpha": P.alpha,
-                "range": args.range,
-                "rows": [
-                    {"m": m, "k": k, "s": s, "re": chi.real, "im": chi.imag}
-                    for m, k, s, chi in rows
-                ],
-            },
-            out,
-        )
-        return 0
-    for m, k, s, chi in rows:
+    for m, k, s, chi in reps.character_table(P, args.range):
         out.write(f"{m} {k} {s} {_fmt(chi.real)} {_fmt(chi.imag)}\n")
     return 0
 
@@ -134,20 +107,6 @@ def _cmd_rep_matrix(args, out, err):
         raise ParseError("--element expects 'm k s'")
     a = reps.SemidirectElement(int(toks[0]), int(toks[1]), int(toks[2]))
     U = reps.irrep_matrix(P, a)
-    if args.format == "json":
-        _emit_json(
-            {
-                "p": P.p,
-                "element": {"m": a.m, "k": a.k, "s": a.s},
-                "entries": [
-                    {"row": i, "col": j, "re": U[i, j].real, "im": U[i, j].imag}
-                    for i in range(P.p)
-                    for j in range(P.p)
-                ],
-            },
-            out,
-        )
-        return 0
     for i in range(P.p):
         for j in range(P.p):
             out.write(f"{i} {j} {_fmt(U[i, j].real)} {_fmt(U[i, j].imag)}\n")
@@ -185,9 +144,6 @@ def _cmd_classify(args, out, err):
     except PrecisionError as exc:
         _raise_if_dependent(exc, args.vector, args.prec, "is below the scan resolution")
         raise
-    if args.format == "json":
-        _emit_json(report.to_dict(), out)
-        return 0
     prec_txt = "exact" if report.precision_bits is None else str(report.precision_bits)
     out.write(f"verdict={report.verdict}\n")
     out.write(f"dim={report.dim}\n")
@@ -249,10 +205,10 @@ def _cmd_solve(args, out, err):
         rows, _ = coboundary_mod.sobolev_loss(sol, problem.g, alphas)
         sol.norms = rows
 
-    # f goes straight into the --out file, or to stdout at the end (the JSON
-    # document carries f itself).  --verify takes f as read back when the
-    # file holds the bytes written, since every double survives its
-    # 17-digit text, and otherwise reads the file
+    # f goes straight into the --out file, or to stdout at the end.
+    # --verify takes f as read back when the file holds the bytes written,
+    # since every double survives its 17-digit text, and otherwise reads
+    # the file
     verify_residual = digest = None
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -271,38 +227,25 @@ def _cmd_solve(args, out, err):
             verify_residual = coboundary_mod.residual(f_back, problem.g, problem.u, grid)
         del f_back
 
-    diag_lines = []
-    d = sol.diagnostics_dict()
-    diag_lines.append(f"min_divisor={_fmt(d['min_divisor']) if d['min_divisor'] is not None else '-'}")
-    diag_lines.append(f"argmin_k={_fmt_k(sol.argmin_k) if sol.argmin_k else '-'}")
-    diag_lines.append(f"residual_sup={_fmt(d['residual_sup'])}")
-    for row in sol.norms:
-        diag_lines.append(
-            f"norm alpha={_fmt(row['alpha'])} f={_fmt(row['f_norm'])} "
-            f"g={_fmt(row['g_norm_shifted'])} ratio={_fmt(row['ratio'])}"
-        )
-    if sol.formal:
-        diag_lines.append("formal=true")
-    for radius, val in sol.truncation_norms:
-        diag_lines.append(f"truncation radius={radius} f_l2={_fmt(val)}")
-    if verify_residual is not None:
-        diag_lines.append(f"verify_residual={_fmt(verify_residual)}")
-
-    if args.format == "json":
-        doc = sol.diagnostics_dict()
-        doc["f"] = [
-            {"k": list(k), "re": v.real, "im": v.imag} for k, v in sol.f.items()
-        ]
-        if verify_residual is not None:
-            doc["verify_residual"] = verify_residual
-        _emit_json(doc, out)
-    elif args.out:
-        for line in diag_lines:
-            out.write(line + "\n")
+    if args.out:
+        diag = out
     else:
         write_coefficients(sol.f, out)
-        for line in diag_lines:
-            err.write(line + "\n")
+        diag = err
+    diag.write(f"min_divisor={'-' if sol.min_divisor is None else _fmt(sol.min_divisor)}\n")
+    diag.write(f"argmin_k={_fmt_k(sol.argmin_k) if sol.argmin_k else '-'}\n")
+    diag.write(f"residual_sup={_fmt(sol.residual_sup)}\n")
+    for row in sol.norms:
+        diag.write(
+            f"norm alpha={_fmt(row['alpha'])} f={_fmt(row['f_norm'])} "
+            f"g={_fmt(row['g_norm_shifted'])} ratio={_fmt(row['ratio'])}\n"
+        )
+    if sol.formal:
+        diag.write("formal=true\n")
+    for radius, val in sol.truncation_norms:
+        diag.write(f"truncation radius={radius} f_l2={_fmt(val)}\n")
+    if verify_residual is not None:
+        diag.write(f"verify_residual={_fmt(verify_residual)}\n")
     return 0
 
 
@@ -310,11 +253,6 @@ def _cmd_fan(args, out, err):
     from .diophantine import fan_member
 
     member = fan_member(args.lam, args.xi, args.n)
-    if args.format == "json":
-        _emit_json(
-            {"lambda": args.lam, "xi": args.xi, "n": args.n, "member": member}, out
-        )
-        return 0
     out.write(f"member={'true' if member else 'false'}\n")
     return 0
 
@@ -326,11 +264,7 @@ def _cmd_sobolev(args, out, err):
         field = read_coefficients(fh)
     if field.dim != 1:
         raise DomainError("the multiplier Sobolev norm is one-dimensional")
-    value = fourier_mod.sobolev_norm(field, args.alpha)
-    if args.format == "json":
-        _emit_json({"alpha": args.alpha, "norm": value}, out)
-        return 0
-    out.write(f"norm={_fmt(value)}\n")
+    out.write(f"norm={_fmt(fourier_mod.sobolev_norm(field, args.alpha))}\n")
     return 0
 
 
@@ -341,18 +275,8 @@ def _cmd_cohomology(args, out, err):
         raise DomainError("k must be nonnegative")
     table = cohomology_mod.cohomology_table(args.n)
     ks = range(len(table.groups)) if args.k is None else [args.k]
-    rows = [
-        (k, table.groups[k] if k < len(table.groups) else cohomology_mod.cohomology(args.n, k))
-        for k in ks
-    ]
-    if args.format == "json":
-        doc = table.to_dict()
-        doc["rows"] = [
-            {"k": k, "free_rank": g.free_rank, "torsion": g.torsion_text()} for k, g in rows
-        ]
-        _emit_json(doc, out)
-        return 0
-    for k, g in rows:
+    for k in ks:
+        g = table.groups[k] if k < len(table.groups) else cohomology_mod.cohomology(args.n, k)
         out.write(f"{k} {g.free_rank} {g.torsion_text()}\n")
     return 0
 
@@ -381,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     rc.add_argument("--eta", type=str, default="0")
     rc.add_argument("--alpha", type=float, default=0.0)
     rc.add_argument("--range", type=int, required=True)
-    rc.add_argument("--format", choices=["text", "json"], default="text")
     rc.set_defaults(func=_cmd_rep_character)
     rm = repsub.add_parser("matrix", help="matrix of one representation element")
     rm.add_argument("--p", type=int, required=True)
@@ -389,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     rm.add_argument("--eta", type=str, default="0")
     rm.add_argument("--alpha", type=float, default=0.0)
     rm.add_argument("--element", type=str, required=True, help="'m k s'")
-    rm.add_argument("--format", choices=["text", "json"], default="text")
     rm.set_defaults(func=_cmd_rep_matrix)
 
     cl = sub.add_parser("classify", help="Diophantine/Liouville small-divisor scan")
@@ -397,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     cl.add_argument("--kmax", type=int, required=True)
     cl.add_argument("--prec", type=int, default=128, help="working precision in bits")
     cl.add_argument("--s-grid", type=str, default="1,2,3")
-    cl.add_argument("--format", choices=["text", "json"], default="text")
     cl.set_defaults(func=_cmd_classify)
 
     so = sub.add_parser("solve", help="solve f - f(. + u) = g from a coefficient file")
@@ -410,26 +331,22 @@ def build_parser() -> argparse.ArgumentParser:
     so.add_argument("--verify", action="store_true",
                     help="recheck the residual of f as the --out file holds it")
     so.add_argument("--out", type=str, default=None)
-    so.add_argument("--format", choices=["text", "json"], default="text")
     so.set_defaults(func=_cmd_solve)
 
     fa = sub.add_parser("fan", help="joint-spectrum fan membership")
     fa.add_argument("--lambda", dest="lam", type=int, required=True)
     fa.add_argument("--xi", type=int, required=True)
     fa.add_argument("--n", type=int, required=True)
-    fa.add_argument("--format", choices=["text", "json"], default="text")
     fa.set_defaults(func=_cmd_fan)
 
     sb = sub.add_parser("sobolev", help="discrete Sobolev norm of a coefficient file")
     sb.add_argument("--f", type=str, required=True)
     sb.add_argument("--alpha", type=float, required=True)
-    sb.add_argument("--format", choices=["text", "json"], default="text")
     sb.set_defaults(func=_cmd_sobolev)
 
     co = sub.add_parser("cohomology", help="integral cohomology table")
     co.add_argument("--n", type=int, required=True)
     co.add_argument("--k", type=int, default=None)
-    co.add_argument("--format", choices=["text", "json"], default="text")
     co.set_defaults(func=_cmd_cohomology)
 
     return ap

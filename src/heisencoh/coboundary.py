@@ -55,18 +55,6 @@ class CoboundarySolution:
     formal_note: str = ""
     truncation_norms: list = field(default_factory=list)  # (radius, l2 of f)
 
-    def diagnostics_dict(self):
-        return {
-            "min_divisor": self.min_divisor,
-            "argmin_k": list(self.argmin_k) if self.argmin_k else None,
-            "residual_sup": self.residual_sup,
-            "norms": [dict(r) for r in self.norms],
-            "formal": self.formal,
-            "truncation_norms": [
-                {"radius": r, "f_l2": v} for r, v in self.truncation_norms
-            ],
-        }
-
 
 def obstruction(g: CoefficientField) -> complex:
     """The mean I(g) = g_0; it must vanish for g to be a difference."""
@@ -96,9 +84,11 @@ def solve(problem: CoboundaryProblem, classification=None) -> CoboundarySolution
     Raises NonzeroMeanError when |g_0| exceeds the resonance tolerance,
     ResonanceError when a vanishing divisor meets a non-negligible
     coefficient, PrecisionError naming k for the least k (in key order)
-    whose divisor cannot be resolved.  With a
-    LiouvilleEvidence classification the solution is emitted but flagged
-    formal: truncation-norm growth is reported as evidence in either case.
+    whose divisor cannot be resolved, DomainError naming the least k whose
+    f_k = g_k / d_k is not finite or has |f_k|^2 past the largest double.
+    With a LiouvilleEvidence classification the solution is emitted but
+    flagged formal: truncation-norm growth is reported as evidence in either
+    case.
     residual_sup is taken on ``residual_grid(f, g)``, with the divisors of
     the division.
     """
@@ -132,7 +122,15 @@ def solve(problem: CoboundaryProblem, classification=None) -> CoboundarySolution
             if abs(gk) > tol:
                 resonant.append((k, div_abs, abs(gk)))
             continue  # negligible coefficient on a resonant mode: f_k = 0
-        coeffs[k] = gk / denom
+        fk = gk / denom
+        # |f_k|^2 enters the norms and must be a double; abs() raises where
+        # |f_k| itself overflows, so the parts are bounded first
+        if not (abs(fk.real) < 2.0**1000 and abs(fk.imag) < 2.0**1000
+                and abs(fk) * abs(fk) < math.inf):
+            raise DomainError(
+                f"f_k = g_k / d_k at k={k} is {fk}, whose |f_k|^2 is not a finite double"
+            )
+        coeffs[k] = fk
         # 2 sin(pi r / L) grows with r: the least divisor is the first k of
         # the least r, decided on the integer and then rounded once
         if min_r is None or r < min_r:
@@ -269,8 +267,15 @@ def sobolev_loss(sol: CoboundarySolution, g: CoefficientField, alphas,
 
 
 def _weighted_l2(field_: CoefficientField, alpha: float) -> float:
+    """(sum_k |f_k|^2 (1 + |k|)^(2 alpha))^(1/2), |k| the max-norm; inf
+    where a term overflows a double.  Zero coefficients add nothing."""
     total = 0.0
     for k, v in field_.items():
+        if not v:
+            continue  # whatever its weight
         normk = max(abs(c) for c in k)
-        total += abs(v) ** 2 * (1.0 + normk) ** (2 * alpha)
+        try:
+            total += abs(v) ** 2 * (1.0 + normk) ** (2 * alpha)
+        except OverflowError:
+            return math.inf
     return math.sqrt(total)

@@ -178,22 +178,6 @@ class CohomologyTable:
     rank_duality_holds: bool
     warnings: tuple
 
-    def to_dict(self):
-        return {
-            "n": self.n,
-            "rows": [
-                {
-                    "k": k,
-                    "free_rank": g.free_rank,
-                    "torsion": g.torsion_text(),
-                }
-                for k, g in enumerate(self.groups)
-            ],
-            "euler_characteristic": self.euler_characteristic,
-            "rank_duality_holds": self.rank_duality_holds,
-            "warnings": list(self.warnings),
-        }
-
 
 def cohomology_table(n: int) -> CohomologyTable:
     """Groups for k = 0 .. 2n + 2 plus the alternating-rank sum and the

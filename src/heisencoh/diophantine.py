@@ -234,47 +234,6 @@ class ClassificationReport(namedtuple("ClassificationReport", (
     def argmin_k(self):
         return self.records[0].k if self.records else None
 
-    def to_dict(self):
-        return {
-            "verdict": self.verdict,
-            "dim": self.dim,
-            "kmax": self.kmax,
-            "precision_bits": self.precision_bits,
-            "points_scanned": self.points_scanned,
-            "diophantine_s": self.diophantine_s,
-            "diophantine_c": self.diophantine_c,
-            "rational_k": list(self.rational_k) if self.rational_k else None,
-            "min_divisor": self.min_divisor,
-            "argmin_k": list(self.argmin_k) if self.argmin_k else None,
-            "s_table": [
-                {
-                    "s": row.s,
-                    "c": row.c if math.isfinite(row.c) else None,
-                    "argmin_k": list(row.argmin_k),
-                    "shell_min": row.shell_min if math.isfinite(row.shell_min) else None,
-                    "shell_max": row.shell_max if math.isfinite(row.shell_max) else None,
-                    "evidence": row.evidence,
-                }
-                for row in self.s_table
-            ],
-            "witnesses": [
-                {
-                    "k": list(w.k),
-                    "normk": w.normk,
-                    "dist": w.dist,
-                    "divisor": w.divisor,
-                    "exponent": w.exponent,
-                    "levels": list(w.levels),
-                    "significant": list(w.significant),
-                }
-                for w in self.witnesses
-            ],
-            "records": [
-                {"k": list(r.k), "divisor": r.divisor, "normk": r.normk}
-                for r in self.records
-            ],
-        }
-
 
 # ---------------------------------------------------------------------------
 # scan orchestration

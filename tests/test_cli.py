@@ -1,4 +1,3 @@
-import json
 import subprocess
 import sys
 import time
@@ -9,6 +8,7 @@ import pytest
 from heisencoh import cli
 
 CMD = [sys.executable, "-m", "heisencoh"]
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(*args, stdin=""):
@@ -73,8 +73,6 @@ def test_fan():
     assert r.returncode == 0 and r.stdout == "member=true\n"
     r = run_cli("fan", "--lambda", "2", "--xi", "5", "--n", "1")
     assert r.stdout == "member=false\n"
-    r = run_cli("fan", "--lambda", "1", "--xi", "3", "--n", "1", "--format", "json")
-    assert json.loads(r.stdout)["member"] is True
 
 
 def test_cohomology_table():
@@ -83,27 +81,20 @@ def test_cohomology_table():
     assert r.stdout == "0 1 -\n1 2 -\n2 2 -\n3 1 -\n4 0 -\n"
     r = run_cli("cohomology", "--n", "1", "--k", "3")
     assert r.stdout == "3 1 -\n"
-    r = run_cli("cohomology", "--n", "2", "--format", "json")
-    doc = json.loads(r.stdout)
-    assert [row["free_rank"] for row in doc["rows"]] == [1, 4, 5, 5, 4, 1, 0]
-    assert doc["euler_characteristic"] == 0
+    r = run_cli("cohomology", "--n", "2")
+    assert [ln.split()[1] for ln in r.stdout.splitlines()] == ["1", "4", "5", "5", "4", "1", "0"]
 
 
 @pytest.mark.parametrize("k", [3, 10])
-def test_cohomology_single_k_agrees_across_formats(k):
-    # k = 10 lies above the n = 1 table (k = 0..4): both formats give H^10 = 0
-    text = run_cli("cohomology", "--n", "1", "--k", str(k))
-    doc = json.loads(run_cli("cohomology", "--n", "1", "--k", str(k), "--format", "json").stdout)
-    assert text.returncode == 0
-    assert [f"{r['k']} {r['free_rank']} {r['torsion']}" for r in doc["rows"]] == \
-        text.stdout.splitlines()
-    assert len(doc["rows"]) == 1
+def test_cohomology_single_k_row(k):
+    # k = 10 lies above the n = 1 table (k = 0..4): H^10 = 0
+    r = run_cli("cohomology", "--n", "1", "--k", str(k))
+    assert (r.returncode, r.stdout, r.stderr) == (0, {3: "3 1 -\n", 10: "10 0 -\n"}[k], "")
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("args", [("--n", "0"), ("--n", "31"), ("--n", "1", "--k", "-1")])
-def test_cohomology_domain_errors(args, fmt):
-    r = run_cli("cohomology", *args, "--format", fmt)
+def test_cohomology_domain_errors(args):
+    r = run_cli("cohomology", *args)
     assert r.returncode == 3
     assert r.stdout == ""
     assert r.stderr.startswith("error[domain]: ") and "Traceback" not in r.stderr
@@ -140,15 +131,14 @@ def test_classify_rational_text():
     assert "precision_bits=exact" in r.stdout
 
 
-def test_classify_golden_json():
+def test_classify_golden_text():
     r = run_cli(
-        "classify", "--vector", "golden", "--kmax", "5000", "--prec", "128",
-        "--s-grid", "1,2,3", "--format", "json",
+        "classify", "--vector", "golden", "--kmax", "5000", "--prec", "128", "--s-grid", "1,2,3",
     )
-    doc = json.loads(r.stdout)
-    assert doc["verdict"] == "DiophantineEvidence"
-    assert doc["diophantine_s"] == 1.0
-    assert doc["diophantine_c"] > 1.0
+    top = dict(ln.split("=", 1) for ln in r.stdout.splitlines() if " " not in ln)
+    assert top["verdict"] == "DiophantineEvidence"
+    assert float(top["diophantine_s"]) == 1.0
+    assert float(top["diophantine_c"]) > 1.0
 
 
 def test_classify_usage():
@@ -162,8 +152,8 @@ def test_sobolev(tmp_path):
     r = run_cli("sobolev", "--f", str(f), "--alpha", "0")
     assert r.returncode == 0
     assert r.stdout == "norm=1\n"
-    r = run_cli("sobolev", "--f", str(f), "--alpha", "1", "--format", "json")
-    assert abs(json.loads(r.stdout)["norm"] - 2.3550964076806551) < 1e-10
+    r = run_cli("sobolev", "--f", str(f), "--alpha", "1")
+    assert abs(float(r.stdout.removeprefix("norm=")) - 2.3550964076806551) < 1e-10
 
 
 @pytest.mark.parametrize("s_grid", ["abc", "1,x", "nan", "inf"])
@@ -259,15 +249,14 @@ def test_solve_resonance(tmp_path):
     assert "resonant" in r.stderr
 
 
-def test_solve_json(tmp_path):
+def test_solve_prints_f_and_its_diagnostics(tmp_path):
     g = tmp_path / "g.coef"
     g.write_text("dim=1\n1 1 0\n", encoding="utf-8")
-    r = run_cli("solve", "--g", str(g), "--u", "1/4", "--format", "json",
-                "--alpha-list", "0,1")
-    doc = json.loads(r.stdout)
-    assert doc["f"] == [{"k": [1], "re": 0.5, "im": 0.5}]
-    assert doc["min_divisor"] == pytest.approx(2**0.5)
-    assert len(doc["norms"]) == 2
+    r = run_cli("solve", "--g", str(g), "--u", "1/4", "--alpha-list", "0,1")
+    assert (r.returncode, r.stdout) == (0, "dim=1\n1 0.5 0.5\n")
+    diag = r.stderr.splitlines()
+    assert float(diag[0].removeprefix("min_divisor=")) == pytest.approx(2**0.5)
+    assert [ln.split()[1] for ln in diag if ln.startswith("norm ")] == ["alpha=0", "alpha=1"]
 
 
 def test_solve_writes_f_once(tmp_path, monkeypatch, capsys):
@@ -296,7 +285,7 @@ def test_unknown_flag_is_usage_error():
 def test_determinism_byte_identical():
     invocations = [
         (("classify", "--vector", "golden", "--kmax", "3000"), ""),
-        (("classify", "--vector", "3/7", "--kmax", "50", "--format", "json"), ""),
+        (("classify", "--vector", "3/7", "--kmax", "50"), ""),
         (("cohomology", "--n", "3"), ""),
         (("rep", "character", "--p", "3", "--eta", "2/3", "--alpha", "0.25",
           "--range", "2"), ""),
@@ -378,16 +367,6 @@ def test_solve_keeps_its_message_where_more_precision_resolves(tmp_path):
     assert r.stderr == "error[precision]: divisor at k=(1, -1) is not resolved at 64 input bits\n"
 
 
-def test_solve_json_writes_the_out_file(tmp_path):
-    g = tmp_path / "g.coef"
-    g.write_text("dim=1\n1 1 0\n", encoding="utf-8")
-    out = tmp_path / "f.coef"
-    r = run_cli("solve", "--g", str(g), "--u", "1/4", "--format", "json", "--out", str(out))
-    assert r.returncode == 0
-    assert json.loads(r.stdout)["f"] == [{"k": [1], "re": 0.5, "im": 0.5}]
-    assert out.read_text(encoding="utf-8") == run_cli("solve", "--g", str(g), "--u", "1/4").stdout
-
-
 def test_solve_computes_the_residual_once_per_grid(monkeypatch):
     from heisencoh import cli, coboundary
 
@@ -395,7 +374,7 @@ def test_solve_computes_the_residual_once_per_grid(monkeypatch):
     real = coboundary._residual
     monkeypatch.setattr(coboundary, "_residual",
                         lambda f, g, divs, n: grids.append(n) or real(f, g, divs, n))
-    argv = ["solve", "--g", str(Path(__file__).parent / "golden" / "solve_g_dim2_r8.txt"),
+    argv = ["solve", "--g", str(GOLDEN / "solve_g_dim2_r8.txt"),
             "--u", "golden,sqrt2"]
     # the default grid 2 R + 1 in solve
     assert cli.main(argv) == 0
@@ -461,18 +440,19 @@ def test_solve_verify_takes_the_residual_of_a_corrupted_reread(tmp_path, monkeyp
         return digest
 
     monkeypatch.setattr(cli, "write_coefficients", write)
-    g_path = Path(__file__).parent / "golden" / "solve_g_dim2_r8.txt"
+    g_path = GOLDEN / "solve_g_dim2_r8.txt"
     with open(g_path, encoding="utf-8") as fh:
         g = read_coefficients(fh)
     u = [PrecisionReal.parse("golden"), PrecisionReal.parse("sqrt2")]
-    argv = ["solve", "--g", str(g_path), "--u", "golden,sqrt2", "--verify", "--format", "json",
+    argv = ["solve", "--g", str(g_path), "--u", "golden,sqrt2", "--verify",
             "--out", str(tmp_path / "f.txt")]
     assert cli.main(argv) == 0
-    doc = json.loads(capsys.readouterr().out)
+    diag = dict(ln.split("=", 1) for ln in capsys.readouterr().out.splitlines() if " " not in ln)
     (f_back,) = written
     grid = coboundary.residual_grid(f_back, g)
-    assert doc["verify_residual"] == coboundary.residual(f_back, g, u, grid)
-    assert doc["verify_residual"] > 1e-4 > doc["residual_sup"]
+    # 17 significant digits give each double back
+    assert float(diag["verify_residual"]) == coboundary.residual(f_back, g, u, grid)
+    assert float(diag["verify_residual"]) > 1e-4 > float(diag["residual_sup"])
 
 
 def test_solve_verify_reads_the_out_file_when_its_bytes_differ(tmp_path, monkeypatch, capsys):
@@ -621,22 +601,6 @@ def test_solve_norms_memory_peak(tmp_path, capsys):
     assert peak < 10 * 2**20, peak
 
 
-def test_solve_json_memory_peak(tmp_path, monkeypatch):
-    # dim 2, R = 32 in JSON, written to a file: the document goes out a
-    # chunk at a time, so its text is never held whole.  The traced peak is
-    # about 2.8 MiB; joined first, it was 6.5 MiB.
-    g_path = _seeded_g(tmp_path / "g.txt", 2, 32)
-    argv = ["solve", "--g", str(g_path), "--u", "golden,sqrt2", "--verify", "--format", "json"]
-    with open(tmp_path / "out.json", "w", encoding="utf-8") as out:
-        monkeypatch.setattr(sys, "stdout", out)
-        peak = _traced_peak(argv)
-    text = (tmp_path / "out.json").read_text(encoding="utf-8")  # two runs, the same bytes
-    doc = json.loads(text[:len(text) // 2])
-    assert text == 2 * text[:len(text) // 2]
-    assert len(doc["f"]) == 65 * 65 - 1 and doc["verify_residual"] == doc["residual_sup"]
-    assert peak < 4 * 2**20, peak
-
-
 def test_classify_rounds_a_subnormal_distance_once():
     # 12 / 10^309 lies below the least normal double: rounded first to 53
     # bits and then at 2^-1074 it would print 1.2000000000000003e-308
@@ -665,3 +629,65 @@ def test_closed_stdout_is_not_a_domain_error():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 1
     assert err == b""
+
+
+G_DIM1, G_DIM2 = str(GOLDEN / "solve_g_dim1_r32.txt"), str(GOLDEN / "solve_g_dim2_r8.txt")
+FORMAT_COMMANDS = {
+    "classify": ["classify", "--vector", "golden", "--kmax", "10"],
+    "solve": ["solve", "--g", G_DIM1, "--u", "golden"],
+    "rep character": ["rep", "character", "--p", "2", "--range", "1"],
+    "rep matrix": ["rep", "matrix", "--p", "2", "--element", "0 0 1"],
+    "fan": ["fan", "--lambda", "1", "--xi", "3", "--n", "1"],
+    "sobolev": ["sobolev", "--f", G_DIM1, "--alpha", "0"],
+    "cohomology": ["cohomology", "--n", "1"],
+}
+
+
+@pytest.mark.parametrize("value", ["text", "json"])
+@pytest.mark.parametrize("command", sorted(FORMAT_COMMANDS))
+def test_format_is_a_usage_error(command, value, capsys):
+    # every command prints text only, and has no --format option
+    assert cli.main(FORMAT_COMMANDS[command] + ["--format", value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--format" in err
+
+
+@pytest.mark.parametrize("u, lines", [
+    # f_{+-1} = 1e308 / (1 - e^{+-2 pi i / 1000}) has an infinite part
+    ("1/1000", "1 1e308 0\n-1 1e308 0\n"),
+    # |f_{+-1}| is about 1e200: finite, but |f_k|^2 is not
+    ("golden", "1 1e200 1e200\n-1 1e200 -1e200\n"),
+])
+def test_solve_refuses_a_coefficient_it_cannot_measure(tmp_path, u, lines):
+    g = tmp_path / "g.coef"
+    g.write_text("dim=1\n" + lines, encoding="utf-8")
+    out = tmp_path / "f.coef"
+    r = run_cli("solve", "--g", str(g), "--u", u, "--verify", "--out", str(out))
+    assert (r.returncode, r.stdout) == (3, "")
+    # the least key in key order is named
+    assert r.stderr.startswith("error[domain]: f_k = g_k / d_k at k=(-1,) is ")
+    assert r.stderr.endswith(", whose |f_k|^2 is not a finite double\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, line", [
+    (["solve", "--g", G_DIM2, "--u", "golden,sqrt2", "--alpha-list", "400"],
+     "norm alpha=400 f=inf g=inf ratio=nan"),
+    (["solve", "--g", G_DIM1, "--u", "golden", "--alpha-list", "400"],
+     "norm alpha=400 f=inf g=inf ratio=nan"),
+    (["sobolev", "--f", G_DIM1, "--alpha", "400"], "norm=inf"),
+], ids=["solve-dim2", "solve-dim1", "sobolev"])
+def test_an_overflowing_norm_prints_inf(tmp_path, args, line):
+    if args[0] == "solve":
+        args = args + ["--out", str(tmp_path / "f.coef")]
+    r = run_cli(*args)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert line in r.stdout.splitlines()
+
+
+def test_a_field_of_zeros_has_sobolev_norm_0_at_any_alpha(tmp_path):
+    # the multiplier overflows a double at alpha 700, but f_hat is 0 at every node
+    f = tmp_path / "f.coef"
+    f.write_text("dim=1\n1 0 0\n-2 0 0\n", encoding="utf-8")
+    r = run_cli("sobolev", "--f", str(f), "--alpha", "700")
+    assert (r.returncode, r.stdout, r.stderr) == (0, "norm=0\n", "")

@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 import random
@@ -257,6 +258,19 @@ def test_sobolev_loss_uses_multiplier_norm_dim1():
     sol = solve(CoboundaryProblem(g, [GOLDEN]))
     rows, _ = sobolev_loss(sol, g, [1.5])
     assert rows[0]["f_norm"] == pytest.approx(sobolev_norm(sol.f, 1.5), rel=1e-12)
+
+
+def test_sobolev_loss_norm_is_inf_where_a_term_overflows():
+    # (1 + 300)^200 overflows a double: on the zero coefficient a file keeps
+    # it adds nothing, on a nonzero one the norm is inf
+    g = read_coefficients(io.StringIO("dim=2\n1 0 1 0\n300 0 0 0\n"))
+    sol = solve(CoboundaryProblem(g, [GOLDEN, GOLDEN]))
+    (row,), _ = sobolev_loss(sol, g, [100.0])
+    assert row["g_norm_shifted"] == 2.0**100 and math.isfinite(row["f_norm"])
+    g = read_coefficients(io.StringIO("dim=2\n1 0 1 0\n300 0 1 0\n"))
+    sol = solve(CoboundaryProblem(g, [GOLDEN, GOLDEN]))
+    (row,), _ = sobolev_loss(sol, g, [100.0])
+    assert row["f_norm"] == row["g_norm_shifted"] == math.inf and math.isnan(row["ratio"])
 
 
 # ---------------------------------------------------------------------------

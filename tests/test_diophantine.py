@@ -1,6 +1,5 @@
 import cmath
 import itertools
-import json
 import math
 import operator
 import random
@@ -314,7 +313,7 @@ def test_classify_fractional_s_grid():
     assert any(1.5 in w.levels for w in rep.witnesses)
     assert all(1.5 not in w.significant for w in rep.witnesses)
     # the level-1.5 range minima agree with a walk over every k
-    assert _check_against_every_k(golden, 4000, [1.5]).to_dict() == rep.to_dict()
+    assert _check_against_every_k(golden, 4000, [1.5]) == rep
 
 
 def test_classify_validation():
@@ -763,11 +762,6 @@ _WITNESS = re.compile(
 def _printed_witnesses(name):
     """(k, dist, levels, significant) of every witness the golden prints."""
     text = (GOLDEN / name).read_text(encoding="utf-8")
-    if name.endswith(".json"):
-        return [
-            (tuple(w["k"]), w["dist"], tuple(w["levels"]), tuple(w["significant"]))
-            for w in json.loads(text)["witnesses"]
-        ]
 
     def floats(field):
         return () if field == "-" else tuple(map(float, field.split(",")))
@@ -896,15 +890,6 @@ def _printed_values(name):
     (s, C, argmin_k, shell_min, shell_max), min_divisor, diophantine_c) as
     the golden `name` prints them."""
     text = (GOLDEN / name).read_text(encoding="utf-8")
-    if name.endswith(".json"):
-        doc = json.loads(text)
-        wit = [(tuple(w["k"]), w["dist"], w["divisor"], w["exponent"]) for w in doc["witnesses"]]
-        rows = [
-            (r["s"], r["c"], tuple(r["argmin_k"]), r["shell_min"], r["shell_max"])
-            for r in doc["s_table"] if r["argmin_k"]
-        ]
-        rec = [(tuple(r["k"]), r["divisor"]) for r in doc["records"]]
-        return wit, rec, rows, doc["min_divisor"], doc["diophantine_c"]
     wit, rec, rows, top = [], [], [], {}
     for line in text.splitlines():
         kind = line.split(" ", 1)[0]

@@ -374,4 +374,4 @@ def test_restriction_ratio_domain_errors():
     with pytest.raises(DomainError):
         restriction_ratio(sf, 0.5, 1.0)
     with pytest.raises(DomainError):
-        restriction_ratio(sf, 1.0, 1.0, eps=2.0)
+        restriction_ratio(sf, 1.0, -1.0)
