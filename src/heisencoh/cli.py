@@ -103,9 +103,11 @@ def _cmd_rep_matrix(args, out, err):
 
     P = _irrep_params(args)
     toks = args.element.split()
-    if len(toks) != 3:
-        raise ParseError("--element expects 'm k s'")
-    a = reps.SemidirectElement(int(toks[0]), int(toks[1]), int(toks[2]))
+    try:
+        m, k, s = map(int, toks)
+    except ValueError:
+        raise ParseError("--element expects 'm k s'") from None
+    a = reps.SemidirectElement(m, k, s)
     U = reps.irrep_matrix(P, a)
     for i in range(P.p):
         for j in range(P.p):
@@ -186,24 +188,14 @@ def _cmd_solve(args, out, err):
 
     with open(args.g, encoding="utf-8") as fh:
         g = read_coefficients(fh)
-    # f solves problem.g, which is g truncated by --truncation-radius: the
-    # norms and --verify measure f against it, as residual_sup does
-    problem = coboundary_mod.CoboundaryProblem(
-        g=g,
-        u=_parse_vector(args.u, args.prec),
-        resonance_tol=args.resonance_tol,
-        truncation_radius=args.truncation_radius,
-    )
-    del g
+    problem = coboundary_mod.CoboundaryProblem(g=g, u=_parse_vector(args.u, args.prec))
     try:
         sol = coboundary_mod.solve(problem)
     except PrecisionError as exc:
         _raise_if_dependent(exc, args.u, args.prec, f"is not resolved at {args.prec} input bits")
         raise
     alphas = _parse_floats(args.alpha_list, "--alpha-list")
-    if alphas:
-        rows, _ = coboundary_mod.sobolev_loss(sol, problem.g, alphas)
-        sol.norms = rows
+    norms = coboundary_mod.sobolev_loss(sol, g, alphas)[0] if alphas else []
 
     # f goes straight into the --out file, or to stdout at the end.
     # --verify takes f as read back when the file holds the bytes written,
@@ -219,12 +211,9 @@ def _cmd_solve(args, out, err):
             with open(args.out, encoding="utf-8") as fh:
                 f_back = read_coefficients(fh)
         if f_back is sol.f:
-            # solve took the residual of f against problem.g on the default
-            # grid: it is the same float
-            verify_residual = sol.residual_sup
+            verify_residual = sol.residual_sup  # the same float
         else:
-            grid = coboundary_mod.residual_grid(f_back, problem.g)
-            verify_residual = coboundary_mod.residual(f_back, problem.g, problem.u, grid)
+            verify_residual = coboundary_mod.residual(f_back, g, problem.u)
         del f_back
 
     if args.out:
@@ -235,7 +224,7 @@ def _cmd_solve(args, out, err):
     diag.write(f"min_divisor={'-' if sol.min_divisor is None else _fmt(sol.min_divisor)}\n")
     diag.write(f"argmin_k={_fmt_k(sol.argmin_k) if sol.argmin_k else '-'}\n")
     diag.write(f"residual_sup={_fmt(sol.residual_sup)}\n")
-    for row in sol.norms:
+    for row in norms:
         diag.write(
             f"norm alpha={_fmt(row['alpha'])} f={_fmt(row['f_norm'])} "
             f"g={_fmt(row['g_norm_shifted'])} ratio={_fmt(row['ratio'])}\n"
@@ -326,8 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     so.add_argument("--u", type=str, required=True, help="u1,..,un")
     so.add_argument("--prec", type=int, default=128)
     so.add_argument("--alpha-list", type=str, default="")
-    so.add_argument("--resonance-tol", type=float, default=1e-12)
-    so.add_argument("--truncation-radius", type=int, default=None)
     so.add_argument("--verify", action="store_true",
                     help="recheck the residual of f as the --out file holds it")
     so.add_argument("--out", type=str, default=None)

@@ -23,25 +23,21 @@ from .diophantine import (  # noqa: F401
     phase_distance,
 )
 from .errors import DomainError, NonzeroMeanError, PrecisionError, ResonanceError
-from .fourier import sobolev_norms
+from .fourier import MAX_POINTS, sobolev_norms
+
+# |g_0|, and |g_k| on a resonant mode, at most this count as zero.  A bound
+# on g's float data, not on the phase: a mode is resonant exactly when
+# <k, u> is an integer
+COEFF_TOL = 1e-12
 
 
 @dataclass
 class CoboundaryProblem:
     g: CoefficientField
     u: list  # translation vector; entries coerced to PrecisionReal
-    resonance_tol: float = 1e-12
-    truncation_radius: int | None = None
 
     def __post_init__(self):
-        tol, radius = self.resonance_tol, self.truncation_radius
-        if not (math.isfinite(tol) and tol >= 0):
-            raise DomainError(f"resonance tolerance must be finite and >= 0, got {tol!r}")
-        if radius is not None and radius < 0:
-            raise DomainError(f"truncation radius must be >= 0, got {radius!r}")
         self.u = _coerce_vector(self.u, self.g.dim)
-        if radius is not None:
-            self.g = self.g.truncate(radius)
 
 
 @dataclass
@@ -50,7 +46,6 @@ class CoboundarySolution:
     min_divisor: float | None
     argmin_k: tuple | None
     residual_sup: float | None = None
-    norms: list = field(default_factory=list)  # rows from sobolev_loss
     formal: bool = False
     formal_note: str = ""
     truncation_norms: list = field(default_factory=list)  # (radius, l2 of f)
@@ -72,32 +67,26 @@ def coboundary_from(f: CoefficientField, u) -> CoefficientField:
     return CoefficientField(f.dim, {k: v * divs[k] for k, v in f.items() if any(k)})
 
 
-def residual_grid(f: CoefficientField, g: CoefficientField) -> int:
-    """The default residual grid, max(2 max(R_f, R_g) + 1, 3): the least
-    on which no two modes of f or g alias."""
-    return max(2 * max(f.support_radius(), g.support_radius()) + 1, 3)
-
-
 def solve(problem: CoboundaryProblem, classification=None) -> CoboundarySolution:
     """Solve f - f o gamma = g coefficientwise.
 
-    Raises NonzeroMeanError when |g_0| exceeds the resonance tolerance,
-    ResonanceError when a vanishing divisor meets a non-negligible
-    coefficient, PrecisionError naming k for the least k (in key order)
-    whose divisor cannot be resolved, DomainError naming the least k whose
-    f_k = g_k / d_k is not finite or has |f_k|^2 past the largest double.
-    With a LiouvilleEvidence classification the solution is emitted but
-    flagged formal: truncation-norm growth is reported as evidence in either
-    case.
-    residual_sup is taken on ``residual_grid(f, g)``, with the divisors of
+    A mode is resonant exactly when <k, u> is an integer on the exact
+    ``_phase_grid``; there f_k = 0.  Raises NonzeroMeanError when |g_0|
+    exceeds COEFF_TOL, ResonanceError when a resonant mode has
+    |g_k| > COEFF_TOL, PrecisionError naming k for the least k (in key
+    order) whose divisor cannot be resolved, DomainError naming the least k
+    whose f_k = g_k / d_k is not finite or has |f_k|^2 past the largest
+    double.  With a LiouvilleEvidence classification the solution is
+    emitted but flagged formal: truncation-norm growth is reported as
+    evidence in either case.
+    residual_sup is taken as ``residual`` takes it, with the divisors of
     the division.
     """
     g = problem.g
     u = problem.u
-    tol = problem.resonance_tol
 
     mean = obstruction(g)
-    if abs(mean) > tol:
+    if abs(mean) > COEFF_TOL:
         raise NonzeroMeanError(mean)
 
     grid = _phase_grid(u)
@@ -117,12 +106,14 @@ def solve(problem: CoboundaryProblem, classification=None) -> CoboundarySolution
             raise PrecisionError(f"divisor at k={k} is not resolved at {prec} input bits", k)
         divs[k] = denom
         gk = entries[k]
-        div_abs = abs(denom)
-        if div_abs <= tol:
-            if abs(gk) > tol:
-                resonant.append((k, div_abs, abs(gk)))
+        if r == 0:
+            if abs(gk) > COEFF_TOL:
+                resonant.append((k, abs(gk)))
             continue  # negligible coefficient on a resonant mode: f_k = 0
-        fk = gk / denom
+        if denom:
+            fk = gk / denom
+        else:  # r / L is below the least subnormal, so d_k rounds to 0j
+            fk = math.inf if gk else 0j
         # |f_k|^2 enters the norms and must be a double; abs() raises where
         # |f_k| itself overflows, so the parts are bounded first
         if not (abs(fk.real) < 2.0**1000 and abs(fk.imag) < 2.0**1000
@@ -168,38 +159,37 @@ def solve(problem: CoboundaryProblem, classification=None) -> CoboundarySolution
             "formal solution: Liouville-type divisors; the norm may diverge "
             "as the truncation radius grows (see truncation_norms)"
         )
-    sol.residual_sup = _residual(f, g, divs, residual_grid(f, g))
+    sol.residual_sup = _residual(f, g, divs)
     return sol
 
 
-def residual(f: CoefficientField, g: CoefficientField, u, grid_size: int) -> float:
+def residual(f: CoefficientField, g: CoefficientField, u) -> float:
     """sup over the uniform grid of |f(x) - f(x + u) - g(x)|.
 
     f - f o gamma has the coefficients f_k (1 - e^{2 pi i <k, u>}).
     The coefficients of the difference minus g are placed at index k mod n
     of an n^dim array and summed at every grid point x = j / n by one
-    inverse FFT, in O(G log G) for G = n^dim points.  grid_size n must be at
-    least 2 * support_radius + 1: then distinct k in the support are
+    inverse FFT, in O(G log G) for G = n^dim points.  n = max(2R + 1, 3)
+    for the support radius R of f and g: then distinct k in the support are
     distinct mod n, so no two modes alias onto one index and the FFT sums
-    exactly the trigonometric polynomial.
+    exactly the trigonometric polynomial.  A grid of more than MAX_POINTS
+    points is a DomainError.
     """
     if f.dim != g.dim:
         raise DomainError("dimension mismatch between f and g")
     divs = _divisors(_coerce_vector(u, f.dim), f.keys())
-    return _residual(f, g, divs, grid_size)
+    return _residual(f, g, divs)
 
 
-def _residual(f, g, divisors, grid_size):
+def _residual(f, g, divisors):
     radius = max(f.support_radius(), g.support_radius())
-    n = int(grid_size)
-    if n < 2 * radius + 1:
-        raise DomainError(
-            f"grid_size {n} undersamples support radius {radius} "
-            f"(need at least {2 * radius + 1})"
-        )
+    n = max(2 * radius + 1, 3)
     f_keys = [k for k in f._entries if any(k)]
     if not f_keys and not len(g):
         return 0.0
+    if n ** f.dim > MAX_POINTS:
+        raise DomainError(f"support radius {radius} needs {n}^{f.dim} residual grid points, "
+                          "more than 2^26")
     # the coefficients of f - f o gamma - g, placed at k mod n; no two keys
     # share an index, so each slot is f_k d_k - g_k as one difference
     vals = np.zeros((n,) * f.dim, dtype=complex)

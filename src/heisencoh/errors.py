@@ -51,8 +51,8 @@ class ResonanceError(DomainError):
     """Vanishing divisors meet nonvanishing coefficients; modes are unsolvable."""
 
     def __init__(self, modes):
-        ks = ", ".join(str(k) for k, _, _ in modes[:8])
+        ks = ", ".join(str(k) for k, _ in modes[:8])
         more = "" if len(modes) <= 8 else f" (+{len(modes) - 8} more)"
         super().__init__(f"resonant modes at k = {ks}{more}")
-        # list of (k, divisor, coefficient magnitude)
+        # list of (k, coefficient magnitude); each divisor is 0
         self.modes = modes

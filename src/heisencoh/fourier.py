@@ -61,6 +61,10 @@ def fhat(f, xi) -> np.ndarray:
 
 _NODES = 24  # Gauss-Legendre nodes per panel of the Sobolev quadrature
 
+# the most points a Sobolev quadrature or a residual grid may take: as
+# complex doubles they fill 1 GiB, and a larger field is a DomainError
+MAX_POINTS = 1 << 26
+
 # numpy.polynomial.legendre.leggauss(24) as numpy 2.4.6 gives it, which is
 # symmetric: node 23 - i is -(node i), weight 23 - i is weight i.  Stored
 # here so the quadrature needs neither numpy.polynomial nor LAPACK.
@@ -176,6 +180,9 @@ def sobolev_norms(f, alphas) -> list[float]:
     if not any(f._entries.values()):  # no entries, or zeros as a file keeps them
         return [0.0 for _ in alphas]
     n_panels = max(4, f.support_radius())
+    if _NODES * n_panels > MAX_POINTS:
+        raise DomainError(f"support radius {n_panels} needs {_NODES * n_panels} quadrature "
+                          "nodes, more than 2^26")
     # f_hat is kept, a block at a time; the nodes, weights and multipliers
     # are taken again for each alpha, so no array spans every node
     blocks = list(_fhat_blocks(f, n_panels))

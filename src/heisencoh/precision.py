@@ -105,11 +105,11 @@ class PrecisionReal:
         t = text.strip().lower()
         if not t:
             raise DomainError("empty number")
+        if (t == "liouville" or t in _NAMED) and prec < 64:
+            raise DomainError("precision must be at least 64 bits")
         if t == "liouville":
             return liouville_constant(prec)
         if t in _NAMED:
-            if prec < 64:
-                raise DomainError("precision must be at least 64 bits")
             return cls(None, _NAMED[t](int(prec)), int(prec))
         try:
             if "/" in t:

@@ -116,9 +116,10 @@ def test_rep_matrix_swap():
     assert r.stdout == "0 0 0 0\n0 1 1 0\n1 0 1 0\n1 1 0 0\n"
 
 
-def test_rep_usage_error():
-    r = run_cli("rep", "matrix", "--p", "2", "--eta", "1/2", "--element", "0 0")
-    assert r.returncode == 3
+def test_rep_usage_error(capsys):
+    for element in ("0 0", "a b c", "0 0 1.5"):
+        assert cli.main(["rep", "matrix", "--p", "2", "--element", element]) == 3
+        assert capsys.readouterr() == ("", "error[parse]: --element expects 'm k s'\n")
     r = run_cli("rep", "character", "--p", "0", "--eta", "0", "--range", "1")
     assert r.returncode == 3
 
@@ -229,7 +230,7 @@ def test_solve_round_trip(tmp_path):
         f_parsed = read_coefficients(fh)
     with open(g, encoding="utf-8") as fh:
         g_parsed = read_coefficients(fh)
-    lib = residual(f_parsed, g_parsed, [Fraction(1, 4)], 3)
+    lib = residual(f_parsed, g_parsed, [Fraction(1, 4)])
     assert abs(lib - v) <= 1e-12
 
 
@@ -370,44 +371,40 @@ def test_solve_keeps_its_message_where_more_precision_resolves(tmp_path):
 def test_solve_computes_the_residual_once_per_grid(monkeypatch):
     from heisencoh import cli, coboundary
 
-    grids = []
+    calls = []
     real = coboundary._residual
-    monkeypatch.setattr(coboundary, "_residual",
-                        lambda f, g, divs, n: grids.append(n) or real(f, g, divs, n))
+    monkeypatch.setattr(coboundary, "_residual", lambda *a: calls.append(a) or real(*a))
     argv = ["solve", "--g", str(GOLDEN / "solve_g_dim2_r8.txt"),
             "--u", "golden,sqrt2"]
-    # the default grid 2 R + 1 in solve
     assert cli.main(argv) == 0
-    assert grids == [17]
+    assert len(calls) == 1
     # without --out nothing is read back, so --verify takes that residual
     assert cli.main(argv + ["--verify"]) == 0
-    assert grids == [17, 17]
-    # f solves the truncated g, and --verify checks it against that g: the
-    # residual solve took on its default grid 2 * 3 + 1
-    assert cli.main(argv + ["--verify", "--truncation-radius", "3"]) == 0
-    assert grids == [17, 17, 7]
+    assert len(calls) == 2
 
 
-def test_solve_has_no_grid_size_option(tmp_path):
+def test_solve_has_no_grid_size_option(tmp_path, capsys):
+    # nor a resonance tolerance or a truncation radius: each is a usage error
     g = tmp_path / "g.coef"
     g.write_text("dim=1\n1 1 0\n", encoding="utf-8")
-    r = run_cli("solve", "--g", str(g), "--u", "1/4", "--grid-size", "31")
-    assert r.returncode == 2 and "--grid-size" in r.stderr and r.stdout == ""
+    for option, value in [("--grid-size", "31"), ("--resonance-tol", "1e-30"),
+                          ("--truncation-radius", "3")]:
+        assert cli.main(["solve", "--g", str(g), "--u", "1/4", option, value]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and option in err, option
 
 
-@pytest.mark.parametrize("option, value, message", [
-    ("--resonance-tol", "nan", "resonance tolerance must be finite and >= 0, got nan"),
-    ("--resonance-tol", "-1", "resonance tolerance must be finite and >= 0, got -1.0"),
-    ("--resonance-tol", "inf", "resonance tolerance must be finite and >= 0, got inf"),
-    ("--resonance-tol", "-inf", "resonance tolerance must be finite and >= 0, got -inf"),
-    ("--truncation-radius", "-1", "truncation radius must be >= 0, got -1"),
+@pytest.mark.parametrize("option, value", [
+    ("--resonance-tol", "nan"), ("--resonance-tol", "-1"), ("--resonance-tol", "inf"),
+    ("--resonance-tol", "-inf"), ("--truncation-radius", "-1"),
 ])
-def test_solve_rejects_an_option_outside_its_domain(tmp_path, option, value, message):
-    # g holds the resonant mode 4 of u = 1/4 and a mean of 0
+def test_solve_takes_no_tuning_option(tmp_path, option, value):
+    # values the deleted options once refused as a domain error are now a usage error,
+    # on a g that holds the resonant mode 4 of u = 1/4 and a mean of 0
     g = tmp_path / "g.coef"
     g.write_text("dim=1\n0 0 0\n4 1 0\n1 1 0\n", encoding="utf-8")
     r = run_cli("solve", "--g", str(g), "--u", "1/4", "--verify", option + "=" + value)
-    assert (r.returncode, r.stdout, r.stderr) == (3, "", f"error[domain]: {message}\n")
+    assert (r.returncode, r.stdout) == (2, "") and option in r.stderr
 
 
 @pytest.mark.parametrize("part", ["nan", "inf", "-inf", "1e400"])
@@ -449,9 +446,8 @@ def test_solve_verify_takes_the_residual_of_a_corrupted_reread(tmp_path, monkeyp
     assert cli.main(argv) == 0
     diag = dict(ln.split("=", 1) for ln in capsys.readouterr().out.splitlines() if " " not in ln)
     (f_back,) = written
-    grid = coboundary.residual_grid(f_back, g)
     # 17 significant digits give each double back
-    assert float(diag["verify_residual"]) == coboundary.residual(f_back, g, u, grid)
+    assert float(diag["verify_residual"]) == coboundary.residual(f_back, g, u)
     assert float(diag["verify_residual"]) > 1e-4 > float(diag["residual_sup"])
 
 
@@ -515,8 +511,7 @@ def test_solve_verify_reads_the_out_file_when_its_bytes_differ(tmp_path, monkeyp
         monkeypatch.setattr(cli, "write_coefficients", write)
         try:
             f_back = read_coefficients(io.StringIO(variant))
-            grid = coboundary.residual_grid(f_back, g)
-            v = coboundary.residual(f_back, g, sol_u, grid)
+            v = coboundary.residual(f_back, g, sol_u)
             want = 0, f"verify_residual={cli._fmt(v)}\n"
         except ParseError as exc:
             want = 3, f"error[parse]: {exc}\n"
@@ -657,6 +652,8 @@ def test_format_is_a_usage_error(command, value, capsys):
     ("1/1000", "1 1e308 0\n-1 1e308 0\n"),
     # |f_{+-1}| is about 1e200: finite, but |f_k|^2 is not
     ("golden", "1 1e200 1e200\n-1 1e200 -1e200\n"),
+    # the phases +-10^-400 are no integers, but their divisors round to 0j
+    pytest.param("1/1" + "0" * 400, "1 1 0\n-1 1 0\n", id="1/10^400"),
 ])
 def test_solve_refuses_a_coefficient_it_cannot_measure(tmp_path, u, lines):
     g = tmp_path / "g.coef"
@@ -691,3 +688,65 @@ def test_a_field_of_zeros_has_sobolev_norm_0_at_any_alpha(tmp_path):
     f.write_text("dim=1\n1 0 0\n-2 0 0\n", encoding="utf-8")
     r = run_cli("sobolev", "--f", str(f), "--alpha", "700")
     assert (r.returncode, r.stdout, r.stderr) == (0, "norm=0\n", "")
+
+
+def test_solve_divides_a_divisor_below_the_data_tolerance(tmp_path, capsys):
+    # <+-1, u> = +-10^-15 is no integer, so the modes are not resonant,
+    # though |d_{+-1}| (about 6.3e-15) is below the 1e-12 tolerance on g
+    import io
+    from fractions import Fraction
+
+    from heisencoh.coefficients import read_coefficients
+    from heisencoh.diophantine import complex_divisor
+
+    g = tmp_path / "g.coef"
+    g.write_text("dim=1\n1 1 0\n-1 1 0\n", encoding="utf-8")
+    assert cli.main(["solve", "--g", str(g), "--u", "1/1000000000000000"]) == 0
+    out, err = capsys.readouterr()
+    f = dict(read_coefficients(io.StringIO(out)).items())
+    assert f == {(-1,): complex(0.49999999999999994, -159154943091895.34),
+                 (1,): complex(0.49999999999999994, 159154943091895.34)}
+    for k, fk in f.items():
+        assert fk * complex_divisor([Fraction(1, 10**15)], k) == pytest.approx(1, rel=1e-15)
+    diag = dict(ln.split("=", 1) for ln in err.splitlines() if " " not in ln)
+    assert diag["argmin_k"] == "-1" and float(diag["residual_sup"]) < 1e-28
+
+
+WIDE = 10**24
+
+
+@pytest.mark.parametrize("command, lines, message", [
+    (["solve", "--u", "golden"], f"dim=1\n{WIDE} 1 0\n-{WIDE} 1 0\n",
+     f"support radius {WIDE} needs {2 * WIDE + 1}^1 residual grid points, more than 2^26"),
+    (["sobolev", "--alpha", "1"], f"dim=1\n{WIDE} 1 0\n-{WIDE} 1 0\n",
+     f"support radius {WIDE} needs {24 * WIDE} quadrature nodes, more than 2^26"),
+    # 8193^2 is just above 2^26, and 24 * 2796203 too
+    (["solve", "--u", "golden,sqrt2"], "dim=2\n4096 0 1 0\n-4096 0 1 0\n",
+     "support radius 4096 needs 8193^2 residual grid points, more than 2^26"),
+    (["sobolev", "--alpha", "1"], "dim=1\n2796203 1 0\n",
+     "support radius 2796203 needs 67108872 quadrature nodes, more than 2^26"),
+], ids=["solve-1e24", "sobolev-1e24", "solve-dim2-4096", "sobolev-2796203"])
+def test_a_field_too_wide_for_numpy_is_a_domain_error(tmp_path, monkeypatch, capsys,
+                                                      command, lines, message):
+    # refused before any array is allocated
+    import numpy as np
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.zeros called")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    g = tmp_path / "g.coef"
+    g.write_text(lines, encoding="utf-8")
+    flag = "--g" if command[0] == "solve" else "--f"
+    assert cli.main([*command, flag, str(g)]) == 3
+    assert capsys.readouterr() == ("", f"error[domain]: {message}\n")
+
+
+@pytest.mark.parametrize("prec", ["-3", "0", "63"])
+def test_liouville_needs_64_bits_like_every_named_constant(tmp_path, capsys, prec):
+    g = tmp_path / "g.coef"
+    g.write_text("dim=1\n1 1 0\n", encoding="utf-8")
+    for argv in (["classify", "--vector", "liouville", "--kmax", "10"],
+                 ["solve", "--g", str(g), "--u", "liouville"]):
+        assert cli.main(argv + ["--prec", prec]) == 3, argv
+        assert capsys.readouterr() == ("", "error[domain]: precision must be at least 64 bits\n")

@@ -143,26 +143,19 @@ def test_hermitian_symmetry_preserved():
 
 def test_residual_zero_and_exact():
     z = CoefficientField(1, {})
-    assert residual(z, z, [Fraction(1, 3)], 5) == 0.0
+    assert residual(z, z, [Fraction(1, 3)]) == 0.0
 
 
 def test_residual_detects_perturbation():
     g = coboundary_from(random_field(10), [GOLDEN])
     sol = solve(CoboundaryProblem(g, [GOLDEN]))
-    base = residual(sol.f, g, [GOLDEN], 64)
+    base = residual(sol.f, g, [GOLDEN])
     assert base < 1e-12
     # perturb f_1 by 1e-3: residual jumps by about |1 - e^{2 pi i u}| * 1e-3
     bumped = dict(sol.f.items())
     bumped[(1,)] = bumped.get((1,), 0j) + 1e-3
     fb = CoefficientField(1, bumped)
-    assert residual(fb, g, [GOLDEN], 64) >= 1e-4
-
-
-def test_residual_undersampled_grid():
-    g = coboundary_from(random_field(10), [GOLDEN])
-    sol = solve(CoboundaryProblem(g, [GOLDEN]))
-    with pytest.raises(DomainError):
-        residual(sol.f, g, [GOLDEN], 11)
+    assert residual(fb, g, [GOLDEN]) >= 1e-4
 
 
 def test_residual_dim2():
@@ -213,12 +206,6 @@ def test_precision_error_on_unresolved_divisor():
     g = CoefficientField(1, {(3,): 1.0})
     with pytest.raises(PrecisionError):
         solve(CoboundaryProblem(g, [u]))
-
-
-def test_truncation_radius_option():
-    g = random_field(12)
-    p = CoboundaryProblem(g, [GOLDEN], truncation_radius=5)
-    assert p.g.support_radius() <= 5
 
 
 def test_formal_flag_for_liouville():
@@ -534,15 +521,17 @@ def test_each_divisor_is_evaluated_once_per_solve_command(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("dim,radius,extra", [(1, 12, 0), (1, 7, 9), (2, 5, 0), (2, 4, 6), (3, 2, 3)])
 def test_fft_residual_matches_direct_summation(dim, radius, extra):
+    # g reaches up to extra modes further than f; the FFT's grid is the
+    # default max(2R + 1, 3)
     u = [GOLDEN, Fraction(1, 7), PrecisionReal.parse("sqrt2", 128)][:dim]
     f = random_field(radius, dim=dim)
-    g = random_field(radius, dim=dim)
+    g = random_field(radius + extra, dim=dim)
     assert any(c < 0 for k in f.keys() for c in k)
-    n = 2 * max(f.support_radius(), g.support_radius()) + 1 + extra
+    n = 2 * max(f.support_radius(), g.support_radius()) + 1
     tol = 1e-14 * (f.norm_l1() + g.norm_l1())
     for v in (u, negated(u)):
         want = reference_residual(f, g, v, n)
-        assert abs(residual(f, g, v, n) - want) <= tol
+        assert abs(residual(f, g, v) - want) <= tol
 
 
 def test_fft_residual_matches_direct_summation_on_a_perturbed_solution():
@@ -552,8 +541,9 @@ def test_fft_residual_matches_direct_summation_on_a_perturbed_solution():
     bumped[(1,)] = bumped.get((1,), 0j) + 1e-3
     fb = CoefficientField(1, bumped)
     tol = 1e-14 * (fb.norm_l1() + g.norm_l1())
+    n = 2 * g.support_radius() + 1
     for f in (sol.f, fb):
-        assert abs(residual(f, g, [GOLDEN], 64) - reference_residual(f, g, [GOLDEN], 64)) <= tol
+        assert abs(residual(f, g, [GOLDEN]) - reference_residual(f, g, [GOLDEN], n)) <= tol
 
 
 def inexact(man, exp, prec=64):
@@ -578,7 +568,7 @@ def inexact(man, exp, prec=64):
 )
 def test_precision_error_exactly_at_the_resolution_bound(u, k, raises):
     g = CoefficientField(len(k), {k: 1.0})
-    problem = CoboundaryProblem(g, u, resonance_tol=1e-30)
+    problem = CoboundaryProblem(g, u)
     if raises:
         with pytest.raises(PrecisionError):
             solve(problem)
@@ -593,12 +583,19 @@ def test_declared_precision_is_checked_on_exact_truncations():
     g = CoefficientField(1, {(10**24,): 1.0, (-(10**24),): 1.0})
     with pytest.raises(PrecisionError, match="not resolved at 128"):
         solve(CoboundaryProblem(g, [liouville_constant(128)]))
-    # at 420 bits the phase 10^-96 is resolved, and its divisor is a
-    # resonance below the tolerance
-    with pytest.raises(ResonanceError) as ei:
+    # at 420 bits the phase 10^-96 is resolved and divided, but no residual
+    # grid holds 2 * 10^24 + 1 points
+    with pytest.raises(DomainError, match=f"support radius {10**24} needs"):
         solve(CoboundaryProblem(g, [liouville_constant(420)]))
-    assert [k for k, _, _ in ei.value.modes] == [(-(10**24),), (10**24,)]
-    assert all(0 < d < 1e-94 for _, d, _ in ei.value.modes)
+    # k = 10^6 has the phase 10^-18, resolved at 128 bits, and a divisor of
+    # about 6e-18 that is divided like any other
+    t = liouville_constant(128)
+    ks = [(-(10**6),), (10**6,)]
+    assert [phase_distance([t], k)[0] for k in ks] == [Fraction(1, 10**18)] * 2
+    sol = solve(CoboundaryProblem(CoefficientField(1, dict.fromkeys(ks, 1.0)), [t]))
+    for k in ks:
+        assert sol.f.get(k) * complex_divisor([t], k) == pytest.approx(1, rel=1e-15)
+    assert sol.residual_sup < 1e-14
 
 
 def test_mixed_vector_with_a_rational_resonance():

@@ -148,7 +148,7 @@ calls = {
     "CoboundaryProblem": lambda: CoboundaryProblem(g, u).u,
     "coboundary_from": lambda: sorted(g.items()),
     "obstruction": lambda: obstruction(g),
-    "residual": lambda: residual(f, g, u, 9),
+    "residual": lambda: residual(f, g, u),
     "solve": lambda: solve(CoboundaryProblem(g, u)),
     "SampledFunction": lambda: sampled.dim,
     "dft": lambda: dft([1, 2, 3]).tolist(),
