@@ -16,14 +16,13 @@ _EXPORTS = {
     for module, names in {
         "heisenberg": (
             "G1", "G2", "G3", "IDENTITY", "HeisElement", "HeisElementN", "NormalForm",
-            "commutator", "conjugate", "inverse", "is_central", "matrix_embed",
-            "multiply", "multiply_n", "normal_form", "reconstruct",
+            "commutator", "conjugate", "multiply_n", "normal_form", "reconstruct",
         ),
         "coefficients": ("CoefficientField", "read_coefficients", "write_coefficients"),
         "precision": ("PrecisionReal", "continued_fraction", "convergents", "liouville_constant"),
         "diophantine": ("ClassificationReport", "classify", "fan_member", "small_divisor"),
         "coboundary": ("CoboundaryProblem", "coboundary_from", "obstruction", "residual", "solve"),
-        "fourier": ("SampledFunction", "dft", "difference", "inverse_dft", "is_radial", "sobolev_norm"),
+        "fourier": ("dft", "inverse_dft", "sobolev_norm"),
         "representations": ("IrrepParams", "SemidirectElement", "character", "irrep_matrix"),
         "cohomology": ("AbelianGroupDesc", "binom", "cohomology_table"),
     }.items()

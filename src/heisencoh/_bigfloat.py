@@ -74,6 +74,10 @@ def double(man, exp):
         return math.inf if man > 0 else -math.inf
 
 
+# working bits at which each correctly rounded double is first evaluated
+START_BITS = 88
+
+
 def ziv(series, rnd, w):
     """The values v rounded by rnd(man, exp), from series(w) = ((lo, hi,
     exp), ...), one interval per value with lo 2**exp <= v <= hi 2**exp at w

@@ -13,7 +13,7 @@ import os
 import sys
 
 # Each handler imports the modules it needs, so a command loads only its
-# own: classify, group, fan and cohomology start without numpy or mpmath.
+# own: classify, group, rep, fan and cohomology start without numpy or mpmath.
 from .coefficients import file_digest, read_coefficients, write_coefficients
 from .errors import DomainError, HeisencohError, ParseError, PrecisionError
 
@@ -111,25 +111,27 @@ def _cmd_rep_matrix(args, out, err):
     U = reps.irrep_matrix(P, a)
     for i in range(P.p):
         for j in range(P.p):
-            out.write(f"{i} {j} {_fmt(U[i, j].real)} {_fmt(U[i, j].imag)}\n")
+            out.write(f"{i} {j} {_fmt(U[i][j].real)} {_fmt(U[i][j].imag)}\n")
     return 0
 
 
 def _raise_if_dependent(exc, text, prec, what):
     """Raise a PrecisionError naming a rational dependence when exc, a
     PrecisionError at mode k of the vector text parsed at prec bits, has
-    <k, t> still an integer with text parsed at 2 prec bits, taken exactly
-    on ``_phase_grid``; what says how the divisor at k failed.  Return
-    otherwise, so the caller raises exc."""
+    <k, t> still an integer with text parsed at 2 prec bits (at most
+    MAX_PREC), taken exactly on ``_phase_grid``; what says how the divisor
+    at k failed.  Return otherwise, so the caller raises exc."""
     from .diophantine import _phase, _phase_grid
+    from .precision import MAX_PREC
 
-    if exc.k is None:
+    bits = min(2 * prec, MAX_PREC)
+    if exc.k is None or bits <= prec:
         return
-    scaled, modulus = _phase_grid([c.fractional_part() for c in _parse_vector(text, 2 * prec)])
+    scaled, modulus = _phase_grid([c.fractional_part() for c in _parse_vector(text, bits)])
     if _phase(scaled, modulus, exc.k)[0] == 0:
         raise PrecisionError(
             f"divisor at k={exc.k} {what}, and <k, t> is still an integer at "
-            f"{2 * prec} bits: the components look rationally dependent, and "
+            f"{bits} bits: the components look rationally dependent, and "
             "more precision will not help", exc.k
         ) from None
 

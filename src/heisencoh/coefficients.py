@@ -130,21 +130,6 @@ class CoefficientField:
                 return False
         return True
 
-    def evaluate(self, points):
-        """Evaluate sum_k c_k exp(2 pi i <k, x>) at points (m, dim); a flat
-        array is read as m scalar points when dim is 1."""
-        import numpy as np
-
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1) if self.dim == 1 else pts.reshape(1, -1)
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise DimensionMismatchError("point dimension mismatch")
-        out = np.zeros(pts.shape[0], dtype=complex)
-        for k, v in self.items():
-            out += v * np.exp(2j * np.pi * (pts @ np.asarray(k, dtype=float)))
-        return out
-
 
 def write_coefficients(field: CoefficientField, fh) -> bytes:
     """Write field to fh, an open text file, in the format above: ascending

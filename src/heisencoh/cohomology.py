@@ -37,16 +37,6 @@ class AbelianGroupDesc:
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
-    def render(self) -> str:
-        parts = []
-        if self.free_rank == 1:
-            parts.append("Z")
-        elif self.free_rank > 1:
-            parts.append(f"Z^{self.free_rank}")
-        for d, mult in self.torsion:
-            parts.append(f"Z/{d}" + (f"^{mult}" if mult > 1 else ""))
-        return " + ".join(parts) if parts else "0"
-
     def torsion_text(self) -> str:
         if not self.torsion:
             return "-"

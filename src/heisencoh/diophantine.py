@@ -32,9 +32,6 @@ from . import _scan
 from .errors import DomainError, PrecisionError
 from .precision import PrecisionReal
 
-# working bits at which each correctly rounded value is first evaluated
-_START_BITS = 88
-
 # range minima whose intervals still overlap at this many working bits are
 # taken as equal (see ``_least``)
 TIE_BITS = 1024
@@ -129,7 +126,7 @@ def iter_divisors(grid, keys):
                 (sl, sh, se), (cl, ch, ce) = bf.sin_cos_pi(r, modulus, w)
                 return (2 * sl * sl, 2 * sh * sh, 2 * se), (2 * sl * cl, 2 * sh * ch, se + ce)
 
-            re, im = bf.ziv(series, bf.double, _START_BITS)
+            re, im = bf.ziv(series, bf.double, bf.START_BITS)
             d = by_distance[r] = complex(re, -im)
         # conjugate() negates the imaginary part exactly: sign -1
         yield k, r, d if sign == 1 else d.conjugate()
@@ -401,7 +398,7 @@ def _exponent(rp, modulus, norm, w):
 
 def _double(series):
     """The correctly rounded double of the value of series(w) = (lo, hi, exp)."""
-    return bf.ziv(lambda w: (series(w),), bf.double, _START_BITS)[0]
+    return bf.ziv(lambda w: (series(w),), bf.double, bf.START_BITS)[0]
 
 
 def _divisor(rp, modulus):

@@ -13,10 +13,6 @@ class DimensionMismatchError(DomainError):
     """Operands carry incompatible lattice dimensions."""
 
 
-class DegenerateInputError(DomainError):
-    """Input has no usable structure (empty grid, empty shells, ...)."""
-
-
 class ParseError(HeisencohError, ValueError):
     """Malformed text input; carries the offending line number when known."""
 

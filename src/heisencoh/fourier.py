@@ -1,4 +1,4 @@
-"""Discrete Fourier transforms, the difference operator, and Sobolev norms.
+"""Discrete Fourier transforms, the transform on Z, and Sobolev norms.
 
 Conventions, fixed once:
 
@@ -12,13 +12,12 @@ Conventions, fixed once:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from .coefficients import CoefficientField
-from .errors import DegenerateInputError, DomainError
+from .errors import DomainError
 
 
 def dft(values) -> np.ndarray:
@@ -37,16 +36,6 @@ def _as_field1(f) -> CoefficientField:
             raise DomainError("expected a one-dimensional coefficient field")
         return f
     return CoefficientField(1, f)
-
-
-def difference(f) -> CoefficientField:
-    """Forward difference (Delta f)(k) = f(k) - f(k-1) on finite support."""
-    f = _as_field1(f)
-    out = {}
-    for (k,), v in f.items():
-        out[(k,)] = out.get((k,), 0j) + v
-        out[(k + 1,)] = out.get((k + 1,), 0j) - v
-    return CoefficientField(1, out)
 
 
 def fhat(f, xi) -> np.ndarray:
@@ -200,108 +189,3 @@ def sobolev_norms(f, alphas) -> list[float]:
         math.sqrt(math.fsum(chain.from_iterable(terms(rows, fh, alpha) for rows, fh in blocks)))
         for alpha in alphas
     ]
-
-
-# ---------------------------------------------------------------------------
-# sampled functions on R^d
-
-
-@dataclass(frozen=True)
-class SampledFunction:
-    """Complex samples on an explicit grid of points in R^d."""
-
-    points: np.ndarray  # (m, d)
-    values: np.ndarray  # (m,)
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        vals = np.asarray(self.values, dtype=complex).ravel()
-        if pts.shape[0] == 0:
-            raise DegenerateInputError("sampled function has no points")
-        if pts.shape[0] != vals.shape[0]:
-            raise DomainError("points and values disagree in length")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def line(cls, xi, values):
-        xi = np.asarray(xi, dtype=float)
-        return cls(xi.reshape(-1, 1), values)
-
-    @property
-    def dim(self):
-        return self.points.shape[1]
-
-
-def is_radial(f: SampledFunction, tol: float) -> bool:
-    """True if samples are constant (within tol, max-norm) on each radius
-    shell; shells group sorted radii separated by gaps larger than tol."""
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    radii = np.linalg.norm(f.points, axis=1)
-    order = np.argsort(radii, kind="stable")
-    r_sorted = radii[order]
-    v_sorted = f.values[order]
-    boundaries = np.nonzero(np.diff(r_sorted) > tol)[0] + 1
-    for shell in np.split(np.arange(len(r_sorted)), boundaries):
-        vals = v_sorted[shell]
-        if np.max(np.abs(vals - vals.mean())) > tol:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# restriction inequality ratio
-
-
-def restriction_ratio(fhat_samples: SampledFunction, alpha, R) -> float:
-    """Ratio of the two sides of the restriction inequality for g = f|_Z.
-
-    LHS  = || (1 + |R Delta|)^alpha g ||_{l2}, computed through the
-           periodization g_hat(xi) = sum_j f_hat(xi + j),
-    RHS  = ( int_R |(1 + |2 pi xi R|)^alpha f_hat(xi)|^2 dxi )^(1/2).
-
-    On a uniform grid whose spacing divides 1 the periodization folds the
-    samples exactly (so integer translations of f leave the ratio invariant
-    to roundoff); other grids fall back to linear interpolation.  The result
-    is an empirical lower bound for the constant in the inequality; no
-    specific constant is ever asserted.  Zero input returns 0.
-    """
-    if alpha <= 0.5:
-        raise DomainError("the inequality requires alpha > 1/2")
-    if not R >= 0:
-        raise DomainError("need R >= 0")
-    if fhat_samples.dim != 1:
-        raise DomainError("restriction ratio is one-dimensional")
-    xi = fhat_samples.points[:, 0]
-    vals = fhat_samples.values
-    if np.allclose(vals, 0):
-        return 0.0
-    order = np.argsort(xi, kind="stable")
-    xi = xi[order]
-    vals = vals[order]
-
-    rhs_integrand = np.abs((1.0 + np.abs(2.0 * np.pi * xi * R)) ** alpha * vals) ** 2
-    rhs = math.sqrt(float(np.trapezoid(rhs_integrand, xi)))
-
-    spacings = np.diff(xi)
-    h = float(spacings[0]) if len(spacings) else 0.0
-    uniform = h > 0 and np.max(np.abs(spacings - h)) < 1e-9 * h
-    m = round(1.0 / h) if h > 0 else 0
-    if uniform and m > 0 and abs(1.0 / h - m) < 1e-6:
-        # exact fold: sample i sits at lattice index round(xi_i / h) mod m
-        ghat = np.zeros(m, dtype=complex)
-        idx = np.rint(xi / h).astype(int) % m
-        np.add.at(ghat, idx, vals)
-        grid = np.arange(m) / m
-    else:
-        n_grid = 4096
-        grid = (np.arange(n_grid) + 0.5) / n_grid
-        ghat = np.zeros(n_grid, dtype=complex)
-        for j in range(math.floor(xi[0]) - 1, math.ceil(xi[-1]) + 2):
-            shifted = grid + j
-            ghat = ghat + np.interp(shifted, xi, vals.real, left=0.0, right=0.0)
-            ghat = ghat + 1j * np.interp(shifted, xi, vals.imag, left=0.0, right=0.0)
-    mult = (1.0 + 2.0 * R * np.abs(np.sin(np.pi * grid))) ** alpha
-    lhs = math.sqrt(float(np.mean(np.abs(mult * ghat) ** 2)))
-    return lhs / rhs

@@ -15,12 +15,8 @@ width.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import DimensionMismatchError, DomainError, ParseError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,23 +47,12 @@ class HeisElement:
             n >>= 1
         return acc
 
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.y == 0 and self.z == 0
-
 
 IDENTITY = HeisElement(0, 0, 0)
 # generators: g1 shifts y, g2 shifts x, g3 shifts the central coordinate
 G1 = HeisElement(0, 1, 0)
 G2 = HeisElement(1, 0, 0)
 G3 = HeisElement(0, 0, 1)
-
-
-def multiply(a: HeisElement, b: HeisElement) -> HeisElement:
-    return a * b
-
-
-def inverse(a: HeisElement) -> HeisElement:
-    return a.inverse()
 
 
 def conjugate(a: HeisElement, b: HeisElement) -> HeisElement:
@@ -79,11 +64,6 @@ def commutator(a: HeisElement, b: HeisElement) -> HeisElement:
     """[a, b] = a b a^-1 b^-1, in either rank; lands in the centre with
     z = <a.x, b.y> - <b.x, a.y>."""
     return a * b * a.inverse() * b.inverse()
-
-
-def is_central(a: HeisElement) -> bool:
-    """True exactly when x and y vanish, in either rank."""
-    return not (any(a.x) or any(a.y)) if isinstance(a, HeisElementN) else a.x == a.y == 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,10 +125,6 @@ class HeisElementN:
         )
 
 
-def identity_n(n: int) -> HeisElementN:
-    return HeisElementN((0,) * n, (0,) * n, 0)
-
-
 def multiply_n(a: HeisElementN, b: HeisElementN) -> HeisElementN:
     """Product with cocycle <a.x, b.y>; for n = 1 this is the scalar law."""
     if a.n != b.n:
@@ -161,40 +137,12 @@ def multiply_n(a: HeisElementN, b: HeisElementN) -> HeisElementN:
     )
 
 
-def embed_scalar(a: HeisElement, n: int = 1) -> HeisElementN:
-    if n != 1:
-        raise DomainError("scalar elements embed at rank 1 only")
-    return HeisElementN((a.x,), (a.y,), a.z)
-
-
-def matrix_embed(a: HeisElementN) -> np.ndarray:
-    """Unitriangular (n+2) x (n+2) integer matrix; multiplicative for the
-    rank-n law.
-
-    Layout: first row (1, x_1..x_n, z), last column (z, y_1..y_n, 1)^T,
-    identity block in between.  Entries are Python integers (object dtype)
-    so products stay exact at any width.
-    """
-    import numpy as np
-
-    n = a.n
-    m = np.zeros((n + 2, n + 2), dtype=object)
-    for i in range(n + 2):
-        m[i, i] = 1
-    for i, xi in enumerate(a.x):
-        m[0, 1 + i] = xi
-    for i, yi in enumerate(a.y):
-        m[1 + i, n + 1] = yi
-    m[0, n + 1] = a.z
-    return m
-
-
 # ---------------------------------------------------------------------------
-# closed-form probes
+# closed-form probe
 #
-# Two closed forms quoted for conjugation and the bracket disagree with the
-# group law; the library only ever uses the group-law expansions above, and
-# these probes document the discrepancy.
+# A closed form quoted for the bracket disagrees with the group law; the
+# library only ever uses the group-law expansion above, and this probe
+# documents the discrepancy.
 
 
 @dataclass(frozen=True)
@@ -209,16 +157,6 @@ def commutator_closed_form_probe(a: HeisElement, b: HeisElement) -> ClosedFormPr
     law = commutator(a, b)
     quoted = HeisElement(0, 0, a.y * b.z - a.z * b.y)
     return ClosedFormProbe(law, quoted, law == quoted)
-
-
-def conjugation_closed_form_probe(a: HeisElement, b: HeisElement):
-    """Compare a b a^-1 and b a b^-1 against the quoted (x', y', z + y'x - xy).
-
-    Returns (conj(a, b), conj(b, a), quoted).  The quoted z-coordinate mixes
-    coordinates of both factors and matches neither order in general.
-    """
-    quoted = HeisElement(a.x, a.y, b.z + a.y * b.x - b.x * b.y)
-    return conjugate(a, b), conjugate(b, a), quoted
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,11 @@ from .errors import DomainError, PrecisionError
 
 DEFAULT_PREC = 128
 
+# the most bits a named constant is parsed at: the scans work on integers
+# of about that size, at a cost that grows as its square, so a larger
+# precision is a DomainError before any work
+MAX_PREC = 1 << 13
+
 def _golden(prec):
     """(sqrt(5) - 1) / 2 from sqrt(5) rounded to prec bits, then the difference
     and the halving, both exact; not rounded once, so that 2 golden - sqrt5
@@ -100,13 +105,17 @@ class PrecisionReal:
         """Parse 'p/q', a decimal literal, or a named constant.
 
         Named constants: golden ((sqrt(5)-1)/2), sqrt2, sqrt3, sqrt5, pi, e,
-        liouville (sum of 10^-j!, truncated far below the working precision).
+        liouville (sum of 10^-j!, truncated far below the working precision);
+        each needs 64 <= prec <= MAX_PREC.
         """
         t = text.strip().lower()
         if not t:
             raise DomainError("empty number")
-        if (t == "liouville" or t in _NAMED) and prec < 64:
-            raise DomainError("precision must be at least 64 bits")
+        if t == "liouville" or t in _NAMED:
+            if prec < 64:
+                raise DomainError("precision must be at least 64 bits")
+            if prec > MAX_PREC:
+                raise DomainError(f"precision must be at most {MAX_PREC} bits")
         if t == "liouville":
             return liouville_constant(prec)
         if t in _NAMED:

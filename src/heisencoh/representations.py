@@ -1,18 +1,14 @@
-"""Unitary actions of the discrete Heisenberg group and its semidirect form.
+"""Finite-dimensional unitary representations of the discrete Heisenberg
+group in its semidirect form.
 
-Three faces of the same group appear here:
-
-* triples (x, y, z) acting on functions over the integer lattice Z^2
-  (``translate_rep``) and, after Fourier conjugation at a fixed unit scalar
-  w, as multiplication-type operators on truncated Fourier series
-  (``mult_rep``);
-* the semidirect presentation ((m, k), s) of Z^2 x| Z with the star product,
-  carrying the finite-dimensional phase-permutation representations, their
-  characters, and an explicit automorphism twist.
+The semidirect presentation ((m, k), s) of Z^2 x| Z with the star product
+carries the phase-permutation representations and their characters.
 
 The p-dimensional representation is induced from the character
 exp(2 pi i (m xi + k eta + sigma alpha)) of the subgroup Z^2 x| pZ; it needs
-eta = q/p with gcd(q, p) = 1, which IrrepParams enforces.
+eta = q/p with gcd(q, p) = 1, which IrrepParams enforces.  Each phase is
+taken from its exact exponent: xi and alpha are doubles, so exact binary
+rationals, and eta is a Fraction.
 """
 
 from __future__ import annotations
@@ -21,11 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .coefficients import CoefficientField
+from . import _bigfloat as bf
 from .errors import DomainError
-from .heisenberg import HeisElement
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,100 +39,6 @@ class SemidirectElement:
         )
 
     __mul__ = star
-
-    def inverse(self) -> "SemidirectElement":
-        return SemidirectElement(-self.m, -self.k + self.m * self.s, -self.s)
-
-    def is_identity(self) -> bool:
-        return self.m == 0 and self.k == 0 and self.s == 0
-
-
-SEMIDIRECT_IDENTITY = SemidirectElement(0, 0, 0)
-
-
-def star(a: SemidirectElement, b: SemidirectElement) -> SemidirectElement:
-    return a.star(b)
-
-
-def star_variant_left_m(a: SemidirectElement, b: SemidirectElement) -> SemidirectElement:
-    """Alternative cocycle reading m_left * s_right.  Associative as well,
-    but fails ((m,k),0) * ((0,0),s) = ((m,k),s); kept only as a probe."""
-    return SemidirectElement(a.m + b.m, a.k + b.k + a.m * b.s, a.s + b.s)
-
-
-def automorphism_phi(a: SemidirectElement) -> SemidirectElement:
-    """((m, k), s) -> ((s + m, k + m(m-1)/2 + s m), m)."""
-    return SemidirectElement(
-        a.s + a.m,
-        a.k + (a.m * (a.m - 1)) // 2 + a.s * a.m,
-        a.m,
-    )
-
-
-def phi_homomorphism_probe(radius=4):
-    """Exhaustive check of phi(a*b) = phi(a)*phi(b) on |m|,|k|,|s| <= radius.
-
-    Returns (n_checked, n_failed, first_failure).  The map fails the
-    homomorphism law (the k-slot picks up an extra 2 m_b s_a), and this probe
-    records that outcome rather than assuming it.
-    """
-    rng = range(-radius, radius + 1)
-    n_checked = n_failed = 0
-    first = None
-    for ma in rng:
-        for ka in rng:
-            for sa in rng:
-                a = SemidirectElement(ma, ka, sa)
-                for mb in rng:
-                    for kb in rng:
-                        for sb in rng:
-                            b = SemidirectElement(mb, kb, sb)
-                            n_checked += 1
-                            lhs = automorphism_phi(a.star(b))
-                            rhs = automorphism_phi(a).star(automorphism_phi(b))
-                            if lhs != rhs:
-                                n_failed += 1
-                                if first is None:
-                                    first = (a, b, lhs, rhs)
-    return n_checked, n_failed, first
-
-
-# ---------------------------------------------------------------------------
-# lattice translation representation
-
-
-def lattice_action(g: HeisElement, s):
-    """Left action g.(n, k) = (n + n', k + k' + m' n) for g = (m', n', k')."""
-    n, k = s
-    return (n + g.y, k + g.z + g.x * n)
-
-
-def translate_rep(g: HeisElement, f: CoefficientField) -> CoefficientField:
-    """U_g f(s) = f(g^{-1}.s) on finitely supported f over Z^2."""
-    if f.dim != 2:
-        raise DomainError("lattice functions live on Z^2")
-    return CoefficientField(2, {lattice_action(g, s): v for s, v in f.items()})
-
-
-def mult_rep(g: HeisElement, c: CoefficientField, w: complex) -> CoefficientField:
-    """Fourier side of U_g at unit scalar w: f(z) -> f(z w^{m'}) z^{n'} w^{k'}.
-
-    On coefficients: degree d gains the phase w^{m' d}, degrees shift by n',
-    and the global phase w^{k'} applies.  Unitary on the coefficient l2 norm.
-    """
-    if abs(abs(w) - 1) > 1e-12:
-        raise DomainError(f"|w| = {abs(w)!r} is not on the unit circle")
-    if c.dim != 1:
-        raise DomainError("mult_rep acts on one-variable coefficient fields")
-    w = complex(w)
-    out = {}
-    for (d,), v in c.items():
-        out[(d + g.y,)] = v * w ** (g.x * d) * w ** g.z
-    return CoefficientField(1, out)
-
-
-# ---------------------------------------------------------------------------
-# finite-dimensional phase-permutation representations
 
 
 @dataclass(frozen=True)
@@ -175,48 +74,55 @@ class IrrepParams:
             raise DomainError("xi and alpha must lie in [0, 1)")
 
     @property
-    def is_irreducible(self) -> bool:
-        return self.p == 1 or self.eta.denominator == self.p
-
-    @property
     def eta_numerator(self) -> int:
         """q with eta = q/p (not necessarily reduced)."""
         return int(self.eta * self.p)
 
 
-def _phase(t: float) -> complex:
-    return complex(np.exp(2j * np.pi * t))
+def _phase(t: Fraction, scale: int = 1) -> complex:
+    """scale exp(2 pi i t) for a rational t, each part the correctly rounded
+    double of its exact value (``_bigfloat.sin_cos_pi`` through ``ziv``).
+
+    t is reduced mod 1, then to d = 2 t' in (0, 1/2] by the quadrant
+    symmetries, so the sine and cosine of pi d give both parts.  t = 0 and
+    t = 1/2 are exact, and sin_cos_pi makes d = 1/2 exact; at the other
+    rational values (Niven: cos 2 pi t = +-1/2, sin 2 pi t = +-1/2) scale
+    times the value is no rounding boundary, so ``ziv`` ends on them too.
+    """
+    t -= math.floor(t)
+    if not t:
+        return complex(scale)
+    im_sign = 1
+    if 2 * t > 1:
+        t, im_sign = 1 - t, -1
+    d, re_sign = 2 * t, 1  # t in (0, 1/2], so d in (0, 1]
+    if 2 * d > 1:
+        d, re_sign = 1 - d, -1
+    if not d:
+        return complex(-scale, 0.0)
+
+    def series(w):
+        (sl, sh, se), (cl, ch, ce) = bf.sin_cos_pi(d.numerator, d.denominator, w)
+        return (scale * cl, scale * ch, ce), (scale * sl, scale * sh, se)
+
+    re, im = bf.ziv(series, bf.double, bf.START_BITS)
+    return complex(re if re_sign == 1 else -re, im if im_sign == 1 else -im)
 
 
-def irrep_matrix(P: IrrepParams, a: SemidirectElement) -> np.ndarray:
-    """Matrix of the induced representation: basis vector e_j goes to
-    phase(j') e_{j'} with j' = (j - s) mod p and
+def irrep_matrix(P: IrrepParams, a: SemidirectElement) -> list[list[complex]]:
+    """Matrix of the induced representation, as a list of rows: basis vector
+    e_j goes to phase(j') e_{j'} with j' = (j - s) mod p and
     phase exponent m xi + (k + j' m) eta + floor((j' + s)/p) alpha.
 
-    The phase is evaluated at the target index j'; see
-    ``irrep_matrix_source_phase`` for the (non-multiplicative) variant that
-    evaluates it at the source index.
+    The phase is evaluated at the target index j'; at the source index j
+    the matrices would not be multiplicative for p > 1.
     """
     p = P.p
-    eta = float(P.eta)
-    U = np.zeros((p, p), dtype=complex)
+    xi, alpha = Fraction(P.xi), Fraction(P.alpha)
+    U = [[0j] * p for _ in range(p)]
     for j in range(p):
         jp = (j - a.s) % p
-        expo = a.m * P.xi + (a.k + jp * a.m) * eta + ((jp + a.s) // p) * P.alpha
-        U[jp, j] = _phase(expo)
-    return U
-
-
-def irrep_matrix_source_phase(P: IrrepParams, a: SemidirectElement) -> np.ndarray:
-    """Variant with the phase exponent taken at the source index j.  Fails
-    the homomorphism law for p > 1; retained as a probe."""
-    p = P.p
-    eta = float(P.eta)
-    U = np.zeros((p, p), dtype=complex)
-    for j in range(p):
-        jp = (j - a.s) % p
-        expo = a.m * P.xi + (a.k + j * a.m) * eta + ((j + a.s) // p) * P.alpha
-        U[jp, j] = _phase(expo)
+        U[jp][j] = _phase(a.m * xi + (a.k + jp * a.m) * P.eta + (jp + a.s) // p * alpha)
     return U
 
 
@@ -228,28 +134,7 @@ def character(P: IrrepParams, a: SemidirectElement) -> complex:
     p = P.p
     if a.s % p or (a.m * P.eta_numerator) % p:
         return 0j
-    expo = a.m * P.xi + a.k * float(P.eta) + (a.s // p) * P.alpha
-    return p * _phase(expo)
-
-
-def twisted_character(P: IrrepParams, a: SemidirectElement) -> complex:
-    """Character of the phi-twisted representation, defined as chi(phi(a))."""
-    return character(P, automorphism_phi(a))
-
-
-def twisted_character_closed_variant(P: IrrepParams, a: SemidirectElement) -> complex:
-    """A closed form sometimes quoted for the twisted character; its support
-    condition and exponent disagree with chi(phi(a)) (probe only)."""
-    p = P.p
-    if a.s % p or a.m % p:
-        return 0j
-    eta = float(P.eta)
-    expo = (
-        (a.s + a.m) * eta
-        + (-a.k + (a.m * (a.m - 1)) // 2 + a.s * a.m) * eta
-        + (a.m / p) * P.alpha
-    )
-    return p * _phase(expo)
+    return _phase(a.m * Fraction(P.xi) + a.k * P.eta + a.s // p * Fraction(P.alpha), p)
 
 
 def character_table(P: IrrepParams, radius: int):
@@ -261,16 +146,3 @@ def character_table(P: IrrepParams, radius: int):
             for s in rng:
                 rows.append((m, k, s, character(P, SemidirectElement(m, k, s))))
     return rows
-
-
-def orbit_step(xi, eta, s: int):
-    """One step of the dual torus action: (xi, eta) -> (frac(xi + s eta), eta).
-
-    Exact for Fraction inputs, float otherwise.
-    """
-    if isinstance(xi, Fraction) or isinstance(eta, Fraction):
-        x = Fraction(xi) + s * Fraction(eta)
-        x -= x.numerator // x.denominator
-        return x, Fraction(eta)
-    x = xi + s * eta
-    return x - math.floor(x), eta

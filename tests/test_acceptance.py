@@ -150,7 +150,7 @@ def test_c04_representations():
                 for k in range(-2 * p, 2 * p + 1):
                     for s in range(-2 * p, 2 * p + 1):
                         a = SemidirectElement(m, k, s)
-                        U = irrep_matrix(P, a)
+                        U = np.array(irrep_matrix(P, a))
                         assert np.max(np.abs(U.conj().T @ U - eye)) < 1e-12
                         chi = character(P, a)
                         assert abs(chi - np.trace(U)) < 1e-10

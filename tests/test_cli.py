@@ -750,3 +750,31 @@ def test_liouville_needs_64_bits_like_every_named_constant(tmp_path, capsys, pre
                  ["solve", "--g", str(g), "--u", "liouville"]):
         assert cli.main(argv + ["--prec", prec]) == 3, argv
         assert capsys.readouterr() == ("", "error[domain]: precision must be at least 64 bits\n")
+
+
+@pytest.mark.parametrize("vector", ["pi", "golden,sqrt2", "liouville"])
+def test_a_precision_above_max_prec_is_refused_before_any_work(tmp_path, capsys, vector):
+    from heisencoh.precision import MAX_PREC
+
+    g = tmp_path / "g.coef"
+    g.write_text("dim=1\n1 1 0\n-1 1 0\n", encoding="utf-8")
+    for argv in (["classify", "--vector", vector, "--kmax", "1000000"],
+                 ["solve", "--g", str(g), "--u", vector]):
+        start = time.perf_counter()
+        assert cli.main(argv + ["--prec", str(MAX_PREC + 1)]) == 3, argv
+        assert time.perf_counter() - start < 0.2, argv
+        assert capsys.readouterr() == (
+            "", f"error[domain]: precision must be at most {MAX_PREC} bits\n"
+        )
+
+
+def test_max_prec_itself_still_runs(tmp_path, capsys):
+    from heisencoh.precision import MAX_PREC
+
+    g = tmp_path / "g.coef"
+    g.write_text("dim=1\n1 1 0\n-1 1 0\n", encoding="utf-8")
+    assert cli.main(["classify", "--vector", "pi", "--kmax", "10", "--prec", str(MAX_PREC)]) == 0
+    out = capsys.readouterr().out
+    assert "verdict=" in out and f"precision_bits={MAX_PREC}\n" in out
+    assert cli.main(["solve", "--g", str(g), "--u", "e", "--prec", str(MAX_PREC)]) == 0
+    assert capsys.readouterr().err.startswith("min_divisor=")

@@ -102,25 +102,6 @@ def test_norms_and_hermitian():
     assert not CoefficientField(1, {(1,): 1j}).is_hermitian()
 
 
-def test_evaluate_dim1_flat_points():
-    f = CoefficientField(1, {(2,): 1.0})
-    xs = np.array([0.0, 0.25, 0.5])
-    vals = f.evaluate(xs)
-    assert np.max(np.abs(vals - np.exp(2j * np.pi * 2 * xs))) < 1e-12
-
-
-def test_evaluate_matches_series():
-    f = CoefficientField(2, {(1, 0): 1.0, (0, 2): 2j})
-    pts = np.array([[0.25, 0.5], [0.1, 0.9]])
-    direct = np.array(
-        [
-            np.exp(2j * np.pi * x) + 2j * np.exp(2j * np.pi * 2 * y)
-            for x, y in pts
-        ]
-    )
-    assert np.max(np.abs(f.evaluate(pts) - direct)) < 1e-12
-
-
 def test_dim_checks():
     with pytest.raises(DomainError):
         CoefficientField(0, {})

@@ -79,9 +79,7 @@ def test_torsion_appears_and_is_normalized():
 
 
 def test_render():
-    assert AbelianGroupDesc(0).render() == "0"
-    assert AbelianGroupDesc(1).render() == "Z"
-    assert AbelianGroupDesc(2, ((2, 1), (6, 2))).render() == "Z^2 + Z/2 + Z/6^2"
+    assert AbelianGroupDesc(2, ((2, 1), (6, 2))).torsion_text() == "2^1+6^2"
     assert AbelianGroupDesc(0, ((3, 1),)).torsion_text() == "3^1"
     assert AbelianGroupDesc(1).torsion_text() == "-"
 

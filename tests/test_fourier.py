@@ -5,20 +5,16 @@ import numpy as np
 import pytest
 
 from heisencoh.coefficients import CoefficientField
-from heisencoh.errors import DegenerateInputError, DomainError
+from heisencoh.errors import DomainError
 from heisencoh.fourier import (
     _NODES,
-    SampledFunction,
     _fhat_blocks,
     _GAUSS_NODES,
     _GAUSS_WEIGHTS,
     _panel_nodes,
     dft,
-    difference,
     fhat,
     inverse_dft,
-    is_radial,
-    restriction_ratio,
     sobolev_norm,
     sobolev_norms,
 )
@@ -97,16 +93,13 @@ def test_difference_symbol_exact_cyclotomic():
             assert lhs[k] == rhs
 
 
-def test_difference_examples():
-    d = difference({0: 1.0})
-    assert d.get(0) == 1.0 and d.get(1) == -1.0 and len(d) == 2
-    assert len(difference({})) == 0
-
-
 def test_difference_fourier_identity():
+    # the forward difference (Delta f)(k) = f(k) - f(k - 1) has the symbol
+    # 1 - exp(-2 pi i xi), the one in the Sobolev multiplier
     f = CoefficientField(1, {(k,): complex(*rng.standard_normal(2)) for k in range(-6, 7)})
+    delta = CoefficientField(1, {(k,): f.get(k) - f.get(k - 1) for k in range(-6, 8)})
     xi = (np.arange(64) + 0.5) / 64
-    lhs = fhat(difference(f), xi)
+    lhs = fhat(delta, xi)
     rhs = (1 - np.exp(-2j * np.pi * xi)) * fhat(f, xi)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -267,111 +260,3 @@ def test_sobolev_rejects_negative_alpha():
     for alpha in (-0.5, math.nan, math.inf):
         with pytest.raises(DomainError):
             sobolev_norm(CoefficientField(1, {(0,): 1.0}), alpha)
-
-
-# ---------------------------------------------------------------------------
-# radial predicate
-
-
-def grid2d(half, n):
-    xs = np.linspace(-half, half, n)
-    return np.array([[a, b] for a in xs for b in xs])
-
-
-def test_is_radial_gaussian():
-    pts = grid2d(2.0, 11)
-    f = SampledFunction(pts, np.exp(-np.linalg.norm(pts, axis=1) ** 2))
-    assert is_radial(f, 1e-10)
-
-
-def test_is_radial_rejects_x():
-    pts = grid2d(2.0, 11)
-    assert not is_radial(SampledFunction(pts, pts[:, 0]), 1e-3)
-
-
-def test_is_radial_with_noise():
-    tol = 1e-3
-    pts = grid2d(1.5, 9)
-    base = np.linalg.norm(pts, axis=1) ** 2
-    noise = (rng.random(len(pts)) - 0.5) * (tol / 10)
-    assert is_radial(SampledFunction(pts, base + noise), tol)
-    # noise well above tol must be caught
-    assert not is_radial(SampledFunction(pts, base + rng.random(len(pts)) * 50 * tol), tol)
-
-
-def test_sampled_function_validation():
-    with pytest.raises(DegenerateInputError):
-        SampledFunction(np.zeros((0, 2)), np.zeros(0))
-    with pytest.raises(DomainError):
-        is_radial(SampledFunction(np.zeros((3, 2)), np.zeros(3)), 0.0)
-
-
-# ---------------------------------------------------------------------------
-# restriction ratio
-
-
-def smooth_bump(width=0.45, n=901):
-    xs = np.linspace(-width, width, n)
-    inner = np.maximum(1 - (xs / width) ** 2, 1e-12)
-    vals = np.exp(-1 / inner) * (np.abs(xs) < width)
-    return SampledFunction.line(xs, vals)
-
-
-def lhs_direct_oracle(sf, alpha, R, n_terms=400, n_grid=4096):
-    """Space-side route: reconstruct g(n) = f(n) by quadrature, then sum the
-    series for g_hat directly."""
-    xs = sf.points[:, 0]
-    vals = sf.values
-    ns = np.arange(-n_terms, n_terms + 1)
-    g = np.array([np.trapezoid(vals * np.exp(2j * np.pi * n * xs), xs) for n in ns])
-    grid = (np.arange(n_grid) + 0.5) / n_grid
-    ghat = g @ np.exp(-2j * np.pi * np.outer(ns, grid))
-    mult = (1.0 + 2.0 * R * np.abs(np.sin(np.pi * grid))) ** alpha
-    return math.sqrt(float(np.mean(np.abs(mult * ghat) ** 2)))
-
-
-def test_restriction_ratio_bump():
-    sf = smooth_bump()
-    r = restriction_ratio(sf, 1.0, 1.0)
-    assert math.isfinite(r) and r > 0
-
-
-def test_restriction_ratio_matches_space_side_oracle():
-    sf = smooth_bump()
-    for R in (1.0, 3.0):
-        xs = sf.points[:, 0]
-        rhs = math.sqrt(
-            float(
-                np.trapezoid(
-                    np.abs((1 + np.abs(2 * np.pi * xs * R)) ** 1.0 * sf.values) ** 2, xs
-                )
-            )
-        )
-        direct = lhs_direct_oracle(sf, 1.0, R) / rhs
-        assert abs(restriction_ratio(sf, 1.0, R) - direct) < 1e-6
-
-
-def test_restriction_ratio_scaling_family_stable():
-    sf = smooth_bump()
-    ratios = [restriction_ratio(sf, 1.0, R) for R in (1, 2, 4, 8)]
-    assert max(ratios) / min(ratios) < 10
-
-
-def test_restriction_ratio_zero_and_translation():
-    xs = np.linspace(-0.45, 0.45, 901)
-    assert restriction_ratio(SampledFunction.line(xs, np.zeros_like(xs)), 1.0, 1.0) == 0.0
-    sf = smooth_bump()
-    base = restriction_ratio(sf, 0.8, 2.0)
-    for v in (1, -3):
-        shifted = SampledFunction.line(
-            sf.points[:, 0], sf.values * np.exp(2j * np.pi * sf.points[:, 0] * v)
-        )
-        assert abs(restriction_ratio(shifted, 0.8, 2.0) - base) < 1e-8
-
-
-def test_restriction_ratio_domain_errors():
-    sf = smooth_bump()
-    with pytest.raises(DomainError):
-        restriction_ratio(sf, 0.5, 1.0)
-    with pytest.raises(DomainError):
-        restriction_ratio(sf, 1.0, -1.0)

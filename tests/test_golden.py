@@ -1,5 +1,5 @@
-"""Byte-exact `classify`, `solve` and `sobolev` output against the files in
-tests/golden/.
+"""Byte-exact `classify`, `solve`, `sobolev` and `rep` output against the
+files in tests/golden/.
 
 The expected files are the stdout of each command.  The rank-1 `classify`
 cases cover irrationals, named constants, exact rationals (with and without a
@@ -23,6 +23,10 @@ direct mode-by-mode sum or an inverse FFT); they are checked to be at most
 
 The `sobolev` cases take the multiplier Sobolev norm of the dim-1 `solve`
 input at alpha 0 and 1.5.
+
+The `rep` case is a character table whose nonzero values are 3 exp(2 pi i k/3)
+at m = s = 0, the only support within range 2; each was checked against
+mpmath at 300 bits, rounded once, when it was generated.
 """
 
 import re
@@ -81,11 +85,16 @@ SOBOLEV = {
     "sobolev_g_dim1_r32_alpha1.5.txt": "--alpha 1.5",
 }
 
+# stdout file -> arguments after `rep`
+REP = {
+    "rep_character_p3_eta1_3_alpha0.25_r2.txt": "character --p 3 --eta 1/3 --alpha 0.25 --range 2",
+}
+
 ROUNDOFF = re.compile(r"^((?:residual_sup|verify_residual)=)(\S+)$", re.M)
 
 
 def test_corpus_lists_every_file():
-    expected = set(CORPUS) | set(SOLVE) | set(SOLVE_INPUTS) | set(SOBOLEV)
+    expected = set(CORPUS) | set(SOLVE) | set(SOLVE_INPUTS) | set(SOBOLEV) | set(REP)
     expected |= {out for _, out in SOLVE.values()}
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(expected)
 
@@ -127,6 +136,16 @@ def test_golden_sobolev(name):
     r = subprocess.run(
         [sys.executable, "-m", "heisencoh", "sobolev",
          "--f", str(GOLDEN / "solve_g_dim1_r32.txt"), *SOBOLEV[name].split()],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(REP))
+def test_golden_rep(name):
+    r = subprocess.run(
+        [sys.executable, "-m", "heisencoh", "rep", *REP[name].split()],
         capture_output=True, text=True, timeout=120,
     )
     assert r.returncode == 0, r.stderr

@@ -16,14 +16,13 @@ import heisencoh
 EXPORTED = {
     "heisenberg": [
         "G1", "G2", "G3", "IDENTITY", "HeisElement", "HeisElementN", "NormalForm",
-        "commutator", "conjugate", "inverse", "is_central", "matrix_embed",
-        "multiply", "multiply_n", "normal_form", "reconstruct",
+        "commutator", "conjugate", "multiply_n", "normal_form", "reconstruct",
     ],
     "coefficients": ["CoefficientField", "read_coefficients", "write_coefficients"],
     "precision": ["PrecisionReal", "continued_fraction", "convergents", "liouville_constant"],
     "diophantine": ["ClassificationReport", "classify", "fan_member", "small_divisor"],
     "coboundary": ["CoboundaryProblem", "coboundary_from", "obstruction", "residual", "solve"],
-    "fourier": ["SampledFunction", "dft", "difference", "inverse_dft", "is_radial", "sobolev_norm"],
+    "fourier": ["dft", "inverse_dft", "sobolev_norm"],
     "representations": ["IrrepParams", "SemidirectElement", "character", "irrep_matrix"],
     "cohomology": ["AbelianGroupDesc", "binom", "cohomology_table"],
 }
@@ -108,7 +107,6 @@ g = coboundary_from(f, u)
 f1 = CoefficientField(1, {(1,): 1.0, (-2,): 0.5j, (5,): 0.125})
 h = HeisElementN((1, 2), (3, -4), 5)
 P, a = IrrepParams(3, 0.25, Fraction(2, 3), 0.5), SemidirectElement(1, 2, 4)
-sampled = SampledFunction([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]], [2.0, 2.0, 2.0])
 
 
 def written(field):
@@ -118,19 +116,15 @@ def written(field):
 
 
 calls = {
-    "G1": lambda: multiply(G1, G2),
+    "G1": lambda: G1 * G2,
     "G2": lambda: commutator(G2, G1),
-    "G3": lambda: is_central(G3),
-    "IDENTITY": lambda: multiply(IDENTITY, G3),
+    "G3": lambda: conjugate(G1, G3),
+    "IDENTITY": lambda: IDENTITY * G3,
     "HeisElement": lambda: HeisElement(1, -2, 3),
     "HeisElementN": lambda: h.inverse(),
     "NormalForm": lambda: reconstruct(NormalForm(2, -1, 5)),
     "commutator": lambda: commutator(HeisElement(1, 2, 3), HeisElement(-4, 5, 6)),
     "conjugate": lambda: conjugate(HeisElement(1, 2, 3), G1),
-    "inverse": lambda: inverse(HeisElement(1, 2, 3)),
-    "is_central": lambda: is_central(G1),
-    "matrix_embed": lambda: matrix_embed(h).tolist(),
-    "multiply": lambda: multiply(HeisElement(1, 2, 3), HeisElement(4, 5, 6)),
     "multiply_n": lambda: multiply_n(h, h),
     "normal_form": lambda: normal_form(HeisElement(7, -3, 2)),
     "reconstruct": lambda: reconstruct(normal_form(HeisElement(7, -3, 2))),
@@ -150,16 +144,13 @@ calls = {
     "obstruction": lambda: obstruction(g),
     "residual": lambda: residual(f, g, u),
     "solve": lambda: solve(CoboundaryProblem(g, u)),
-    "SampledFunction": lambda: sampled.dim,
     "dft": lambda: dft([1, 2, 3]).tolist(),
-    "difference": lambda: sorted(difference(f1).items()),
     "inverse_dft": lambda: inverse_dft(dft([1, 2, 3])).tolist(),
-    "is_radial": lambda: is_radial(sampled, 1e-9),
     "sobolev_norm": lambda: sobolev_norm(f1, 1.5),
-    "IrrepParams": lambda: P.is_irreducible,
+    "IrrepParams": lambda: P.eta_numerator,
     "SemidirectElement": lambda: a.star(a),
     "character": lambda: character(P, a),
-    "irrep_matrix": lambda: irrep_matrix(P, a).tolist(),
+    "irrep_matrix": lambda: irrep_matrix(P, a),
     "AbelianGroupDesc": lambda: AbelianGroupDesc(2, (2, 3)),
     "binom": lambda: binom(7, 3),
     "cohomology_table": lambda: cohomology_table(2),
@@ -202,6 +193,9 @@ NUMPY_FREE_COMMANDS = [
     *((["classify", "--vector", *args], "") for args in CLASSIFY_ARGS),
     (["group", "mul"], "1 2 3\n4 5 6\n1 0 | 0 0 | 0\n0 0 | 0 1 | 0\n"),
     (["group", "nf"], "1 2 3\n-4 0 7\n"),
+    (["rep", "character", "--p", "3", "--eta", "1/3", "--alpha", "0.25", "--range", "2"], ""),
+    (["rep", "matrix", "--p", "1", "--xi", "0.1", "--element", "1000000000000000 0 0"], ""),
+    (["rep", "matrix", "--p", "5", "--eta", "2/5", "--xi", "0.1", "--element", "1 2 3"], ""),
     (["fan", "--lambda", "-4", "--xi", "12", "--n", "2"], ""),
     (["fan", "--lambda", "3", "--xi", "10", "--n", "1"], ""),
     (["cohomology", "--n", "3"], ""),

@@ -1,38 +1,36 @@
 import cmath
+import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
-from heisencoh.coefficients import CoefficientField
 from heisencoh.errors import DomainError
-from heisencoh.heisenberg import HeisElement
 from heisencoh.representations import (
-    SEMIDIRECT_IDENTITY,
     IrrepParams,
     SemidirectElement,
-    automorphism_phi,
     character,
     character_table,
     irrep_matrix,
-    irrep_matrix_source_phase,
-    lattice_action,
-    mult_rep,
-    orbit_step,
-    phi_homomorphism_probe,
-    star,
-    star_variant_left_m,
-    translate_rep,
-    twisted_character,
-    twisted_character_closed_variant,
 )
 
 rng = random.Random(91)
+IDENTITY = SemidirectElement(0, 0, 0)
 
 
 def rand_sd(w=6):
     return SemidirectElement(rng.randint(-w, w), rng.randint(-w, w), rng.randint(-w, w))
+
+
+def inverse(a):
+    """a^-1 under the star product."""
+    return SemidirectElement(-a.m, -a.k + a.m * a.s, -a.s)
+
+
+def matrix(P, a):
+    return np.array(irrep_matrix(P, a))
 
 
 # ---------------------------------------------------------------------------
@@ -40,118 +38,28 @@ def rand_sd(w=6):
 
 
 def test_star_examples():
-    assert star(SemidirectElement(1, 2, 0), SemidirectElement(0, 0, 3)) == SemidirectElement(1, 2, 3)
+    assert SemidirectElement(1, 2, 0) * SemidirectElement(0, 0, 3) == SemidirectElement(1, 2, 3)
     b = rand_sd()
-    assert star(SEMIDIRECT_IDENTITY, b) == b
+    assert IDENTITY * b == b
     # cocycle adds m' * s_left = 1 * 1
-    assert star(SemidirectElement(0, 0, 1), SemidirectElement(1, 0, 0)) == SemidirectElement(1, 1, 1)
+    assert SemidirectElement(0, 0, 1) * SemidirectElement(1, 0, 0) == SemidirectElement(1, 1, 1)
 
 
 def test_star_associative_and_inverse():
     for _ in range(300):
         a, b, c = rand_sd(), rand_sd(), rand_sd()
-        assert star(star(a, b), c) == star(a, star(b, c))
-        assert star(a, a.inverse()) == SEMIDIRECT_IDENTITY
-        assert star(a.inverse(), a) == SEMIDIRECT_IDENTITY
+        assert (a * b) * c == a * (b * c)
+        assert a * inverse(a) == IDENTITY
+        assert inverse(a) * a == IDENTITY
 
 
 def test_star_cocycle_variant_pinned():
-    """Both cocycle readings are associative; only m'-times-left-s satisfies
-    ((m,k),0) * ((0,0),s) = ((m,k),s), which pins the product used here."""
-    for _ in range(200):
-        a, b, c = rand_sd(), rand_sd(), rand_sd()
-        assert star_variant_left_m(star_variant_left_m(a, b), c) == star_variant_left_m(
-            a, star_variant_left_m(b, c)
-        )
+    """The product takes m' times the left s, so ((m,k),0) * ((0,0),s) =
+    ((m,k),s); the reading m times the right s would give ((m,k+ms),s)."""
     a = SemidirectElement(2, 5, 0)
     s = SemidirectElement(0, 0, 3)
-    assert star(a, s) == SemidirectElement(2, 5, 3)
-    assert star_variant_left_m(a, s) != SemidirectElement(2, 5, 3)
-
-
-# ---------------------------------------------------------------------------
-# lattice translation representation
-
-
-def point_mass(n, k):
-    return CoefficientField(2, {(n, k): 1.0})
-
-
-def test_translate_rep_identity():
-    f = CoefficientField(2, {(0, 0): 1.0, (2, -1): 3j})
-    assert translate_rep(HeisElement(0, 0, 0), f) == f
-
-
-def test_translate_rep_point_mass():
-    g = HeisElement(2, 3, 4)  # (m', n', k') = (2, 3, 4)
-    out = translate_rep(g, point_mass(0, 0))
-    assert out.get(lattice_action(g, (0, 0))) == 1.0
-    assert lattice_action(g, (0, 0)) == (3, 4)
-
-
-def test_translate_rep_homomorphism_and_norm():
-    for _ in range(100):
-        g = HeisElement(rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-4, 4))
-        h = HeisElement(rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-4, 4))
-        f = CoefficientField(
-            2,
-            {
-                (rng.randint(-3, 3), rng.randint(-3, 3)): complex(rng.random(), rng.random())
-                for _ in range(5)
-            },
-        )
-        assert translate_rep(g, translate_rep(h, f)) == translate_rep(g * h, f)
-        assert abs(translate_rep(g, f).norm_l2() - f.norm_l2()) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# multiplication form at fixed unit scalar
-
-
-def eval_series(c, z):
-    return sum(v * z ** k for (k,), v in c.items())
-
-
-def test_mult_rep_examples():
-    c = CoefficientField(1, {(1,): 1.0})
-    w = cmath.exp(2j * cmath.pi * 0.3)
-    assert mult_rep(HeisElement(0, 0, 0), c, w) == c
-    out = mult_rep(HeisElement(5, 0, 0), c, w)  # f(z w^5) = w^5 z
-    assert abs(out.get(1) - w**5) < 1e-12
-
-
-def test_mult_rep_rejects_off_circle():
-    with pytest.raises(DomainError):
-        mult_rep(HeisElement(1, 0, 0), CoefficientField(1, {(0,): 1.0}), 1.1)
-
-
-def test_mult_rep_homomorphism_pointwise():
-    """U^w_g U^w_h = U^w_{gh}, checked against direct evaluation on sampled z."""
-    zs = [cmath.exp(2j * cmath.pi * t / 7) for t in range(7)]
-    for _ in range(20):
-        w = cmath.exp(2j * cmath.pi * rng.random())
-        g = HeisElement(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3))
-        h = HeisElement(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3))
-        c = CoefficientField(
-            1, {(k,): complex(rng.random(), rng.random()) for k in range(-3, 4)}
-        )
-        two_step = mult_rep(g, mult_rep(h, c, w), w)
-        one_step = mult_rep(g * h, c, w)
-        for z in zs:
-            assert abs(eval_series(two_step, z) - eval_series(one_step, z)) < 1e-10
-        # direct substitution oracle for a single application
-        direct = eval_series(c, zs[1] * w**g.x) * zs[1] ** g.y * w**g.z
-        assert abs(eval_series(mult_rep(g, c, w), zs[1]) - direct) < 1e-10
-
-
-def test_mult_rep_norm_preserved():
-    for _ in range(50):
-        w = cmath.exp(2j * cmath.pi * rng.random())
-        g = HeisElement(rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5))
-        c = CoefficientField(
-            1, {(k,): complex(rng.random(), rng.random()) for k in range(-4, 5)}
-        )
-        assert abs(mult_rep(g, c, w).norm_l2() - c.norm_l2()) < 1e-12
+    assert a * s == SemidirectElement(2, 5, 3)
+    assert s * a == SemidirectElement(2, 11, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -165,23 +73,21 @@ def test_irrep_params_validation():
         IrrepParams(p=3, xi=0.0, eta=Fraction(1, 2), alpha=0.0)
     with pytest.raises(DomainError):
         IrrepParams(p=2, xi=1.5, eta=Fraction(1, 2), alpha=0.0)
-    P = IrrepParams(p=4, xi=0.0, eta=Fraction(1, 2), alpha=0.0)
-    assert not P.is_irreducible  # eta = 2/4 collapses
-    assert IrrepParams(p=3, xi=0.0, eta=Fraction(2, 3), alpha=0.1).is_irreducible
+    # eta = 2/4 defines a reducible representation
+    assert IrrepParams(p=4, xi=0.0, eta=Fraction(1, 2), alpha=0.0).eta_numerator == 2
 
 
 def test_irrep_identity_and_swap():
     P = IrrepParams(p=2, xi=0.0, eta=Fraction(0), alpha=0.0)
-    assert np.allclose(irrep_matrix(P, SEMIDIRECT_IDENTITY), np.eye(2))
-    swap = irrep_matrix(P, SemidirectElement(0, 0, 1))
-    assert np.allclose(swap, np.array([[0, 1], [1, 0]]))
+    assert irrep_matrix(P, IDENTITY) == [[1, 0], [0, 1]]
+    assert irrep_matrix(P, SemidirectElement(0, 0, 1)) == [[0, 1], [1, 0]]
 
 
 def test_irrep_unitary_phase_permutation():
     for p, q in [(2, 1), (3, 2), (5, 3)]:
         P = IrrepParams(p=p, xi=0.31, eta=Fraction(q, p), alpha=0.77)
         for _ in range(50):
-            U = irrep_matrix(P, rand_sd(2 * p))
+            U = matrix(P, rand_sd(2 * p))
             assert np.max(np.abs(U.conj().T @ U - np.eye(p))) < 1e-12
             # exactly one nonzero entry per row and column
             nz = np.abs(U) > 1e-14
@@ -189,27 +95,20 @@ def test_irrep_unitary_phase_permutation():
 
 
 def test_irrep_homomorphism_and_source_phase_erratum():
-    """The target-index phase is multiplicative; the source-index variant is
-    not (erratum probe)."""
+    """The target-index phase is multiplicative."""
     P = IrrepParams(p=3, xi=0.0, eta=Fraction(1, 3), alpha=0.25)
     worst = 0.0
-    failed_variant = False
     for _ in range(50):
         a, b = rand_sd(), rand_sd()
-        lhs = irrep_matrix(P, star(a, b))
-        rhs = irrep_matrix(P, a) @ irrep_matrix(P, b)
+        lhs = matrix(P, a * b)
+        rhs = matrix(P, a) @ matrix(P, b)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        v_lhs = irrep_matrix_source_phase(P, star(a, b))
-        v_rhs = irrep_matrix_source_phase(P, a) @ irrep_matrix_source_phase(P, b)
-        if np.max(np.abs(v_lhs - v_rhs)) > 1e-6:
-            failed_variant = True
     assert worst < 1e-10
-    assert failed_variant
 
 
 def test_character_examples():
     P = IrrepParams(p=3, xi=0.4, eta=Fraction(1, 3), alpha=0.2)
-    assert character(P, SEMIDIRECT_IDENTITY) == 3
+    assert character(P, IDENTITY) == 3
     assert character(P, SemidirectElement(0, 0, 1)) == 0
     P2 = IrrepParams(p=2, xi=0.1, eta=Fraction(1, 2), alpha=0.3)
     expected = 2 * cmath.exp(2j * cmath.pi * (0.2 + 0.5 + 0.3))
@@ -223,7 +122,7 @@ def test_character_equals_trace():
             for s in range(-2 * p, 2 * p + 1):
                 for k in (-2 * p, 0, 1, 2 * p):
                     a = SemidirectElement(m, k, s)
-                    assert abs(character(P, a) - np.trace(irrep_matrix(P, a))) < 1e-10
+                    assert abs(character(P, a) - np.trace(matrix(P, a))) < 1e-10
                     if p > 1 and (s % p or m % p):
                         assert character(P, a) == 0
 
@@ -233,7 +132,7 @@ def test_character_class_function():
         P = IrrepParams(p=p, xi=0.21, eta=Fraction(1, p), alpha=0.4)
         for _ in range(60):
             h, a = rand_sd(p), rand_sd(p)
-            conj = star(star(h, a), h.inverse())
+            conj = h * a * inverse(h)
             assert abs(character(P, conj) - character(P, a)) < 1e-10
 
 
@@ -245,65 +144,60 @@ def test_character_table_order():
     assert keys == sorted(keys)
 
 
-def test_automorphism_phi_examples():
-    assert automorphism_phi(SEMIDIRECT_IDENTITY) == SEMIDIRECT_IDENTITY
-    assert automorphism_phi(SemidirectElement(1, 0, 0)) == SemidirectElement(1, 0, 1)
-    for s in range(-4, 5):
-        assert automorphism_phi(SemidirectElement(0, 0, s)) == SemidirectElement(s, 0, 0)
+# ---------------------------------------------------------------------------
+# each phase rounded once from its exact exponent
 
 
-def test_phi_homomorphism_probe_records_failure():
-    """phi as printed is not multiplicative; the probe records the outcome."""
-    n_checked, n_failed, first = phi_homomorphism_probe(radius=2)
-    assert n_checked == 5**6
-    assert n_failed > 0 and first is not None
-    # the failure is exactly an extra 2 * m_b * s_a in the k-slot
-    a, b, lhs, rhs = first
-    assert lhs.m == rhs.m and lhs.s == rhs.s
-    assert lhs.k - rhs.k == 2 * b.m * a.s
+def rounded_phase(t, scale=1):
+    """scale exp(2 pi i t) for a rational t, each part taken in mpmath at
+    300 bits and rounded once to a double."""
+    t -= t.numerator // t.denominator
+    with mpmath.workprec(300):
+        x = 2 * mpmath.mpf(t.numerator) / t.denominator
+        return complex(float(scale * mpmath.cospi(x)), float(scale * mpmath.sinpi(x)))
 
 
-def test_twisted_character():
-    P = IrrepParams(p=2, xi=0.0, eta=Fraction(0), alpha=0.0)
-    assert twisted_character(P, SEMIDIRECT_IDENTITY) == 2
-    assert abs(twisted_character(P, SemidirectElement(2, 0, 2)) - 2) < 1e-12
-    # p does not divide m: phi moves m into the s-slot, so the value is 0
-    P3 = IrrepParams(p=3, xi=0.3, eta=Fraction(1, 3), alpha=0.6)
-    for m in (1, 2, 4, 5, -1):
-        for k in (-2, 0, 3):
-            for s in (-3, 0, 3, 6):
-                assert twisted_character(P3, SemidirectElement(m, k, s)) == 0
+def exponent(P, m, k, jp, s):
+    """The exact exponent of the entry at target index jp."""
+    return m * Fraction(P.xi) + (k + jp * m) * P.eta + (jp + s) // P.p * Fraction(P.alpha)
 
 
-def test_twisted_character_closed_variant_disagrees():
-    """The quoted closed form for the twisted character does not match the
-    composition chi(phi(a)); record the discrepancy."""
-    P = IrrepParams(p=2, xi=0.3, eta=Fraction(1, 2), alpha=0.25)
-    mismatch = 0
-    for m in range(-4, 5, 2):
-        for k in range(-4, 5):
-            for s in range(-4, 5, 2):
-                a = SemidirectElement(m, k, s)
-                if abs(twisted_character(P, a) - twisted_character_closed_variant(P, a)) > 1e-9:
-                    mismatch += 1
-    assert mismatch > 0
+@pytest.mark.parametrize("p", [1, 2, 3, 5])
+def test_every_value_is_the_exact_phase_rounded_once(p):
+    r = random.Random(2100 + p)
+    wide = 10**18
+    for _ in range(60):
+        q = r.choice([q for q in range(p) if math.gcd(q, p) == 1] if p > 1 else [0])
+        P = IrrepParams(p=p, xi=r.random(), eta=Fraction(q, p), alpha=r.random())
+        m, k, s = (r.randint(-wide, wide) for _ in range(3))
+        if r.random() < 0.5:  # inside the character's support
+            m, s = m - m % p, s - s % p
+        a = SemidirectElement(m, k, s)
+        U = irrep_matrix(P, a)
+        for j in range(p):
+            jp = (j - s) % p
+            want = rounded_phase(exponent(P, m, k, jp, s))
+            assert U[jp][j] == want, (P, a, jp)
+            assert all(U[i][j] == 0 for i in range(p) if i != jp)
+        chi = character(P, a)
+        if s % p or m % p:
+            assert chi == 0
+        else:
+            assert chi == rounded_phase(exponent(P, m, k, 0, 0) + Fraction(s, p) * Fraction(P.alpha), p)
 
 
-def test_orbit_step():
-    assert orbit_step(0.37, 0.11, 0) == (0.37, 0.11)
-    x, e = orbit_step(Fraction(0), Fraction(1, 3), 1)
-    assert (x, e) == (Fraction(1, 3), Fraction(1, 3))
-    # rational eta = q/p with gcd(q, p) = 1: orbit has exactly p points
-    for p, q in [(3, 1), (5, 2), (7, 3)]:
-        eta = Fraction(q, p)
-        pts = set()
-        xi = Fraction(0)
-        for s in range(p):
-            pts.add(orbit_step(xi, eta, s)[0])
-        assert len(pts) == p
-        assert orbit_step(xi, eta, p)[0] == xi  # exactly p-periodic
-
-
-def test_orbit_step_float():
-    x, e = orbit_step(0.9, 0.3, 1)
-    assert abs(x - 0.2) < 1e-12 and e == 0.3
+def test_niven_phases_are_exact():
+    # exp(2 pi i n / 12): every part that is rational comes out exactly
+    root3 = rounded_phase(Fraction(1, 12)).real  # sqrt(3) / 2 rounded once
+    want = [
+        (1, 0), (root3, 0.5), (0.5, root3), (0, 1), (-0.5, root3), (-root3, 0.5),
+        (-1, 0), (-root3, -0.5), (-0.5, -root3), (0, -1), (0.5, -root3), (root3, -0.5),
+    ]
+    for n, (re, im) in enumerate(want):
+        P = IrrepParams(p=12, xi=0.0, eta=Fraction(n, 12), alpha=0.0)
+        U = irrep_matrix(P, SemidirectElement(0, 1, 0))
+        assert all(U[j][j] == complex(re, im) for j in range(12)), n
+    P = IrrepParams(p=3, xi=0.0, eta=Fraction(1, 3), alpha=0.25)
+    assert character(P, SemidirectElement(0, 1, 0)) == rounded_phase(Fraction(1, 3), 3)
+    assert character(P, SemidirectElement(0, 1, 0)).real == -1.5
+    assert irrep_matrix(P, SemidirectElement(0, 1, 0))[0][0] == complex(-0.5, 0.8660254037844386)
