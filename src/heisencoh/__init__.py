@@ -3,8 +3,8 @@ divisors, and Fourier-side solvers for the difference equation
 f - f(. + u) = g on the torus.
 
 Each exported name is imported from its submodule on first use (PEP 562):
-`import heisencoh` loads no submodule, and numpy only comes in with the
-names whose submodule needs it.
+`import heisencoh` loads no submodule, and no submodule loads numpy until
+`dft` or `inverse_dft` is called.
 """
 
 import importlib

@@ -11,9 +11,8 @@ The opposite composition, f - f o gamma^-1 = g, has the conjugate factor
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import chain
+from operator import attrgetter
 
 from .coefficients import CoefficientField
 # phase_distance and complex_divisor are looked up on this module by
@@ -23,7 +22,7 @@ from .diophantine import (  # noqa: F401
     phase_distance,
 )
 from .errors import DomainError, NonzeroMeanError, PrecisionError, ResonanceError
-from .fourier import MAX_POINTS, sobolev_norms
+from .fourier import sobolev_norms
 
 # |g_0|, and |g_k| on a resonant mode, at most this count as zero.  A bound
 # on g's float data, not on the phase: a mode is resonant exactly when
@@ -31,24 +30,44 @@ from .fourier import MAX_POINTS, sobolev_norms
 COEFF_TOL = 1e-12
 
 
-@dataclass
 class CoboundaryProblem:
-    g: CoefficientField
-    u: list  # translation vector; entries coerced to PrecisionReal
+    """f - f o gamma = g for the field g and the translation u, whose
+    entries are coerced to PrecisionReal."""
 
-    def __post_init__(self):
-        self.u = _coerce_vector(self.u, self.g.dim)
+    __slots__ = ("g", "u")
+
+    def __init__(self, g: CoefficientField, u):
+        self.g = g
+        self.u = _coerce_vector(u, g.dim)
+
+    def __repr__(self):
+        return _fields_repr(self)
 
 
-@dataclass
 class CoboundarySolution:
-    f: CoefficientField
-    min_divisor: float | None
-    argmin_k: tuple | None
-    residual_sup: float | None = None
-    formal: bool = False
-    formal_note: str = ""
-    truncation_norms: list = field(default_factory=list)  # (radius, l2 of f)
+    """The solution f with its diagnostics; truncation_norms lists
+    (radius, l2 norm of f truncated there)."""
+
+    __slots__ = ("f", "min_divisor", "argmin_k", "residual_sup", "formal", "formal_note",
+                 "truncation_norms")
+
+    def __init__(self, f: CoefficientField, min_divisor, argmin_k, residual_sup=None,
+                 formal=False, formal_note="", truncation_norms=()):
+        self.f = f
+        self.min_divisor = min_divisor
+        self.argmin_k = argmin_k
+        self.residual_sup = residual_sup
+        self.formal = formal
+        self.formal_note = formal_note
+        self.truncation_norms = list(truncation_norms)
+
+    def __repr__(self):
+        return _fields_repr(self)
+
+
+def _fields_repr(obj):
+    fields = ", ".join(f"{name}={getattr(obj, name)!r}" for name in obj.__slots__)
+    return f"{type(obj).__name__}({fields})"
 
 
 def obstruction(g: CoefficientField) -> complex:
@@ -79,8 +98,8 @@ def solve(problem: CoboundaryProblem, classification=None) -> CoboundarySolution
     double.  With a LiouvilleEvidence classification the solution is
     emitted but flagged formal: truncation-norm growth is reported as
     evidence in either case.
-    residual_sup is taken as ``residual`` takes it, with the divisors of
-    the division.
+    residual_sup is ``residual``'s bound, taken with the divisors of the
+    division.
     """
     g = problem.g
     u = problem.u
@@ -93,7 +112,8 @@ def solve(problem: CoboundaryProblem, classification=None) -> CoboundarySolution
     modulus = grid[1]
     declared, prec = _declared(u)
     entries = g._entries
-    divs = {}
+    twelfths = _twelfths(modulus)
+    divs, rational = {}, {}
     resonant = []
     coeffs = {}
     min_r = argmin = None
@@ -105,6 +125,8 @@ def solve(problem: CoboundaryProblem, classification=None) -> CoboundarySolution
         if any(map(k.__getitem__, declared)) and not _resolved(r, sum(map(abs, k)), modulus, prec):
             raise PrecisionError(f"divisor at k={k} is not resolved at {prec} input bits", k)
         divs[k] = denom
+        if r in twelfths:
+            rational[k] = twelfths[r]
         gk = entries[k]
         if r == 0:
             if abs(gk) > COEFF_TOL:
@@ -159,50 +181,154 @@ def solve(problem: CoboundaryProblem, classification=None) -> CoboundarySolution
             "formal solution: Liouville-type divisors; the norm may diverge "
             "as the truncation radius grows (see truncation_norms)"
         )
-    sol.residual_sup = _residual(f, g, divs)
+    sol.residual_sup = _residual(f, g, divs, rational)
     return sol
 
 
 def residual(f: CoefficientField, g: CoefficientField, u) -> float:
-    """sup over the uniform grid of |f(x) - f(x + u) - g(x)|.
-
-    f - f o gamma has the coefficients f_k (1 - e^{2 pi i <k, u>}).
-    The coefficients of the difference minus g are placed at index k mod n
-    of an n^dim array and summed at every grid point x = j / n by one
-    inverse FFT, in O(G log G) for G = n^dim points.  n = max(2R + 1, 3)
-    for the support radius R of f and g: then distinct k in the support are
-    distinct mod n, so no two modes alias onto one index and the FFT sums
-    exactly the trigonometric polynomial.  A grid of more than MAX_POINTS
-    points is a DomainError.
-    """
+    """A proved upper bound on sup over the torus of |f(x) - f(x + u) - g(x)|:
+    ``_residual`` with the divisors of f's modes."""
     if f.dim != g.dim:
         raise DomainError("dimension mismatch between f and g")
-    divs = _divisors(_coerce_vector(u, f.dim), f.keys())
-    return _residual(f, g, divs)
+    grid = _phase_grid(_coerce_vector(u, f.dim))
+    twelfths = _twelfths(grid[1])
+    divs, rational = {}, {}
+    for k, r, d in iter_divisors(grid, (k for k in f.keys() if any(k))):
+        divs[k] = d
+        if r in twelfths:
+            rational[k] = twelfths[r]
+    return _residual(f, g, divs, rational)
 
 
-def _residual(f, g, divisors):
-    radius = max(f.support_radius(), g.support_radius())
-    n = max(2 * radius + 1, 3)
-    f_keys = [k for k in f._entries if any(k)]
-    if not f_keys and not len(g):
-        return 0.0
-    if n ** f.dim > MAX_POINTS:
-        raise DomainError(f"support radius {radius} needs {n}^{f.dim} residual grid points, "
-                          "more than 2^26")
-    # the coefficients of f - f o gamma - g, placed at k mod n; no two keys
-    # share an index, so each slot is f_k d_k - g_k as one difference
-    vals = np.zeros((n,) * f.dim, dtype=complex)
-    vals[_grid_index(f_keys, f.dim, n)] = np.fromiter(
-        (f._entries[k] * divisors[k] for k in f_keys), complex, len(f_keys))
-    vals[_grid_index(g._entries, g.dim, n)] -= np.fromiter(g._entries.values(), complex, len(g))
-    return float(np.max(np.abs(np.fft.ifftn(vals, norm="forward"))))
+# the distances d = n / 12 at which a part of the divisor 1 - e^{2 pi i d}
+# is rational (Niven's theorem), for n = 1..6: whether its real part
+# 2 sin^2(pi d) and its imaginary part -+sin(2 pi d) are
+_RATIONAL_PARTS = {1: (False, True), 2: (True, False), 3: (True, True), 4: (True, False),
+                   5: (False, True), 6: (True, True)}
+_IRRATIONAL = (False, False)
+
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into two 26-bit halves
+_TINY = 2.0**-1020  # terms below this may carry an error of the subnormal range
+_CHUNK = 2048  # rough terms summed at a time
 
 
-def _grid_index(keys, dim, n):
-    """The index k mod n of each key in an n^dim array, as one array per axis."""
-    idx = np.array(list(keys), dtype=np.int64).reshape(len(keys), dim) % n
-    return tuple(idx.T)
+def _twelfths(modulus):
+    """{r: n} for the distances r / modulus = n / 12 of ``_RATIONAL_PARTS``."""
+    return {n * modulus // 12: n for n in _RATIONAL_PARTS if n * modulus % 12 == 0}
+
+
+def _residual(f, g, divisors, rational):
+    """sum_k |r_k| rounded up once: a proved upper bound on the residual
+    f - f o gamma - g over the whole torus, for the doubles of f and g.
+
+    divisors holds D~_k, the correctly rounded divisor, for every nonzero
+    key of f (0j on a resonant mode), and rational the keys whose distance
+    is n / 12 for an n of ``_RATIONAL_PARTS``, with that n.
+
+    Proof.  The residual is the trigonometric polynomial with the
+    coefficients r_k = f_k D_k - g_k over the union of the supports, D_k =
+    1 - e^{2 pi i <k, u>} exact, so its sup is at most sum_k |r_k|.  Where
+    f_k = 0 or D~_k = 0 (k = 0 and the resonant modes, where D_k = 0),
+    r_k = -g_k.  Elsewhere |r_k| <= |f_k D~_k - g_k| + |f_k| |D_k - D~_k|.
+    - Each part of D~_k is its part of D_k correctly rounded, so it is off
+      by at most half an ulp of it (2^-1074 where that half is below the
+      least double), and by 0 where the part is rational.  The two bounds
+      sum to e >= |D_k - D~_k|.
+    - f_k D~_k - g_k = X + iY.  Veltkamp's split writes each part of f_k
+      and of D~_k exactly as the sum of two halves of at most 26 bits, whose
+      products are exact, and math.fsum rounds the sum of 8 products and
+      -Re g_k (or -Im g_k) once, to x (or y).  So |X - x| <= u |x| and
+      |Y - y| <= u |y|, u = 2^-53, and |X + iY| <= (1 + 2u) h + u (|x| +
+      |y|) <= (1 + 4u) h for h = math.hypot(x, y), whose error is below one
+      ulp (Python 3.10 and later).
+    - |f_k| e <= (1 + 5u) fl(hypot(f_k) e): the same bound for hypot, and
+      one rounding each for e and the product.
+    So each mode's term is either a double (|g_k| with a part 0) or at most
+    (1 + 7u) q for the double q, the rounded sum of those two.  The q are
+    summed by math.fsum in chunks and the chunk sums again, two roundings
+    of u, to Q; (1 + u)^2 (1 + 7u) < 1 + 16u, so sum_k |r_k| <= E + Q +
+    2^-49 Q for E the sum of the exact terms.  That sum is taken exactly
+    and rounded up once.
+
+    Below the normal range the products of halves may lose bits (where the
+    least nonzero part of f times that of a divisor is below 2^-916), and
+    so may a term q below 2^-1020 (in a larger q such a loss is below the
+    7u q the margin spares); each loss is under 2^-1068 per mode, and that
+    much per mode is added where it can happen.  A divisor part below
+    the normal range splits into halves of up to 53 bits, whose products
+    are off by u of at most |f_k| 2^-1021 each: 2^-1066 sum_k |f_k| more
+    covers them.  The bound is inf where a part of f_k passes 2^996, where
+    the split overflows, or where the sum passes the largest double.
+    """
+    fe, ge = f._entries, g._entries
+    sure, rough, chunks = [], [], []
+    tiny = False
+    fsum, hypot, ulp, least = math.fsum, math.hypot, math.ulp, math.ulp(0.0)
+    f_at, d_at = fe.get, divisors.get
+    try:
+        for k, gk in chain(ge.items(), ((k, 0j) for k in fe.keys() - ge.keys())):
+            fk = f_at(k, 0j)
+            d = d_at(k, 0j)
+            if not (fk and d):
+                br, bi = abs(gk.real), abs(gk.imag)
+                if br and bi:
+                    rough.append(hypot(br, bi))
+                elif br or bi:
+                    sure.append(br + bi)
+                continue
+            ar, ai, dr, di = fk.real, fk.imag, d.real, d.imag
+            c = ar * _SPLIT
+            a1 = c - (c - ar)
+            a2 = ar - a1
+            c = ai * _SPLIT
+            b1 = c - (c - ai)
+            b2 = ai - b1
+            c = dr * _SPLIT
+            d1 = c - (c - dr)
+            d2 = dr - d1
+            c = di * _SPLIT
+            e1 = c - (c - di)
+            e2 = di - e1
+            x = fsum((a1 * d1, a1 * d2, a2 * d1, a2 * d2,
+                      -b1 * e1, -b1 * e2, -b2 * e1, -b2 * e2, -gk.real))
+            y = fsum((a1 * e1, a1 * e2, a2 * e1, a2 * e2,
+                      b1 * d1, b1 * d2, b2 * d1, b2 * d2, -gk.imag))
+            if rational and k in rational:
+                exact_re, exact_im = _RATIONAL_PARTS[rational[k]]
+                e = ((0.0 if exact_re else ulp(dr) / 2 or least)
+                     + (0.0 if exact_im else ulp(di) / 2 or least))
+            else:
+                e = (ulp(dr) / 2 or least) + (ulp(di) / 2 or least)
+            if x or y or e:
+                rough.append(hypot(x, y) + hypot(ar, ai) * e)
+            if len(rough) >= _CHUNK:
+                tiny = tiny or min(rough) < _TINY
+                chunks.append(fsum(rough))
+                rough.clear()
+        tiny = tiny or min(rough, default=1.0) < _TINY
+        chunks.append(fsum(rough))
+        rough_sum = fsum(chunks)
+        low_f = min(_nonzero_parts(fe.values()), default=math.inf)
+        low_d = min(_nonzero_parts(divisors.values()), default=math.inf)
+        if tiny or low_f * low_d < 2.0**-916:
+            sure.append(len(fe.keys() | ge.keys()) * 2.0**-1068)
+        if low_d < 2.0**-1022:
+            sure.append(math.nextafter(fsum(map(abs, fe.values())) * 2.0**-1066, math.inf))
+        margin = math.nextafter(rough_sum * 2.0**-49, math.inf) if rough_sum else 0.0
+        terms = sure + [rough_sum, margin]
+        total = fsum(terms)
+        terms.append(-total)
+        if fsum(terms) > 0:  # rounded down: take the next double up
+            total = math.nextafter(total, math.inf)
+    except (OverflowError, ValueError):  # a sum past the largest double, or inf - inf
+        return math.inf
+    return total if total < math.inf else math.inf
+
+
+def _nonzero_parts(values):
+    """The absolute values of the nonzero real and imaginary parts of values."""
+    return filter(None, chain(map(abs, map(attrgetter("real"), values)),
+                              map(abs, map(attrgetter("imag"), values))))
 
 
 def sobolev_loss(sol: CoboundarySolution, g: CoefficientField, alphas,
@@ -221,8 +347,7 @@ def sobolev_loss(sol: CoboundarySolution, g: CoefficientField, alphas,
     f = sol.f
     shift = evidence[1] if evidence else 0.0
     if f.dim == 1:
-        nfs = sobolev_norms(f, alphas)
-        ngs = sobolev_norms(g, [alpha + shift for alpha in alphas])
+        nfs, ngs = sobolev_norms([f, g], [alphas, [alpha + shift for alpha in alphas]])
     else:
         nfs = [_weighted_l2(f, alpha) for alpha in alphas]
         ngs = [_weighted_l2(g, alpha + shift) for alpha in alphas]

@@ -30,7 +30,7 @@ from functools import partial
 from . import _bigfloat as bf
 from . import _scan
 from .errors import DomainError, PrecisionError
-from .precision import PrecisionReal
+from .precision import MAX_PREC, PrecisionReal
 
 # range minima whose intervals still overlap at this many working bits are
 # taken as equal (see ``_least``)
@@ -347,11 +347,21 @@ def _scan_general(tvec, kmax, keep, s_grid, prec_bits):
             return ()
         return tuple(s for s in above if rp <= _level_bound(modulus, norm, s))
 
-    ranges = _scan.scan_unit(
-        scaled, modulus, kmax, keep,
-        lambda lo: _level_bound(modulus, lo, above[0]) if above else -1,
-        levels, s_grid[0], s_grid[-1], _declared(tvec)[0],
-    )
+    # past MAX_PREC bits --prec can give no more: say so instead of advising it
+    at_most = prec_bits is not None and prec_bits >= MAX_PREC
+    try:
+        ranges = _scan.scan_unit(
+            scaled, modulus, kmax, keep,
+            lambda lo: _level_bound(modulus, lo, above[0]) if above else -1,
+            levels, s_grid[0], s_grid[-1], _declared(tvec)[0],
+        )
+    except PrecisionError as exc:
+        if not at_most:
+            raise
+        raise PrecisionError(
+            f"divisor at k={exc.k} is below the scan resolution at {prec_bits} input bits, "
+            f"and --prec takes at most {MAX_PREC}", exc.k
+        ) from None
     # ranges ascend in |k|, so the first zero found is the least
     rational_k = next((rng.zero for rng in ranges if rng.zero), None)
     global_min = min((rng.kept[0][0] for rng in ranges if rng.kept), default=None)
@@ -359,8 +369,9 @@ def _scan_general(tvec, kmax, keep, s_grid, prec_bits):
         global_min, len(tvec) * kmax, modulus, prec_bits
     ):
         raise PrecisionError(
-            "smallest scanned divisor is not resolved at "
-            f"{prec_bits} input bits; increase the working precision"
+            f"smallest scanned divisor is not resolved at {prec_bits} input bits"
+            + (f", and --prec takes at most {MAX_PREC}" if at_most
+               else "; increase the working precision")
         )
     return ranges, rational_k, modulus
 

@@ -7,26 +7,31 @@ Conventions, fixed once:
 * f_hat(xi) = sum_k f(k) exp(-2 pi i k xi) for finitely supported f on Z,
 * the Sobolev multiplier is (1 + |1 - exp(-2 pi i xi)|)^alpha
   = (1 + 2 |sin(pi xi)|)^alpha.
+
+The Sobolev norm runs on Python floats alone; numpy is imported only by
+``dft``, ``inverse_dft`` and ``fhat``.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
-
-import numpy as np
+from operator import mul
 
 from .coefficients import CoefficientField
 from .errors import DomainError
 
 
-def dft(values) -> np.ndarray:
+def dft(values):
     """Forward transform of one period of an N-periodic sequence."""
+    import numpy as np
+
     return np.fft.fft(np.asarray(values, dtype=complex))
 
 
-def inverse_dft(values) -> np.ndarray:
+def inverse_dft(values):
     """Inverse transform; inverse_dft(dft(h)) == h."""
+    import numpy as np
+
     return np.fft.ifft(np.asarray(values, dtype=complex))
 
 
@@ -38,8 +43,10 @@ def _as_field1(f) -> CoefficientField:
     return CoefficientField(1, f)
 
 
-def fhat(f, xi) -> np.ndarray:
+def fhat(f, xi):
     """f_hat(xi) = sum_k f(k) exp(-2 pi i k xi) at the given points."""
+    import numpy as np
+
     f = _as_field1(f)
     xi = np.asarray(xi, dtype=float)
     out = np.zeros(xi.shape, dtype=complex)
@@ -48,15 +55,15 @@ def fhat(f, xi) -> np.ndarray:
     return out
 
 
-_NODES = 24  # Gauss-Legendre nodes per panel of the Sobolev quadrature
-
-# the most points a Sobolev quadrature or a residual grid may take: as
-# complex doubles they fill 1 GiB, and a larger field is a DomainError
-MAX_POINTS = 1 << 26
+# the most points the transform of a Sobolev norm may take, set by
+# measurement on a 2-core machine: a transform of 2^20 points takes about
+# 3 s, and `sobolev` on a field of radius 262144, which needs it, 8 s and a
+# peak of 273 MiB.  A field that needs more is a DomainError
+MAX_POINTS = 1 << 20
 
 # numpy.polynomial.legendre.leggauss(24) as numpy 2.4.6 gives it, which is
 # symmetric: node 23 - i is -(node i), weight 23 - i is weight i.  Stored
-# here so the quadrature needs neither numpy.polynomial nor LAPACK.
+# here so the weights of the norm need neither numpy nor LAPACK.
 _HALF_NODES = (
     0.06405689286260563, 0.1911188674736163, 0.3150426796961634,
     0.4337935076260451, 0.5454214713888396, 0.6480936519369755,
@@ -72,120 +79,187 @@ _HALF_WEIGHTS = (
 _GAUSS_NODES = tuple(-x for x in reversed(_HALF_NODES)) + _HALF_NODES
 _GAUSS_WEIGHTS = tuple(reversed(_HALF_WEIGHTS)) + _HALF_WEIGHTS
 
-
-# complex entries per block of ``_fhat_blocks``: b node rows hold
-# b (modes + 2 panels) of them in their twisted and folded coefficients,
-# and b is the most rows that fit, or 1.  Blocks of about 1 MiB are long
-# enough that numpy's per-call cost does not show.
-_BLOCK = 1 << 16
+# equal panels of [0, pi/2] for the two integrals that start the weights
+_PANELS = 4
 
 
-def _panel_nodes(n_panels, rows):
-    """(xi, w): the nodes rows (a slice of range(24)) of every one of
-    n_panels equal panels of [0, 1] and their weights, arrays of shape
-    (len(rows), n_panels) with xi[i, p] the node rows[i] of panel p."""
-    nodes, weights = np.array(_GAUSS_NODES[rows]), np.array(_GAUSS_WEIGHTS[rows])
-    edges = np.linspace(0.0, 1.0, n_panels + 1)
-    mid = (edges[:-1] + edges[1:]) / 2
-    half = (edges[1:] - edges[:-1]) / 2
-    return mid + half * nodes[:, None], half * weights[:, None]
+def _roots(n):
+    """[wbar^j for j < n / 2], wbar = exp(-2 pi i / n), for n a power of two."""
+    step = math.tau / n
+    return [complex(math.cos(step * j), -math.sin(step * j)) for j in range(n // 2)]
 
 
-def _fhat_blocks(f: CoefficientField, n_panels):
-    """Yield (rows, fh) for blocks of node rows that cover range(24):
-    fh = fhat(f, xi) at the nodes xi of ``_panel_nodes(n_panels, rows)``,
-    in O(R log R) for support radius R <= n_panels (below 2**26).
+def _fft(x, roots):
+    """The forward transform of the list x, whose length n is a power of
+    two, with roots = ``_roots(n)``: Stockham's radix-2 form, which reads
+    the two halves of the list at every stage and needs no bit reversal.
+    Stage s (s = 1, 2, 4, ..., n/2) splits the list into blocks of s; block
+    p of the first half meets block p of the second, and their sum and
+    their difference times wbar^(p s) become blocks 2p and 2p + 1."""
+    n = len(x)
+    half = n // 2
+    y = [0j] * n
+    s = 1
+    while s < n:
+        m = half // s  # blocks in each half
+        a, b = x[:half], x[half:]
+        tw = roots[::s]
+        if s == 1:
+            y[0::2] = [p + q for p, q in zip(a, b)]
+            y[1::2] = [(p - q) * t for p, q, t in zip(a, b, tw)]
+        elif s < m:  # many short blocks: interleave by strides
+            spread = [0j] * half
+            for q in range(s):
+                spread[q::s] = tw
+            total = [p + q for p, q in zip(a, b)]
+            diff = [(p - q) * t for p, q, t in zip(a, b, spread)]
+            for q in range(s):
+                y[q::2 * s] = total[q::s]
+                y[q + s::2 * s] = diff[q::s]
+        else:  # few long blocks: one slice each
+            for p in range(m):
+                lo, hi, t = p * s, (p + 1) * s, tw[p]
+                y[2 * lo:2 * lo + s] = [u + v for u, v in zip(a[lo:hi], b[lo:hi])]
+                y[2 * lo + s:2 * hi] = [(u - v) * t for u, v in zip(a[lo:hi], b[lo:hi])]
+        x, y = y, x
+        s *= 2
+    return x
 
-    Panel p carries node j at y = (2p + 1 + x_j) / (2P), P = n_panels, so
-    fhat(y) = sum_m a_j[m] exp(-2 pi i m p / P) with the folded coefficients
-    a_j[m] = sum_{k = m mod P} f_k exp(-pi i k (1 + x_j) / P): one length-P
-    FFT per node row.  The float node xi sits delta = xi - y away from
-    the exact y (below 1 ulp of xi); the same FFTs of -2 pi i k f_k give
-    fhat'(y), and fhat(y) + delta fhat'(y) is fhat(xi) up to a term of
-    order (2 pi R delta)^2, so the FFT evaluates the same rule as ``fhat``.
-    Each value is the same float whatever the block size.
-    """
-    nodes = np.array(_GAUSS_NODES)
-    keys = f.keys()
-    k = np.fromiter((key for (key,) in keys), np.int64, len(keys))
-    v = np.fromiter(map(f._entries.__getitem__, keys), complex, len(keys))
-    # the keys ascend, so each run of one k // P has distinct slots k mod P,
-    # and adding the runs in turn adds each slot's terms in key order
-    cuts = [0, *(np.flatnonzero(np.diff(k // n_panels)) + 1).tolist(), len(k)]
-    slabs = [(slice(a, b), k[a:b] % n_panels) for a, b in zip(cuts, cuts[1:])]
-    step = min(_NODES, max(1, _BLOCK // (len(k) + 2 * n_panels)))
-    two_p = 2.0 * n_panels
-    odd = 2.0 * np.arange(n_panels) + 1.0
-    for j in range(0, _NODES, step):
-        rows = slice(j, j + step)
-        x = nodes[rows, None]
-        twisted = v * np.exp(-1j * np.pi * k * (1.0 + x) / n_panels)
-        folded = np.zeros((2, len(x), n_panels), dtype=complex)
-        for run, slots in slabs:
-            folded[0][:, slots] += twisted[:, run]
-        twisted *= -2j * np.pi * k
-        for run, slots in slabs:
-            folded[1][:, slots] += twisted[:, run]
-        del twisted
-        np.fft.fft(folded, axis=2, out=folded)
-        # delta from the split xi = hi + lo (26 bits each): hi * 2P and
-        # lo * 2P are exact, and so is the cancellation against 2p + 1
-        xi, _ = _panel_nodes(n_panels, rows)
-        split = 134217729.0 * xi  # 2**27 + 1
-        hi = split - (split - xi)
-        lo = xi - hi
-        delta = ((hi * two_p - odd - x) + lo * two_p) / two_p
-        yield rows, folded[0] + delta * folded[1]
+
+def _lag_sums(fields, radius):
+    """For each of one or two 1-d fields of support radius at most
+    radius > 0, the list [S_1, ..., S_2R] (R = radius) of the sums
+    S_m = A_m + A_-m = 2 Re A_m of its autocorrelations
+    A_m = sum_k f_(k+m) conj(f_k).
+
+    They come from the cyclic autocorrelation of length n, the least power
+    of two with n >= 4R: the inverse transform of |F|^2, F the transform of
+    f placed at k mod n.  No two lags up to 2R meet mod n, except 2R and -2R
+    when n = 4R, and S_2R is their sum.  Two fields share one inverse
+    transform, of |F|^2 + i |G|^2: its result is the cyclic autocorrelation
+    of f plus i times that of g, both Hermitian, so the real parts at m and
+    -m sum to S_m of f and the imaginary parts to S_m of g.  The inverse
+    transform is the conjugate of the forward transform of the conjugate,
+    over n."""
+    n = 1 << (4 * radius - 1).bit_length()
+    if n > MAX_POINTS:
+        raise DomainError(f"support radius {radius} needs a transform of {n} points, "
+                          f"more than 2^{MAX_POINTS.bit_length() - 1}")
+    roots = _roots(n)
+    powers = []
+    for f in fields:
+        x = [0j] * n
+        for (k,), v in f._entries.items():
+            x[k % n] = v
+        powers.append([z.real * z.real + z.imag * z.imag for z in _fft(x, roots)])
+        del x
+    spectrum = powers[0] if len(powers) == 1 else [complex(p, -q) for p, q in zip(*powers)]
+    del powers
+    c = _fft(spectrum, roots)
+    del spectrum
+    pairs = [c[m] + c[n - m] if 2 * m < n else c[m] for m in range(1, 2 * radius + 1)]
+    del c
+    sums = [[z.real / n for z in pairs]]
+    if len(fields) == 2:
+        sums.append([-z.imag / n for z in pairs])
+    return sums
+
+
+def _weights(alpha, count):
+    """[w(0), ..., w(count - 1)] with w(m) = int_0^1 (1 + 2 sin pi xi)^(2 alpha)
+    e^(2 pi i m xi) dxi, real and even in m.  OverflowError where the
+    multiplier passes the largest double.
+
+    w(m) = c_2m for c_n = (1/pi) int_0^pi F(t) e^(-i n t) dt, F = (1 + 2 sin
+    t)^b, b = 2 alpha.  Integrating (1 + 2 sin t) F' = 2 b cos t F by parts
+    against e^(-i n t), with F(0) = F(pi) = 1, gives
+        (n + 1 + b) c_(n+1) = (n - 1 - b) c_(n-1) + i n c_n + ((-1)^n - 1)/pi.
+    F is symmetric about pi/2, so c_n is real for even n and imaginary for
+    odd n, c_n = i y_n; the recurrence runs on x_n = c_n (n even) and y_n
+    (n odd) from c_0 and y_1 = -(2/pi) int_0^(pi/2) F sin t dt, both taken
+    with the 24-node Gauss-Legendre rule on _PANELS panels.  At alpha = 0
+    the multiplier is 1 and w is the unit impulse, exactly."""
+    beta = 2.0 * alpha
+    if beta == 0:
+        return [1.0] + [0.0] * (count - 1)
+    width = math.pi / 2 / _PANELS
+    even, odd = [], []
+    for p in range(_PANELS):
+        mid = (p + 0.5) * width
+        for x, w in zip(_GAUSS_NODES, _GAUSS_WEIGHTS):
+            t = mid + width / 2 * x
+            value = (1.0 + 2.0 * math.sin(t)) ** beta * (w * width / 2)
+            even.append(value)
+            odd.append(value * math.sin(t))
+    x_prev = 2 / math.pi * math.fsum(even)  # x_0
+    y = -2 / math.pi * math.fsum(odd)  # y_1
+    out = [x_prev]
+    for m in range(1, count):
+        # n = 2m - 1, odd: x_2m; then n = 2m, even: y_(2m+1)
+        x_prev = ((2 * m - 2 - beta) * x_prev - (2 * m - 1) * y - 2 / math.pi) / (2 * m + beta)
+        y = ((2 * m - 1 - beta) * y + 2 * m * x_prev) / (2 * m + 1 + beta)
+        out.append(x_prev)
+    return out
 
 
 def sobolev_norm(f, alpha) -> float:
     """Multiplier Sobolev norm
     ( int_0^1 |(1 + 2 sin(pi xi))^alpha f_hat(xi)|^2 dxi )^(1/2).
 
-    Composite Gauss-Legendre on max(4, R) equal panels of 24 nodes, R the
-    support radius: at least 8 nodes per oscillation of |f_hat|^2; the
-    integrand is analytic, so the documented error is below 1e-10 for
-    support radii up to 64.  f_hat is evaluated at all 24 max(4, R) nodes
-    by 48 FFTs of length max(4, R) (``_fhat_blocks``), O(R log R); the
-    direct sum ``fhat`` at the same nodes gives norms within 2 ulp of it on
-    seeded fields up to radius 300 (4 ulp are allowed in the tests).  The
-    quadrature sum is correctly rounded (math.fsum), so the value does not
-    depend on numpy's summation order.  The four-panel rule used up to
-    support radius 4 has weights whose correctly rounded sum is 1, so the
-    unit delta at alpha = 0 has norm exactly 1, as Parseval says.  The
-    weights of the rules for support radii 9, 18, 36, 57, 59 and 103 sum to
-    1 ulp off 1, so at alpha = 0 the norm there can sit 1 ulp from the
-    Parseval value.
+    The integral is the Toeplitz sum sum_(|m| <= 2R) w(m) A_m over the
+    autocorrelations A_m of f (``_lag_sums``, R the support radius) and the
+    Fourier coefficients w(m) of the squared multiplier (``_weights``),
+    with no quadrature error.  A_0 is math.fsum of |f_k|^2 = re^2 + im^2,
+    so at alpha = 0 the norm is the square root of that sum exactly;
+    otherwise the A_m carry the rounding of the transforms of length
+    n >= 4R and the w(m) that of their recurrence.  On seeded fields up to
+    radius 64 and alpha up to 3 the value is within 3e-16 relative of
+    mpmath's integral at 50 digits.  A field whose transform needs more
+    than MAX_POINTS points is a DomainError; the norm is inf where a term
+    passes the largest double.
     """
-    return sobolev_norms(f, [alpha])[0]
+    return sobolev_norms([f], [[alpha]])[0][0]
 
 
-def sobolev_norms(f, alphas) -> list[float]:
-    """``sobolev_norm(f, alpha)`` for each alpha, with f_hat evaluated once
-    at the quadrature nodes; each value is the same float."""
-    if not all(0 <= alpha < math.inf for alpha in alphas):
+def sobolev_norms(fields, alphas) -> list[list[float]]:
+    """For one or two 1-d fields, and for each a list of alphas, the list
+    of ``sobolev_norm(field, alpha)``: one set of transforms for all of
+    them, and one set of weights per alpha."""
+    if not all(0 <= alpha < math.inf for group in alphas for alpha in group):
         raise DomainError("alpha must be finite and nonnegative")
-    f = _as_field1(f)
-    if not any(f._entries.values()):  # no entries, or zeros as a file keeps them
-        return [0.0 for _ in alphas]
-    n_panels = max(4, f.support_radius())
-    if _NODES * n_panels > MAX_POINTS:
-        raise DomainError(f"support radius {n_panels} needs {_NODES * n_panels} quadrature "
-                          "nodes, more than 2^26")
-    # f_hat is kept, a block at a time; the nodes, weights and multipliers
-    # are taken again for each alpha, so no array spans every node
-    blocks = list(_fhat_blocks(f, n_panels))
+    fields = [_as_field1(f) for f in fields]
+    # a field with no entries, or only the zeros a file keeps, has norm 0
+    # at every alpha and sets no size
+    nonzero = [any(f._entries.values()) for f in fields]
+    radius = max((f.support_radius() for f, z in zip(fields, nonzero) if z), default=0)
+    sums = _lag_sums(fields, radius) if radius else [[] for _ in fields]
+    weights = {}
+    out = []
+    for f, s, group, z in zip(fields, sums, alphas, nonzero):
+        if not z:
+            out.append([0.0] * len(group))
+            continue
+        # A_0 = math.fsum of |f_k|^2 = re^2 + im^2, then S_1 .. S_2R
+        lag = [math.fsum(v.real * v.real + v.imag * v.imag for v in f._entries.values()), *s]
+        row = []
+        for alpha in group:
+            if alpha not in weights:
+                try:
+                    weights[alpha] = _weights(alpha, 2 * radius + 1)
+                except OverflowError:  # the multiplier passes the largest double
+                    weights[alpha] = None
+            row.append(_toeplitz_norm(lag, weights[alpha]))
+        out.append(row)
+    return out
 
-    def terms(rows, fh, alpha):
-        xi, w = _panel_nodes(n_panels, rows)
-        base = 1.0 + 2.0 * np.sin(np.pi * xi)
-        # a term past the largest double is inf, and so is the norm; the
-        # weights sum to 1, so finite terms have a finite sum
-        with np.errstate(over="ignore"):
-            vals = np.abs(base**alpha * fh) ** 2
-        return (w * vals).ravel().tolist()
 
-    return [
-        math.sqrt(math.fsum(chain.from_iterable(terms(rows, fh, alpha) for rows, fh in blocks)))
-        for alpha in alphas
-    ]
+def _toeplitz_norm(lags, weights):
+    """sqrt(w(0) A_0 + sum_m w(m) S_m), summed once with math.fsum; inf
+    where the weights or a term pass the largest double."""
+    if weights is None:
+        return math.inf
+    try:
+        total = math.fsum(map(mul, weights, lags))
+    except (OverflowError, ValueError):  # a partial sum past the largest double, or inf - inf
+        return math.inf
+    return math.sqrt(total) if total < math.inf else math.inf

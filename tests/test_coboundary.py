@@ -301,24 +301,48 @@ def reference_complex_divisor(tvec, k):
         return complex(re, -sign * rounded_once(mpmath.sinpi(2 * d)))
 
 
-def reference_residual(f, g, u, n):
-    """Sum every mode of f - f o gamma - g over the whole n^dim grid."""
+def mp_divisor(u, k):
+    """D_k = 1 - e^{2 pi i <k, u>} in mpmath at the working precision, from
+    the stored values of u."""
+    prec = mpmath.mp.prec
+    theta = mpmath.fsum(ki * mpf_real(c, prec) for ki, c in zip(k, u))
+    return 1 - mpmath.expjpi(2 * theta)
+
+
+def mp_residual_terms(f, g, u):
+    """{k: r_k = f_k D_k - g_k} over the union of the supports, in mpmath
+    at the working precision."""
     u = [PrecisionReal.coerce(c) for c in u]
-    modes = {}
+    terms = {}
     for k, v in f.items():
         if any(k):
-            modes[k] = v * reference_complex_divisor(u, k)
+            terms[k] = mpmath.mpc(v.real, v.imag) * mp_divisor(u, k)
     for k, v in g.items():
-        modes[k] = modes.get(k, 0j) - v
-    table = np.exp(2j * np.pi * np.arange(n) / n)
-    vals = np.zeros((n,) * f.dim, dtype=complex)
-    idx = np.indices((n,) * f.dim)
-    for k, c in sorted(modes.items()):
-        ph = np.ones((n,) * f.dim, dtype=complex)
-        for axis, ki in enumerate(k):
-            ph = ph * table[(idx[axis] * ki) % n]
-        vals += c * ph
-    return float(np.max(np.abs(vals))) if modes else 0.0
+        terms[k] = terms.get(k, mpmath.mpc(0)) - mpmath.mpc(v.real, v.imag)
+    return terms
+
+
+def reference_residual(f, g, u, points=200, seed=0):
+    """(the largest |f(x) - f(x + u) - g(x)| over `points` seeded points x
+    of the torus, the exact l1 sum of the r_k), each summed mode by mode in
+    mpmath at 200 bits."""
+    r = random.Random(seed)
+    with mpmath.workprec(200):
+        terms = mp_residual_terms(f, g, u)
+        l1 = mpmath.fsum(abs(t) for t in terms.values())
+        sup = mpmath.mpf(0)
+        for _ in range(points):
+            x = [mpmath.mpf(r.random()) for _ in range(f.dim)]
+            value = mpmath.fsum(t * mpmath.expjpi(2 * mpmath.fsum(ki * xi for ki, xi in zip(k, x)))
+                                for k, t in terms.items())
+            sup = max(sup, abs(value))
+        return sup, l1
+
+
+def rounded_up(value):
+    """The least double at or above the mpf or Fraction value."""
+    x = float(value)
+    return x if x >= value else math.nextafter(x, math.inf)
 
 
 def parse_u(spec, prec):
@@ -520,30 +544,84 @@ def test_each_divisor_is_evaluated_once_per_solve_command(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("dim,radius,extra", [(1, 12, 0), (1, 7, 9), (2, 5, 0), (2, 4, 6), (3, 2, 3)])
-def test_fft_residual_matches_direct_summation(dim, radius, extra):
-    # g reaches up to extra modes further than f; the FFT's grid is the
-    # default max(2R + 1, 3)
+def test_residual_bounds_the_direct_sum_at_seeded_points(dim, radius, extra):
+    # g reaches up to extra modes further than f: the bound is at least the
+    # exact l1 sum, which is at least |f - f o gamma - g| at every point
     u = [GOLDEN, Fraction(1, 7), PrecisionReal.parse("sqrt2", 128)][:dim]
     f = random_field(radius, dim=dim)
     g = random_field(radius + extra, dim=dim)
     assert any(c < 0 for k in f.keys() for c in k)
-    n = 2 * max(f.support_radius(), g.support_radius()) + 1
-    tol = 1e-14 * (f.norm_l1() + g.norm_l1())
     for v in (u, negated(u)):
-        want = reference_residual(f, g, v, n)
-        assert abs(residual(f, g, v) - want) <= tol
+        sup, l1 = reference_residual(f, g, v)
+        bound = residual(f, g, v)
+        assert sup <= l1 <= bound <= l1 * (1 + 1e-14)
+    # f solves g: the bound is at roundoff level and still above every point
+    g = coboundary_from(f, u)
+    sol = solve(CoboundaryProblem(g, u))
+    sup, l1 = reference_residual(sol.f, g, u)
+    assert sup <= l1 <= sol.residual_sup == residual(sol.f, g, u) < 1e-13
 
 
-def test_fft_residual_matches_direct_summation_on_a_perturbed_solution():
+def test_residual_bounds_the_direct_sum_on_a_perturbed_solution():
     g = coboundary_from(random_field(10), [GOLDEN])
     sol = solve(CoboundaryProblem(g, [GOLDEN]))
     bumped = dict(sol.f.items())
     bumped[(1,)] = bumped.get((1,), 0j) + 1e-3
     fb = CoefficientField(1, bumped)
-    tol = 1e-14 * (fb.norm_l1() + g.norm_l1())
-    n = 2 * g.support_radius() + 1
     for f in (sol.f, fb):
-        assert abs(residual(f, g, [GOLDEN]) - reference_residual(f, g, [GOLDEN], n)) <= tol
+        sup, l1 = reference_residual(f, g, [GOLDEN])
+        assert sup <= l1 <= residual(f, g, [GOLDEN])
+    assert residual(fb, g, [GOLDEN]) >= 1e-3 * abs(complex_divisor([GOLDEN], 1))
+
+
+@pytest.mark.parametrize("spec", ["golden", "golden,sqrt2", "pi,e,sqrt3", "1/7", "1/3,2/5"])
+def test_residual_counts_the_rounding_of_the_divisors(spec):
+    # g_k = 1 * D~_k exactly, so f = 1 leaves nothing of f D~ - g: what is
+    # left is f_k (D_k - D~_k), below half an ulp of each part of D~_k
+    u = parse_u(spec, 128)
+    keys = random_keys(len(u), 50, 40, spec)
+    f = CoefficientField(len(u), dict.fromkeys(keys, 1.0))
+    g = coboundary_from(f, u)
+    assert all(g.get(k) == complex_divisor(u, k) for k in keys)
+    sup, l1 = reference_residual(f, g, u, points=50)
+    assert 0 < sup <= l1 <= residual(f, g, u)
+    # a part is exact where it is rational: at distances n / 12 (Niven)
+    halves = 0.0
+    for k in keys:
+        d, twelfths = g.get(k), 12 * phase_distance(u, k)[0]
+        n = twelfths.numerator if twelfths.denominator == 1 else 0
+        halves += 0.0 if n in (2, 3, 4, 6) else math.ulp(d.real) / 2
+        halves += 0.0 if n in (1, 3, 5, 6) else math.ulp(d.imag) / 2
+    assert residual(f, g, u) <= halves * (1 + 1e-12)
+
+
+def test_residual_is_the_exact_l1_sum_rounded_up_where_the_divisors_are_exact():
+    # at u = 1/2 the divisors are 0 and 2, and f = g / 2 solves g exactly:
+    # only the mean and the resonant modes of g count, each as |g_k|
+    g = CoefficientField(1, {(k,): complex(*rng.standard_normal(2)) for k in range(-9, 10, 2)})
+    sol = solve(CoboundaryProblem(g, [Fraction(1, 2)]))
+    assert sol.residual_sup == 0.0
+    extra = {(0,): 2.0**-40, (4,): -3e-13, (-6,): 0.1j, (8,): 1e-300}
+    g2 = CoefficientField(1, {**dict(g.items()), **extra})
+    want = rounded_up(sum(Fraction(abs(v)) for v in extra.values()))
+    assert residual(sol.f, g2, [Fraction(1, 2)]) == want
+    # at u = (1/4, 1/3) the phases with k_2 = 0 mod 3 are quarters, where the
+    # divisors are 0, 1 -+ i and 2; f has few bits, so f D is exact, and g
+    # misses it by dyadic real amounts on some modes
+    u = [Fraction(1, 4), Fraction(1, 3)]
+    r = random.Random(14)
+    keys = [(a, b) for a in range(-5, 6) for b in range(-6, 7, 3) if a % 4 or b]
+    f = CoefficientField(2, {k: complex(r.randint(-64, 64), r.randint(-64, 64)) / 8 for k in keys})
+    misses = {k: r.randint(-99, 99) * 2.0**-60 for k in r.sample(keys, 9)}
+    resonant = {(0, 0): 1e-5, (4, 3): -2.0**-33, (-4, -6): 7.0}
+    g = coboundary_from(f, u)
+    g = CoefficientField(2, {**{k: g.get(k) + misses.get(k, 0) for k in keys}, **resonant})
+    with mpmath.workprec(200):
+        terms = mp_residual_terms(f, g, u)
+        l1 = mpmath.fsum(abs(t) for t in terms.values())
+    want = rounded_up(sum(Fraction(abs(v)) for v in [*misses.values(), *resonant.values()]))
+    assert rounded_up(l1) == want
+    assert residual(f, g, u) == want
 
 
 def inexact(man, exp, prec=64):
@@ -583,10 +661,14 @@ def test_declared_precision_is_checked_on_exact_truncations():
     g = CoefficientField(1, {(10**24,): 1.0, (-(10**24),): 1.0})
     with pytest.raises(PrecisionError, match="not resolved at 128"):
         solve(CoboundaryProblem(g, [liouville_constant(128)]))
-    # at 420 bits the phase 10^-96 is resolved and divided, but no residual
-    # grid holds 2 * 10^24 + 1 points
-    with pytest.raises(DomainError, match=f"support radius {10**24} needs"):
-        solve(CoboundaryProblem(g, [liouville_constant(420)]))
+    # at 420 bits the phase 10^-96 is resolved and divided, and the bound
+    # on the residual needs no grid of 2 * 10^24 + 1 points
+    t = liouville_constant(420)
+    sol = solve(CoboundaryProblem(g, [t]))
+    assert [phase_distance([t], k)[0] for k in g.keys()] == [Fraction(1, 10**96)] * 2
+    with mpmath.workprec(800):
+        l1 = mpmath.fsum(abs(t) for t in mp_residual_terms(sol.f, g, [t]).values())
+    assert l1 <= sol.residual_sup < 1e-14
     # k = 10^6 has the phase 10^-18, resolved at 128 bits, and a divisor of
     # about 6e-18 that is divided like any other
     t = liouville_constant(128)

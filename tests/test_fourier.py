@@ -1,17 +1,19 @@
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
 from heisencoh.coefficients import CoefficientField
 from heisencoh.errors import DomainError
 from heisencoh.fourier import (
-    _NODES,
-    _fhat_blocks,
     _GAUSS_NODES,
     _GAUSS_WEIGHTS,
-    _panel_nodes,
+    MAX_POINTS,
+    _fft,
+    _roots,
+    _weights,
     dft,
     fhat,
     inverse_dft,
@@ -115,12 +117,11 @@ def test_sobolev_alpha0_is_l2():
 def test_sobolev_delta_closed_form():
     # integral of (1 + 2 sin(pi xi))^2 over [0,1] is 3 + 8/pi
     delta = CoefficientField(1, {(0,): 1.0})
-    assert abs(sobolev_norm(delta, 1.0) - math.sqrt(3 + 8 / math.pi)) < 1e-10
+    assert sobolev_norm(delta, 1.0) == math.sqrt(3 + 8 / math.pi)
 
 
 def test_sobolev_unit_delta_alpha0_is_exactly_one():
-    # Parseval: the integrand is exactly 1, so the correctly rounded
-    # quadrature sum must be exactly 1 whatever numpy's summation order.
+    # Parseval: the integrand is exactly 1, and so is the norm
     assert sobolev_norm(CoefficientField(1, {(0,): 1.0}), 0.0) == 1.0
 
 
@@ -139,60 +140,6 @@ def test_sobolev_norm_axioms():
         assert sobolev_norm(f + g, a) <= sobolev_norm(f, a) + sobolev_norm(g, a) + 1e-10
 
 
-def _gauss_panels(n_panels):
-    """Every node and weight of the composite rule, panel by panel: node j
-    of panel p at index 24 p + j."""
-    nodes, weights = np.array(_GAUSS_NODES), np.array(_GAUSS_WEIGHTS)
-    edges = np.linspace(0.0, 1.0, n_panels + 1)
-    mid = (edges[:-1] + edges[1:]) / 2
-    half = (edges[1:] - edges[:-1]) / 2
-    xi = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
-    return xi, w
-
-
-def batched_fhat_on_panels(f, n_panels, xi):
-    """The FFT evaluation of ``_fhat_blocks`` on all 24 node rows at once,
-    with np.add.at folding: the reference the blocks must equal bit for bit.
-    Values at the nodes xi of ``_gauss_panels(n_panels)``, in their order."""
-    nodes = np.array(_GAUSS_NODES)
-    items = f.items()
-    k = np.array([key for (key,), _ in items], dtype=np.int64)
-    v = np.array([val for _, val in items], dtype=complex)
-    twisted = v * np.exp(-1j * np.pi * k * (1.0 + nodes[:, None]) / n_panels)
-    folded = np.zeros((2, _NODES, n_panels), dtype=complex)
-    np.add.at(folded[0], (slice(None), k % n_panels), twisted)
-    twisted *= -2j * np.pi * k
-    np.add.at(folded[1], (slice(None), k % n_panels), twisted)
-    np.fft.fft(folded, axis=2, out=folded)
-    value, slope = folded.transpose(0, 2, 1).reshape(2, -1)
-    two_p = 2.0 * n_panels
-    odd = np.repeat(2.0 * np.arange(n_panels) + 1.0, _NODES)
-    split = 134217729.0 * xi
-    hi = split - (split - xi)
-    lo = xi - hi
-    delta = ((hi * two_p - odd - np.tile(nodes, n_panels)) + lo * two_p) / two_p
-    return value + delta * slope
-
-
-def batched_sobolev_norms(f, alphas):
-    """``sobolev_norms`` with every node in one array: the reference."""
-    n_panels = max(4, f.support_radius())
-    xi, w = _gauss_panels(n_panels)
-    fh = batched_fhat_on_panels(f, n_panels, xi)
-    base = 1.0 + 2.0 * np.sin(np.pi * xi)
-    return [math.sqrt(math.fsum((w * np.abs(base**a * fh) ** 2).tolist())) for a in alphas]
-
-
-def sobolev_norms_direct(f, alphas):
-    """The quadrature of ``sobolev_norms`` with f_hat summed mode by mode at
-    every node by ``fhat``: O(R^2), the oracle for the FFT evaluation."""
-    xi, w = _gauss_panels(max(4, f.support_radius()))
-    fh = fhat(f, xi)
-    base = 1.0 + 2.0 * np.sin(np.pi * xi)
-    return [math.sqrt(math.fsum((w * np.abs(base**a * fh) ** 2).tolist())) for a in alphas]
-
-
 def seeded_field(radius, sparse):
     """c_k = (x + iy) / (1 + |k|) on [-radius, radius], or on a random fifth
     of it that keeps both ends, with x, y standard normal."""
@@ -204,50 +151,164 @@ def seeded_field(radius, sparse):
                                 for k in ks})
 
 
+def lag_sums_direct(f):
+    """[A_0, 2 Re A_1, ..., 2 Re A_2R] for A_m = sum_k f_(k+m) conj(f_k),
+    each summed mode by mode with math.fsum: O(R^2), the oracle for the
+    transforms."""
+    e = {k: v for (k,), v in f.items()}
+    radius = f.support_radius()
+    out = []
+    for m in range(2 * radius + 1):
+        terms = [(e[k + m] * v.conjugate()).real for k, v in e.items() if k + m in e]
+        out.append(math.fsum(terms) * (2 if m else 1))
+    return out
+
+
 SOBOLEV_RADII = sorted(set(range(1, 41)) | {57, 59, 64, 103, 128, 200, 256, 300})
 
 
 @pytest.mark.parametrize("radius", SOBOLEV_RADII)
 def test_sobolev_fft_matches_direct_sum(radius):
-    # The FFT and the direct sum round differently; 2 ulp is the most seen on
-    # these fields, and 4 ulp is allowed.
+    # the Toeplitz sum over autocorrelations from the transforms, against
+    # the same sum over autocorrelations summed mode by mode; 3e-16
+    # relative is the most seen on these fields
     alphas = [0.0, 1.0, 1.5, 2.0]
     for sparse in (False, True):
         f = seeded_field(radius, sparse)
-        for got, want in zip(sobolev_norms(f, alphas), sobolev_norms_direct(f, alphas)):
-            assert abs(got - want) <= 4 * math.ulp(want), (radius, sparse, got, want)
+        lags = lag_sums_direct(f)
+        for alpha, got in zip(alphas, sobolev_norms([f], [alphas])[0]):
+            want = math.sqrt(math.fsum(w * a for w, a in zip(_weights(alpha, len(lags)), lags)))
+            assert abs(got - want) <= 1e-15 * want, (radius, sparse, alpha, got, want)
 
 
 def test_sobolev_fft_values_match_direct_sum_at_every_node():
+    # the transform of f placed at k mod n is f_hat at the n nodes j / n
     for radius in (4, 9, 33, 256):
         f = seeded_field(radius, False)
-        n_panels = max(4, radius)
+        n = 1 << (4 * radius - 1).bit_length()
+        x = [0j] * n
+        for (k,), v in f.items():
+            x[k % n] = v
+        got = np.array(_fft(x, _roots(n)))
         scale = sum(abs(v) for _, v in f.items())
-        for rows, fh in _fhat_blocks(f, n_panels):
-            xi, _ = _panel_nodes(n_panels, rows)
-            err = np.max(np.abs(fh - fhat(f, xi)))
-            assert err <= 1e-14 * scale, radius  # 3e-15 * scale seen at radius 256
+        err = np.max(np.abs(got - fhat(f, np.arange(n) / n)))
+        assert err <= 1e-14 * scale, radius
 
 
-@pytest.mark.parametrize("radius", sorted(set(range(1, 41)) | {57, 64, 100, 103, 255, 256, 257,
-                                                                1000, 4096}))
-def test_fhat_blocks_and_norms_equal_the_batched_reference(radius):
-    # blocks of node rows and in-order slab additions change no bit: every
-    # f_hat value and every correctly rounded norm is the batched one's
-    alphas = [0.0, 0.5, 1.0, 1.5, 2.0, 3.7]
-    for sparse in (False, True):
-        f = seeded_field(radius, sparse)
-        n_panels = max(4, radius)
-        xi, _ = _gauss_panels(n_panels)
-        want = batched_fhat_on_panels(f, n_panels, xi).reshape(n_panels, _NODES)
-        covered = []
-        for rows, fh in _fhat_blocks(f, n_panels):
-            covered.extend(range(_NODES)[rows])
-            assert fh.tobytes() == np.ascontiguousarray(want[:, rows].T).tobytes(), (radius, rows)
-        assert covered == list(range(_NODES))
-        if radius >= 1000 and not sparse:
-            assert len(list(_fhat_blocks(f, n_panels))) > 1  # the rows come in blocks
-        assert sobolev_norms(f, alphas) == batched_sobolev_norms(f, alphas), (radius, sparse)
+@pytest.mark.parametrize("bits", range(12))
+def test_fft_matches_the_direct_dft(bits):
+    # every length the transform takes is a power of two: lengths up to
+    # 2^11 against the O(n^2) direct sum; MAX_POINTS is one more power
+    n = 1 << bits
+    r = random.Random(bits)
+    h = [complex(r.gauss(0, 1), r.gauss(0, 1)) for _ in range(n)]
+    i = np.arange(n)
+    want = np.exp(-2j * np.pi * (np.outer(i, i) % n) / n) @ np.array(h)
+    got = np.array(_fft(list(h), _roots(n)))
+    # 3.6e-16 (bits + 1) sqrt(n) is the most seen, against a reference that rounds too
+    assert np.max(np.abs(got - want)) <= 4e-16 * (bits + 1) * math.sqrt(n)
+    assert MAX_POINTS & (MAX_POINTS - 1) == 0
+
+
+def mp_weights(alpha, count):
+    """w(0..count-1) from the recurrence of ``_weights`` in mpmath at 50
+    digits, started from c_0 and y_1 by mpmath.quad."""
+    with mpmath.workdps(50):
+        beta = 2 * mpmath.mpf(alpha)
+        F = lambda t: (1 + 2 * mpmath.sin(t)) ** beta  # noqa: E731
+        ends = [0, mpmath.pi / 4, mpmath.pi / 2]
+        x = 2 / mpmath.pi * mpmath.quad(F, ends)
+        y = -2 / mpmath.pi * mpmath.quad(lambda t: F(t) * mpmath.sin(t), ends)
+        out = [x]
+        for m in range(1, count):
+            x = ((2 * m - 2 - beta) * x - (2 * m - 1) * y - 2 / mpmath.pi) / (2 * m + beta)
+            y = ((2 * m - 1 - beta) * y + 2 * m * x) / (2 * m + 1 + beta)
+            out.append(x)
+        return out
+
+
+def mp_weight_by_quad(alpha, m):
+    """w(m) = (2/pi) int_0^(pi/2) (1 + 2 sin t)^(2 alpha) cos(2 m t) dt by
+    mpmath.quad at 50 digits, on a panel per half period."""
+    with mpmath.workdps(50):
+        ends = [mpmath.pi / 2 * j / (2 * m + 1) for j in range(2 * m + 2)]
+        beta = 2 * mpmath.mpf(alpha)
+        return 2 / mpmath.pi * mpmath.quad(
+            lambda t: (1 + 2 * mpmath.sin(t)) ** beta * mpmath.cos(2 * m * t), ends)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5, 3.0])
+def test_weights_match_mpmath(alpha):
+    # the recurrence in mpmath agrees with the integral where both are
+    # taken, and the doubles with the recurrence for every m <= 2048 to
+    # 4e-16 of the largest weight (1.6e-16 is the most seen)
+    want = mp_weights(alpha, 2049)
+    for m in (0, 1, 2, 5, 30):
+        assert abs(want[m] - mp_weight_by_quad(alpha, m)) < mpmath.mpf(10) ** -40
+    got = _weights(alpha, 2049)
+    scale = float(max(abs(w) for w in want))
+    assert max(abs(g - float(w)) for g, w in zip(got, want)) <= 4e-16 * scale
+
+
+def mp_sobolev_norm(f, alpha, weights):
+    """The integral as the Toeplitz sum, in mpmath at 50 digits: the
+    autocorrelations exactly from the doubles of f, the weights of
+    ``mp_weights``."""
+    with mpmath.workdps(50):
+        e = {k: mpmath.mpc(v.real, v.imag) for (k,), v in f.items()}
+        total = mpmath.mpf(0)
+        for m in range(2 * f.support_radius() + 1):
+            a = mpmath.fsum(e[k + m] * mpmath.conj(v) for k, v in e.items() if k + m in e)
+            total += weights[m] * (a.real if m == 0 else 2 * a.real)
+        return mpmath.sqrt(total)
+
+
+def test_sobolev_norm_is_the_integral_in_mpmath():
+    # the Toeplitz sum is the integral: checked by mpmath.quad on small fields
+    with mpmath.workdps(50):
+        for radius, alpha in ((1, 0.25), (3, 1.5), (4, 3.0)):
+            f = seeded_field(radius, False)
+            e = {k: mpmath.mpc(v.real, v.imag) for (k,), v in f.items()}
+
+            def integrand(xi):
+                fh = mpmath.fsum(v * mpmath.expjpi(-2 * k * xi) for k, v in e.items())
+                return (1 + 2 * mpmath.sinpi(xi)) ** (2 * alpha) * abs(fh) ** 2
+
+            ends = [mpmath.mpf(j) / (4 * radius + 2) for j in range(4 * radius + 3)]
+            want = mpmath.sqrt(mpmath.quad(integrand, ends))
+            toeplitz = mp_sobolev_norm(f, alpha, mp_weights(alpha, 2 * radius + 1))
+            assert abs(toeplitz - want) < mpmath.mpf(10) ** -40 * want
+            assert abs(sobolev_norm(f, alpha) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3, 5, 8, 13, 31, 32, 33, 57, 64])
+def test_sobolev_norm_matches_mpmath(radius):
+    # within 1e-13 relative of mpmath at 50 digits; 3e-16 is the most seen
+    for alpha in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0):
+        weights = mp_weights(alpha, 2 * radius + 1) if alpha else [1] + [0] * (2 * radius)
+        for sparse in (False, True):
+            f = seeded_field(radius, sparse)
+            want = mp_sobolev_norm(f, alpha, weights)
+            assert abs(sobolev_norm(f, alpha) - want) <= 1e-13 * want, (radius, alpha, sparse)
+
+
+def test_sobolev_norm_at_alpha0_is_the_l2_norm_bit_for_bit():
+    for radius in range(1, 129):
+        for sparse in (False, True):
+            f = seeded_field(radius, sparse)
+            want = math.sqrt(math.fsum(v.real * v.real + v.imag * v.imag for _, v in f.items()))
+            assert sobolev_norm(f, 0.0) == want, (radius, sparse)
+
+
+def test_two_fields_share_their_transforms():
+    # the norms of f and g from one inverse transform, against each alone
+    f, g = seeded_field(40, False), seeded_field(25, True)
+    alphas = [0.0, 0.5, 2.0]
+    both = sobolev_norms([f, g], [alphas, alphas])
+    alone = [sobolev_norms([h], [alphas])[0] for h in (f, g)]
+    for row, want in zip(both, alone):
+        for a, b in zip(row, want):
+            assert abs(a - b) <= 2e-16 * b
 
 
 def test_quadrature_constants_are_leggauss_24():

@@ -16,10 +16,10 @@ The `solve` cases read the seeded coefficient files `solve_g_*.txt` (c_k =
 exact-u file leaves out the modes resonant for (1/4, 1/3)); a `*.f.txt` file
 is the `--out` file of the command whose stdout has the same stem.  Every
 byte is compared except the values of `residual_sup` and `verify_residual`.
-Those are sups over the grid of a residual at roundoff level (about 1e-15),
-whose last digits move with the order of the floating-point summation (a
-direct mode-by-mode sum or an inverse FFT); they are checked to be at most
-1e-12.
+Those are proved upper bounds on the residual over the whole torus, the
+l1 sum of its coefficients rounded up, at roundoff level (about 1e-15);
+their last digits depend on how the bound accounts for rounding, so they
+are checked to be at least 0 and at most 1e-12.
 
 The `sobolev` cases take the multiplier Sobolev norm of the dim-1 `solve`
 input at alpha 0 and 1.5.

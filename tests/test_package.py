@@ -226,13 +226,14 @@ MPMATH_FREE_COMMANDS = [
 
 
 def test_solve_sobolev_and_rep_run_without_mpmath(tmp_path):
-    # each side reads a copy of the inputs and writes its --out files beside it
+    # and without numpy: each side reads a copy of the inputs and writes its
+    # --out files beside it
     child, normal = tmp_path / "child", tmp_path / "normal"
     for where in (child, normal):
         where.mkdir()
         for name in (DIM1, DIM2, DIM2_EXACT):
             shutil.copy(GOLDEN / name, where / name)
-    run_blocked(["mpmath"], MPMATH_FREE_COMMANDS, child, normal)
+    run_blocked(["numpy", "mpmath"], MPMATH_FREE_COMMANDS, child, normal)
     for name in ("f_dim1.txt", "f_dim2.txt", "f_dim2_r8.txt"):
         assert (child / name).read_bytes() == (normal / name).read_bytes(), name
 
