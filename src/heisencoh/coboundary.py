@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import math
 from itertools import chain
+from math import fsum, hypot, ulp
 from operator import attrgetter
 
 from .coefficients import CoefficientField
-# phase_distance and complex_divisor are looked up on this module by
-# perfbench/trace_child.py; solve itself goes through iter_divisors
+# nothing here calls phase_distance or complex_divisor: they are imported
+# so that perfbench/trace_child.py finds them on this module, and solve,
+# residual and coboundary_from take every divisor from iter_divisors
 from .diophantine import (  # noqa: F401
-    _coerce_vector, _declared, _divisor, _phase_grid, _resolved, complex_divisor, iter_divisors,
-    phase_distance,
+    _coerce_vector, _declared, _divisor, _phase_grid, _resolved, _twelfths, complex_divisor,
+    iter_divisors, phase_distance,
 )
 from .errors import DomainError, NonzeroMeanError, PrecisionError, ResonanceError
 from .fourier import sobolev_norms
@@ -113,25 +115,25 @@ def solve(problem: CoboundaryProblem, classification=None) -> CoboundarySolution
     declared, prec = _declared(u)
     entries = g._entries
     twelfths = _twelfths(modulus)
-    divs, rational = {}, {}
+    terms = _ResidualSum()
+    add = terms.add
     resonant = []
     coeffs = {}
     min_r = argmin = None
     # the nonzero keys of g in ascending order, so coeffs is filled in the
-    # order of f.items(); each divisor is evaluated, checked and used in turn
+    # order of f.items(); each divisor is evaluated, checked and used in
+    # turn, and each mode's residual term taken with it
     for k, r, denom in iter_divisors(grid, (k for k in g.keys() if any(k))):
         # a phase is exact where k vanishes on every declared component;
         # anywhere else it must be resolved at the least declared precision
         if any(map(k.__getitem__, declared)) and not _resolved(r, sum(map(abs, k)), modulus, prec):
             raise PrecisionError(f"divisor at k={k} is not resolved at {prec} input bits", k)
-        divs[k] = denom
-        if r in twelfths:
-            rational[k] = twelfths[r]
         gk = entries[k]
         if r == 0:
             if abs(gk) > COEFF_TOL:
                 resonant.append((k, abs(gk)))
-            continue  # negligible coefficient on a resonant mode: f_k = 0
+            add(0j, gk, 0j, None)  # negligible coefficient on a resonant mode: f_k = 0
+            continue
         if denom:
             fk = gk / denom
         else:  # r / L is below the least subnormal, so d_k rounds to 0j
@@ -144,17 +146,20 @@ def solve(problem: CoboundaryProblem, classification=None) -> CoboundarySolution
                 f"f_k = g_k / d_k at k={k} is {fk}, whose |f_k|^2 is not a finite double"
             )
         coeffs[k] = fk
+        add(fk, gk, denom, twelfths.get(r))
         # 2 sin(pi r / L) grows with r: the least divisor is the first k of
         # the least r, decided on the integer and then rounded once
         if min_r is None or r < min_r:
             min_r, argmin = r, k
     if resonant:
         raise ResonanceError(resonant)
+    add(0j, mean, 0j, None)  # k = 0 last, as in residual: f_0 = 0
 
     # every key is one of g's and every value a complex quotient
     f = CoefficientField._from_checked(g.dim, coeffs)
 
-    radius = f.support_radius()
+    norms = [max(map(abs, k)) for k in coeffs]
+    radius = max(norms, default=0)
     radii = []
     r = 1
     while r < radius:
@@ -162,13 +167,15 @@ def solve(problem: CoboundaryProblem, classification=None) -> CoboundarySolution
         r *= 2
     radii.append(radius)
     # one pass over the entries of f in the order of f.items(): each sum adds
-    # the terms of f.truncate(r).norm_l2() in its order, so it is the same float
+    # the terms of f.truncate(r).norm_l2() in its order, so it is the same
+    # float.  radii[i] = 2^i below the last, so |k| = n counts from the
+    # first i with 2^i >= n
     sums = [0.0] * len(radii)
-    for k, v in coeffs.items():
-        n, t = max(map(abs, k)), abs(v) ** 2
-        for i, r in enumerate(radii):
-            if n <= r:
-                sums[i] += t
+    last = len(radii) - 1
+    for n, v in zip(norms, coeffs.values()):
+        t = abs(v) ** 2
+        for i in range(min((n - 1).bit_length(), last), last + 1):
+            sums[i] += t
     trunc = [(r, math.sqrt(s)) for r, s in zip(radii, sums)]
 
     sol = CoboundarySolution(
@@ -181,23 +188,27 @@ def solve(problem: CoboundaryProblem, classification=None) -> CoboundarySolution
             "formal solution: Liouville-type divisors; the norm may diverge "
             "as the truncation radius grows (see truncation_norms)"
         )
-    sol.residual_sup = _residual(f, g, divs, rational)
+    sol.residual_sup = terms.bound(coeffs.values(), len(entries))
     return sol
 
 
 def residual(f: CoefficientField, g: CoefficientField, u) -> float:
     """A proved upper bound on sup over the torus of |f(x) - f(x + u) - g(x)|:
-    ``_residual`` with the divisors of f's modes."""
+    the bound of ``_ResidualSum`` over the union of the supports, its terms
+    taken in the order ``solve`` takes them, so that for its solution f
+    this is ``solve``'s residual_sup."""
     if f.dim != g.dim:
         raise DomainError("dimension mismatch between f and g")
     grid = _phase_grid(_coerce_vector(u, f.dim))
     twelfths = _twelfths(grid[1])
-    divs, rational = {}, {}
-    for k, r, d in iter_divisors(grid, (k for k in f.keys() if any(k))):
-        divs[k] = d
-        if r in twelfths:
-            rational[k] = twelfths[r]
-    return _residual(f, g, divs, rational)
+    fe, ge = f._entries, g._entries
+    keys = sorted(fe.keys() | ge.keys())
+    terms = _ResidualSum()
+    for k, r, d in iter_divisors(grid, (k for k in keys if any(k))):
+        terms.add(fe.get(k, 0j), ge.get(k, 0j), d, twelfths.get(r))
+    zero = (0,) * f.dim
+    terms.add(fe.get(zero, 0j), ge.get(zero, 0j), 0j, None)
+    return terms.bound(fe.values(), len(keys))
 
 
 # the distances d = n / 12 at which a part of the divisor 1 - e^{2 pi i d}
@@ -205,25 +216,25 @@ def residual(f: CoefficientField, g: CoefficientField, u) -> float:
 # 2 sin^2(pi d) and its imaginary part -+sin(2 pi d) are
 _RATIONAL_PARTS = {1: (False, True), 2: (True, False), 3: (True, True), 4: (True, False),
                    5: (False, True), 6: (True, True)}
-_IRRATIONAL = (False, False)
 
 _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into two 26-bit halves
 _TINY = 2.0**-1020  # terms below this may carry an error of the subnormal range
 _CHUNK = 2048  # rough terms summed at a time
+_LEAST = math.ulp(0.0)
 
 
-def _twelfths(modulus):
-    """{r: n} for the distances r / modulus = n / 12 of ``_RATIONAL_PARTS``."""
-    return {n * modulus // 12: n for n in _RATIONAL_PARTS if n * modulus % 12 == 0}
-
-
-def _residual(f, g, divisors, rational):
+class _ResidualSum:
     """sum_k |r_k| rounded up once: a proved upper bound on the residual
     f - f o gamma - g over the whole torus, for the doubles of f and g.
 
-    divisors holds D~_k, the correctly rounded divisor, for every nonzero
-    key of f (0j on a resonant mode), and rational the keys whose distance
-    is n / 12 for an n of ``_RATIONAL_PARTS``, with that n.
+    ``add(f_k, g_k, D~_k, n)`` takes one mode: D~_k is the correctly rounded
+    divisor of k (0j for k = 0 and on a resonant mode), and n the n of
+    ``_RATIONAL_PARTS`` where the distance of k is n / 12, else None.
+    ``bound(values of f, number of modes)`` is the bound once every mode of
+    the union of the supports is added.  The rough terms are summed in
+    chunks, so the last bit of the bound depends on the order of the modes:
+    ``solve`` and ``residual`` both add the nonzero keys in ascending order
+    and then k = 0.
 
     Proof.  The residual is the trigonometric polynomial with the
     coefficients r_k = f_k D_k - g_k over the union of the supports, D_k =
@@ -251,78 +262,92 @@ def _residual(f, g, divisors, rational):
     and rounded up once.
 
     Below the normal range the products of halves may lose bits (where the
-    least nonzero part of f times that of a divisor is below 2^-916), and
-    so may a term q below 2^-1020 (in a larger q such a loss is below the
-    7u q the margin spares); each loss is under 2^-1068 per mode, and that
-    much per mode is added where it can happen.  A divisor part below
-    the normal range splits into halves of up to 53 bits, whose products
-    are off by u of at most |f_k| 2^-1021 each: 2^-1066 sum_k |f_k| more
-    covers them.  The bound is inf where a part of f_k passes 2^996, where
-    the split overflows, or where the sum passes the largest double.
+    least nonzero part of f times the least nonzero part of a divisor that
+    multiplies an f_k != 0 is below 2^-916), and so may a term q below
+    2^-1020 (in a larger q such a loss is below the 7u q the margin
+    spares); each loss is under 2^-1068 per mode, and that much per mode
+    is added where it can happen.  A divisor part below the normal range
+    splits into halves of up to 53 bits, whose products are off by u of at
+    most |f_k| 2^-1021 each: 2^-1066 sum_k |f_k| more covers them.  The
+    bound is inf where a part of f_k passes 2^996, where the split
+    overflows, or where the sum passes the largest double.
     """
-    fe, ge = f._entries, g._entries
-    sure, rough, chunks = [], [], []
-    tiny = False
-    fsum, hypot, ulp, least = math.fsum, math.hypot, math.ulp, math.ulp(0.0)
-    f_at, d_at = fe.get, divisors.get
-    try:
-        for k, gk in chain(ge.items(), ((k, 0j) for k in fe.keys() - ge.keys())):
-            fk = f_at(k, 0j)
-            d = d_at(k, 0j)
-            if not (fk and d):
-                br, bi = abs(gk.real), abs(gk.imag)
-                if br and bi:
-                    rough.append(hypot(br, bi))
-                elif br or bi:
-                    sure.append(br + bi)
-                continue
-            ar, ai, dr, di = fk.real, fk.imag, d.real, d.imag
-            c = ar * _SPLIT
-            a1 = c - (c - ar)
-            a2 = ar - a1
-            c = ai * _SPLIT
-            b1 = c - (c - ai)
-            b2 = ai - b1
-            c = dr * _SPLIT
-            d1 = c - (c - dr)
-            d2 = dr - d1
-            c = di * _SPLIT
-            e1 = c - (c - di)
-            e2 = di - e1
+
+    __slots__ = ("sure", "rough", "chunks", "tiny", "low_d", "failed")
+
+    def __init__(self):
+        self.sure, self.rough, self.chunks = [], [], []
+        self.tiny = False
+        self.low_d = math.inf  # the least nonzero part of a divisor of a product
+        self.failed = False  # a split overflowed, or inf - inf
+
+    def add(self, fk, gk, d, rational):
+        if not (fk and d):
+            br, bi = abs(gk.real), abs(gk.imag)
+            if br and bi:
+                self.rough.append(hypot(br, bi))
+            elif br or bi:
+                self.sure.append(br + bi)
+            return
+        ar, ai, dr, di = fk.real, fk.imag, d.real, d.imag
+        low = self.low_d
+        if dr and abs(dr) < low or di and abs(di) < low:
+            self.low_d = min(low, *(abs(p) for p in (dr, di) if p))
+        c = ar * _SPLIT
+        a1 = c - (c - ar)
+        a2 = ar - a1
+        c = ai * _SPLIT
+        b1 = c - (c - ai)
+        b2 = ai - b1
+        c = dr * _SPLIT
+        d1 = c - (c - dr)
+        d2 = dr - d1
+        c = di * _SPLIT
+        e1 = c - (c - di)
+        e2 = di - e1
+        if rational:
+            exact_re, exact_im = _RATIONAL_PARTS[rational]
+            e = ((0.0 if exact_re else ulp(dr) / 2 or _LEAST)
+                 + (0.0 if exact_im else ulp(di) / 2 or _LEAST))
+        else:
+            e = (ulp(dr) / 2 or _LEAST) + (ulp(di) / 2 or _LEAST)
+        rough = self.rough
+        try:
             x = fsum((a1 * d1, a1 * d2, a2 * d1, a2 * d2,
                       -b1 * e1, -b1 * e2, -b2 * e1, -b2 * e2, -gk.real))
             y = fsum((a1 * e1, a1 * e2, a2 * e1, a2 * e2,
                       b1 * d1, b1 * d2, b2 * d1, b2 * d2, -gk.imag))
-            if rational and k in rational:
-                exact_re, exact_im = _RATIONAL_PARTS[rational[k]]
-                e = ((0.0 if exact_re else ulp(dr) / 2 or least)
-                     + (0.0 if exact_im else ulp(di) / 2 or least))
-            else:
-                e = (ulp(dr) / 2 or least) + (ulp(di) / 2 or least)
             if x or y or e:
                 rough.append(hypot(x, y) + hypot(ar, ai) * e)
             if len(rough) >= _CHUNK:
-                tiny = tiny or min(rough) < _TINY
-                chunks.append(fsum(rough))
+                self.tiny = self.tiny or min(rough) < _TINY
+                self.chunks.append(fsum(rough))
                 rough.clear()
-        tiny = tiny or min(rough, default=1.0) < _TINY
-        chunks.append(fsum(rough))
-        rough_sum = fsum(chunks)
-        low_f = min(_nonzero_parts(fe.values()), default=math.inf)
-        low_d = min(_nonzero_parts(divisors.values()), default=math.inf)
-        if tiny or low_f * low_d < 2.0**-916:
-            sure.append(len(fe.keys() | ge.keys()) * 2.0**-1068)
-        if low_d < 2.0**-1022:
-            sure.append(math.nextafter(fsum(map(abs, fe.values())) * 2.0**-1066, math.inf))
-        margin = math.nextafter(rough_sum * 2.0**-49, math.inf) if rough_sum else 0.0
-        terms = sure + [rough_sum, margin]
-        total = fsum(terms)
-        terms.append(-total)
-        if fsum(terms) > 0:  # rounded down: take the next double up
-            total = math.nextafter(total, math.inf)
-    except (OverflowError, ValueError):  # a sum past the largest double, or inf - inf
-        return math.inf
-    return total if total < math.inf else math.inf
+        except (OverflowError, ValueError):  # a sum past the largest double, or inf - inf
+            self.failed = True
+
+    def bound(self, f_values, modes):
+        """The bound, for f_values the values of f and modes the number of
+        keys in the union of the supports."""
+        if self.failed:
+            return math.inf
+        try:
+            tiny = self.tiny or min(self.rough, default=1.0) < _TINY
+            rough_sum = fsum(self.chunks + [fsum(self.rough)])
+            margin = math.nextafter(rough_sum * 2.0**-49, math.inf) if rough_sum else 0.0
+            terms = [*self.sure, rough_sum, margin]
+            low_f = min(_nonzero_parts(f_values), default=math.inf)
+            if tiny or low_f * self.low_d < 2.0**-916:
+                terms.append(modes * 2.0**-1068)
+            if self.low_d < 2.0**-1022:
+                terms.append(math.nextafter(fsum(map(abs, f_values)) * 2.0**-1066, math.inf))
+            total = fsum(terms)
+            terms.append(-total)
+            if fsum(terms) > 0:  # rounded down: take the next double up
+                total = math.nextafter(total, math.inf)
+        except (OverflowError, ValueError):  # a sum past the largest double, or inf - inf
+            return math.inf
+        return total if total < math.inf else math.inf
 
 
 def _nonzero_parts(values):

@@ -90,30 +90,10 @@ class CoefficientField:
             self._radius = max((max(map(abs, k)) for k in self._entries), default=0)
         return self._radius
 
-    # truncate, + and scale combine entries that are already checked: each
-    # builds its dict directly and drops zeros, as the constructor does
-
     def truncate(self, radius):
-        """Drop all indices with max-norm above radius."""
+        """Drop all indices with max-norm above radius, and the zero values."""
         return CoefficientField._from_checked(self.dim, {
             k: v for k, v in self._entries.items() if v and max(map(abs, k)) <= radius
-        })
-
-    def __add__(self, other):
-        if self.dim != other.dim:
-            raise DimensionMismatchError("dim mismatch in +")
-        data = dict(self._entries)
-        for k, v in other._entries.items():
-            data[k] = data.get(k, 0j) + v
-        return CoefficientField._from_checked(self.dim, {k: v for k, v in data.items() if v})
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = complex(c)
-        return CoefficientField._from_checked(self.dim, {
-            k: w for k, v in self._entries.items() if (w := c * v)
         })
 
     def norm_l1(self):
@@ -142,15 +122,13 @@ def write_coefficients(field: CoefficientField, fh) -> bytes:
         digest.update(text.encode())
 
     put(f"dim={field.dim}\n")
-    entries = field._entries
-    keys = sorted(entries)
-    for i in range(0, len(keys), 1024):
-        put("".join([_line(k, entries[k]) for k in keys[i:i + 1024]]))
+    # one % per line: %d prints an int as str() does, and %.17g a float as
+    # format(x, ".17g") does
+    line = "%d " * field.dim + "%.17g %.17g\n"
+    items = sorted(field._entries.items())  # keys are distinct: no value is compared
+    for i in range(0, len(items), 1024):
+        put("".join([line % (k + (v.real, v.imag)) for k, v in items[i:i + 1024]]))
     return digest.digest()
-
-
-def _line(k, v):
-    return f"{' '.join(map(str, k))} {v.real:.17g} {v.imag:.17g}\n"
 
 
 def read_coefficients(fh) -> CoefficientField:

@@ -26,6 +26,7 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
+from itertools import chain, pairwise
 
 from . import _bigfloat as bf
 from . import _scan
@@ -98,6 +99,63 @@ def _phase(scaled, modulus, k):
     return min(phase, modulus - phase), 1 if 2 * phase <= modulus else -1
 
 
+# working bits of the fixed-point unit that ``iter_divisors`` steps along a
+# run of keys; at most 1074, so that no nonzero multiple of 2**-STEP_BITS
+# rounds to zero
+STEP_BITS = 128
+
+
+def _twelfths(modulus):
+    """{r: n} for the distances r / modulus = n / 12, n = 1..6: the d in
+    (0, 1/2] at which a part of the divisor 1 - e^{2 pi i d} is rational
+    (Niven's theorem)."""
+    return {n * modulus // 12: n for n in range(1, 7) if n * modulus % 12 == 0}
+
+
+def _divisor_parts(r, modulus, w):
+    """The parts 2 sin^2(pi d) and 2 sin(pi d) cos(pi d) of the divisor at
+    d = r / modulus, 0 < d <= 1/2, as intervals (lo, hi, exp) from one
+    ``_bigfloat.sin_cos_pi`` series at w working bits."""
+    (sl, sh, se), (cl, ch, ce) = bf.sin_cos_pi(r, modulus, w)
+    return (2 * sl * sl, 2 * sh * sh, 2 * se), (2 * sl * cl, 2 * sh * ch, se + ce)
+
+
+def _rounded(r, modulus, w):
+    """The divisor of sign +1 at distance r, each part correctly rounded by
+    Ziv's strategy from w working bits."""
+    re, im = bf.ziv(partial(_divisor_parts, r, modulus), bf.double, w)
+    return complex(re, -im)
+
+
+def _seeded(r, modulus, w):
+    """(divisor, unit): ``_rounded`` and ``_unit`` at distance r, both
+    from one series at w bits where both parts round there."""
+    parts = _divisor_parts(r, modulus, w)
+    (rlo, rhi, rex), (ilo, ihi, iex) = parts
+    re, im = bf.double(rlo, rex), bf.double(ilo, iex)
+    if re == bf.double(rhi, rex) and im == bf.double(ihi, iex):
+        return complex(re, -im), _unit(parts, w)
+    return _rounded(r, modulus, 2 * w), _unit(parts, w)
+
+
+def _unit(parts, w):
+    """(C, S, e): the unit 1 - divisor of sign +1 as (C + i S) 2**-w within
+    e 2**-w, from the intervals parts of ``_divisor_parts``: e is the sum of
+    their half-widths."""
+    (a, ea), (b, eb) = (_fixed(part, w) for part in parts)
+    return (1 << w) - a, b, ea + eb
+
+
+def _fixed(part, w):
+    """(m, e) with |v - m 2**-w| <= e 2**-w for the value v of the
+    interval part = (lo, hi, exp)."""
+    lo, hi, exp = part
+    shift = exp + w
+    lo, hi = (lo << shift, hi << shift) if shift >= 0 else (lo >> -shift, -(-hi >> -shift))
+    mid = (lo + hi) >> 1
+    return mid, hi - mid
+
+
 def iter_divisors(grid, keys):
     """Yield (k, r, divisor) for each k of keys, in their order: the
     divisor 1 - exp(2 pi i <k, t>) and r, with r / L the exact distance of
@@ -105,31 +163,104 @@ def iter_divisors(grid, keys):
 
     The divisor is 0j when r is 0; otherwise, for d = r / L, it is
     2 sin^2(pi d) - i sign 2 sin(pi d) cos(pi d), with sign as in ``_phase``
-    and each part the correctly rounded double of its exact value, from one
-    ``_bigfloat.sin_cos_pi`` interval.  Where a part is rational it is that
-    value exactly: at d = 1/2 the divisor is 2 - 0j, whose imaginary part
-    is -0.0 (sign is +1 there), and at d = 1/4 it is 1 -+ 1j.  The
-    trigonometric part depends on r alone, so it is evaluated once per
-    distinct r (k and -k share it) and each k takes only its own sign.
-    Keys must be integer tuples of the length of t.
+    and each part the correctly rounded double of its exact value.  Where a
+    part is rational it is that value exactly: at d = 1/2 the divisor is
+    2 - 0j, whose imaginary part is -0.0 (sign is +1 there), and at d = 1/4
+    it is 1 -+ 1j.  Keys must be integer tuples of the length of t.
+
+    A divisor is found in one of three ways.
+    - Known: the divisor of sign +1 depends on r alone, so it is kept by r,
+      and k and -k share it, each taking its own sign.
+    - Stepped: along a run of keys that differ by one in the last
+      coordinate, the exact phase p = <k, U> mod L advances by U_n mod L,
+      and the unit z = e^{2 pi i p / L} = 1 - divisor by one product with
+      t = e^{2 pi i U_n / L}, both in fixed point on integers at
+      w = STEP_BITS bits.  A part is taken from z only where both ends of
+      its interval round to the same double.
+    - Series: one ``_bigfloat.sin_cos_pi`` series, rounded by Ziv's test,
+      where r is new and the divisor is not stepped: where no unit is held,
+      at the d = n / 12 of ``_twelfths`` (1/2 among them), and where a
+      stepped interval holds a rounding boundary.  Where the run goes on
+      and no good unit is held, the series runs at w bits and seeds the
+      unit (``_seeded``); elsewhere it starts from ``_bigfloat.START_BITS``.
+    So a key costs at most one series (Ziv's retries aside), one more
+    makes t, and a key with no neighbour in its run (k = +-10^24) costs
+    what it costs without the stepping.
+
+    Error bound of a step.  Let z~ = (C + i S) 2^-w with |z~ - z| <= e 2^-w
+    and t~ = (T_c + i T_s) 2^-w with |t~ - t| <= e_t 2^-w, where |z| = |t|
+    = 1.  Then z~ t~ - z t = z (t~ - t) + t (z~ - z) + (z~ - z)(t~ - t) has
+    modulus at most (e + e_t + e e_t 2^-w) 2^-w, and flooring each part of
+    (C + i S)(T_c + i T_s) 2^-w to an integer moves the product by less
+    than sqrt(2) 2^-w.  So the stepped unit is within e' 2^-w of z t, for
+    e' = e + e_t + floor(e e_t 2^-w) + 3: the bound grows linearly along
+    the run.  A unit from the series is within the sum of the half-widths
+    of its two intervals, t is seeded the same way, and at r = 0 the unit
+    is 1 exactly.  Each part of 1 - z~ is within e 2^-w of its exact value,
+    and rounding is monotone, so where both ends of that interval round to
+    one double, it is the correctly rounded part.  After a step e >= 3 and
+    no nonzero multiple of 2^-w rounds to 0, so a stepped interval around a
+    part 0 never rounds: the sign of a zero comes from the series alone.
     """
     scaled, modulus = grid
+    w = STEP_BITS
+    one = 1 << w
+    step = scaled[-1] % modulus
+    twelfths = _twelfths(modulus)
     by_distance = {}  # r -> the divisor of sign +1
-    for k in keys:
-        r, sign = _phase(scaled, modulus, k)
-        if r == 0:
+    turn = None  # (T_c, T_s, e_t), made at the first step
+    held = False  # whether (c, s, e) holds the unit of k
+    joined = False  # whether k is one past the key before it
+    for k, after in pairwise(chain(keys, (None,))):
+        if joined:
+            phase += step
+            if phase >= modulus:
+                phase -= modulus
+            if held:
+                if turn is None:
+                    turn = _turn(scaled, modulus, w)
+                tc, ts, et = turn
+                c, s, e = (c * tc - s * ts) >> w, (c * ts + s * tc) >> w, e + et + (e * et >> w) + 3
+        else:
+            phase = sum(map(operator.mul, k, scaled)) % modulus
+            held = False
+        joined = after is not None and after[-1] - 1 == k[-1] and after[:-1] == k[:-1]
+        if 2 * phase <= modulus:
+            r, sign = phase, 1
+        else:
+            r, sign = modulus - phase, -1
+        if not r:
+            c, s, e, held = one, 0, 0, True
             yield k, 0, 0j
             continue
         d = by_distance.get(r)
         if d is None:
-            def series(w, r=r):
-                (sl, sh, se), (cl, ch, ce) = bf.sin_cos_pi(r, modulus, w)
-                return (2 * sl * sl, 2 * sh * sh, 2 * se), (2 * sl * cl, 2 * sh * ch, se + ce)
-
-            re, im = bf.ziv(series, bf.double, bf.START_BITS)
-            d = by_distance[r] = complex(re, -im)
+            if held and r not in twelfths:
+                m = one - c
+                re, im = (m - e) / one, (-s - e) / one
+                if re == (m + e) / one and im == (e - s) / one:
+                    d = complex(re, sign * im)  # the divisor of sign +1
+                else:
+                    held = False  # too wide here: seed again if the run goes on
+            if d is None and joined and not held:
+                d, (c, s, e) = _seeded(r, modulus, w)
+                s *= sign
+                held = True
+            elif d is None:
+                d = _rounded(r, modulus, bf.START_BITS)
+            by_distance[r] = d
         # conjugate() negates the imaginary part exactly: sign -1
         yield k, r, d if sign == 1 else d.conjugate()
+
+
+def _turn(scaled, modulus, w):
+    """(T_c, T_s, e_t): the unit t = e^{2 pi i U_n / L} by which a run steps,
+    as (T_c + i T_s) 2**-w within e_t 2**-w."""
+    r, sign = _phase(scaled[-1:], modulus, (1,))
+    if not r:
+        return 1 << w, 0, 0
+    tc, ts, et = _unit(_divisor_parts(r, modulus, w), w)
+    return tc, sign * ts, et
 
 
 def _resolved(r, weight, modulus, prec):

@@ -403,8 +403,9 @@ def test_solve_computes_the_residual_once_per_grid(monkeypatch):
     from heisencoh import cli, coboundary
 
     calls = []
-    real = coboundary._residual
-    monkeypatch.setattr(coboundary, "_residual", lambda *a: calls.append(a) or real(*a))
+    real = coboundary._ResidualSum.bound
+    monkeypatch.setattr(coboundary._ResidualSum, "bound",
+                        lambda *a: calls.append(a) or real(*a))
     argv = ["solve", "--g", str(GOLDEN / "solve_g_dim2_r8.txt"),
             "--u", "golden,sqrt2"]
     assert cli.main(argv) == 0
@@ -642,6 +643,31 @@ def test_classify_weight_halfway_between_two_doubles_ends():
     assert r.returncode == 0, r.stderr
     assert " shell_max=33354363399333136 " in r.stdout
     assert 2 * 3**34 - 2 == 33354363399333136 and 2 * 3**34 + 2 == float(2 * 3**34 + 2)
+
+
+def test_main_leaves_the_collector_as_it_found_it(tmp_path):
+    # only `python -m heisencoh` freezes the heap, after main returns
+    import gc
+
+    frozen = gc.get_freeze_count()
+    assert cli.main(["solve", "--g", str(GOLDEN / "solve_g_dim2_r8.txt"), "--u", "golden,sqrt2",
+                     "--verify", "--out", str(tmp_path / "f.txt")]) == 0
+    assert cli.main(["classify", "--vector", "golden", "--kmax", "10"]) == 0
+    assert gc.get_freeze_count() == frozen and gc.isenabled()
+
+
+@pytest.mark.parametrize("args, status, err", [
+    (["fan", "--lambda", "1", "--xi", "3", "--n", "1"], 0, ""),
+    (["solve", "--no-such-option"], 2, "usage:"),
+    (["solve", "--g", "no/such/file", "--u", "golden"], 3, "error[domain]:"),
+    (["classify", "--vector", "golden,sqrt5", "--kmax", "10"], 4, "error[precision]:"),
+], ids=["ok", "usage", "domain", "precision"])
+def test_module_exit_keeps_each_status(args, status, err):
+    # the exit freeze changes how the process ends, not its status or output
+    r = run_cli(*args)
+    assert r.returncode == status
+    assert r.stderr.startswith(err)
+    assert (r.stdout != "") == (status == 0)
 
 
 def test_closed_stdout_is_not_a_domain_error():

@@ -1,3 +1,4 @@
+import importlib
 import io
 import itertools
 import math
@@ -96,7 +97,8 @@ def test_solve_linearity():
     u = [GOLDEN]
     s1 = solve(CoboundaryProblem(g1, u)).f
     s2 = solve(CoboundaryProblem(g2, u)).f
-    s12 = solve(CoboundaryProblem(g1 + g2, u)).f
+    g12 = CoefficientField(1, {k: g1.get(k) + g2.get(k) for k in set(g1.keys()) | set(g2.keys())})
+    s12 = solve(CoboundaryProblem(g12, u)).f
     for k in set(s1.keys()) | set(s2.keys()):
         assert abs(s12.get(k) - s1.get(k) - s2.get(k)) < 1e-12
 
@@ -450,19 +452,109 @@ def test_divisor_table_shares_trig_between_k_and_minus_k(spec, monkeypatch):
     keys = [k for k in itertools.product(range(-box, box + 1), repeat=len(u)) if any(k)]
     per_mode = {k: iter_divisor_table(u, [k])[1][k] for k in keys}
     calls = []
-    real_sin_cos_pi = bf.sin_cos_pi  # looked up on _bigfloat by iter_divisors on each call
-    monkeypatch.setattr(bf, "sin_cos_pi", lambda *a: calls.append(a[:2]) or real_sin_cos_pi(*a))
+    real_parts = diophantine._divisor_parts  # looked up on diophantine on each call
+    monkeypatch.setattr(diophantine, "_divisor_parts",
+                        lambda r, q, w: calls.append((r, w)) or real_parts(r, q, w))
     modulus, table = iter_divisor_table(u, keys)
     for k in keys:
         (r, got), (r1, want) = table[k], per_mode[k]
         assert r == r1
         assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), k
-    # one series per distinct distance (a distance past 1/4 also calls
-    # itself, on the complement over 2L)
-    distances = sorted({r for r, _ in table.values() if r})
-    assert sorted(r for r, q in calls if q == modulus) == distances
+    # a series runs at most once per distinct distance (its first working
+    # precision), and once more for the unit the runs step by
+    distances = {r for r, _ in table.values() if r}
+    first = [r for r, w in calls if w in (bf.START_BITS, diophantine.STEP_BITS)]
+    step = _phase_grid(u)[0][-1] % modulus
+    first.remove(min(step, modulus - step))
+    assert len(first) == len(set(first)) and set(first) <= distances
     if spec == "1/2":
         assert table[(1,)] == table[(-1,)] and 2 * table[(1,)][0] == modulus
+
+
+def series_divisor(tvec, k):
+    """The divisor of k from one ``_bigfloat.sin_cos_pi`` series per key,
+    rounded by Ziv's test: what ``iter_divisors`` computed for every key
+    before it stepped along runs."""
+    scaled, modulus = _phase_grid(tvec)
+    r, sign = diophantine._phase(scaled, modulus, k)
+    if r == 0:
+        return 0j
+
+    def series(w):
+        (sl, sh, se), (cl, ch, ce) = bf.sin_cos_pi(r, modulus, w)
+        return (2 * sl * sl, 2 * sh * sh, 2 * se), (2 * sl * cl, 2 * sh * ch, se + ce)
+
+    re, im = bf.ziv(series, bf.double, bf.START_BITS)
+    return complex(re, -im) if sign == 1 else complex(re, im)
+
+
+ORACLE_SPECS = ["golden", "liouville", "1/2", "golden,sqrt2", "1/4,1/3", "golden,1/3",
+                "1/2,sqrt2", "golden,sqrt2,sqrt3", "1/4,1/3,1/2"]
+
+
+def oracle_shapes(dim, seed):
+    """Key lists of dim: a dense box, the box with gaps, the box in a
+    shuffled order, and runs at |k| = 10^24."""
+    radius = {1: 150, 2: 10, 3: 4}[dim]
+    box = [k for k in itertools.product(range(-radius, radius + 1), repeat=dim) if any(k)]
+    r = random.Random(seed)
+    gaps = sorted(r.sample(box, len(box) // 3))
+    shuffled = r.sample(box, len(box))
+    far = []
+    for sign in (1, -1):
+        for _ in range(3):
+            head = tuple(sign * 10**24 + r.randint(-5, 5) for _ in range(dim - 1))
+            last = sign * 10**24 + r.randint(-5, 5)
+            far += [(*head, last + j) for j in range(r.randint(1, 6))]
+    far += [tuple(-c for c in k) for k in far]
+    return {"box": box, "gaps": gaps, "shuffled": shuffled, "far": sorted(set(far))}
+
+
+@pytest.mark.parametrize("bits", [None, 64, 16], ids=["stepped", "narrow", "series"])
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_stepped_divisors_equal_the_series_bit_for_bit(spec, bits, monkeypatch):
+    # both parts and the sign of a zero.  At 64 working bits a stepped
+    # interval is about an ulp wide, so some parts round from the step and
+    # some fall back: an error bound too small for the step shows there.
+    # At 16 bits none rounds, so every new distance takes the series
+    u = parse_u(spec, 128)
+    calls = []
+    real_parts = diophantine._divisor_parts
+    monkeypatch.setattr(diophantine, "_divisor_parts",
+                        lambda r, q, w: calls.append(r) or real_parts(r, q, w))
+    if bits:
+        monkeypatch.setattr(diophantine, "STEP_BITS", bits)
+    for shape, keys in oracle_shapes(len(u), spec).items():
+        calls.clear()
+        modulus, table = iter_divisor_table(u, keys)
+        for k in keys:
+            got, want = table[k][1], series_divisor(u, k)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (shape, k)
+        if bits == 16:
+            assert {r for r, _ in table.values() if r} <= set(calls), shape
+
+
+def test_the_benchmark_fields_take_one_series_per_new_run(tmp_path, monkeypatch):
+    # the seed-1 solve-torus fields, full boxes without k = 0: each run of
+    # the negative half (and the half-run k = (0, -32..-1)) is seeded once,
+    # the positive half only meets known distances, and one more series
+    # makes the unit the runs step by; no stepped part falls back
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    calls = []
+    real_parts = diophantine._divisor_parts
+    monkeypatch.setattr(diophantine, "_divisor_parts",
+                        lambda r, q, w: calls.append(w) or real_parts(r, q, w))
+    counts = []
+    for command in workloads.build("solve-torus", 1, tmp_path):
+        args = command.args
+        with open(args[args.index("--g") + 1], encoding="utf-8") as fh:
+            g = read_coefficients(fh)
+        calls.clear()
+        sol = solve(CoboundaryProblem(g, parse_u(args[args.index("--u") + 1], 128)))
+        assert len(sol.f) == len(g)
+        counts.append((len(g), len(calls), set(calls)))
+    assert counts == [(4224, 34, {diophantine.STEP_BITS}), (512, 2, {diophantine.STEP_BITS})]
 
 
 def test_min_divisor_is_the_least_divisor_rounded_once():
@@ -560,6 +652,26 @@ def test_residual_bounds_the_direct_sum_at_seeded_points(dim, radius, extra):
     sol = solve(CoboundaryProblem(g, u))
     sup, l1 = reference_residual(sol.f, g, u)
     assert sup <= l1 <= sol.residual_sup == residual(sol.f, g, u) < 1e-13
+
+
+@pytest.mark.parametrize("spec", ["golden,sqrt2", "golden,1/3"])
+def test_residual_sup_is_residual_whatever_the_order_of_the_lines(spec):
+    # more modes than one chunk of rough terms, so the order of the terms
+    # reaches the last bit: solve and residual both take them in key order,
+    # whatever order the file lists them in
+    r = random.Random(spec)
+    keys = [k for k in itertools.product(range(-24, 25), repeat=2) if any(k)]
+    assert len(keys) > coboundary._CHUNK
+    lines = [f"{a} {b} {r.gauss(0, 1) / (1 + max(abs(a), abs(b)))!r} {r.gauss(0, 1)!r}\n"
+             for a, b in keys if a or b % 3]  # no mode resonant at golden,1/3
+    shuffled = read_coefficients(["dim=2\n"] + r.sample(lines, len(lines)))
+    ordered = read_coefficients(["dim=2\n"] + lines)
+    assert list(shuffled._entries) != list(ordered._entries) and shuffled == ordered
+    u = parse_u(spec, 128)
+    sol = solve(CoboundaryProblem(shuffled, u))
+    sups = {sol.residual_sup, solve(CoboundaryProblem(ordered, u)).residual_sup,
+            residual(sol.f, shuffled, u), residual(sol.f, ordered, u)}
+    assert len(sups) == 1 and 0 < sol.residual_sup < 1e-12
 
 
 def test_residual_bounds_the_direct_sum_on_a_perturbed_solution():

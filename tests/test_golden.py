@@ -24,11 +24,18 @@ are checked to be at least 0 and at most 1e-12.
 The `sobolev` cases take the multiplier Sobolev norm of the dim-1 `solve`
 input at alpha 0 and 1.5.
 
+`solve_torus_seed1.blake2b` holds the BLAKE2b digests of the stdout and of
+the `--out` file of the two `solve-torus` benchmark commands at seed 1
+(`perfbench/workloads.py`), residual lines included: dim 2 at R = 32 (4,224
+modes, more than one chunk of the residual sum) and dim 1 at R = 256.
+
 The `rep` case is a character table whose nonzero values are 3 exp(2 pi i k/3)
 at m = s = 0, the only support within range 2; each was checked against
 mpmath at 300 bits, rounded once, when it was generated.
 """
 
+import hashlib
+import importlib
 import re
 import subprocess
 import sys
@@ -90,11 +97,14 @@ REP = {
     "rep_character_p3_eta1_3_alpha0.25_r2.txt": "character --p 3 --eta 1/3 --alpha 0.25 --range 2",
 }
 
+DIGESTS = "solve_torus_seed1.blake2b"
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+
 ROUNDOFF = re.compile(r"^((?:residual_sup|verify_residual)=)(\S+)$", re.M)
 
 
 def test_corpus_lists_every_file():
-    expected = set(CORPUS) | set(SOLVE) | set(SOLVE_INPUTS) | set(SOBOLEV) | set(REP)
+    expected = set(CORPUS) | set(SOLVE) | set(SOLVE_INPUTS) | set(SOBOLEV) | set(REP) | {DIGESTS}
     expected |= {out for _, out in SOLVE.values()}
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(expected)
 
@@ -129,6 +139,23 @@ def test_golden_solve(name, tmp_path):
     assert len(got_values) == len(want_values) == 2
     assert all(0 <= v <= 1e-12 for v in got_values)
     assert (tmp_path / out_name).read_bytes() == (GOLDEN / out_name).read_bytes()
+
+
+def test_golden_solve_torus_digests(tmp_path, monkeypatch):
+    # the fields and the arguments are the benchmark's own, so this is the
+    # output the benchmark checks, byte for byte
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    want = dict(line.rsplit(" ", 1) for line in (GOLDEN / DIGESTS).read_text().splitlines())
+    got = {}
+    for command in workloads.build("solve-torus", 1, tmp_path):
+        name = command.label.split()[0].replace("=", "")  # "dim=2 R=32 ..." -> "dim2"
+        r = subprocess.run([sys.executable, "-m", "heisencoh", *command.args],
+                           capture_output=True, timeout=120)
+        assert r.returncode == 0, r.stderr
+        got[f"{name} stdout"] = hashlib.blake2b(r.stdout).hexdigest()
+        got[f"{name} out"] = hashlib.blake2b(command.out_file.read_bytes()).hexdigest()
+    assert got == want
 
 
 @pytest.mark.parametrize("name", sorted(SOBOLEV))
