@@ -19,7 +19,6 @@ rounded double, subnormals rounded once at 2**-1074.
 """
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -43,6 +42,8 @@ def normalize(man, exp, prec):
 
 def fraction(x):
     """The value of the pair x as a Fraction."""
+    from fractions import Fraction
+
     man, exp = x
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 

@@ -5,8 +5,8 @@ lo <= |k| < hi (max-norm), each at r' = min(x, m - x), x = <k, U> mod m, for
 exact integers U_i = t_i m.  With e the residue of x in -m < 2 e <= m, r' =
 |e| and (k, e) runs over the lattice spanned by the rows (e_i, U_i mod m)
 and (0, m): the points at r' <= R are its vectors in a box, a box of k
-(one in rank 1, 2n - 1 in rank n, filtered for the canonical k) times |e|
-<= R.  Per shell R and box, integer weights make the box a cube; the basis
+(one in rank 1, 2n - 1 in rank n, cut to the canonical k) times |e| <=
+R.  Per shell R and box, integer weights make the box a cube; the basis
 is LLL-reduced under them (Lenstra, Lenstra and Lovasz 1982, on integers
 as in Cohen's Algorithm 2.6.7), starting from the basis the last shell
 left, which takes a few swaps (O(log m) for the first); rows n .. 1 run
@@ -15,10 +15,13 @@ Pohst 1985), with exact integer bounds at every level; and row 0 runs over
 the exact interval that keeps the point in the box.  Along it e is
 constant and k monotone (a residue class of an exact rational), or |e|
 grows on each side of e = 0, so each interval gives at most two runs that
-already ascend in (r', k), and ``heapq.merge`` joins them lazily.  R starts
-where about 8 points are expected and doubles up to m / 2, so a walk costs
-one ball per box and shell plus O(log runs) per point it reads.  No float
-takes part in any decision.
+already ascend in (r', k).  A run of constant e is one line k + t dk at one
+r', which the walk reads by arithmetic (``_walk``), whatever its length; any
+other run gives one point at a time, and ``heapq.merge`` joins the lines by
+their heads and the points lazily.  R starts where about 8 points are
+expected and doubles up to m / 2, so a walk costs one ball per box and
+shell plus O(log runs) per point or line it reads.  No float takes part in
+any decision.
 """
 
 from __future__ import annotations
@@ -119,12 +122,20 @@ def _column(a, step, count):
     return range(a, a + count * step, step) if step else itertools.repeat(a, count)
 
 
-def _run(v, b0, bounds):
-    """The points v + t b0 with every coordinate in its bounds (low, high),
-    as an iterator of (|e|, k) ascending in |e|, then in k.
+def _norm(k):
+    return max(map(abs, k))
 
-    e is constant along t or |e| grows with t on the side of e = 0 that the
-    bounds of e select: either way one direction of t ascends."""
+
+def _run(v, b0, bounds):
+    """The points v + t b0 with every coordinate in its bounds (low, high)
+    and a canonical k, as lines (|e|, k, dk, count), each the points k +
+    i dk, i < count, at |e|, ascending in |e|, then in k.
+
+    e is constant along t, and then the run is one line, or |e| grows with
+    t on the side of e = 0 that the bounds of e select, and then each point
+    is a line of count 1: either way one direction of t ascends.  k is
+    monotone in t, so the canonical k (first nonzero component > 0) hold an
+    interval of t as well."""
     lows, highs = [], []
     for vc, bc, (low, high) in zip(v, b0, bounds):
         if bc < 0:
@@ -134,14 +145,42 @@ def _run(v, b0, bounds):
             highs.append((high - vc) // bc)
         elif not low <= vc <= high:
             return ()
+    n = len(v) - 1
+    if n > 1 and not _canonical(v[:n], b0[:n], lows, highs):  # rank 1: k >= lo > 0
+        return ()
     ta, tb = max(lows), min(highs)
     if ta > tb:
         return ()
     e0 = b0[-1]
-    up = (e0 > 0) == (bounds[-1][0] >= 0) if e0 else b0 > [0] * len(b0)
-    t0, step = (ta, 1) if up else (tb, -1)
-    ks = [_column(vc + t0 * bc, step * bc, tb - ta + 1) for vc, bc in zip(v[:-1], b0)]
-    return zip(_column(abs(v[-1] + t0 * e0), abs(e0), tb - ta + 1), zip(*ks))
+    if not e0:
+        t0, dk = (ta, b0[:n]) if b0 > [0] * n else (tb, [-d for d in b0[:n]])
+        head = tuple([a + t0 * d for a, d in zip(v[:n], b0)])
+        return [(abs(v[-1]), head, tuple(dk), tb - ta + 1)]
+    t0, step = (ta, 1) if (e0 > 0) == (bounds[-1][0] >= 0) else (tb, -1)
+    ks = zip(*[_column(a + t0 * d, step * d, tb - ta + 1) for a, d in zip(v[:n], b0)])
+    # b0 stands in for the step of k, which a line of count 1 never takes
+    es = _column(abs(v[-1] + t0 * e0), abs(e0), tb - ta + 1)
+    return zip(es, ks, itertools.repeat(b0), itertools.repeat(1))
+
+
+def _canonical(k, dk, lows, highs):
+    """Add to lows and highs the bound on t that keeps k + t dk canonical
+    (first nonzero component > 0); False when no t does.  The first
+    component that moves is -rem at t = tz and changes sign there, where
+    the components after it decide."""
+    for i, (a, d) in enumerate(zip(k, dk)):
+        if d:
+            tz, rem = divmod(-a, d)
+            rest = [c + tz * e for c, e in zip(k[i + 1:], dk[i + 1:])]
+            rest = not rem and rest > [0] * len(rest)
+            if d > 0:
+                lows.append(tz if rest else tz + 1)
+            else:
+                highs.append(tz if rem or rest else tz - 1)
+            return True
+        if a:
+            return a > 0
+    return False
 
 
 def _box_runs(rows, box, big, sides):
@@ -159,19 +198,25 @@ def _box_runs(rows, box, big, sides):
             yield _run(v, rows[0], box + [side])
 
 
-def range_points(rows, m, lo, hi):
-    """An iterator of (r', k) for the canonical k in Z^n with lo <= |k| < hi,
-    in ascending (r', k): r' = min(x, m - x), x = <k, U> mod m, with rows
-    the basis of ``lattice(U, m)``, which each shell reduces in place."""
-    return itertools.chain.from_iterable(_shells(rows, m, lo, hi))
+def _members(lines):
+    """The k of a group's lines (r', k, dk, count), ascending."""
+    if len(lines) == 1:
+        _, k, dk, count = lines[0]
+        return zip(*map(_column, k, dk, itertools.repeat(count))) if count > 1 else (k,)
+    return heapq.merge(*(
+        zip(*map(_column, k, dk, itertools.repeat(count))) for _, k, dk, count in lines
+    ))
 
 
 def _shells(rows, m, lo, hi):
-    """One ascending iterator per shell R of the points prev < r' <= R.  Box
-    i: |k_j| < lo for j < i, lo <= |k_i| < hi, |k_j| < hi for j > i; k_1 > 0
-    in box 1, else filtered for the canonical k; e >= 0 and e < 0 run apart."""
+    """One iterator per shell R of the groups (r', lines) of the points
+    prev < r' <= R, in ascending r'.  Each line (r', k, dk, count) holds the
+    points k + i dk, i < count, ascending in k: a run along which e is
+    constant is one line, any other run one line of count 1 per point.  The
+    lines are merged by their heads, so a run of constant e costs one heap
+    entry whatever its length.  Box i: |k_j| < lo for j < i, lo <= |k_i| <
+    hi, |k_j| < hi for j > i; e >= 0 and e < 0 run apart."""
     n = len(rows) - 1
-    zero = (0,) * n
     boxes = []
     for i in range(n):
         box = [(1 - lo, lo - 1)] * i + [(lo, hi - 1)] + [(1 - hi, hi - 1)] * (n - 1 - i)
@@ -181,12 +226,61 @@ def _shells(rows, m, lo, hi):
     while True:
         sides = [(prev + 1, big), (max(-big, -((m - 1) // 2)), -max(prev + 1, 1))]
         runs = [run for box in boxes for run in _box_runs(rows, box, big, sides)]
-        if n > 1:
-            runs = [filter(lambda p: p[1] > zero, run) for run in runs]
-        yield heapq.merge(*runs)
+        yield itertools.groupby(heapq.merge(*runs), operator.itemgetter(0))
         if big >= m // 2:
             return
         prev, big = big, min(2 * big, m // 2)
+
+
+def _least(k, dk, count):
+    """(|k'|, k', t): the member k' = k + t dk of a line of least |k'|, the
+    first of them.
+
+    |k + t dk| is the greatest of the |k_i| with dk_i = 0 and, with B_i =
+    |dk_i| > 0 and A_i = sign(dk_i) k_i, of the rising lines B_i t + A_i and
+    the falling lines -(B_i t + A_i).  So it is convex in t, and its real
+    minimum is at t* where the greatest rising line meets the greatest
+    falling one: t* = -(A_i + A_j) / (B_i + B_j) for the pair (i, j) of
+    greatest value (A_i B_j - A_j B_i) / (B_i + B_j) there.  Its least value
+    y over 0 <= t < count is at floor(t*) or the next integer, clamped, and
+    the first t at y is the least that keeps every falling line <= y."""
+    slopes = [(d, a) if d > 0 else (-d, -a) for a, d in zip(k, dk) if d]
+    num, den, at = 0, 1, None
+    for bi, ai in slopes:
+        for bj, aj in slopes:
+            if at is None or (ai * bj - aj * bi) * den > num * (bi + bj):
+                num, den, at = ai * bj - aj * bi, bi + bj, -(ai + aj)
+    t = min(max(at // den, 0), count - 2)
+    y = min(_norm(a + u * d for a, d in zip(k, dk)) for u in (t, t + 1))
+    t = max(0, *(-((y + a) // b) for b, a in slopes))
+    return y, tuple(a + t * d for a, d in zip(k, dk)), t
+
+
+def _by_norm(k, dk, count, t):
+    """(|k'|, k') for each member k' of a line, ascending, with t the index
+    of the first member of least |k'| (``_least``): |k'| falls strictly
+    before it and does not fall after it."""
+    if count == 1:
+        return ((_norm(k), k),)
+    sides = (
+        zip(*map(_column, [a + (t - 1) * d for a, d in zip(k, dk)], [-d for d in dk],
+                 itertools.repeat(t))),
+        zip(*map(_column, [a + t * d for a, d in zip(k, dk)], dk, itertools.repeat(count - t))),
+    )
+    return heapq.merge(*(((_norm(p), p) for p in side) for side in sides))
+
+
+def _least_inexact(lines, declared):
+    """The least k of the lines (r', k, dk, count) that is nonzero on a
+    declared component, or None.  Of a line only the first member can be,
+    or else the second, since the components step by dk."""
+    firsts = []
+    for _, k, dk, count in lines:
+        if count > 1 and not any(map(k.__getitem__, declared)):
+            k = tuple(map(operator.add, k, dk))
+        if any(map(k.__getitem__, declared)):
+            firsts.append(k)
+    return min(firsts, default=None)
 
 
 def scan_unit(tvec, m, kmax, keep, witness_bound_fn, witness_levels, s_min, s_max, declared):
@@ -201,6 +295,7 @@ def scan_unit(tvec, m, kmax, keep, witness_bound_fn, witness_levels, s_min, s_ma
     witness_bound_fn(lo) for which witness_levels(r', |k|) is not empty,
     each with those levels; the frontier (``collect_below``) and the least
     exact zero, all from one walk of the range's stream (``_walk``).
+    witness_levels(r', |k|) may only lose levels as |k| grows from 2.
     """
     n = len(tvec)
     rows = lattice(tvec, m)
@@ -215,13 +310,19 @@ def scan_unit(tvec, m, kmax, keep, witness_bound_fn, witness_levels, s_min, s_ma
 
 
 def _walk(rs, rows, m, keep, bound, witness_levels, s_max, declared):
-    """Yield (r', k, |k|) for the points of the range rs in ascending (r', k),
-    filling rs.kept and rs.zero on the way, and rs.witnesses with a heap of
-    (-|k|, -k, k, r', |k|, levels): the WITNESS_CAP least (|k|, k) among
-    the points with r' <= bound and nonempty witness_levels(r', |k|), whose
-    root is the greatest of them.  A point that cannot enter a full heap
-    skips the level test, which would otherwise run on every point of a
-    range whose points all lie below the bound.
+    """Yield (r', k, |k|) for the range rs in ascending r', one point for
+    each r': of its points the least (|k|, k).  ``collect_below`` would keep
+    no other: at one r' a smaller |k| pops a larger one at every s_min >= 1,
+    and at any s > 0 the others hold no range minimum.  On the way fill
+    rs.kept and rs.zero, and rs.witnesses with a heap of (-|k|, -k, k, r',
+    |k|, levels): the WITNESS_CAP least (|k|, k) among the points with r' <=
+    bound and nonempty witness_levels(r', |k|), whose root is the greatest.
+
+    The points at one r' come as lines (``_shells``), each read by
+    arithmetic: its member of least |k| in closed form (``_least``), its
+    first members for rs.kept, and for the witnesses its members in
+    ascending (|k|, k) only until one cannot enter the full heap or, at
+    |k| >= 2, has no level, as then none after it has.
 
     A point with r' = 0 whose k vanishes on every declared component is an
     exact zero: it is counted off rs.n_scanned and skipped.  Any other point
@@ -231,44 +332,68 @@ def _walk(rs, rows, m, keep, bound, witness_levels, s_max, declared):
     points are held, that also cannot beat a point f already seen at any
     level s <= s_max: |k|**s sin(pi r'/m) >= 4 lo**s r'/m, and f has at most
     2 pi |k_f|**s r'_f/m, so 2 lo**c r' > pi |k_f|**c r'_f with
-    c = ceil(s_max) rules r' and all later points out.
+    c = ceil(s_max) rules r' and all later points out.  As each point sets
+    stop no lower than its own r', only the filling of rs.kept can stop the
+    walk inside one r': then the r' gives its first points in k order alone.
     """
     c_hi = math.ceil(s_max)
     stop_den = 2 * rs.lo**c_hi * PI_DEN
     stop = math.inf  # no later point can beat a point seen once r' > stop
     least = math.inf  # least |k| seen
-    zero = (math.inf, None)  # the least exact zero as (|k|, k)
     kept, wit, cap = rs.kept, rs.witnesses, WITNESS_CAP
-    for rp, k in range_points(rows, m, rs.lo, rs.hi):
-        if rp > stop and rp > bound and len(kept) >= keep:
-            return
-        if rp == 0:
-            if any(map(k.__getitem__, declared)):
-                raise PrecisionError(
-                    f"divisor at k={k} is below the scan resolution; "
-                    "increase the working precision", k
-                )
-            rs.n_scanned -= 1
-            z = (max(map(abs, k)), k)
-            if z < zero:
-                zero = z
-                rs.zero = k
-            continue
-        norm = max(map(abs, k))
-        if len(kept) < keep:
-            kept.append((rp, k))
-        if rp <= bound and (len(wit) < cap or (norm, k) < (wit[0][4], wit[0][2])):
-            levels = witness_levels(rp, norm)
-            if levels:
-                entry = (-norm, tuple(map(operator.neg, k)), k, rp, norm, levels)
-                if len(wit) < cap:
-                    heapq.heappush(wit, entry)
+    for shell in _shells(rows, m, rs.lo, rs.hi):
+        for rp, group in shell:
+            lines = list(group)
+            last = rp > stop and rp > bound
+            if last:
+                need = keep - len(kept)
+                if need <= 0:
+                    return
+                head = list(itertools.islice(_members(lines), need + 1))
+                last = len(head) > need
+                lines = [(rp, k, k, 1) for k in head[:need]]
+            firsts = [
+                (_norm(k), k, 0) if count == 1 else _least(k, dk, count)
+                for _, k, dk, count in lines
+            ]
+            if rp == 0:
+                k = _least_inexact(lines, declared)
+                if k is not None:
+                    raise PrecisionError(
+                        f"divisor at k={k} is below the scan resolution; "
+                        "increase the working precision", k
+                    )
+                rs.n_scanned -= sum(line[3] for line in lines)
+                rs.zero = min(firsts)[1]
+                continue
+            if len(kept) < keep:
+                if len(lines) == 1 and lines[0][3] == 1:  # one point, the common case
+                    kept.append((rp, lines[0][1]))
                 else:
-                    heapq.heapreplace(wit, entry)
-        if norm < least:
-            least = norm
-            stop = min(stop, PI_NUM * norm**c_hi * rp // stop_den)
-        yield rp, k, norm
+                    more = itertools.islice(_members(lines), keep - len(kept))
+                    kept.extend(zip(itertools.repeat(rp), more))
+            if rp <= bound:
+                for (_, k0, dk, count), (_, _, t) in zip(lines, firsts):
+                    for norm, k in _by_norm(k0, dk, count, t):
+                        if len(wit) >= cap and (norm, k) > (wit[0][4], wit[0][2]):
+                            break
+                        levels = witness_levels(rp, norm)
+                        if not levels:
+                            if norm > 1:
+                                break
+                            continue
+                        entry = (-norm, tuple(map(operator.neg, k)), k, rp, norm, levels)
+                        if len(wit) < cap:
+                            heapq.heappush(wit, entry)
+                        else:
+                            heapq.heapreplace(wit, entry)
+            norm, k, _ = min(firsts)
+            if norm < least:
+                least = norm
+                stop = min(stop, PI_NUM * norm**c_hi * rp // stop_den)
+            yield rp, k, norm
+            if last:
+                return
 
 
 def collect_below(pts, s_min):

@@ -100,7 +100,12 @@ class CoefficientField:
         return float(sum(abs(v) for _, v in self.items()))
 
     def norm_l2(self):
-        return math.sqrt(sum(abs(v) ** 2 for _, v in self.items()))
+        # left to right, as ``coboundary.solve`` sums its truncation norms:
+        # from Python 3.12 sum() compensates a sum of floats
+        total = 0.0
+        for _, v in self.items():
+            total += abs(v) ** 2
+        return math.sqrt(total)
 
     def is_hermitian(self, tol=1e-12):
         """True if c_{-k} = conj(c_k) within tol, i.e. the function is real."""

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-from fractions import Fraction
 from functools import partial
 from itertools import chain, pairwise
 
@@ -298,6 +297,8 @@ def phase_distance(t, k):
     the stored values exactly, for exact and inexact t alike; it is 0 only
     when <k, t> is an integer.
     """
+    from fractions import Fraction
+
     tvec, k = _nonzero_index(t, k)
     scaled, modulus = _phase_grid(tvec)
     r, sign = _phase(scaled, modulus, k)
@@ -453,6 +454,47 @@ def _level_bound(modulus, norm, s):
     return bf.ziv(series, lambda man, exp: man, bits)[0]
 
 
+def _levels_met(rp, modulus, norm, levels):
+    """The levels s of `levels` with rp <= ``_level_bound(modulus, norm,
+    s)``, that is rp 2**20 norm**s <= modulus (2**20 + 1), in their order.
+
+    Where norm**s is rational it is an exact integer, and the test is taken
+    on integers.  Otherwise the integer powers norm**floor(s) < norm**s <
+    norm**(floor(s) + 1) decide most levels, and the rest, s = a / q, by a
+    ln norm <= q ln(modulus (2**20 + 1) / (rp 2**20)) on intervals of the
+    two logarithms, which they share, refined until each test separates:
+    the two sides are never equal, as norm**s is irrational.
+    """
+    num, den = modulus * ((1 << WITNESS_TOL_BITS) + 1), rp << WITNESS_TOL_BITS
+    met, open_ = set(), []
+    for s in levels:
+        p = _rational_power(norm, s)
+        if p is None:
+            p = norm ** int(s)
+            if den * p * norm <= num:
+                met.add(s)
+            elif den * p <= num:
+                open_.append(s)
+        elif den * p <= num:
+            met.add(s)
+    w = 40
+    while open_:
+        blo, bhi, bex = bf.log(num, den, w)
+        klo, khi, kex = bf.log(norm, 1, w)
+        ex = min(bex, kex)
+        blo, bhi, klo, khi = blo << bex - ex, bhi << bex - ex, klo << kex - ex, khi << kex - ex
+        undecided = []
+        for s in open_:
+            a, q = s.as_integer_ratio()
+            if a * khi <= q * blo:
+                met.add(s)
+            elif a * klo <= q * bhi:
+                undecided.append(s)
+        open_ = undecided
+        w *= 2
+    return tuple(s for s in levels if s in met)
+
+
 def _scan_general(tvec, kmax, keep, s_grid, prec_bits):
     """Scan 0 < |k| <= kmax for the fractional parts tvec, in every rank.
 
@@ -476,7 +518,7 @@ def _scan_general(tvec, kmax, keep, s_grid, prec_bits):
     def levels(rp, norm):
         if norm < 2:
             return ()
-        return tuple(s for s in above if rp <= _level_bound(modulus, norm, s))
+        return _levels_met(rp, modulus, norm, above)
 
     # past MAX_PREC bits --prec can give no more: say so instead of advising it
     at_most = prec_bits is not None and prec_bits >= MAX_PREC
@@ -567,8 +609,9 @@ def _least(points, s, modulus):
     w = 128
     while len({(rp, norm) for rp, _, norm in best}) > 1 and w <= TIE_BITS:
         bounds = [_weighted(rp, modulus, norm, s, w) for rp, _, norm in best]
-        top = min(bf.fraction((hi, ex)) for _, hi, ex in bounds)
-        best = [p for p, (lo, _, ex) in zip(best, bounds) if bf.fraction((lo, ex)) <= top]
+        low = min(ex for _, _, ex in bounds)  # each bound in units of 2**low
+        top = min(hi << ex - low for _, hi, ex in bounds)
+        best = [p for p, (lo, _, ex) in zip(best, bounds) if lo << ex - low <= top]
         w *= 2
     return u, min(best, key=lambda p: (p[2], p[1]))
 

@@ -8,13 +8,13 @@ The canonical form is what makes the pair the value: ``__eq__`` compares
 from it.  Exact inputs are never rounded; scans, divisors, continued
 fractions and float() read the stored value exactly (``_bigfloat``), so
 every downstream decision is made on exact integers.  The named constants
-are evaluated on integers too.
+are evaluated on integers too, and ``fractions`` is imported only where a
+Fraction is made, so an irrational input never loads it.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import _bigfloat as bf
 from .errors import DomainError, PrecisionError
@@ -85,16 +85,20 @@ class PrecisionReal:
 
     @classmethod
     def exact(cls, value) -> "PrecisionReal":
+        from fractions import Fraction
+
         return cls(Fraction(value), None, None)
 
     @classmethod
     def coerce(cls, value, prec=DEFAULT_PREC) -> "PrecisionReal":
         if isinstance(value, PrecisionReal):
             return value
-        if isinstance(value, (int, Fraction)):
-            return cls.exact(value)
         if isinstance(value, str):
             return cls.parse(value, prec)
+        from fractions import Fraction
+
+        if isinstance(value, (int, Fraction)):
+            return cls.exact(value)
         if isinstance(value, float):
             # a float is an exact binary rational; honour it as such
             return cls.exact(Fraction(value))
@@ -120,6 +124,8 @@ class PrecisionReal:
             return liouville_constant(prec)
         if t in _NAMED:
             return cls(None, _NAMED[t](int(prec)), int(prec))
+        from fractions import Fraction
+
         try:
             if "/" in t:
                 num, den = t.split("/")
@@ -160,6 +166,8 @@ def liouville_constant(prec=DEFAULT_PREC) -> PrecisionReal:
     below the truncation denominator it is indistinguishable from the full
     series.  The declared resolution is prec bits.
     """
+    from fractions import Fraction
+
     cutoff = Fraction(1, 1 << (prec + 40))
     total = Fraction(0)
     j = 1
@@ -195,6 +203,8 @@ def continued_fraction(x, depth) -> list[int]:
         v, eps = x.fraction, 0
     else:
         v, prec = bf.fraction(x.man_exp), x.prec
+        from fractions import Fraction
+
         eps = Fraction(max(1, abs(v)), 1 << prec)  # a Fraction even when max gives 1
     (a, b), (c, d) = (v - eps).as_integer_ratio(), (v + eps).as_integer_ratio()
     quotients = []

@@ -13,6 +13,7 @@ import pytest
 from heisencoh import _scan, cli, diophantine
 from heisencoh.diophantine import (
     _level_bound,
+    _levels_met,
     _refine_range_minimum,
     _scan_general,
     _significance_floor,
@@ -595,6 +596,22 @@ def test_level_bound_is_the_largest_witness_distance():
     for modulus in (1, 2, 2**21, 3 << 100, 10**30 + 7):
         # 4^0.5 = 2 exactly
         assert _level_bound(modulus, 4, 0.5) == modulus * (2**20 + 1) // 2**21
+
+
+def test_levels_met_are_the_levels_within_their_bound():
+    # the witness test of a point against every level at once is
+    # r' <= _level_bound(L, norm, s) per level, at r' on the bound of one
+    # level and next to it too, where only the logarithms decide
+    r = random.Random(37)
+    levels = (1.25, 1.5, 2.0, 2.1, 2.25, 2.5, 3.0, 3.3, 3.75)
+    for _ in range(400):
+        modulus = r.choice([r.randint(1, 10**6), r.getrandbits(192), 10**30])
+        norm = r.choice([2, 4, 9, 113, 12769, r.randint(2, 10**4), r.randint(2, 10**12)])
+        edge = _level_bound(modulus, norm, r.choice(levels))
+        for rp in {1, r.randint(1, max(1, modulus // 2)), edge - 1, edge, edge + 1}:
+            if 0 < rp <= modulus // 2:
+                want = tuple(s for s in levels if rp <= _level_bound(modulus, norm, s))
+                assert _levels_met(rp, modulus, norm, levels) == want, (rp, modulus, norm)
 
 
 def test_rank_n_range_minimum_beyond_the_kept_list():

@@ -238,6 +238,23 @@ def test_solve_sobolev_and_rep_run_without_mpmath(tmp_path):
         assert (child / name).read_bytes() == (normal / name).read_bytes(), name
 
 
+def test_irrational_classify_leaves_fractions_out():
+    # golden and e make no Fraction: classify loads neither fractions nor
+    # the decimal module that fractions imports
+    code = (
+        "import contextlib, io, sys; from heisencoh import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = cli.main(['classify', '--vector', sys.argv[1], '--kmax', '100000'])\n"
+        "print(rc, [m for m in ('fractions', 'decimal') if m in sys.modules])"
+    )
+    for vector in ("golden", "e"):
+        r = subprocess.run(
+            [sys.executable, "-c", code, vector], capture_output=True, text=True, timeout=120
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "0 []\n", vector
+
+
 def test_cli_import_leaves_numpy_out():
     code = "import sys, heisencoh.cli; print('numpy' in sys.modules)"
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)

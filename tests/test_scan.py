@@ -1,11 +1,13 @@
 """The lattice enumerator against a list of every k.
 
-``every_k`` is the reference of ``range_points``: every canonical k of a
-range, sorted.  ``walk`` is the reference of ``scan_unit`` in rank 1: it
-steps x_k = k t + offset mod m one k at a time, in O(hi - lo), and keeps the
-points the scan must find; ``capped`` picks the witnesses among them as the
-scan does.  An exact rational p/q is put on an exact grid,
-m = q 2^E and t = p 2^E, as on the grid of ``diophantine._phase_grid``.
+``every_k`` is the reference of ``range_points``, the scan's stream of a
+range point by point: every canonical k of a range, sorted.  ``walk`` is
+the reference of ``scan_unit`` in rank 1: it steps x_k = k t + offset mod m
+one k at a time, in O(hi - lo), and keeps the points the scan must find;
+``capped`` picks the witnesses among them as the scan does.  ``plain_walk``
+is its reference in every rank, over ``every_k``.  An exact rational p/q is
+put on an exact grid, m = q 2^E and t = p 2^E, as on the grid of
+``diophantine._phase_grid``.
 """
 
 import itertools
@@ -14,6 +16,7 @@ import operator
 import random
 import tracemalloc
 from bisect import insort
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -84,10 +87,20 @@ def every_k(U, m, lo, hi):
     return sorted(pts)
 
 
+def range_points(rows, m, lo, hi):
+    """(r', k) for the canonical k in Z^n with lo <= |k| < hi in ascending
+    (r', k), from the groups of ``_scan._shells`` with rows the basis of
+    ``_scan.lattice(U, m)``: r' = min(x, m - x), x = <k, U> mod m."""
+    for shell in _scan._shells(rows, m, lo, hi):
+        for rp, group in shell:
+            for k in _scan._members(list(group)):
+                yield rp, k
+
+
 def check_range(U, m, lo, hi, limit=None):
     """range_points against every_k, whole or its first `limit` points; the
     zeros of the range."""
-    got = list(itertools.islice(_scan.range_points(_scan.lattice(U, m), m, lo, hi), limit))
+    got = list(itertools.islice(range_points(_scan.lattice(U, m), m, lo, hi), limit))
     want = every_k(U, m, lo, hi)
     assert got == want[:limit]
     return [k for rp, k in want if rp == 0]
@@ -147,7 +160,7 @@ def test_points_single_point_ranges():
         t = rnd.getrandbits(192)
         k = rnd.randint(1, 10**12)
         x = k * t % M192
-        got = list(_scan.range_points(_scan.lattice([t], M192), M192, k, k + 1))
+        got = list(range_points(_scan.lattice([t], M192), M192, k, k + 1))
         assert got == [(min(x, M192 - x), (k,))]
     check_range([M192 // 4], M192, 4, 5)
     # rank n: hi = lo + 1 is the one shell |k| = lo
@@ -307,3 +320,135 @@ def test_collect_below_holds_every_range_minimum():
                 with mpmath.workprec(100):
                     best = min(pts, key=u)
                     assert min(((rp, k) for rp, (k,), _ in front), key=u) == best
+
+
+def plain_walk(U, m, lo, hi, keep, bound, test, s_min, s_max, declared, cap):
+    """The walk of a range over every k, one point at a time: (kept,
+    witnesses, frontier, n_scanned, least zero), or ("raise", k) for the k
+    at which the walk meets a zero below the resolution.  The stop test and
+    the witness rule are the scan's, as ``_scan._walk`` documents them."""
+    c = math.ceil(s_max)
+    stop = least = math.inf
+    kept, wit, zeros, seen = [], [], [], []
+    for rp, k in every_k(U, m, lo, hi):
+        if rp > stop and rp > bound and len(kept) >= keep:
+            break
+        if rp == 0:
+            if any(k[i] for i in declared):
+                return "raise", k
+            zeros.append(k)
+            continue
+        norm = max(map(abs, k))
+        if len(kept) < keep:
+            kept.append((rp, k))
+        if rp <= bound and test(rp, norm):
+            wit.append((k, rp, norm, test(rp, norm)))
+        if norm < least:
+            least = norm
+            stop = min(stop, _scan.PI_NUM * norm**c * rp // (2 * lo**c * _scan.PI_DEN))
+        seen.append((rp, k, norm))
+    n_scanned = ((2 * hi - 1) ** len(U) - (2 * lo - 1) ** len(U)) // 2 - len(zeros)
+    zero = min(zeros, key=lambda k: (max(map(abs, k)), k), default=None)
+    wit = sorted(wit, key=lambda w: (w[2], w[0]))[:cap]
+    return kept, wit, _scan.collect_below(seen, s_min), n_scanned, zero
+
+
+def random_exact_or_mixed(rnd, n):
+    """(U, m, declared) of a vector of rank n with an exact p/q, q <= 12, in
+    every component but at most one, which is golden, sqrt2 or e at 64 bits
+    in a mixed vector: the grid of ``diophantine._phase_grid``, on which the
+    multiples of q are exact zeros and each residue class a run of constant
+    e."""
+    comps = [PrecisionReal.exact(Fraction(rnd.randrange(q), q))
+             for q in (rnd.randint(1, 12) for _ in range(n))]
+    if rnd.random() < 0.4:
+        comps[rnd.randrange(n)] = PrecisionReal.parse(rnd.choice(["golden", "sqrt2", "e"]), 64)
+    U, m = diophantine._phase_grid(comps)
+    return U, m, diophantine._declared(comps)[0]
+
+
+@pytest.mark.parametrize("n,kmax", [(1, 2000), (2, 40), (3, 7)])
+def test_scan_unit_takes_constant_e_runs_as_the_plain_walk_does(monkeypatch, n, kmax):
+    # exact and mixed vectors: almost every point lies on a run of constant
+    # e, a zero run or a run of one r' longer than keep among them; the
+    # kept list, witnesses (capped or not), frontier, count and least zero
+    # are those of a walk over every k, also where the walk ends inside the
+    # points of one r'
+    for case in range(40):
+        rnd = random.Random(f"{n}:{case}")
+        U, m, declared = random_exact_or_mixed(rnd, n)
+        keep = rnd.choice([1, 4, 10, 30, 64, 128])
+        cap = rnd.choice([2, 7, 10**9])
+        s_min, s_max = rnd.choice([(1.0, 3.0), (1.5, 2.5), (2.0, 2.0), (1.0, 1.0)])
+        test = level_test(m, (n + 0.5, n + 1, n + 2))
+        scale = rnd.choice([1, 2, 8])
+
+        def bound(lo, _m=m, _scale=scale):
+            return _scale * _m // lo**2
+
+        monkeypatch.setattr(_scan, "WITNESS_CAP", cap)
+        ranges = _scan.scan_unit(U, m, kmax, keep, bound, test, s_min, s_max, declared)
+        assert [(r.lo, r.hi) for r in ranges] == list(_scan.dyadic_ranges(kmax))
+        for r in ranges:
+            want = plain_walk(U, m, r.lo, r.hi, keep, bound(r.lo), test, s_min, s_max,
+                              declared, cap)
+            got = (r.kept, r.witnesses, r.frontier, r.n_scanned, r.zero)
+            assert got == want, (case, U, m, r.lo)
+
+
+def test_scan_unit_reports_the_least_zero_below_the_resolution():
+    # rank 2 on a dyadic grid with the first component declared: a zero run
+    # on k_1 = 0 is exact, any zero with k_1 != 0 is below the resolution,
+    # and the scan names the least of those in k order, as a walk over
+    # every k meets it
+    rnd = random.Random(17)
+    m = 1 << 12
+    for _ in range(40):
+        U = [rnd.randrange(0, m, 1 << rnd.randint(8, 11)), rnd.randrange(0, m, 1 << 10)]
+        for lo, hi in _scan.dyadic_ranges(20):
+            want = plain_walk(U, m, lo, hi, 4, m // lo, level_test(m), 1.0, 3.0, (0,), 10**9)
+            if want[0] != "raise":
+                _scan.scan_unit(U, m, hi - 1, 4, lambda lo: m // lo, level_test(m), 1.0, 3.0, (0,))
+                continue
+            with pytest.raises(PrecisionError) as err:
+                _scan.scan_unit(U, m, hi - 1, 4, lambda lo: m // lo, level_test(m), 1.0, 3.0, (0,))
+            assert err.value.k == want[1]
+            break
+
+
+def test_the_least_member_of_a_line_in_closed_form():
+    # |k + t dk| over 0 <= t < count against every t, and the members in
+    # ascending (|k|, k) from there
+    rnd = random.Random(41)
+    for _ in range(3000):
+        n = rnd.randint(1, 4)
+        dk = [rnd.randint(-5, 5) for _ in range(n)]
+        if not any(dk):
+            continue
+        if dk < [0] * n:
+            dk = [-d for d in dk]
+        k = tuple(rnd.randint(-60, 60) for _ in range(n))
+        count = rnd.randint(2, 80)
+        members = [tuple(a + t * d for a, d in zip(k, dk)) for t in range(count)]
+        norms = [max(map(abs, p)) for p in members]
+        t = min(range(count), key=lambda i: (norms[i], members[i]))
+        assert _scan._least(k, tuple(dk), count) == (norms[t], members[t], t)
+        assert list(_scan._by_norm(k, tuple(dk), count, t)) == sorted(zip(norms, members))
+
+
+def test_the_least_member_nonzero_on_a_declared_component():
+    # lines of exact zeros and not: the least member, over every line, that
+    # is nonzero on a declared component, against every member
+    rnd = random.Random(43)
+    for _ in range(2000):
+        n = rnd.randint(1, 3)
+        declared = tuple(i for i in range(n) if rnd.random() < 0.5)
+        lines = []
+        for _ in range(rnd.randint(1, 4)):
+            k = tuple(rnd.choice([0, 0, rnd.randint(-3, 3)]) for _ in range(n))
+            dk = tuple(rnd.choice([0, 0, rnd.randint(0, 3)]) for _ in range(n))
+            lines.append((0, k, dk, rnd.randint(1, 4) if any(dk) else 1))
+        members = [tuple(a + t * d for a, d in zip(k, dk))
+                   for _, k, dk, count in lines for t in range(count)]
+        want = min((k for k in members if any(k[i] for i in declared)), default=None)
+        assert _scan._least_inexact(lines, declared) == want
