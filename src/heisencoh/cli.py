@@ -8,7 +8,6 @@ codes: 0 ok, 1 stdout closed by its reader, 2 usage, 3 domain/parse error,
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
@@ -273,82 +272,272 @@ def _cmd_cohomology(args, out, err):
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command table and parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="heisencoh",
-        description="Discrete Heisenberg group toolkit: exact group arithmetic, "
-        "characters, small divisors, and the difference equation f - f(.+u) = g.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+REQUIRED = object()  # the default of an option that must be given
 
-    g = sub.add_parser("group", help="exact group arithmetic on element lines from stdin")
-    g.add_argument("op", choices=["mul", "inv", "comm", "conj", "nf"])
-    g.set_defaults(func=_cmd_group)
+# the namespace handed to a handler: types.SimpleNamespace, without importing types
+_Namespace = type(sys.implementation)
 
-    rep = sub.add_parser("rep", help="finite-dimensional representations and characters")
-    repsub = rep.add_subparsers(dest="rep_command", required=True)
-    rc = repsub.add_parser("character", help="character table over |m|,|k|,|s| <= range")
-    rc.add_argument("--p", type=int, required=True)
-    rc.add_argument("--xi", type=float, default=0.0)
-    rc.add_argument("--eta", type=str, default="0")
-    rc.add_argument("--alpha", type=float, default=0.0)
-    rc.add_argument("--range", type=int, required=True)
-    rc.set_defaults(func=_cmd_rep_character)
-    rm = repsub.add_parser("matrix", help="matrix of one representation element")
-    rm.add_argument("--p", type=int, required=True)
-    rm.add_argument("--xi", type=float, default=0.0)
-    rm.add_argument("--eta", type=str, default="0")
-    rm.add_argument("--alpha", type=float, default=0.0)
-    rm.add_argument("--element", type=str, required=True, help="'m k s'")
-    rm.set_defaults(func=_cmd_rep_matrix)
 
-    cl = sub.add_parser("classify", help="Diophantine/Liouville small-divisor scan")
-    cl.add_argument("--vector", type=str, required=True, help="t1,..,tn")
-    cl.add_argument("--kmax", type=int, required=True)
-    cl.add_argument("--prec", type=int, default=128, help="working precision in bits")
-    cl.add_argument("--s-grid", type=str, default="1,2,3")
-    cl.set_defaults(func=_cmd_classify)
+class Option:
+    """One option of a command.  A flag without a leading "-" is a positional
+    argument.  type converts the value's text; None makes a switch, which
+    stores True and defaults to False.  dest, the namespace attribute, is by
+    default the flag without its dashes, with "_" for "-"."""
 
-    so = sub.add_parser("solve", help="solve f - f(. + u) = g from a coefficient file")
-    so.add_argument("--g", type=str, required=True, help="coefficient file for g")
-    so.add_argument("--u", type=str, required=True, help="u1,..,un")
-    so.add_argument("--prec", type=int, default=128)
-    so.add_argument("--alpha-list", type=str, default="")
-    so.add_argument("--verify", action="store_true",
-                    help="recheck the residual of f as the --out file holds it")
-    so.add_argument("--out", type=str, default=None)
-    so.set_defaults(func=_cmd_solve)
+    __slots__ = ("flag", "type", "default", "help", "dest", "choices")
 
-    fa = sub.add_parser("fan", help="joint-spectrum fan membership")
-    fa.add_argument("--lambda", dest="lam", type=int, required=True)
-    fa.add_argument("--xi", type=int, required=True)
-    fa.add_argument("--n", type=int, required=True)
-    fa.set_defaults(func=_cmd_fan)
+    def __init__(self, flag, type=str, default=None, help="", dest=None, choices=None):
+        self.flag, self.type, self.help, self.choices = flag, type, help, choices
+        self.default = False if type is None else default
+        self.dest = dest or flag.lstrip("-").replace("-", "_")
 
-    sb = sub.add_parser("sobolev", help="discrete Sobolev norm of a coefficient file")
-    sb.add_argument("--f", type=str, required=True)
-    sb.add_argument("--alpha", type=float, required=True)
-    sb.set_defaults(func=_cmd_sobolev)
+    def word(self):
+        """The option as the usage line shows it."""
+        if self.choices:
+            return "{" + ",".join(self.choices) + "}"
+        return self.flag if self.type is None else f"{self.flag} {self.dest.upper()}"
 
-    co = sub.add_parser("cohomology", help="integral cohomology table")
-    co.add_argument("--n", type=int, required=True)
-    co.add_argument("--k", type=int, default=None)
-    co.set_defaults(func=_cmd_cohomology)
 
-    return ap
+_REP_OPTIONS = (
+    Option("--p", int, REQUIRED),
+    Option("--xi", float, 0.0),
+    Option("--eta", str, "0"),
+    Option("--alpha", float, 0.0),
+)
+
+# command words -> (handler, help, options).  An entry without a handler is a
+# menu of the entries one word longer; "" is the program itself.
+COMMANDS = {
+    "": (None, "Discrete Heisenberg group toolkit: exact group arithmetic, characters, "
+         "small divisors, and the difference equation f - f(.+u) = g.", ()),
+    "group": (_cmd_group, "exact group arithmetic on element lines from stdin", (
+        Option("op", str, REQUIRED, choices=("mul", "inv", "comm", "conj", "nf")),
+    )),
+    "rep": (None, "finite-dimensional representations and characters", ()),
+    "rep character": (_cmd_rep_character, "character table over |m|,|k|,|s| <= range", (
+        *_REP_OPTIONS,
+        Option("--range", int, REQUIRED),
+    )),
+    "rep matrix": (_cmd_rep_matrix, "matrix of one representation element", (
+        *_REP_OPTIONS,
+        Option("--element", str, REQUIRED, "'m k s'"),
+    )),
+    "classify": (_cmd_classify, "Diophantine/Liouville small-divisor scan", (
+        Option("--vector", str, REQUIRED, "t1,..,tn"),
+        Option("--kmax", int, REQUIRED),
+        Option("--prec", int, 128, "working precision in bits"),
+        Option("--s-grid", str, "1,2,3"),
+    )),
+    "solve": (_cmd_solve, "solve f - f(. + u) = g from a coefficient file", (
+        Option("--g", str, REQUIRED, "coefficient file for g"),
+        Option("--u", str, REQUIRED, "u1,..,un"),
+        Option("--prec", int, 128),
+        Option("--alpha-list", str, ""),
+        Option("--verify", None, help="recheck the residual of f as the --out file holds it"),
+        Option("--out", str),
+    )),
+    "fan": (_cmd_fan, "joint-spectrum fan membership", (
+        Option("--lambda", int, REQUIRED, dest="lam"),
+        Option("--xi", int, REQUIRED),
+        Option("--n", int, REQUIRED),
+    )),
+    "sobolev": (_cmd_sobolev, "discrete Sobolev norm of a coefficient file", (
+        Option("--f", str, REQUIRED),
+        Option("--alpha", float, REQUIRED),
+    )),
+    "cohomology": (_cmd_cohomology, "integral cohomology table", (
+        Option("--n", int, REQUIRED),
+        Option("--k", int),
+    )),
+}
+
+
+def _subcommands(path):
+    return [key.rpartition(" ")[2] for key in COMMANDS if key and key.rpartition(" ")[0] == path]
+
+
+def _usage(path):
+    handler, _, options = COMMANDS[path]
+    if handler is None:
+        words = ["{" + ",".join(_subcommands(path)) + "}", "..."]
+    else:
+        words = [o.word() if o.default is REQUIRED else f"[{o.word()}]" for o in options]
+    return " ".join(["usage: heisencoh", *path.split(), "[-h]", *words])
+
+
+def _help(path):
+    handler, about, options = COMMANDS[path]
+    if handler is None:
+        heading = "commands"
+        rows = [(word, COMMANDS[f"{path} {word}".lstrip()][1]) for word in _subcommands(path)]
+    else:
+        heading = "options"
+        rows = [("-h, --help", "show this help message and exit")]
+        for o in options:
+            text = o.help
+            if o.default not in (None, REQUIRED, False, ""):
+                text = f"{text} (default: {o.default})".lstrip()
+            rows.append((o.word(), text))
+    width = max(len(name) for name, _ in rows) + 2
+    lines = [f"  {name:<{width}}{text}".rstrip() for name, text in rows]
+    return "\n".join([_usage(path), "", about, "", f"{heading}:", *lines]) + "\n"
+
+
+class _UsageError(Exception):
+    pass
+
+
+def _is_negative_number(tok):
+    """Whether tok reads as a negative number: -\\d+ or -\\d*\\.\\d+."""
+    whole, dot, frac = tok[1:].partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return frac.isdecimal() and (not whole or whole.isdecimal())
+
+
+def _option_token(tok, flags):
+    """None when tok is a value, else (flag, the text after "=" or None),
+    flag None when tok names none of flags.  A token that starts with "-"
+    is an option unless it is "-", looks like a negative number or holds a
+    space.  It names a flag exactly, as flag=value, or by a unique prefix of
+    a long flag; "-h" followed by more text names "-h"."""
+    if not tok.startswith("-") or tok == "-":
+        return None
+    if tok in flags:
+        return tok, None
+    name, eq, value = tok.partition("=")
+    if eq and name in flags:
+        return name, value
+    if tok.startswith("--"):
+        matches = [f for f in flags if f.startswith(name)]
+        value = value if eq else None
+    else:
+        matches, value = [f for f in flags if f == tok[:2]], tok[2:]
+    if len(matches) > 1:
+        raise _UsageError(f"ambiguous option: {tok} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value
+    if _is_negative_number(tok) or " " in tok:
+        return None
+    return None, None
+
+
+def _convert(option, text):
+    """The value of option given text, which is None for a switch alone."""
+    if option.type is None:
+        if text is not None:
+            raise _UsageError(f"argument {option.flag}: ignored explicit argument {text!r}")
+        return True
+    try:
+        value = option.type(text)
+    except ValueError:
+        raise _UsageError(
+            f"argument {option.flag}: invalid {option.type.__name__} value: {text!r}"
+        ) from None
+    if option.choices and value not in option.choices:
+        raise _UsageError(f"argument {option.flag}: invalid choice: {value!r} "
+                          f"(choose from {', '.join(map(repr, option.choices))})")
+    return value
+
+
+def _print_help(path, value):
+    """Print the help of path, unless -h or --help came with "=value"."""
+    if value is not None:
+        raise _UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
+    sys.stdout.write(_help(path))
+    raise SystemExit(0)
+
+
+def parse_args(argv=None):
+    """The namespace of argv (by default sys.argv[1:]) that the handler of
+    its command, its func, takes.  Help goes to stdout and a usage error to
+    stderr, and each then raises SystemExit, with status 0 and 2."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    path, extras = "", []
+    try:
+        # the command words: unknown options among them wait for the end
+        while COMMANDS[path][0] is None:
+            if not argv:
+                raise _UsageError("the following arguments are required: command")
+            tok = argv.pop(0)
+            kind = None if tok == "--" else _option_token(tok, ("-h", "--help"))
+            if kind is None:
+                words = _subcommands(path)
+                if tok not in words:
+                    raise _UsageError(f"argument command: invalid choice: {tok!r} "
+                                      f"(choose from {', '.join(map(repr, words))})")
+                path = f"{path} {tok}".lstrip()
+            elif kind[0] is None:
+                extras.append(tok)
+            else:
+                _print_help(path, kind[1])
+
+        handler, _, options = COMMANDS[path]
+        flags = {"-h": None, "--help": None}
+        flags.update((o.flag, o) for o in options if o.flag.startswith("-"))
+        positionals = [o for o in options if not o.flag.startswith("-")]
+        args = _Namespace(func=handler, **{
+            o.dest: None if o.default is REQUIRED else o.default for o in options
+        })
+        # each option token is resolved before any is acted on, and every
+        # token after "--" is a value
+        kinds, rest = [], False
+        for tok in argv:
+            if rest:
+                kinds.append(None)
+            else:
+                rest = tok == "--"
+                kinds.append("--" if rest else _option_token(tok, flags))
+        given, i = set(), 0
+        while i < len(argv):
+            tok, kind = argv[i], kinds[i]
+            i += 1
+            if kind == "--":
+                continue
+            if kind is None:
+                if not positionals:
+                    extras.append(tok)
+                    continue
+                option, value = positionals.pop(0), tok
+            elif kind[0] is None:
+                extras.append(tok)
+                continue
+            else:
+                (flag, value), option = kind, flags[kind[0]]
+                if option is None:
+                    _print_help(path, value)
+                if value is None and option.type is not None:
+                    if i == len(argv) or kinds[i] is not None:
+                        raise _UsageError(f"argument {flag}: expected one argument")
+                    value = argv[i]
+                    i += 1
+            setattr(args, option.dest, _convert(option, value))
+            given.add(option)
+        missing = [o.flag for o in options if o.default is REQUIRED and o not in given]
+        if missing:
+            raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+        if extras:
+            raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+        return args
+    except _UsageError as exc:
+        sys.stderr.write(f"{_usage(path)}\n{' '.join(['heisencoh', *path.split()])}: "
+                         f"error: {exc}\n")
+        raise SystemExit(2) from None
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run the command of argv (by default sys.argv[1:]) and return its exit
+    status.  It neither exits nor touches the collector: see ``run``."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        rc = args.func(args, sys.stdout, sys.stderr)
+        try:
+            args = parse_args(argv)
+        except SystemExit as exc:  # help or a usage error, already printed
+            rc = exc.code
+        else:
+            rc = args.func(args, sys.stdout, sys.stderr)
         sys.stdout.flush()
         return rc
     except BrokenPipeError:
@@ -367,5 +556,19 @@ def main(argv=None) -> int:
         return 3
 
 
+def run():
+    """The `heisencoh` command, as installed and as `python -m heisencoh`:
+    ``main`` on sys.argv, then, once stdout and stderr are flushed, the
+    process ends with its status through os._exit.  That skips the
+    interpreter's teardown of every loaded module, which a finished command
+    has no use for."""
+    rc = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    finally:  # a stream its reader closed ends the process all the same
+        os._exit(rc)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

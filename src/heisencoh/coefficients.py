@@ -96,12 +96,16 @@ class CoefficientField:
             k: v for k, v in self._entries.items() if v and max(map(abs, k)) <= radius
         })
 
+    # each norm sums left to right, as ``coboundary.solve`` sums its
+    # truncation norms: from Python 3.12 sum() compensates a sum of floats
+
     def norm_l1(self):
-        return float(sum(abs(v) for _, v in self.items()))
+        total = 0.0
+        for _, v in self.items():
+            total += abs(v)
+        return total
 
     def norm_l2(self):
-        # left to right, as ``coboundary.solve`` sums its truncation norms:
-        # from Python 3.12 sum() compensates a sum of floats
         total = 0.0
         for _, v in self.items():
             total += abs(v) ** 2

@@ -549,9 +549,11 @@ def _scan_general(tvec, kmax, keep, s_grid, prec_bits):
     return ranges, rational_k, modulus
 
 
-def _weighted(rp, modulus, norm, s, w):
+def _weighted(rp, modulus, norm, s, w, sines=None):
     """norm**s 2 sin(pi d) for d = rp / modulus in (0, 1/2] as an interval
-    (lo, hi, exp) of about w bits, exact where the value is rational.  It is
+    (lo, hi, exp) of about w bits, exact where the value is rational.  Given
+    a dict sines, the sine series is read from sines[rp, modulus, w], or run
+    and stored there, so that every level of one scan shares it.  It is
     rational only where (2 sin(pi d))**2 (``_SQUARED_DIVISOR``) and
     norm**(2 s) are, and their product is the square of an integer: 2 sin(pi
     d) lies in an abelian field, which meets the real field of norm**s in
@@ -565,7 +567,12 @@ def _weighted(rp, modulus, norm, s, w):
             root = math.isqrt(v)
             if root * root == v:
                 return root, root, 0
-    (lo, hi, ex), _ = bf.sin_cos_pi(rp, modulus, w)
+    if sines is None:
+        sines = {}
+    sine = sines.get((rp, modulus, w))
+    if sine is None:
+        sine = sines[rp, modulus, w] = bf.sin_cos_pi(rp, modulus, w)[0]
+    lo, hi, ex = sine
     plo, phi, pex = _power(norm, s, w)
     return 2 * plo * lo, 2 * phi * hi, pex + ex
 
@@ -585,12 +592,13 @@ def _double(series):
     return bf.ziv(lambda w: (series(w),), bf.double, bf.START_BITS)[0]
 
 
-def _divisor(rp, modulus):
-    """2 sin(pi rp / modulus), correctly rounded, for 0 < rp <= modulus / 2."""
-    return _double(partial(_weighted, rp, modulus, 1, 0.0))
+def _divisor(rp, modulus, sines=None):
+    """2 sin(pi rp / modulus), correctly rounded, for 0 < rp <= modulus / 2;
+    sines as for ``_weighted``."""
+    return _double(partial(_weighted, rp, modulus, 1, 0.0, sines=sines))
 
 
-def _least(points, s, modulus):
+def _least(points, s, modulus, sines=None):
     """(u, (r', k, |k|)): the point of points (r', k, |k|) with the least
     |k|^s 2 sin(pi r' / modulus), and u that value correctly rounded.
 
@@ -598,17 +606,18 @@ def _least(points, s, modulus):
     the minimum; their intervals are refined, at twice the bits each time,
     until one lies below the others.  Points equal in (r', |k|) are exact
     ties, and points whose intervals still overlap at TIE_BITS bits are taken
-    as ties too: of ties the least (|k|, k) wins.
+    as ties too: of ties the least (|k|, k) wins.  sines is as for
+    ``_weighted``.
     """
     rounded = [
-        (_double(partial(_weighted, rp, modulus, norm, s)), (rp, k, norm))
+        (_double(partial(_weighted, rp, modulus, norm, s, sines=sines)), (rp, k, norm))
         for rp, k, norm in points
     ]
     u = min(v for v, _ in rounded)
     best = [p for v, p in rounded if v == u]
     w = 128
     while len({(rp, norm) for rp, _, norm in best}) > 1 and w <= TIE_BITS:
-        bounds = [_weighted(rp, modulus, norm, s, w) for rp, _, norm in best]
+        bounds = [_weighted(rp, modulus, norm, s, w, sines) for rp, _, norm in best]
         low = min(ex for _, _, ex in bounds)  # each bound in units of 2**low
         top = min(hi << ex - low for _, hi, ex in bounds)
         best = [p for p, (lo, _, ex) in zip(best, bounds) if lo << ex - low <= top]
@@ -616,10 +625,10 @@ def _least(points, s, modulus):
     return u, min(best, key=lambda p: (p[2], p[1]))
 
 
-def _refine_range_minimum(rng, s, modulus):
+def _refine_range_minimum(rng, s, modulus, sines=None):
     """``_least`` over the range's frontier (``_scan.collect_below``), which
     holds every range minimum."""
-    return _least(rng.frontier, s, modulus)
+    return _least(rng.frontier, s, modulus, sines)
 
 
 def classify(
@@ -667,16 +676,18 @@ def classify(
     prec_bits = _declared(tvec)[1]
     ranges, rational_k, modulus = _scan_general(tvec, kmax, N_RECORDS, s_grid, prec_bits)
 
-    # per-s table with exact minima
+    # per-s table with exact minima; the levels, the witnesses and the
+    # records run each sine series once
+    sines = {}
     s_table = []
     dio_s = dio_c = None
     for s in s_grid:
         # rounding is monotone: C and the shell values are the ranges' doubles
-        shell = [_refine_range_minimum(rng, s, modulus) for rng in ranges if rng.kept]
+        shell = [_refine_range_minimum(rng, s, modulus, sines) for rng in ranges if rng.kept]
         if not shell:
             s_table.append(SLevelRow(s, math.inf, (), math.inf, math.inf, False))
             continue
-        c_val, (_, c_k, _) = _least([p for _, p in shell], s, modulus)
+        c_val, (_, c_k, _) = _least([p for _, p in shell], s, modulus, sines)
         mins = [u for u, _ in shell]
         evidence = (
             len(shell) >= 2
@@ -697,7 +708,7 @@ def classify(
                     k=kvec,
                     normk=normk,
                     dist=rp / modulus,
-                    divisor=_divisor(rp, modulus),
+                    divisor=_divisor(rp, modulus, sines),
                     exponent=_double(partial(_exponent, rp, modulus, normk)),
                     levels=levels,
                     significant=tuple(s for s in levels if normk >= floors[s]),
@@ -707,7 +718,7 @@ def classify(
     # global records: smallest scanned divisors
     merged = sorted(p for rng in ranges for p in rng.kept)[:N_RECORDS]
     records = tuple(
-        DivisorRecord(k=kv, divisor=_divisor(rp, modulus), normk=max(map(abs, kv)))
+        DivisorRecord(k=kv, divisor=_divisor(rp, modulus, sines), normk=max(map(abs, kv)))
         for rp, kv in merged
     )
 

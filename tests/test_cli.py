@@ -656,18 +656,74 @@ def test_main_leaves_the_collector_as_it_found_it(tmp_path):
     assert gc.get_freeze_count() == frozen and gc.isenabled()
 
 
+def _script_cli(*args, stdin=""):
+    """The command as the installed `heisencoh` script runs it: the console
+    wrapper that pip writes for the entry point pyproject.toml declares."""
+    import tomllib
+
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        entry = tomllib.load(fh)["project"]["scripts"]["heisencoh"]
+    module, attr = entry.split(":")
+    wrapper = (f"import sys\nfrom {module} import {attr}\n"
+               f"sys.argv[0] = 'heisencoh'\nsys.exit({attr}())\n")
+    return subprocess.run([sys.executable, "-c", wrapper, *args], input=stdin,
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("args, status, err", [
     (["fan", "--lambda", "1", "--xi", "3", "--n", "1"], 0, ""),
     (["solve", "--no-such-option"], 2, "usage:"),
     (["solve", "--g", "no/such/file", "--u", "golden"], 3, "error[domain]:"),
     (["classify", "--vector", "golden,sqrt5", "--kmax", "10"], 4, "error[precision]:"),
-], ids=["ok", "usage", "domain", "precision"])
+    (["classify", "--help"], 0, ""),
+], ids=["ok", "usage", "domain", "precision", "help"])
 def test_module_exit_keeps_each_status(args, status, err):
-    # the exit freeze changes how the process ends, not its status or output
-    r = run_cli(*args)
-    assert r.returncode == status
-    assert r.stderr.startswith(err)
-    assert (r.stdout != "") == (status == 0)
+    # the exit through os._exit changes how the process ends, not its
+    # status or output, through `python -m heisencoh` and the installed script
+    for runner in (run_cli, _script_cli):
+        r = runner(*args)
+        assert r.returncode == status, runner
+        assert r.stderr.startswith(err), runner
+        assert (r.stdout != "") == (status == 0), runner
+
+
+def test_the_installed_script_ends_through_run():
+    import tomllib
+
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["scripts"] == {"heisencoh": "heisencoh.cli:run"}
+    # run() ends the process itself: the wrapper's sys.exit is never reached,
+    # and neither is an atexit hook registered before it
+    hook = "import atexit; atexit.register(print, 'teardown ran')\n"
+    r = subprocess.run([sys.executable, "-c", hook + "from heisencoh.cli import run; run()",
+                        "cohomology", "--n", "1"], capture_output=True, text=True, timeout=120)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "0 1 -\n1 2 -\n2 2 -\n3 1 -\n4 0 -\n", "")
+
+
+@pytest.mark.parametrize("runner", [run_cli, _script_cli], ids=["module", "script"])
+def test_a_report_far_larger_than_the_pipe_arrives_whole(runner, capsys):
+    # 1/10^30 at K = 3000 prints a witness line for each k: 374 kB, several
+    # times what a pipe holds, all of it flushed before the process ends
+    args = ["classify", "--vector", "1/1" + "0" * 30, "--kmax", "3000"]
+    assert cli.main(args) == 0
+    want = capsys.readouterr().out
+    assert len(want) > 2**18
+    r = runner(*args)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == want
+
+
+def test_solve_out_file_and_verify_line_survive_the_fast_exit(tmp_path, capsys):
+    argv = ["solve", "--g", G_DIM2, "--u", "golden,sqrt2", "--alpha-list", "0,1", "--verify",
+            "--out"]
+    assert cli.main(argv + [str(tmp_path / "in_process.txt")]) == 0
+    want = capsys.readouterr().out
+    for runner in (run_cli, _script_cli):
+        out = tmp_path / f"{runner.__name__}.txt"
+        r = runner(*argv, str(out))
+        assert (r.returncode, r.stderr, r.stdout) == (0, "", want)
+        assert "verify_residual=" in r.stdout.splitlines()[-1]
+        assert out.read_bytes() == (tmp_path / "in_process.txt").read_bytes()
 
 
 def test_closed_stdout_is_not_a_domain_error():
@@ -862,3 +918,158 @@ def test_max_prec_itself_still_runs(tmp_path, capsys):
     assert "verdict=" in out and f"precision_bits={MAX_PREC}\n" in out
     assert cli.main(["solve", "--g", str(g), "--u", "e", "--prec", str(MAX_PREC)]) == 0
     assert capsys.readouterr().err.startswith("min_divisor=")
+
+
+# ---------------------------------------------------------------------------
+# the parser against argparse
+
+
+def _argparse_reference():
+    """An argparse parser built from cli.COMMANDS: the reference the
+    table-driven parser is checked against, test-only."""
+    import argparse
+
+    root = argparse.ArgumentParser(prog="heisencoh")
+    menus = {"": root.add_subparsers(dest="command", required=True)}
+    for path, (handler, about, options) in cli.COMMANDS.items():
+        if not path:
+            continue
+        parent, _, word = path.rpartition(" ")
+        sub = menus[parent].add_parser(word, help=about)
+        if handler is None:
+            menus[path] = sub.add_subparsers(dest="command", required=True)
+            continue
+        sub.set_defaults(func=handler)
+        for o in options:
+            if o.type is None:
+                sub.add_argument(o.flag, action="store_true", dest=o.dest)
+            elif not o.flag.startswith("-"):
+                sub.add_argument(o.flag, type=o.type, choices=o.choices)
+            else:
+                required = o.default is cli.REQUIRED
+                sub.add_argument(o.flag, type=o.type, dest=o.dest, required=required,
+                                 default=None if required else o.default)
+    return root
+
+
+def _parse_outcome(parse, argv, capsys):
+    """(status, namespace or None, stdout, stderr) of parse(argv)."""
+    try:
+        args = parse(argv)
+    except SystemExit as exc:
+        return (exc.code, None, *capsys.readouterr())
+    values = {k: v for k, v in vars(args).items() if k != "command"}
+    return (0, values, *capsys.readouterr())
+
+
+PARSES = [
+    ["classify", "--vector", "golden", "--kmax", "100"],
+    ["classify", "--kma", "100", "--vec", "golden", "--pr", "64", "--s", "1.5"],
+    ["classify", "--vector=golden", "--kmax=100", "--s-grid=1.5,3", "--prec=256"],
+    ["classify", "--kma=7", "--vector=-1/3", "--s-grid="],
+    ["classify", "--vector", "golden", "--kmax", "5", "--kmax", "7", "--vector", "e"],
+    ["classify", "--vector", "-0.5", "--kmax", "-3", "--s-grid", "-.25"],
+    ["classify", "--kmax", " +12 ", "--vector", "-1/3 "],
+    ["solve", "--g", "g.txt", "--u", "golden", "--alpha", "0,1"],
+    ["solve", "--g", "g.txt", "--u", "golden", "--verify", "--out", "f.txt", "--verify"],
+    ["solve", "--u=golden", "--g", "g.txt", "--al=0,1.5", "--o", "f", "--v"],
+    ["rep", "character", "--p", "3", "--xi", "-0.5", "--eta", "1/3", "--range", "2"],
+    ["rep", "character", "--p", "3", "--eta=-1/3", "--range", "2", "--alpha", "-1"],
+    ["rep", "character", "--p", "3", "--range", "2", "--eta=-x"],
+    ["rep", "matrix", "--p", "2", "--element", "-1 0 1"],
+    ["rep", "matrix", "--p", "2", "--el", "0 0 1", "--alpha", "-.25", "--x", "2"],
+    ["group", "mul"],
+    ["group", "--", "inv"],
+    ["group", "nf", "--"],
+    ["fan", "--lambda", "-4", "--xi", "12", "--n", "2"],
+    ["fan", "--l", "1", "--x", "3", "--n", "1"],
+    ["sobolev", "--f", "f.txt", "--alpha", "1e-3"],
+    ["sobolev", "--f", "-", "--alpha", "-7"],
+    ["cohomology", "--n", "2"],
+    ["cohomology", "--n", "2", "--k", "-1", "--k", "4"],
+]
+
+HELPS = [
+    ["-h"], ["--help"], ["--he"], ["-h", "classify"], ["--bogus", "-h"],
+    ["rep", "-h"], ["rep", "--h", "character"], ["rep", "character", "--p", "3", "-h"],
+    ["rep", "matrix", "--help"],
+    ["classify", "-h", "--kmax", "1e7"], ["classify", "--bogus", "--help"],
+    ["classify", "--vector", "golden", "-h"], ["solve", "--g", "x", "--h"],
+    ["group", "-h", "bogus"], ["group", "mul", "-h"], ["fan", "-h"], ["sobolev", "--hel"],
+    ["cohomology", "--help", "--n", "x"],
+]
+
+# (argv, the token its error must name)
+USAGE_ERRORS = [
+    (["classify", "--vector", "golden", "--kmax", "1e7"], "--kmax"),
+    (["classify", "--vector", "golden"], "--kmax"),
+    (["classify", "--kmax", "5"], "--vector"),
+    (["classify", "--vector", "golden", "--kmax", "5", "--bogus"], "--bogus"),
+    (["classify", "--vector", "golden", "--kmax", "5", "--format", "json"], "--format"),
+    (["classify", "--vector", "golden", "--kmax", "5", "extra"], "extra"),
+    (["classify", "--kmax", "1e7", "-h"], "--kmax"),
+    (["classify", "--vector", "golden", "--kmax"], "--kmax"),
+    (["classify", "--vector", "--kmax", "5"], "--vector"),
+    (["classify", "--vector", "golden", "--kmax", "5", "--prec", "-"], "--prec"),
+    (["classify", "--vector", "golden", "--kmax", "5", "--", "-h"], "-h"),
+    (["classify", "-hx"], "'x'"),
+    (["group", "bad"], "bad"),
+    (["group", "bad", "-h"], "bad"),
+    (["group"], "op"),
+    (["group", "mul", "inv"], "inv"),
+    ([], "command"),
+    (["rep"], "command"),
+    (["rep", "table"], "table"),
+    (["bogus", "-h"], "bogus"),
+    (["--bogus"], "command"),
+    (["--help=x"], "--help"),
+    (["rep", "character", "--p", "3", "--eta", "-1/3", "--range", "2"], "--eta"),
+    (["rep", "character", "--p", "3", "--eta", "-x", "--range", "2"], "--eta"),
+    (["rep", "character", "--p", "3", "--range", "2", "--eta", "--", "-1/3"], "--eta"),
+    (["rep", "matrix", "--p", "2", "--e", "0 0 1"], "--e"),
+    (["rep", "matrix", "--p", "2", "--element", "0 0 1", "-x"], "-x"),
+    (["rep", "matrix", "--p", "2.5", "--element", "0 0 1"], "--p"),
+    (["solve", "--g", "g", "--u", "golden", "--verify=yes"], "--verify"),
+    (["solve", "--g", "g", "--u", "golden", "--grid-size", "31"], "--grid-size"),
+    (["solve", "--g", "g", "--u", "golden", "--alpha-list"], "--alpha-list"),
+    (["fan", "--lambda", "1.5", "--xi", "3", "--n", "1"], "--lambda"),
+    (["fan", "--lambda", "1", "--xi", "3"], "--n"),
+    (["sobolev", "--f", "f", "--alpha", "x"], "--alpha"),
+    (["cohomology", "--n", "2", "--k", "--n", "3"], "--k"),
+]
+
+
+def test_the_corpus_covers_each_command_and_rule():
+    commands = {" ".join(argv[:2] if argv[0] == "rep" else argv[:1]) for argv in PARSES}
+    assert commands == {path for path, (handler, _, _) in cli.COMMANDS.items() if handler}
+    assert len(HELPS) == len({tuple(a) for a in HELPS})
+
+
+@pytest.mark.parametrize("argv", PARSES, ids=" ".join)
+def test_parser_gives_the_namespace_argparse_gives(argv, capsys):
+    reference = _parse_outcome(_argparse_reference().parse_args, argv, capsys)
+    assert reference[0] == 0 and reference[2:] == ("", "")
+    assert _parse_outcome(cli.parse_args, argv, capsys) == reference
+
+
+@pytest.mark.parametrize("argv", HELPS, ids=" ".join)
+def test_help_stops_the_parse_where_argparse_stops(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "500")  # argparse wraps its usage line at the terminal width
+    status, _, out, err = _parse_outcome(_argparse_reference().parse_args, argv, capsys)
+    assert (status, err) == (0, "")
+    mine = _parse_outcome(cli.parse_args, argv, capsys)
+    assert mine[0] == 0 and mine[3] == ""
+    # the usage line names the command whose help it is, as argparse's does
+    assert mine[2].splitlines()[0] == out.splitlines()[0]
+
+
+@pytest.mark.parametrize("argv, token", USAGE_ERRORS, ids=[" ".join(a) for a, _ in USAGE_ERRORS])
+def test_usage_errors_exit_where_argparse_exits(argv, token, capsys):
+    status, _, out, err = _parse_outcome(_argparse_reference().parse_args, argv, capsys)
+    assert (status, out) == (2, "") and token in err.splitlines()[-1]
+    status, _, out, err = _parse_outcome(cli.parse_args, argv, capsys)
+    assert (status, out) == (2, "")
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: heisencoh")
+    assert error.startswith("heisencoh") and ": error: " in error and token in error
+    assert cli.main(argv) == 2

@@ -3,6 +3,7 @@ import io
 import math
 import random
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +82,22 @@ def test_norms_and_hermitian():
     assert abs(f.norm_l1() - 10) < 1e-12
     assert f.is_hermitian()
     assert not CoefficientField(1, {(1,): 1j}).is_hermitian()
+
+
+def test_norm_l1_sums_left_to_right(tmp_path, monkeypatch):
+    # the seed-1 dim-2 benchmark field at R = 20: a compensated sum (built-in
+    # sum() from Python 3.12, or math.fsum) gives 173.37074030136543
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    from workloads import write_field
+
+    write_field(tmp_path / "g.txt", 2, 20, random.Random(1))
+    with open(tmp_path / "g.txt", encoding="utf-8") as fh:
+        f = read_coefficients(fh)
+    total = 0.0
+    for _, v in f.items():
+        total += abs(v)
+    assert f.norm_l1() == total == 173.37074030136517
+    assert math.fsum(abs(v) for _, v in f.items()) == 173.37074030136543
 
 
 def test_dim_checks():

@@ -682,7 +682,7 @@ def test_exact_rank2_matches_every_k():
 def _golden_input(name):
     """(tvec, kmax, s_grid) of the `classify` golden `name`, read by the CLI's
     own parser."""
-    args = cli.build_parser().parse_args(["classify", *CORPUS[name].split()])
+    args = cli.parse_args(["classify", *CORPUS[name].split()])
     tvec = [c.fractional_part() for c in cli._parse_vector(args.vector, args.prec)]
     return tvec, args.kmax, sorted({float(s) for s in args.s_grid.split(",")})
 
@@ -993,3 +993,16 @@ def test_exact_ties_go_to_the_least_norm_then_k():
     points = [(2, (2,), 2), (3, (-1,), 1), (3, (1,), 1)]
     assert diophantine._least(points, 0.5, 12) == (math.sqrt(2), (3, (-1,), 1))
     assert diophantine._least(points[:1] + points[2:], 0.5, 12) == (math.sqrt(2), (3, (1,), 1))
+
+
+def test_each_sine_series_runs_once_per_point_and_precision(monkeypatch, capsys):
+    # golden at K = 10^7 meets 58 distinct (r', L, w) over its frontiers,
+    # witnesses and records: each series runs once, shared by every level
+    from heisencoh import _bigfloat
+
+    calls = []
+    real = _bigfloat.sin_cos_pi
+    monkeypatch.setattr(_bigfloat, "sin_cos_pi", lambda *a: calls.append(a) or real(*a))
+    assert cli.main(["classify", "--vector", "golden", "--kmax", "10000000"]) == 0
+    assert capsys.readouterr().out.startswith("verdict=DiophantineEvidence\n")
+    assert len(calls) == len(set(calls)) == 58
